@@ -128,11 +128,6 @@ def todd_classical(b: BundleClass) -> CohClass:
     return _to_cohclass(b.ring, _todd_poly(b.ring, b.roots, mpf(1)))
 
 
-def todd_modified(b: BundleClass) -> CohClass:
-    """Td(V) = prod 2 pi i delta_j / (1 - e^{-2 pi i delta_j})."""
-    return _to_cohclass(b.ring, _todd_poly(b.ring, b.roots, TWO_PI_I))
-
-
 _GAMMA_CACHE: dict = {}
 
 

@@ -120,6 +120,12 @@ def parse_target(text: str):
     raise UsageError(f"bad --target {text!r}: expected P(n) or G(r,N)")
 
 
+def _nmax(args) -> int:
+    if args.nmax < 0:
+        raise UsageError(f"--nmax must be >= 0, got {args.nmax}")
+    return args.nmax
+
+
 def _grid(text: str):
     return [float(x) for x in text.split(",")]
 
@@ -216,7 +222,7 @@ def cmd_gamma(args):
 
 def cmd_jfun(args):
     ring = parse_target(args.target)
-    rows = j_coefficients(ring, args.nmax)
+    rows = j_coefficients(ring, _nmax(args))
     emit({"target": args.target,
           "coefficients": [{"n": n,
                             "J_n": {ring.label(lam): Fraction(c)
@@ -228,7 +234,7 @@ def cmd_jfun(args):
 
 def cmd_period(args):
     ring = parse_target(args.target)
-    gs = quantum_period(ring, args.nmax, exact=True)
+    gs = quantum_period(ring, _nmax(args), exact=True)
     emit({"target": args.target,
           "G_n": [{"n": n, "value": Fraction(g)} for n, g in enumerate(gs)]}, args)
     return 0

@@ -9,8 +9,7 @@ of J_n) for the long runs used by radius and Apery estimates.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -162,56 +161,123 @@ def _mat_scale(a, s):
     return [[s * x for x in row] for row in a]
 
 
-def _is_zero(a):
-    return all(x == 0 for row in a for x in row)
+def _sparse_rows(a):
+    """Nonzero entries of each row of a, as [(column, value), ...]."""
+    return [[(k, x) for k, x in enumerate(row) if x] for row in a]
 
 
-def _solve_shift(m: int, rhs, rho):
-    """Solve m X + [rho, X] = rhs by the finite Neumann series
-    X = sum_l (-ad_rho)^l (rhs) / m^{l+1} (ad_rho is nilpotent)."""
-    term = rhs
-    out = _mat_scale(term, Fraction(1, m))
-    l = 1
-    while True:
-        term = _mat_add(_mat_mul(rho, term), _mat_mul(term, rho), sb=-1)
-        if _is_zero(term):
-            return out
-        out = _mat_add(out, _mat_scale(term, Fraction((-1) ** l, m ** (l + 1))))
-        l += 1
+def _right_mul(a, cols):
+    """a @ B, with B given by its sparse columns."""
+    return [[sum(row[k] * c for k, c in col) for col in cols] for row in a]
+
+
+def _left_mul(rows, a):
+    """B @ a, with B given by its sparse rows."""
+    n = len(a)
+    return [[sum(c * a[k][j] for k, c in row) for j in range(n)] for row in rows]
+
+
+@dataclass(frozen=True)
+class _SparseRho:
+    """rho = (c_1 cup .) in the form the graded solver reads."""
+    rows: list     # rows[i] = [(k, rho[i][k]), ...], nonzero entries only
+    cols: list     # cols[j] = [(k, rho[k][j]), ...], nonzero entries only
+    order: list    # every (i, j), by increasing deg_i - deg_j
+
+
+def _sparse_rho(ring: RingSpec, G0) -> _SparseRho:
+    degs = ring.degrees()
+    n = ring.rank
+    order = sorted(((i, j) for i in range(n) for j in range(n)),
+                   key=lambda ij: degs[ij[0]] - degs[ij[1]])
+    return _SparseRho(_sparse_rows(G0), _sparse_rows(zip(*G0)), order)
+
+
+def _minus_commutator(s, rho: _SparseRho, X, i: int, j: int):
+    """s - [rho, X][i][j], skipping zero entries of X."""
+    for k, c in rho.rows[i]:
+        x = X[k][j]
+        if x:
+            s -= c * x
+    Xi = X[i]
+    for k, c in rho.cols[j]:
+        x = Xi[k]
+        if x:
+            s += c * x
+    return s
+
+
+def _solve_graded(m: int, rhs, rho: _SparseRho):
+    """Solve m X + [rho, X] = rhs (m >= 1, rhs a Fraction matrix) exactly.
+
+    rho raises degree by exactly one, so [rho, X][i][j] reads only entries of
+    X whose deg_i - deg_j is one less.  Visiting (i, j) in rho.order finds them
+    already solved: one back-substitution pass, O(n^2 nnz(rho))."""
+    X = _mat_zero(len(rhs))
+    for i, j in rho.order:
+        s = _minus_commutator(rhs[i][j], rho, X, i, j)
+        if s:
+            X[i][j] = s / m
+    return X
+
+
+def _check_graded(m: int, X, rhs, rho: _SparseRho):
+    """Raise ArithmeticError unless m X + [rho, X] == rhs exactly."""
+    for i, j in rho.order:
+        s = _minus_commutator(rhs[i][j] - m * X[i][j], rho, X, i, j)
+        if s:
+            raise ArithmeticError(
+                f"graded solve at order {m}: residual {s} at ({i}, {j})")
+
+
+def _graded_series(M: int, N: int, rho: _SparseRho, step) -> list:
+    """X_0 = id and m X_m + [rho, X_m] = step(X_{m-N}) for m = 1..M, with
+    X_{m-N} = 0 for m < N; each solve is checked exactly."""
+    n = len(rho.rows)
+    out = [_mat_id(n)]
+    for m in range(1, M + 1):
+        if m < N or not any(map(any, out[m - N])):
+            out.append(_mat_zero(n))
+            continue
+        rhs = step(out[m - N])
+        X = _solve_graded(m, rhs, rho)
+        _check_graded(m, X, rhs, rho)
+        out.append(X)
+    return out
 
 
 @dataclass
 class FundamentalSolution:
+    """The canonical fundamental solution up to `order`.  U and J are
+    computed with it; T is computed by the same graded solver on first
+    access, so callers that need only J never build it."""
     ring: RingSpec
     order: int
-    T: list        # T[0] = id, T[m] exact Fraction matrices
-    U: list        # inverse series, U[m]
-    J: list        # J[m] as CohClass with Fraction coefficients
+    U: list        # inverse series, U[0] = id, U[m] exact Fraction matrices
+    J: list        # J[m] = U[m][.][0] as CohClass with Fraction coefficients
+    _T: list | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def T(self) -> list:
+        """T[0] = id, T[m] exact Fraction matrices:
+        m T_m + [rho, T_m] + G_N T_{m-N} = 0."""
+        if self._T is None:
+            G0, GN = graded_pieces(self.ring)
+            minus_gn = _sparse_rows([[-x for x in row] for row in GN])
+            self._T = _graded_series(self.order, self.ring.N, _sparse_rho(self.ring, G0),
+                                     lambda A: _left_mul(minus_gn, A))
+        return self._T
 
 
 def fundamental_solution(ring: RingSpec, M: int) -> FundamentalSolution:
-    n = ring.rank
+    if M < 0:
+        raise ValueError(f"order must be >= 0, got {M}")
     G0, GN = graded_pieces(ring)
-    rho = [[Fraction(x) for x in row] for row in G0]
-    GNf = [[Fraction(x) for x in row] for row in GN]
-    N = ring.N
-
-    T = [_mat_id(n)]
-    U = [_mat_id(n)]
-    for m in range(1, M + 1):
-        # m T_m + [rho, T_m] + sum_{j<m} G_{m-j} T_j = 0; only G_N survives
-        rhs_T = _mat_scale(_mat_mul(GNf, T[m - N]), Fraction(-1)) if m >= N else _mat_zero(n)
-        T.append(_solve_shift(m, rhs_T, rho) if not _is_zero(rhs_T) else _mat_zero(n))
-        # inverse series: m U_m + [rho, U_m] = U_{m-N} G_N
-        rhs_U = _mat_mul(U[m - N], GNf) if m >= N else _mat_zero(n)
-        U.append(_solve_shift(m, rhs_U, rho) if not _is_zero(rhs_U) else _mat_zero(n))
-
-    J = [CohClass(ring, [U[m][i][0] for i in range(n)]) for m in range(M + 1)]
-    fs = FundamentalSolution(ring=ring, order=M, T=T, U=U, J=J)
-    res = recursion_residual(fs)
-    if res != 0:
-        raise ArithmeticError(f"recursion residual {res} nonzero")
-    return fs
+    gn_cols = _sparse_rows(zip(*GN))
+    # inverse series: m U_m + [rho, U_m] = U_{m-N} G_N
+    U = _graded_series(M, ring.N, _sparse_rho(ring, G0), lambda A: _right_mul(A, gn_cols))
+    J = [CohClass(ring, [row[0] for row in Um]) for Um in U]
+    return FundamentalSolution(ring=ring, order=M, U=U, J=J)
 
 
 def recursion_residual(fs: FundamentalSolution):

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import comb
 
 from . import symfunc
@@ -136,13 +135,6 @@ class CohClass:
     def __getitem__(self, lam):
         return self.coeffs[self.ring.index[normalize_partition(lam)]]
 
-    def degree_part(self, p: int) -> "CohClass":
-        return CohClass(self.ring, [c if sum(lam) == p else 0
-                                    for lam, c in zip(self.ring.basis, self.coeffs)])
-
-    def to_complex(self) -> list:
-        return [complex(c) for c in self.coeffs]
-
     def serialize(self) -> dict:
         out = {}
         for lam, c in zip(self.ring.basis, self.coeffs):
@@ -258,17 +250,6 @@ def quantum_pieri(k: int, lam, ring: RingSpec) -> dict:
             if ok:
                 quantum = quantum + ring.basis_class(mu)
     return {0: classical, 1: quantum}
-
-
-def mu_apply(a: CohClass) -> CohClass:
-    """Grading operator: (p - dim/2) on the complex-degree-p part (exact)."""
-    half = Fraction(a.ring.dim, 2)
-    return CohClass(a.ring, [(sum(lam) - half) * c if c != 0 else 0
-                             for lam, c in zip(a.ring.basis, a.coeffs)])
-
-
-def rho_apply(a: CohClass) -> CohClass:
-    return cup(a.ring.c1(), a)
 
 
 def satake(factors, ring_G: RingSpec) -> CohClass:

@@ -16,10 +16,6 @@ Expt = tuple[int, ...]
 Poly = dict[Expt, object]
 
 
-def poly_zero() -> Poly:
-    return {}
-
-
 def poly_const(r: int, c) -> Poly:
     return {(0,) * r: c}
 

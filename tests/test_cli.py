@@ -62,6 +62,12 @@ def test_usage_error_exit_1(capsys):
     assert main(["limit", "--target", "Q(7)", "--t", "8"]) == 1
 
 
+def test_negative_nmax_exit_1(capsys):
+    assert main(["jfun", "--target", "P(2)", "--nmax", "-3"]) == 1
+    assert main(["period", "--target", "G(2,4)", "--nmax", "-2"]) == 1
+    assert capsys.readouterr().out == ""
+
+
 def test_stokes_failure_exit_2(capsys):
     # natural Beilinson order on P^3 is not a phase order at -0.05
     code, out = run(capsys, "stokes", "--target", "P(3)")

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mpf, pi as mp_pi, exp as mp_exp, mpc
 
 from qgamma.rings import build_ring
@@ -14,12 +15,47 @@ from qgamma.connection import (c1_matrix, spectrum, spectrum_closed_form,
                                fundamental_solution, recursion_residual,
                                pairing_identity_residual, degree_shift_ok,
                                j_coefficients, j_scaled, j_closed_form_P,
-                               quantum_period, central_charge)
+                               quantum_period, central_charge, graded_pieces,
+                               _mat_add, _mat_id, _mat_mul, _mat_scale, _mat_zero,
+                               _solve_graded, _sparse_rho)
+from qgamma import connection
 
 P1 = build_ring("P", 2)
 P2 = build_ring("P", 3)
 G24 = build_ring("G", 4, 2)
 G25 = build_ring("G", 5, 2)
+G36 = build_ring("G", 6, 3)
+
+
+def _neumann_solve(m, rhs, rho):
+    """Oracle: m X + [rho, X] = rhs by the finite Neumann series
+    X = sum_l (-ad_rho)^l (rhs) / m^{l+1} (ad_rho is nilpotent)."""
+    term = rhs
+    out = _mat_scale(term, Fraction(1, m))
+    l = 1
+    while True:
+        term = _mat_add(_mat_mul(rho, term), _mat_mul(term, rho), sb=-1)
+        if all(x == 0 for row in term for x in row):
+            return out
+        out = _mat_add(out, _mat_scale(term, Fraction((-1) ** l, m ** (l + 1))))
+        l += 1
+
+
+def _neumann_series(ring, M):
+    """Oracle T and U: the dense recursion, solved by _neumann_solve."""
+    n, N = ring.rank, ring.N
+    G0, GN = graded_pieces(ring)
+    rho = [[Fraction(x) for x in row] for row in G0]
+    GNf = [[Fraction(x) for x in row] for row in GN]
+    T, U = [_mat_id(n)], [_mat_id(n)]
+    for m in range(1, M + 1):
+        if m < N:
+            T.append(_mat_zero(n))
+            U.append(_mat_zero(n))
+            continue
+        T.append(_neumann_solve(m, _mat_scale(_mat_mul(GNf, T[m - N]), Fraction(-1)), rho))
+        U.append(_neumann_solve(m, _mat_mul(U[m - N], GNf), rho))
+    return T, U
 
 
 def test_c1_matrix_p1():
@@ -68,6 +104,50 @@ def test_fundamental_solution_identities():
         assert recursion_residual(fs) == 0
         assert pairing_identity_residual(fs) == 0
         assert degree_shift_ok(fs)
+
+
+def test_graded_solver_matches_neumann_oracle():
+    for ring in [P1, P2, G24, G25, G36]:
+        M = 2 * ring.N + 1
+        fs = fundamental_solution(ring, M)
+        T, U = _neumann_series(ring, M)
+        assert fs.U == U
+        assert fs.T == T
+        assert [J.coeffs for J in fs.J] == [[row[0] for row in Um] for Um in U]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([P2, G24, G25]), st.integers(1, 40), st.data())
+def test_solve_graded_random_rhs(ring, m, data):
+    n = ring.rank
+    entries = data.draw(st.lists(st.fractions(-50, 50, max_denominator=30),
+                                 min_size=n * n, max_size=n * n))
+    rhs = [entries[i * n:(i + 1) * n] for i in range(n)]
+    G0, _ = graded_pieces(ring)
+    rho = [[Fraction(x) for x in row] for row in G0]
+    assert _solve_graded(m, rhs, _sparse_rho(ring, G0)) == _neumann_solve(m, rhs, rho)
+
+
+def test_corrupted_solve_raises(monkeypatch):
+    solve = connection._solve_graded
+
+    def corrupted(m, rhs, rho):
+        X = solve(m, rhs, rho)
+        X[-1][0] += 1
+        return X
+
+    fs = fundamental_solution(P2, 9)
+    monkeypatch.setattr(connection, "_solve_graded", corrupted)
+    with pytest.raises(ArithmeticError):
+        fundamental_solution(P2, 9)
+    with pytest.raises(ArithmeticError):
+        fs.T
+
+
+def test_fundamental_solution_rejects_negative_order():
+    with pytest.raises(ValueError):
+        fundamental_solution(P1, -1)
+    assert len(fundamental_solution(P1, 0).J) == 1
 
 
 def test_j_oracle_projective():
