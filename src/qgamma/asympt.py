@@ -9,10 +9,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.special
-from mpmath import mp, mpc, mpf, exp as mp_exp, log as mp_log
+from mpmath import mp, mpf, exp as mp_exp, log as mp_log
 
+from . import symfunc
 from .constants import TWO_PI, log_gamma_coeffs
-from .rings import RingSpec, CohClass, build_ring, cup, poincare_pair
+from .rings import RingSpec, CohClass, build_ring, cup, exp_cup, poincare_pair
 from .charclasses import gamma_class
 from .connection import j_scaled
 
@@ -47,20 +48,8 @@ def eval_J(ring: RingSpec, t: float, nmax: int) -> np.ndarray:
         weight *= t / (n + 1)
     if last > 1e-13 * (1 + biggest):
         raise ArithmeticError(f"J series tail not converged at nmax={nmax}")
-    # e^{rho log t}: nilpotent exponential applied via cup with c1
-    c1 = ring.c1()
-    c1m = np.zeros((ring.rank, ring.rank))
-    for j in range(ring.rank):
-        e = ring.zero()
-        e.coeffs[j] = 1
-        c1m[:, j] = [float(x) for x in cup(c1, e).coeffs]
-    logt = math.log(t)
-    out = total.copy()
-    term = total.copy()
-    for k in range(1, ring.dim + 1):
-        term = (logt / k) * (c1m @ term)
-        out += term
-    return out
+    out = exp_cup(CohClass(ring, total.tolist()), ring.c1(), math.log(t))   # e^{rho log t}
+    return np.array(out.coeffs)
 
 
 def limit_ratio(ring: RingSpec, t_grid, nmax: int = None, tol: float = 1e-6) -> LimitReport:
@@ -172,6 +161,23 @@ def mellin_psi(N: int, t: float, c: float = 1.0, nodes_per_unit: int = 32) -> fl
     return float((total / (2 * math.pi)).real)
 
 
+def _inv_h_minus(k: int, cap: int) -> symfunc.Poly:
+    """1/(h-k) = -(1/k) sum_j (h/k)^j, truncated at h^cap."""
+    return {(j,): -(mpf(1) / k) * (mpf(1) / k) ** j for j in range(cap + 1)}
+
+
+def _exp_h(a, cap: int) -> symfunc.Poly:
+    """e^{a h} = sum_p a^p h^p / p!, truncated at h^cap."""
+    return {(p,): a ** p / math.factorial(p) for p in range(cap + 1)}
+
+
+def _gamma_pow(N: int) -> symfunc.Poly:
+    """Gamma(1+h)^N in C[h]/(h^N), at the current working precision."""
+    cap = N - 1
+    lg = log_gamma_coeffs(max(cap, 1))
+    return symfunc.poly_exp({(k,): N * lg[k] for k in range(1, cap + 1)}, 1, cap)
+
+
 def frobenius_Pi(N: int, t, nmax: int = 80) -> list:
     """Pi(t; h) = e^{-N h log t} sum_n prod_{k=1}^n (h-k)^{-N} t^{Nn} in
     C[h]/(h^N); returns the N coefficients (mpmath reals)."""
@@ -179,43 +185,24 @@ def frobenius_Pi(N: int, t, nmax: int = 80) -> list:
         raise ValueError("t must be positive")
     t = mpf(t)
     cap = N - 1
-    series = [mpf(0)] * N
-    prod_inv = [mpf(1)] + [mpf(0)] * cap   # prod (h-k)^{-N} for k <= n
+    series: symfunc.Poly = {}
+    prod_inv = symfunc.poly_const(1, mpf(1))   # prod (h-k)^{-N} for k <= n
     tn = mpf(1)
     n = 0
     while True:
-        for p in range(N):
-            series[p] += prod_inv[p] * tn
+        series = symfunc.poly_add(series, symfunc.poly_scale(prod_inv, tn))
         n += 1
         tpow = t ** N
         tn = tn * tpow
+        inv = _inv_h_minus(n, cap)
         for _ in range(N):
-            prod_inv = _series_mul_inv_linear(prod_inv, n, cap)
-        if n > 3 and tn * max(abs(x) for x in prod_inv) < mpf("1e-45") and n >= nmax // 2:
+            prod_inv = symfunc.poly_mul(prod_inv, inv, cap)
+        if n > 3 and tn * max(abs(x) for x in prod_inv.values()) < mpf("1e-45") and n >= nmax // 2:
             break
         if n > nmax:
             break
-    # multiply by e^{-N h log t}
-    lt = -N * mp_log(t)
-    expf = [lt ** p / math.factorial(p) for p in range(N)]
-    return _series_mul(series, expf, cap)
-
-
-def _series_mul(a, b, cap):
-    out = [mpf(0)] * (cap + 1)
-    for i, x in enumerate(a):
-        if i > cap or x == 0:
-            continue
-        for j, y in enumerate(b):
-            if i + j <= cap:
-                out[i + j] += x * y
-    return out
-
-
-def _series_mul_inv_linear(a, k, cap):
-    """Multiply the truncated series a(h) by 1/(h-k) = -(1/k) sum (h/k)^j."""
-    inv = [-(mpf(1) / k) * (mpf(1) / k) ** j for j in range(cap + 1)]
-    return _series_mul(a, inv, cap)
+    out = symfunc.poly_mul(series, _exp_h(-N * mp_log(t), cap), cap)
+    return [out.get((p,), mpf(0)) for p in range(N)]
 
 
 def psi_residue_sum(N: int, t, nmax: int = 80) -> float:
@@ -224,35 +211,22 @@ def psi_residue_sum(N: int, t, nmax: int = 80) -> float:
     int_P Gamma-hat cup Pi."""
     t = mpf(t)
     cap = N - 1
-    lg = log_gamma_coeffs(cap if cap >= 1 else 1)
-    gam = _series_exp([N * c for c in lg[:cap + 1]] + [mpf(0)] * max(0, cap + 1 - len(lg)), cap)
-    lt = -N * mp_log(t)
-    expf = [lt ** p / math.factorial(p) for p in range(N)]
-    base = _series_mul(gam, expf, cap)
+    base = symfunc.poly_mul(_gamma_pow(N), _exp_h(-N * mp_log(t), cap), cap)
 
     total = mpf(0)
-    prod_inv = [mpf(1)] + [mpf(0)] * cap
+    prod_inv = symfunc.poly_const(1, mpf(1))
     tn = mpf(1)
     for n in range(nmax + 1):
         if n > 0:
             tn = tn * t ** N
+            inv = _inv_h_minus(n, cap)
             for _ in range(N):
-                prod_inv = _series_mul_inv_linear(prod_inv, n, cap)
-        term = _series_mul(base, prod_inv, cap)[cap] * tn
+                prod_inv = symfunc.poly_mul(prod_inv, inv, cap)
+        term = symfunc.poly_mul(base, prod_inv, cap).get((cap,), mpf(0)) * tn
         total += term
         if n > 3 * int(t) + 6 and abs(term) < mpf("1e-45") * (1 + abs(total)):
             break
     return float(total)
-
-
-def _series_exp(a, cap):
-    """exp of a truncated series with zero constant term."""
-    out = [mpf(1)] + [mpf(0)] * cap
-    term = [mpf(1)] + [mpf(0)] * cap
-    for k in range(1, cap + 1):
-        term = [x / k for x in _series_mul(term, a, cap)]
-        out = [x + y for x, y in zip(out, term)]
-    return out
 
 
 def psi_gamma_pi(N: int, t) -> float:
@@ -271,14 +245,11 @@ def psi_asymptotic_constant(N: int, t_grid) -> dict:
     mp.dps = 60
     try:
         vals = []
+        gam = _gamma_pow(N)
         for t in t_grid:
-            psi = mpf(0)
             # residue sum at high precision (entire series, heavy cancellation)
-            cap = N - 1
-            lg = log_gamma_coeffs(max(cap, 1))
-            gam = _series_exp([N * c for c in lg[:cap + 1]] + [mpf(0)] * max(0, cap + 1 - len(lg)), cap)
             Pi = frobenius_Pi(N, t, nmax=int(6 * t) + 40)
-            psi = sum(gam[k] * Pi[N - 1 - k] for k in range(N))
+            psi = sum(gam.get((k,), 0) * Pi[N - 1 - k] for k in range(N))
             vals.append(psi * mpf(t) ** (mpf(N - 1) / 2) * mp_exp(N * mpf(t)))
         extrap = _richardson3([mpf(t) for t in t_grid[-3:]], vals[-3:]) if len(vals) >= 3 else vals[-1]
         target = mpf(N) ** mpf("-0.5") * TWO_PI ** (mpf(N - 1) / 2)

@@ -15,8 +15,8 @@ from math import factorial
 from mpmath import mp, mpc, mpf, gamma as mp_gamma, bernoulli, exp as mp_exp, sqrt as mp_sqrt, power as mp_power
 
 from . import symfunc
-from .constants import EULER, TWO_PI, TWO_PI_I, PI_I, log_gamma_coeffs
-from .rings import RingSpec, CohClass, build_ring, cup, poincare_pair
+from .constants import TWO_PI, TWO_PI_I, PI_I, log_gamma_coeffs
+from .rings import RingSpec, CohClass, build_ring, cup, exp_cup, poincare_pair
 
 Root = tuple  # exponent-coefficient vector of a linear form in x_1..x_r
 
@@ -192,17 +192,6 @@ def kapranov_ch(nu, ring: RingSpec) -> CohClass:
     return ch_modified(kapranov_schur(ring, nu))
 
 
-def exp_rho(a: CohClass, scalar) -> CohClass:
-    """exp(scalar * (c_1 cup .)) applied to a (nilpotent, finite sum)."""
-    out = a
-    term = a
-    c1 = a.ring.c1()
-    for k in range(1, a.ring.dim + 1):
-        term = (scalar / k) * cup(c1, term)
-        out = out + term
-    return out
-
-
 def exp_mu(a: CohClass, scalar) -> CohClass:
     """exp(scalar * mu): multiply degree-p part by exp(scalar*(p - dim/2))."""
     half = mpf(a.ring.dim) / 2
@@ -216,8 +205,9 @@ def bracket_pairing(a: CohClass, b: CohClass):
     Also evaluated as (2 pi)^{-dim} (e^{pi i mu} e^{-pi i rho} a, b); the two
     must agree (operator identity from [mu, rho] = rho)."""
     scale = mp_power(TWO_PI, -a.ring.dim)
-    v1 = scale * poincare_pair(exp_rho(exp_mu(a, PI_I), PI_I), b)
-    v2 = scale * poincare_pair(exp_mu(exp_rho(a, -PI_I), PI_I), b)
+    c1 = a.ring.c1()
+    v1 = scale * poincare_pair(exp_cup(exp_mu(a, PI_I), c1, PI_I), b)
+    v2 = scale * poincare_pair(exp_mu(exp_cup(a, c1, -PI_I), PI_I), b)
     if abs(v1 - v2) > mpf("1e-15") * (1 + abs(v1)):
         raise ArithmeticError(f"bracket pairing forms disagree: {v1} vs {v2}")
     return v1

@@ -8,7 +8,6 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import math
 import re
 import sys
 from fractions import Fraction

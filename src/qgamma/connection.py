@@ -15,7 +15,8 @@ from fractions import Fraction
 import numpy as np
 from mpmath import mp, mpc, mpf, exp as mp_exp, log as mp_log
 
-from .rings import RingSpec, CohClass, build_ring, cup, quantum_pieri, poincare_pair
+from . import symfunc
+from .rings import RingSpec, CohClass, build_ring, cup, exp_cup, quantum_pieri
 from .charclasses import BundleClass, gamma_class, ch_modified, bracket_pairing
 
 
@@ -105,22 +106,24 @@ def spectrum(ring: RingSpec, tol: float = 1e-8) -> SpectrumReport:
     T_prime = max((v.real for v, _ in clusters if abs(v - T) >= tol), default=float("-inf"))
 
     closed = spectrum_closed_form(ring.r, ring.N)
-    closed_match = _multisets_match(eig, closed, tol)
+    closed_match = _multiset_distance(eig, closed) <= tol
     return SpectrumReport(eigenvalues=clusters, T=float(T), T_prime=float(T_prime),
                           T_multiplicity=T_mult, property_o_holds=holds,
                           violated_clause=clause, closed_form_match=closed_match)
 
 
-def _multisets_match(a, b, tol=1e-8) -> bool:
-    a, b = list(a), list(b)
-    if len(a) != len(b):
-        return False
-    for v in a:
-        best = min(range(len(b)), key=lambda i: abs(b[i] - v))
-        if abs(b[best] - v) > tol:
-            return False
-        b.pop(best)
-    return True
+def _multiset_distance(a, b) -> float:
+    """Largest distance in a greedy nearest-neighbour matching of the
+    multisets a and b; inf when their sizes differ."""
+    left = list(b)
+    if len(a) != len(left):
+        return float("inf")
+    worst = 0.0
+    for z in a:
+        j = min(range(len(left)), key=lambda i: abs(left[i] - z))
+        worst = max(worst, abs(left[j] - z))
+        left.pop(j)
+    return worst
 
 
 # --- exact fundamental solution -----------------------------------------
@@ -385,40 +388,21 @@ def j_closed_form_P(N: int, nmax: int) -> list:
     ring = build_ring("P", N)
     dim = ring.dim
     out = []
-    prod = [Fraction(1)] + [Fraction(0)] * dim   # prod (1 + h/k)^N
+    prod = symfunc.poly_const(1, Fraction(1))   # prod (1 + h/k)^N
     fact_pow = Fraction(1)
     n = 0
     for m in range(nmax + 1):
-        if m % N == 0 and m > 0:
+        if m % N:
+            out.append(ring.zero())
+            continue
+        if m > 0:
             n += 1
             fact_pow *= Fraction(n) ** N
+            factor = {(0,): Fraction(1), (1,): Fraction(1, n)}
             for _ in range(N):
-                prod = _useries_mul(prod, [Fraction(1), Fraction(1, n)], dim)
-        if m % N == 0:
-            inv = _useries_inv(prod, dim)
-            out.append(CohClass(ring, [c / fact_pow for c in inv]))
-        else:
-            out.append(ring.zero())
-    return out
-
-
-def _useries_mul(a, b, cap):
-    out = [Fraction(0)] * (cap + 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            if i + j <= cap and y != 0:
-                out[i + j] += x * y
-    return out
-
-
-def _useries_inv(a, cap):
-    out = [Fraction(0)] * (cap + 1)
-    out[0] = 1 / a[0]
-    for k in range(1, cap + 1):
-        s = sum(a[i] * out[k - i] for i in range(1, k + 1))
-        out[k] = -s / a[0]
+                prod = symfunc.poly_mul(prod, factor, dim)
+        inv = symfunc.poly_inv(prod, 1, dim)
+        out.append(CohClass(ring, [inv.get((k,), 0) / fact_pow for k in range(dim + 1)]))
     return out
 
 
@@ -450,11 +434,6 @@ def central_charge(V: BundleClass, t, nmax: int):
         biggest = max(biggest, last)
     if last > mpf("1e-30") * (1 + biggest):
         raise ArithmeticError("J series tail not converged at nmax")
-    # e^{rho log t} via nilpotent exponential
-    term = total
-    c1 = ring.c1()
-    for k in range(1, ring.dim + 1):
-        term = (logt / k) * cup(c1, term)
-        total = total + term
+    total = exp_cup(total, ring.c1(), logt)   # e^{rho log t}
     gv = cup(gamma_class(ring), ch_modified(V))
     return mpc(0, 2 * mp.pi) ** ring.dim * bracket_pairing(total, gv)

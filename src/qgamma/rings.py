@@ -65,9 +65,9 @@ class RingSpec:
     basis: tuple         # partitions, degree-lex order
     dim: int             # complex dimension
     fano_index: int
-    index: dict = field(hash=False, compare=False, default=None)
-    pairing_matrix: tuple = field(hash=False, compare=False, default=None)
-    cup_table: dict = field(hash=False, compare=False, default=None)
+    index: dict = field(hash=False, compare=False, default=None, repr=False)
+    pairing_matrix: tuple = field(hash=False, compare=False, default=None, repr=False)
+    cup_table: dict = field(hash=False, compare=False, default=None, repr=False)
 
     @property
     def rank(self) -> int:
@@ -213,6 +213,15 @@ def cup(a: CohClass, b: CohClass) -> CohClass:
     return CohClass(ring, out)
 
 
+def exp_cup(a: CohClass, x: CohClass, s) -> CohClass:
+    """e^{s x} cup a for a class x of positive degree (nilpotent, finite sum)."""
+    out = term = a
+    for k in range(1, a.ring.dim + 1):
+        term = (s / k) * cup(x, term)
+        out = out + term
+    return out
+
+
 def poincare_pair(a: CohClass, b: CohClass):
     _same_ring(a, b)
     ring = a.ring
@@ -279,11 +288,3 @@ def satake(factors, ring_G: RingSpec) -> CohClass:
         lam = normalize_partition(tuple(b[i] - (r - 1 - i) for i in range(r)))
         out[ring_G.index[lam]] = out[ring_G.index[lam]] + sign * coeff
     return CohClass(ring_G, out)
-
-
-def wedge_pairing(alpha, beta):
-    """Poincare pairing on r-wedges over P: det((alpha_i, beta_j)_P)."""
-    if len(alpha) != len(beta):
-        raise ValueError("wedge factor count mismatch")
-    m = [[poincare_pair(ai, bj) for bj in beta] for ai in alpha]
-    return det_small(m)

@@ -9,22 +9,18 @@ import math
 from fractions import Fraction
 
 import numpy as np
-from mpmath import mp, mpf, gamma as mp_gamma, sqrt as mp_sqrt
+from mpmath import mpf
 
-from .constants import TWO_PI
 from .rings import build_ring
-from .charclasses import (gamma_class, ch_modified, line_on_P, kapranov_ch,
-                          bracket_pairing, zeta_reg_reciprocal_product,
-                          zeta_reg_closed_form)
+from .charclasses import zeta_reg_reciprocal_product, zeta_reg_closed_form
 from .connection import (spectrum, j_coefficients, j_closed_form_P,
-                         quantum_period)
+                         quantum_period, _multiset_distance)
 from .asympt import (limit_ratio, apery_precondition, apery_ratios,
                      radius_estimate, mellin_psi, psi_residue_sum,
                      psi_gamma_pi, psi_asymptotic_constant)
 from . import mrs as mrsmod
 from .mrs import SOB, MRS, gram, braid_act, is_uni_uppertriangular
-from .wedgecheck import (check_wedge_spectrum, check_kapranov_wedge_identity,
-                         check_mrs_wedge, _multiset_distance)
+from .wedgecheck import check_kapranov_wedge_identity, check_mrs_wedge
 
 
 def criterion_1():

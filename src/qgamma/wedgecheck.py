@@ -10,12 +10,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from mpmath import mp, mpc
+from mpmath import mpc
 
-from .rings import RingSpec, CohClass, build_ring, cup, satake, normalize_partition
+from .rings import RingSpec, CohClass, build_ring, cup, exp_cup, satake, normalize_partition
 from .charclasses import (gamma_class, gamma_G_closed_form, kapranov_ch,
                           ch_modified, line_on_P, bracket_pairing)
-from .connection import c1_matrix, _multisets_match
+from .connection import c1_matrix, _multiset_distance
 from . import mrs as mrsmod
 from .constants import TWO_PI_I, PI_I
 
@@ -62,32 +62,12 @@ def check_wedge_spectrum(r: int, N: int, tol: float = 1e-8) -> SatakeCheckReport
                              passed=resid < tol)
 
 
-def _multiset_distance(a, b) -> float:
-    left = list(b)
-    worst = 0.0
-    for z in a:
-        j = min(range(len(left)), key=lambda i: abs(left[i] - z))
-        worst = max(worst, abs(left[j] - z))
-        left.pop(j)
-    return worst
-
-
-def _exp_sigma1(ring: RingSpec, scalar) -> CohClass:
-    out = ring.unit()
-    term = ring.unit()
-    s1 = ring.basis_class((1,))
-    for k in range(1, ring.dim + 1):
-        term = (scalar / k) * cup(term, s1)
-        out = out + term
-    return out
-
-
 def satake_normalized(factors, ring_G: RingSpec) -> CohClass:
     """(2 pi i)^{-r(r-1)/2} e^{-(r-1) pi i sigma_1} Sat(f_1 ^ ... ^ f_r)."""
     r = ring_G.r
     raw = satake(factors, ring_G)
     pref = TWO_PI_I ** (-(r * (r - 1) // 2))
-    return pref * cup(_exp_sigma1(ring_G, -(r - 1) * PI_I), raw)
+    return pref * exp_cup(raw, ring_G.basis_class((1,)), -(r - 1) * PI_I)
 
 
 def _wedge_factors(nu, r: int, N: int):

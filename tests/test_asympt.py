@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from mpmath import mpf
 
-from qgamma.rings import build_ring
+from qgamma.rings import build_ring, cup
 from qgamma.charclasses import gamma_class
-from qgamma.connection import spectrum, quantum_period
+from qgamma.connection import spectrum, quantum_period, j_scaled
 from qgamma.asympt import (eval_J, limit_ratio, apery_precondition,
                            apery_ratios, radius_estimate, mellin_psi,
                            psi_residue_sum, psi_gamma_pi,
@@ -88,6 +88,28 @@ def test_psi_asymptotic_constant():
         target = N ** -0.5 * (2 * math.pi) ** ((N - 1) / 2)
         assert abs(rep["target"] - target) < 1e-12
         assert rep["abs_error"] < 1e-3
+
+
+def _eval_J_dense(ring, t, nmax):
+    """eval_J with e^{rho log t} applied through the dense matrix of c1 cup."""
+    rows = j_scaled(ring, nmax)
+    total = sum(rows[n] * t ** n / math.factorial(n) for n in range(nmax + 1))
+    c1m = np.zeros((ring.rank, ring.rank))
+    for j in range(ring.rank):
+        c1m[:, j] = [float(x) for x in cup(ring.c1(), ring.basis_class(ring.basis[j])).coeffs]
+    out = total.copy()
+    term = total.copy()
+    for k in range(1, ring.dim + 1):
+        term = (math.log(t) / k) * (c1m @ term)
+        out += term
+    return out
+
+
+@pytest.mark.parametrize("ring", [P2, G24], ids=["P2", "G24"])
+@pytest.mark.parametrize("t", [0.7, 3.0])
+def test_eval_j_matches_dense_c1_matrix(ring, t):
+    got, want = eval_J(ring, t, 80), _eval_J_dense(ring, t, 80)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_eval_j_positive_t_only():

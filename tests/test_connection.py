@@ -17,7 +17,7 @@ from qgamma.connection import (c1_matrix, spectrum, spectrum_closed_form,
                                j_coefficients, j_scaled, j_closed_form_P,
                                quantum_period, central_charge, graded_pieces,
                                _mat_add, _mat_id, _mat_mul, _mat_scale, _mat_zero,
-                               _solve_graded, _sparse_rho)
+                               _solve_graded, _sparse_rho, _multiset_distance)
 from qgamma import connection
 
 P1 = build_ring("P", 2)
@@ -89,6 +89,19 @@ def test_spectrum_g25():
 def test_spectrum_closed_form_count():
     assert len(spectrum_closed_form(2, 5)) == 10
     assert len(spectrum_closed_form(3, 6)) == 20
+
+
+def test_multiset_distance_size_mismatch_is_inf():
+    assert _multiset_distance([1], [1, 2]) == math.inf
+    assert _multiset_distance([1, 2], [1]) == math.inf
+    assert _multiset_distance([], []) == 0.0
+    assert _multiset_distance([2, 1j], [1j, 2.5]) == 0.5
+
+
+@pytest.mark.parametrize("kind,N,r", [("P", N, 1) for N in range(2, 7)]
+                         + [("G", 4, 2), ("G", 5, 2)])
+def test_spectrum_matches_closed_form(kind, N, r):
+    assert spectrum(build_ring(kind, N, r)).closed_form_match
 
 
 def test_fundamental_solution_p1():

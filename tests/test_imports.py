@@ -1,0 +1,64 @@
+"""Lint: no module of the package imports a name it never uses.
+
+Uses only the stdlib ``ast`` module, so it runs wherever the test suite does.
+A name counts as used when it appears as a bare name anywhere in the module
+(including attribute bases such as ``np`` in ``np.zeros`` and unquoted
+annotations) or inside a quoted annotation; other strings do not count.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "qgamma"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def _imported_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name
+
+
+def _annotations(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            yield node.returns
+        elif isinstance(node, ast.arg) and node.annotation:
+            yield node.annotation
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def _used_names(tree):
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for ann in _annotations(tree):
+        for node in ast.walk(ann):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                expr = ast.parse(node.value, mode="eval")   # quoted annotation
+                used |= {n.id for n in ast.walk(expr) if isinstance(n, ast.Name)}
+    return used
+
+
+def unused_imports(source: str) -> list:
+    tree = ast.parse(source)
+    used = _used_names(tree)
+    return [(line, name) for line, name in _imported_names(tree) if name not in used]
+
+
+def test_checker_flags_unused_and_accepts_used():
+    src = "import os\nimport numpy as np\nfrom math import pi, tau\nx = np.zeros(pi)\n"
+    assert unused_imports(src) == [(1, "os"), (3, "tau")]
+    assert unused_imports("from __future__ import annotations\n") == []
+    assert unused_imports("from a import B\ndef f() -> 'B': pass\n") == []
+    assert unused_imports("from a import B\nx = 'B'\n") == [(1, "B")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []

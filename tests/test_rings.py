@@ -7,9 +7,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qgamma.rings import (build_ring, cup, poincare_pair, quantum_pieri,
+from qgamma.rings import (build_ring, cup, exp_cup, poincare_pair, quantum_pieri,
                           partitions_in_box, box_complement, satake,
-                          normalize_partition, wedge_pairing)
+                          normalize_partition)
+from qgamma.mrs import WedgeVec, wedge_pairing_from
 
 
 P1 = build_ring("P", 2)
@@ -149,7 +150,42 @@ def test_satake_antisymmetry():
 def test_wedge_pairing_determinant():
     P = build_ring("P", 4)
     h = [P.basis_class((k,) if k else ()) for k in range(4)]
+    pair = wedge_pairing_from(poincare_pair)
+
+    def wedge_pairing(alpha, beta):
+        return pair(WedgeVec(((1, tuple(alpha)),)), WedgeVec(((1, tuple(beta)),)))
+
     assert wedge_pairing([h[3], h[0]], [h[0], h[3]]) == 1
     assert wedge_pairing([h[3], h[0]], [h[3], h[0]]) == -1
     assert wedge_pairing([h[3], h[2]], [h[0], h[1]]) == 1
     assert wedge_pairing([h[3], h[2]], [h[2], h[0]]) == 0
+
+
+def test_ring_repr_is_short():
+    # The cup table, index and pairing matrix stay out of repr: mpmath formats
+    # repr(CohClass) whenever it fails to coerce one in a product.
+    assert len(repr(build_ring("G", 8, 3))) < 1000
+
+
+_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([P3, G24]), st.data())
+def test_exp_cup_is_a_one_parameter_group(ring, data):
+    a = ring.zero()
+    a.coeffs = data.draw(st.lists(_fractions, min_size=ring.rank, max_size=ring.rank))
+    x = ring.zero()
+    x.coeffs = [0] + data.draw(st.lists(_fractions, min_size=ring.rank - 1,
+                                        max_size=ring.rank - 1))
+    s, t = data.draw(_fractions), data.draw(_fractions)
+    assert exp_cup(exp_cup(a, x, s), x, t).coeffs == exp_cup(a, x, s + t).coeffs
+    assert exp_cup(a, x, Fraction(0)).coeffs == a.coeffs
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5, 6])
+def test_exp_cup_of_unit_on_projective_space(N):
+    P = build_ring("P", N)
+    s = Fraction(3, 7)
+    out = exp_cup(P.unit(), P.basis_class((1,)), s)
+    assert out.coeffs == [s ** k / math.factorial(k) for k in range(N)]
