@@ -8,11 +8,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.special
-from mpmath import mp, mpf, exp as mp_exp, log as mp_log
+from mpmath import fp, mp, mpf, exp as mp_exp, log as mp_log
 
 from . import symfunc
-from .constants import TWO_PI, log_gamma_coeffs
+from .constants import log_gamma_coeffs
 from .rings import RingSpec, CohClass, build_ring, cup, exp_cup, poincare_pair
 from .charclasses import gamma_class
 from .connection import j_scaled
@@ -75,12 +74,7 @@ def limit_ratio(ring: RingSpec, t_grid, nmax: int = None, tol: float = 1e-6) -> 
 def apery_precondition(ring: RingSpec, g: CohClass) -> bool:
     """c_1 cap gamma = 0, checked exactly: (g, c1 cup b) = 0 for all basis b."""
     c1 = ring.c1()
-    for j in range(ring.rank):
-        e = ring.zero()
-        e.coeffs[j] = 1
-        if poincare_pair(g, cup(c1, e)) != 0:
-            return False
-    return True
+    return all(poincare_pair(g, cup(c1, ring.basis_class(lam))) == 0 for lam in ring.basis)
 
 
 def apery_ratios(ring: RingSpec, g: CohClass, n_grid, tol: float = 1e-6) -> LimitReport:
@@ -91,7 +85,7 @@ def apery_ratios(ring: RingSpec, g: CohClass, n_grid, tol: float = 1e-6) -> Limi
         raise ValueError("c1 cap gamma != 0; Apery limit needs a primitive class")
     rf = ring.fano_index
     rows = j_scaled(ring, rf * max(n_grid))
-    pair_idx = [(j, poincare_pair(g, _basis_elt(ring, j))) for j in range(ring.rank)]
+    pair_idx = [(j, poincare_pair(g, ring.basis_class(lam))) for j, lam in enumerate(ring.basis)]
     pair_idx = [(j, c) for j, c in pair_idx if c != 0]
     values, skipped = [], []
     for n in n_grid:
@@ -103,20 +97,14 @@ def apery_ratios(ring: RingSpec, g: CohClass, n_grid, tol: float = 1e-6) -> Limi
         num = sum(float(c) * row[j] for j, c in pair_idx)
         values.append(num / denom)
     gam = gamma_class(ring)
-    target = float(sum(c * poincare_pair(g, _basis_elt(ring, j))
-                       for j, c in enumerate(gam.coeffs) if c != 0) / gam.coeffs[0])
+    target = float(sum(c * poincare_pair(g, ring.basis_class(lam))
+                       for lam, c in zip(ring.basis, gam.coeffs) if c != 0) / gam.coeffs[0])
     gap = abs(values[-1] - target) if values else float("inf")
     est_error = abs(values[-1] - values[-2]) if len(values) > 1 else float("inf")
     return LimitReport(grid=[n for n in n_grid if n not in skipped], values=values,
                        extrapolated=values[-1] if values else None, target=target,
                        est_error=est_error, converged=gap < tol,
                        notes={"gap": gap, "skipped": skipped})
-
-
-def _basis_elt(ring: RingSpec, j: int) -> CohClass:
-    e = ring.zero()
-    e.coeffs[j] = 1
-    return e
 
 
 # --- radius of the regularized quantum period ----------------------------
@@ -156,7 +144,7 @@ def mellin_psi(N: int, t: float, c: float = 1.0, nodes_per_unit: int = 32) -> fl
     for k in range(-H, H):
         y = k + (x + 1) / 2
         s = c + 1j * y
-        vals = scipy.special.gamma(s) ** N * t ** (-N * s)
+        vals = np.array([fp.gamma(z) for z in s.tolist()]) ** N * t ** (-N * s)
         total += np.sum(w * vals) / 2
     return float((total / (2 * math.pi)).real)
 
@@ -241,9 +229,7 @@ def psi_gamma_pi(N: int, t) -> float:
 def psi_asymptotic_constant(N: int, t_grid) -> dict:
     """Estimate C in Psi(t) ~ C t^{-(N-1)/2} e^{-Nt}; quadratic-in-1/t
     Richardson on the last three grid values; target N^{-1/2}(2 pi)^{(N-1)/2}."""
-    old = mp.dps
-    mp.dps = 60
-    try:
+    with mp.workdps(60):
         vals = []
         gam = _gamma_pow(N)
         for t in t_grid:
@@ -252,12 +238,10 @@ def psi_asymptotic_constant(N: int, t_grid) -> dict:
             psi = sum(gam.get((k,), 0) * Pi[N - 1 - k] for k in range(N))
             vals.append(psi * mpf(t) ** (mpf(N - 1) / 2) * mp_exp(N * mpf(t)))
         extrap = _richardson3([mpf(t) for t in t_grid[-3:]], vals[-3:]) if len(vals) >= 3 else vals[-1]
-        target = mpf(N) ** mpf("-0.5") * TWO_PI ** (mpf(N - 1) / 2)
+        target = mpf(N) ** mpf("-0.5") * (2 * mp.pi) ** (mpf(N - 1) / 2)
         return {"grid": list(t_grid), "values": [float(v) for v in vals],
                 "extrapolated": float(extrap), "target": float(target),
                 "abs_error": float(abs(extrap - target))}
-    finally:
-        mp.dps = old
 
 
 def _richardson3(ts, vals):

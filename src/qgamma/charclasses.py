@@ -15,7 +15,7 @@ from math import factorial
 from mpmath import mp, mpc, mpf, gamma as mp_gamma, bernoulli, exp as mp_exp, sqrt as mp_sqrt, power as mp_power
 
 from . import symfunc
-from .constants import TWO_PI, TWO_PI_I, PI_I, log_gamma_coeffs
+from .constants import log_gamma_coeffs
 from .rings import RingSpec, CohClass, build_ring, cup, exp_cup, poincare_pair
 
 Root = tuple  # exponent-coefficient vector of a linear form in x_1..x_r
@@ -104,7 +104,7 @@ def ch_classical(b: BundleClass) -> CohClass:
 
 def ch_modified(b: BundleClass) -> CohClass:
     """Ch(V) = sum e^{2 pi i delta_j}; equals (2 pi i)^p ch_p componentwise."""
-    return _to_cohclass(b.ring, _exp_sum(b.ring, b.roots, TWO_PI_I))
+    return _to_cohclass(b.ring, _exp_sum(b.ring, b.roots, 2j * mp.pi))
 
 
 def _todd_poly(ring: RingSpec, roots, scale) -> symfunc.Poly:
@@ -134,7 +134,7 @@ _GAMMA_CACHE: dict = {}
 def gamma_class(ring: RingSpec) -> CohClass:
     """Gamma class exp(-C_eu c_1 + sum_{k>=2} (-1)^k (k-1)! zeta(k) ch_k(TF)),
     assembled as prod Gamma(1 + delta) over the (virtual) roots of TF."""
-    key = (ring.kind, ring.r, ring.N)
+    key = (ring.kind, ring.r, ring.N, mp.prec)
     if key in _GAMMA_CACHE:
         return _GAMMA_CACHE[key]
     cap = ring.dim
@@ -158,6 +158,7 @@ def gamma_G_closed_form(r: int, N: int) -> CohClass:
     prod_i Gamma(1 + x_i)^N, reduced to the Schur basis."""
     ring = build_ring("G", N, r)
     cap = ring.dim
+    two_pi_i = 2j * mp.pi
     # (e^{u} - 1)/u = sum u^k/(k+1)! with u = 2 pi i (x_i - x_j)
     s_coeffs = [mpf(1) / factorial(k + 1) for k in range(cap + 1)]
     total = symfunc.poly_const(r, mpc(1))
@@ -165,12 +166,12 @@ def gamma_G_closed_form(r: int, N: int) -> CohClass:
         for j in range(i + 1, r):
             v = [0] * r
             v[i], v[j] = 1, -1
-            u = symfunc.poly_linear(r, v, TWO_PI_I)
+            u = symfunc.poly_linear(r, v, two_pi_i)
             ratio = symfunc.poly_series_of(u, r, s_coeffs, cap)
             ej = [0] * r
             ej[j] = 1
-            pref = symfunc.poly_exp(symfunc.poly_linear(r, ej, TWO_PI_I), r, cap)
-            factor = symfunc.poly_scale(symfunc.poly_mul(ratio, pref, cap), TWO_PI_I)
+            pref = symfunc.poly_exp(symfunc.poly_linear(r, ej, two_pi_i), r, cap)
+            factor = symfunc.poly_scale(symfunc.poly_mul(ratio, pref, cap), two_pi_i)
             total = symfunc.poly_mul(total, factor, cap)
     lg = log_gamma_coeffs(cap)
     gam_sum: symfunc.Poly = {}
@@ -182,8 +183,8 @@ def gamma_G_closed_form(r: int, N: int) -> CohClass:
     total = symfunc.poly_mul(total, symfunc.poly_exp(
         symfunc.poly_scale(gam_sum, N), r, cap), cap)
     total = symfunc.poly_mul(total, symfunc.poly_exp(
-        symfunc.poly_linear(r, [1] * r, -(r - 1) * PI_I), r, cap), cap)
-    prefactor = mp_power(TWO_PI_I, -(r * (r - 1) // 2))
+        symfunc.poly_linear(r, [1] * r, -(r - 1) * 1j * mp.pi), r, cap), cap)
+    prefactor = mp_power(two_pi_i, -(r * (r - 1) // 2))
     return _to_cohclass(ring, symfunc.poly_scale(total, prefactor))
 
 
@@ -204,10 +205,11 @@ def bracket_pairing(a: CohClass, b: CohClass):
 
     Also evaluated as (2 pi)^{-dim} (e^{pi i mu} e^{-pi i rho} a, b); the two
     must agree (operator identity from [mu, rho] = rho)."""
-    scale = mp_power(TWO_PI, -a.ring.dim)
+    scale = mp_power(2 * mp.pi, -a.ring.dim)
     c1 = a.ring.c1()
-    v1 = scale * poincare_pair(exp_cup(exp_mu(a, PI_I), c1, PI_I), b)
-    v2 = scale * poincare_pair(exp_mu(exp_cup(a, c1, -PI_I), PI_I), b)
+    pi_i = 1j * mp.pi
+    v1 = scale * poincare_pair(exp_cup(exp_mu(a, pi_i), c1, pi_i), b)
+    v2 = scale * poincare_pair(exp_mu(exp_cup(a, c1, -pi_i), pi_i), b)
     if abs(v1 - v2) > mpf("1e-15") * (1 + abs(v1)):
         raise ArithmeticError(f"bracket pairing forms disagree: {v1} vs {v2}")
     return v1
@@ -260,4 +262,4 @@ def zeta_reg_reciprocal_product(delta, z):
 def zeta_reg_closed_form(delta, z):
     """sqrt(z / 2 pi) z^{delta/z} Gamma(1 + delta/z)."""
     delta, z = mpf(delta), mpf(z)
-    return mp_sqrt(z / TWO_PI) * mp_power(z, delta / z) * mp_gamma(1 + delta / z)
+    return mp_sqrt(z / (2 * mp.pi)) * mp_power(z, delta / z) * mp_gamma(1 + delta / z)

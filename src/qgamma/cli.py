@@ -352,7 +352,9 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return COMMANDS[args.cmd](args)
-    except UsageError as exc:
+    # every ValueError raised in qgamma is an argument check; ArithmeticError
+    # (a failed self-check) is left to surface
+    except (UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         print(f"valid subcommands: {', '.join(sorted(COMMANDS))}", file=sys.stderr)
         return 1

@@ -2,13 +2,15 @@
 Property O, the recursive canonical fundamental solution, J-function
 coefficients, quantum periods, and central charges.
 
-Two arithmetic paths are provided: exact Fractions for the recursion and its
-order-by-order identities, and a scaled float path (carrying n! J_n instead
-of J_n) for the long runs used by radius and Apery estimates.
+One graded solver serves two arithmetic paths: exact Fractions for the
+recursion and its order-by-order identities, and a scaled float path
+(carrying n! J_n instead of J_n) for the long runs used by radius and Apery
+estimates.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -129,7 +131,7 @@ def _multiset_distance(a, b) -> float:
 # --- exact fundamental solution -----------------------------------------
 
 def _mat_zero(n):
-    return [[Fraction(0)] * n for _ in range(n)]
+    return [[0] * n for _ in range(n)]
 
 
 def _mat_id(n):
@@ -211,7 +213,7 @@ def _minus_commutator(s, rho: _SparseRho, X, i: int, j: int):
 
 
 def _solve_graded(m: int, rhs, rho: _SparseRho):
-    """Solve m X + [rho, X] = rhs (m >= 1, rhs a Fraction matrix) exactly.
+    """Solve m X + [rho, X] = rhs (m >= 1); exact when rhs holds Fractions.
 
     rho raises degree by exactly one, so [rho, X][i][j] reads only entries of
     X whose deg_i - deg_j is one less.  Visiting (i, j) in rho.order finds them
@@ -351,36 +353,21 @@ def j_coefficients(ring: RingSpec, nmax: int) -> list:
 
 
 def j_scaled(ring: RingSpec, nmax: int) -> np.ndarray:
-    """Float path: row n holds n! * J_n (basis coefficients)."""
-    n = ring.rank
+    """Float path: row n holds n! * J_n (basis coefficients).  W_m = m! U_m
+    solves m W_m + [rho, W_m] = m!/(m-N)! W_{m-N} G_N on the graded solver."""
+    n, N = ring.rank, ring.N
     G0, GN = graded_pieces(ring)
-    rho = np.array(G0, dtype=float)
-    GNf = np.array(GN, dtype=float)
-    N = ring.N
-    W_prev: list = [np.zeros((n, n))] * (N - 1) + [np.eye(n)]  # W_{m-N}..W_{m-1}
-    out = np.zeros((nmax + 1, n))
-    out[0][0] = 1.0
+    rho = _sparse_rho(ring, G0)
+    gn_cols = _sparse_rows(zip(*GN))
+    W = [np.eye(n).tolist()]
     for m in range(1, nmax + 1):
-        W_mN = W_prev[0]
-        if not W_mN.any():
-            W = np.zeros((n, n))
-        else:
-            rising = 1.0
-            for i in range(m - N + 1, m + 1):
-                rising *= i
-            rhs = rising * (W_mN @ GNf)
-            term = rhs
-            W = term / m
-            l = 1
-            while term.any():
-                term = rho @ term - term @ rho
-                W = W + ((-1) ** l / m ** (l + 1)) * term
-                l += 1
-                if l > 2 * ring.dim + 4:
-                    break
-        out[m] = W[:, 0]
-        W_prev = W_prev[1:] + [W]
-    return out
+        if m < N or not any(map(any, W[m - N])):
+            W.append(_mat_zero(n))
+            continue
+        rising = float(math.perm(m, N))
+        rhs = [[rising * x for x in row] for row in _right_mul(W[m - N], gn_cols)]
+        W.append(_solve_graded(m, rhs, rho))
+    return np.array([[row[0] for row in Wm] for Wm in W], dtype=float)
 
 
 def j_closed_form_P(N: int, nmax: int) -> list:

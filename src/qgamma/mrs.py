@@ -172,18 +172,14 @@ def mutate_phase_rotation(mrs: MRS, phi_target: float):
                     c += 2 * math.pi
     events.sort(key=lambda e: (-e[0] if decreasing else e[0], -e[3]))
 
+    mutate = right_mutation if decreasing else left_mutation
     vectors = list(mrs.vectors)
     log = []
     for phi_c, gi, gj, _ in events:
-        block_j = reps[gj]
         for idx in reps[gi]:
             v = vectors[idx]
-            if decreasing:
-                for k in block_j:
-                    v = v - mrs.pairing(v, vectors[k]) * vectors[k]
-            else:
-                for k in block_j:
-                    v = v - mrs.pairing(vectors[k], v) * vectors[k]
+            for k in reps[gj]:
+                v = mutate(v, vectors[k], mrs.pairing)
             vectors[idx] = v
         log.append({"crossing_angle": phi_c,
                     "moved_marking": complex(mrs.markings[gj]),

@@ -132,6 +132,10 @@ class CohClass:
     def __rmul__(self, scalar) -> "CohClass":
         return CohClass(self.ring, [scalar * a for a in self.coeffs])
 
+    # class on the left: an mpmath scalar on the left first tries to convert
+    # the class, and formats its repr for the error before falling back
+    __mul__ = __rmul__
+
     def __getitem__(self, lam):
         return self.coeffs[self.ring.index[normalize_partition(lam)]]
 
@@ -217,7 +221,7 @@ def exp_cup(a: CohClass, x: CohClass, s) -> CohClass:
     """e^{s x} cup a for a class x of positive degree (nilpotent, finite sum)."""
     out = term = a
     for k in range(1, a.ring.dim + 1):
-        term = (s / k) * cup(x, term)
+        term = cup(x, term) * (s / k)
         out = out + term
     return out
 

@@ -10,14 +10,13 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from mpmath import mpc
+from mpmath import mp, mpc
 
 from .rings import RingSpec, CohClass, build_ring, cup, exp_cup, satake, normalize_partition
 from .charclasses import (gamma_class, gamma_G_closed_form, kapranov_ch,
                           ch_modified, line_on_P, bracket_pairing)
 from .connection import c1_matrix, _multiset_distance
 from . import mrs as mrsmod
-from .constants import TWO_PI_I, PI_I
 
 
 @dataclass
@@ -66,8 +65,8 @@ def satake_normalized(factors, ring_G: RingSpec) -> CohClass:
     """(2 pi i)^{-r(r-1)/2} e^{-(r-1) pi i sigma_1} Sat(f_1 ^ ... ^ f_r)."""
     r = ring_G.r
     raw = satake(factors, ring_G)
-    pref = TWO_PI_I ** (-(r * (r - 1) // 2))
-    return pref * exp_cup(raw, ring_G.basis_class((1,)), -(r - 1) * PI_I)
+    pref = (2j * mp.pi) ** (-(r * (r - 1) // 2))
+    return exp_cup(raw, ring_G.basis_class((1,)), -(r - 1) * 1j * mp.pi) * pref
 
 
 def _wedge_factors(nu, r: int, N: int):

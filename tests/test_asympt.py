@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from mpmath import mpf
+from mpmath import mp, mpf
 
 from qgamma.rings import build_ring, cup
 from qgamma.charclasses import gamma_class
@@ -88,6 +88,14 @@ def test_psi_asymptotic_constant():
         target = N ** -0.5 * (2 * math.pi) ** ((N - 1) / 2)
         assert abs(rep["target"] - target) < 1e-12
         assert rep["abs_error"] < 1e-3
+
+
+def test_psi_asymptotic_constant_constants_follow_precision():
+    # the 60-digit cancellation at large t needs Euler's constant and zeta(k)
+    # at 60 digits too; 40-digit constants leave an error of about 0.58
+    rep = psi_asymptotic_constant(3, [18, 19, 20])
+    assert rep["abs_error"] < 1e-4
+    assert mp.dps == 40
 
 
 def _eval_J_dense(ring, t, nmax):

@@ -7,7 +7,6 @@ import mpmath
 import pytest
 from mpmath import mp, mpf, mpc
 
-from qgamma.constants import EULER, TWO_PI, zeta_int
 from qgamma.rings import build_ring, cup, poincare_pair
 from qgamma.charclasses import (trivial_bundle, line_on_P, tangent_bundle,
                                 kapranov_schur, ch_classical, ch_modified,
@@ -47,14 +46,22 @@ def test_todd_p1():
 def test_gamma_p1():
     g = gamma_class(P1)
     assert abs(g.coeffs[0] - 1) < 1e-30
-    assert abs(g.coeffs[1] + 2 * EULER) < 1e-30
+    assert abs(g.coeffs[1] + 2 * mp.euler) < 1e-30
 
 
 def test_gamma_p2():
     g = gamma_class(P2)
-    assert abs(g.coeffs[1] + 3 * EULER) < 1e-30
-    expect = mpf(9) / 2 * EULER ** 2 + mpf(3) / 2 * zeta_int(2)
+    assert abs(g.coeffs[1] + 3 * mp.euler) < 1e-30
+    expect = mpf(9) / 2 * mp.euler ** 2 + mpf(3) / 2 * mpmath.zeta(2)
     assert abs(g.coeffs[2] - expect) < 1e-30
+
+
+def test_gamma_class_cache_follows_precision():
+    gamma_class(P2)   # fills the 40-digit cache entry
+    with mp.workdps(60):
+        g = gamma_class(P2)
+        assert abs(g.coeffs[1] + 3 * mp.euler) < mpf("1e-55")
+    assert abs(gamma_class(P2).coeffs[1] + 3 * mp.euler) < 1e-30
 
 
 def test_gamma_g_closed_form_matches_generic():
@@ -121,4 +128,4 @@ def test_zeta_reg_value():
     # delta = z = 1: product over Gamma(1+1/z)-type towers collapses to
     # 1/sqrt(2 pi)
     cf = zeta_reg_closed_form(mpf(1), mpf(1))
-    assert abs(cf - 1 / mpmath.sqrt(TWO_PI) * mpmath.gamma(2)) < 1e-30
+    assert abs(cf - 1 / mpmath.sqrt(2 * mp.pi) * mpmath.gamma(2)) < 1e-30

@@ -1,6 +1,10 @@
 """CLI surface: subcommand behavior, output determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -62,6 +66,18 @@ def test_usage_error_exit_1(capsys):
     assert main(["limit", "--target", "Q(7)", "--t", "8"]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--target", "P(0)"],
+    ["gamma", "--target", "G(5,40)"],
+    ["psi", "--N", "9", "--t", "1"],
+    ["zetareg", "--delta", "-1", "--z", "1"],
+    ["limit", "--target", "P(2)", "--t", "-1"],
+], ids=lambda argv: argv[0])
+def test_bad_argument_values_are_usage_errors(capsys, argv):
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("usage error:")
+
+
 def test_negative_nmax_exit_1(capsys):
     assert main(["jfun", "--target", "P(2)", "--nmax", "-3"]) == 1
     assert main(["period", "--target", "G(2,4)", "--nmax", "-2"]) == 1
@@ -104,3 +120,13 @@ def test_satake_command(capsys):
     payload = json.loads(out)
     assert all(c["pass"] for c in payload["checks"])
     assert len(payload["checks"]) == 8
+
+
+def test_cli_import_leaves_scipy_out():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in [src, os.environ.get("PYTHONPATH")] if p)}
+    code = "import sys, qgamma.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"

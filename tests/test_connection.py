@@ -173,7 +173,7 @@ def test_j_oracle_projective():
 
 
 def test_j_scaled_matches_exact():
-    for ring in [P2, G24]:
+    for ring in [P2, G24, G25, G36]:
         exact = j_coefficients(ring, 12)
         rows = j_scaled(ring, 12)
         fact = 1
@@ -182,6 +182,8 @@ def test_j_scaled_matches_exact():
             for j in range(ring.rank):
                 want = float(exact[n].coeffs[j]) * fact
                 assert abs(rows[n][j] - want) <= 1e-12 * (1 + abs(want))
+                if exact[n].coeffs[j] == 0:
+                    assert rows[n][j] == 0.0
 
 
 def test_j_support_divisibility():

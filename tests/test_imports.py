@@ -1,4 +1,5 @@
-"""Lint: no module of the package imports a name it never uses.
+"""Lint: no module of the package imports a name it never uses, and the
+package imports exactly the third-party packages it declares.
 
 Uses only the stdlib ``ast`` module, so it runs wherever the test suite does.
 A name counts as used when it appears as a bare name anywhere in the module
@@ -7,11 +8,14 @@ annotations) or inside a quoted annotation; other strings do not count.
 """
 
 import ast
+import re
+import sys
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "qgamma"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "qgamma"
 MODULES = sorted(SRC.glob("*.py"))
 
 
@@ -62,3 +66,22 @@ def test_checker_flags_unused_and_accepts_used():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _third_party_imports(source: str) -> set:
+    """Top-level names of absolute imports outside the standard library."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names) - {"__future__"}
+
+
+def test_imports_match_declared_dependencies():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group(0) for dep in project["dependencies"]}
+    imported = set().union(*(_third_party_imports(p.read_text()) for p in MODULES))
+    assert imported == declared == {"numpy", "mpmath"}

@@ -1,12 +1,16 @@
 """End-to-end Satake verification layer."""
 
+import math
+
 import numpy as np
 import pytest
+from mpmath import mpc
 
-from qgamma.rings import build_ring
+from qgamma.rings import CohClass, build_ring, exp_cup
+from qgamma.charclasses import bracket_pairing, gamma_class
 from qgamma.wedgecheck import (check_wedge_spectrum,
                                check_kapranov_wedge_identity,
-                               check_mrs_wedge)
+                               check_mrs_wedge, satake_normalized)
 
 
 @pytest.mark.parametrize("r,N", [(2, 4), (2, 5), (3, 6)])
@@ -55,3 +59,21 @@ def test_mrs_wedge_g25():
 def test_mrs_wedge_rejects_inadmissible_phase():
     with pytest.raises(ValueError):
         check_mrs_wedge(2, 4, 0.0)
+
+
+def test_scalar_products_never_format_the_class(monkeypatch):
+    # an mpmath scalar on the left of a CohClass formats repr(CohClass) for a
+    # failed conversion before Python falls back to __rmul__; the class goes
+    # on the left so that path is never taken
+    def refuse(self):
+        raise AssertionError("repr(CohClass) was formatted")
+    monkeypatch.setattr(CohClass, "__repr__", refuse)
+    P3 = build_ring("P", 4)
+    s = mpc(0.5, 1.5)
+    out = exp_cup(P3.unit(), P3.basis_class((1,)), s)
+    assert all(abs(c - s ** k / math.factorial(k)) < 1e-30 for k, c in enumerate(out.coeffs))
+    G24 = build_ring("G", 4, 2)
+    gam = gamma_class(G24)
+    assert abs(bracket_pairing(gam, gam) - 1) < 1e-20
+    P3_classes = [gamma_class(P3), P3.basis_class((1,))]
+    assert len(satake_normalized(P3_classes, G24).coeffs) == G24.rank
