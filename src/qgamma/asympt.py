@@ -114,8 +114,12 @@ def radius_estimate(scaled_Gn, tail_start: int = None) -> dict:
 
     Returns the plain running sup over the tail and a consecutive-ratio
     refinement |a_n / a_m|^{1/(n-m)} (successive nonzero terms), which
-    cancels the slowly-decaying polynomial prefactor."""
+    cancels the slowly-decaying polynomial prefactor.  Raises OverflowError
+    on a non-finite term."""
     a = [abs(float(x)) for x in scaled_Gn]
+    bad = [n for n, x in enumerate(a) if not math.isfinite(x)]
+    if bad:
+        raise OverflowError(f"{len(bad)} non-finite terms, the first at n = {bad[0]}")
     if len(a) < 100:
         raise ValueError("need at least 100 terms")
     if tail_start is None:

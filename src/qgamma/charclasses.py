@@ -128,15 +128,27 @@ def todd_classical(b: BundleClass) -> CohClass:
     return _to_cohclass(b.ring, _todd_poly(b.ring, b.roots, mpf(1)))
 
 
-_GAMMA_CACHE: dict = {}
+_CLASS_CACHE: dict = {}
+
+
+def _cached(name: str, build, ring: RingSpec, *args) -> CohClass:
+    """build(ring, *args), computed once per (name, ring, args, working
+    precision) and kept with tuple coefficients, so the shared value cannot
+    be changed in place."""
+    key = (name, ring.kind, ring.r, ring.N, *args, mp.prec)
+    out = _CLASS_CACHE.get(key)
+    if out is None:
+        out = _CLASS_CACHE[key] = CohClass(ring, tuple(build(ring, *args).coeffs))
+    return out
 
 
 def gamma_class(ring: RingSpec) -> CohClass:
     """Gamma class exp(-C_eu c_1 + sum_{k>=2} (-1)^k (k-1)! zeta(k) ch_k(TF)),
     assembled as prod Gamma(1 + delta) over the (virtual) roots of TF."""
-    key = (ring.kind, ring.r, ring.N, mp.prec)
-    if key in _GAMMA_CACHE:
-        return _GAMMA_CACHE[key]
+    return _cached("gamma_class", _gamma_class, ring)
+
+
+def _gamma_class(ring: RingSpec) -> CohClass:
     cap = ring.dim
     lg = log_gamma_coeffs(cap)
     tangent = tangent_bundle(ring)
@@ -147,17 +159,19 @@ def gamma_class(ring: RingSpec) -> CohClass:
         lin = symfunc.poly_linear(ring.r, v, mpf(1))
         total = symfunc.poly_add(total, symfunc.poly_scale(
             symfunc.poly_series_of(lin, ring.r, lg, cap), mult))
-    out = _to_cohclass(ring, symfunc.poly_exp(total, ring.r, cap))
-    _GAMMA_CACHE[key] = out
-    return out
+    return _to_cohclass(ring, symfunc.poly_exp(total, ring.r, cap))
 
 
 def gamma_G_closed_form(r: int, N: int) -> CohClass:
     """(2 pi i)^{-C(r,2)} e^{-(r-1) pi i sigma_1}
     prod_{i<j} (e^{2 pi i x_i} - e^{2 pi i x_j})/(x_i - x_j)
-    prod_i Gamma(1 + x_i)^N, reduced to the Schur basis."""
-    ring = build_ring("G", N, r)
-    cap = ring.dim
+    prod_i Gamma(1 + x_i)^N, reduced to the Schur basis.  An independent
+    route to gamma_class on G(r,N); the two share no cache entry."""
+    return _cached("gamma_G_closed_form", _gamma_G_closed_form, build_ring("G", N, r))
+
+
+def _gamma_G_closed_form(ring: RingSpec) -> CohClass:
+    r, N, cap = ring.r, ring.N, ring.dim
     two_pi_i = 2j * mp.pi
     # (e^{u} - 1)/u = sum u^k/(k+1)! with u = 2 pi i (x_i - x_j)
     s_coeffs = [mpf(1) / factorial(k + 1) for k in range(cap + 1)]
@@ -190,6 +204,10 @@ def gamma_G_closed_form(r: int, N: int) -> CohClass:
 
 def kapranov_ch(nu, ring: RingSpec) -> CohClass:
     """Ch(S^nu V*) = s_nu(e^{2 pi i x_1}, ..., e^{2 pi i x_r})."""
+    return _cached("kapranov_ch", _kapranov_ch, ring, tuple(nu))
+
+
+def _kapranov_ch(ring: RingSpec, nu) -> CohClass:
     return ch_modified(kapranov_schur(ring, nu))
 
 
@@ -200,19 +218,36 @@ def exp_mu(a: CohClass, scalar) -> CohClass:
                              for lam, c in zip(a.ring.basis, a.coeffs)])
 
 
-def bracket_pairing(a: CohClass, b: CohClass):
-    """[a, b) = (2 pi)^{-dim} (e^{pi i rho} e^{pi i mu} a, b).
+def bracket_gram(vectors, right=None) -> list:
+    """Matrix of [a, b) = (2 pi)^{-dim} (e^{pi i rho} e^{pi i mu} a, b) for a
+    in vectors and b in right (default: vectors), as nested lists of mpc.
 
-    Also evaluated as (2 pi)^{-dim} (e^{pi i mu} e^{-pi i rho} a, b); the two
-    must agree (operator identity from [mu, rho] = rho)."""
-    scale = mp_power(2 * mp.pi, -a.ring.dim)
-    c1 = a.ring.c1()
+    Each entry is also evaluated as (2 pi)^{-dim} (e^{pi i mu} e^{-pi i rho}
+    a, b); the two must agree (operator identity from [mu, rho] = rho).  Both
+    left images of each a are built once per row."""
+    right = vectors if right is None else right
+    ring = vectors[0].ring
+    scale = mp_power(2 * mp.pi, -ring.dim)
+    c1 = ring.c1()
     pi_i = 1j * mp.pi
-    v1 = scale * poincare_pair(exp_cup(exp_mu(a, pi_i), c1, pi_i), b)
-    v2 = scale * poincare_pair(exp_mu(exp_cup(a, c1, -pi_i), pi_i), b)
-    if abs(v1 - v2) > mpf("1e-15") * (1 + abs(v1)):
-        raise ArithmeticError(f"bracket pairing forms disagree: {v1} vs {v2}")
-    return v1
+    gram = []
+    for a in vectors:
+        l1 = exp_cup(exp_mu(a, pi_i), c1, pi_i)
+        l2 = exp_mu(exp_cup(a, c1, -pi_i), pi_i)
+        row = []
+        for b in right:
+            v1 = scale * poincare_pair(l1, b)
+            v2 = scale * poincare_pair(l2, b)
+            if abs(v1 - v2) > mpf("1e-15") * (1 + abs(v1)):
+                raise ArithmeticError(f"bracket pairing forms disagree: {v1} vs {v2}")
+            row.append(v1)
+        gram.append(row)
+    return gram
+
+
+def bracket_pairing(a: CohClass, b: CohClass):
+    """[a, b), the 1x1 case of bracket_gram."""
+    return bracket_gram([a], [b])[0][0]
 
 
 def euler_pairing_hrr(e1: BundleClass, e2: BundleClass):

@@ -55,12 +55,12 @@ def is_uni_uppertriangular(g: np.ndarray, tol: float = 1e-9) -> bool:
 
 def right_mutation(v, u, pairing):
     """R_u v = v - [v, u) u."""
-    return v - pairing(v, u) * u
+    return v - u * pairing(v, u)
 
 
 def left_mutation(v, u, pairing):
     """L_u v = v - [u, v) u."""
-    return v - pairing(u, v) * u
+    return v - u * pairing(u, v)
 
 
 def braid_act(sob: SOB, word) -> SOB:
@@ -204,6 +204,8 @@ class WedgeVec:
 
     def __rmul__(self, scalar):
         return WedgeVec(tuple((scalar * c, f) for c, f in self.terms))
+
+    __mul__ = __rmul__
 
 
 def wedge_pairing_from(base_pairing):

@@ -20,7 +20,7 @@ from .asympt import (limit_ratio, apery_precondition, apery_ratios,
                      psi_gamma_pi, psi_asymptotic_constant)
 from . import mrs as mrsmod
 from .mrs import SOB, MRS, gram, braid_act, is_uni_uppertriangular
-from .wedgecheck import check_kapranov_wedge_identity, check_mrs_wedge
+from .wedgecheck import check_kapranov_wedge_identity, check_mrs_wedge, complex_gram
 
 
 def criterion_1():
@@ -86,7 +86,7 @@ def criterion_4():
     worst = 0.0
     for N in [3, 4, 5]:
         m = mrsmod.beilinson_gamma_mrs(N)
-        g = gram(SOB(m.vectors, m.pairing))
+        g = complex_gram(m.vectors)
         gi = np.round(g.real).astype(int)
         worst = max(worst, float(np.max(np.abs(g - gi))))
         ok &= is_uni_uppertriangular(g, tol)
@@ -94,7 +94,7 @@ def criterion_4():
             for j in range(N):
                 ok &= gi[i, j] == (math.comb(N - 1 + j - i, N - 1) if j >= i else 0)
     mK = mrsmod.kapranov_gamma_mrs(2, 4)
-    gK = gram(SOB(mK.vectors, mK.pairing))
+    gK = complex_gram(mK.vectors)
     worst = max(worst, float(np.max(np.abs(gK - np.round(gK.real)))))
     ok &= is_uni_uppertriangular(gK, tol)
     ok &= worst < tol

@@ -14,7 +14,7 @@ from mpmath import mp, mpc
 
 from .rings import RingSpec, CohClass, build_ring, cup, exp_cup, satake, normalize_partition
 from .charclasses import (gamma_class, gamma_G_closed_form, kapranov_ch,
-                          ch_modified, line_on_P, bracket_pairing)
+                          ch_modified, line_on_P, bracket_gram)
 from .connection import c1_matrix, _multiset_distance
 from . import mrs as mrsmod
 
@@ -99,6 +99,11 @@ def check_kapranov_wedge_identity(r: int, N: int, nu,
                              passed=resid < tol)
 
 
+def complex_gram(vectors) -> np.ndarray:
+    """bracket_gram(vectors) as a complex numpy matrix."""
+    return np.array([[complex(x) for x in row] for row in bracket_gram(vectors)])
+
+
 def _combo_to_partition(combo, r: int):
     """Ascending exponent tuple (k_r < ... < k_1) back to nu_i = k_i - r + i."""
     ks = list(reversed(combo))
@@ -136,13 +141,9 @@ def check_mrs_wedge(r: int, N: int, phi: float = -0.05,
         signs.append(1 if rp <= rm else -1)
         vec_resid = max(vec_resid, min(rp, rm))
 
-    gram_K = np.array([[complex(bracket_pairing(a, b)) for b in mK.vectors]
-                       for a in mK.vectors])
-    gram_W = np.array([[signs[i] * signs[j] *
-                        complex(bracket_pairing(mapped[ring_G.basis[i]],
-                                                mapped[ring_G.basis[j]]))
-                        for j in range(ring_G.rank)]
-                       for i in range(ring_G.rank)])
+    gram_K = complex_gram(mK.vectors)
+    gram_W = complex_gram([mapped[nu] for nu in ring_G.basis])
+    gram_W *= np.outer(signs, signs)
     int_K = np.round(gram_K.real).astype(int)
     int_W = np.round(gram_W.real).astype(int)
     gram_round_err = max(np.max(np.abs(gram_K - int_K)),

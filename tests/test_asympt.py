@@ -66,6 +66,16 @@ def test_radius_g25():
     assert abs(est["ratio_refined"] - T) / T < 0.05
 
 
+def test_radius_refuses_non_finite_terms():
+    # the float period of P^3 overflows from n = 504 on at order 600
+    scaled = quantum_period(build_ring("P", 4), 600, exact=False)
+    assert not all(math.isfinite(float(x)) for x in scaled)
+    with pytest.raises(OverflowError):
+        radius_estimate(scaled)
+    with pytest.raises(OverflowError):
+        radius_estimate([1.0] * 150 + [math.nan] + [1.0] * 49)
+
+
 def test_psi_n1_exponential():
     for t in [0.5, 1, 2]:
         assert abs(mellin_psi(1, t) - math.exp(-t)) < 1e-10

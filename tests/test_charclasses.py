@@ -7,12 +7,15 @@ import mpmath
 import pytest
 from mpmath import mp, mpf, mpc
 
-from qgamma.rings import build_ring, cup, poincare_pair
+from qgamma import charclasses, verify
+from qgamma.mrs import beilinson_gamma_mrs, kapranov_gamma_mrs
+from qgamma.rings import build_ring, cup, exp_cup, poincare_pair
 from qgamma.charclasses import (trivial_bundle, line_on_P, tangent_bundle,
                                 kapranov_schur, ch_classical, ch_modified,
                                 todd_classical, gamma_class,
                                 gamma_G_closed_form, kapranov_ch,
-                                bracket_pairing, euler_pairing_hrr,
+                                bracket_pairing, bracket_gram,
+                                euler_pairing_hrr,
                                 hurwitz_zeta_em, zeta_reg_reciprocal_product,
                                 zeta_reg_closed_form)
 
@@ -64,6 +67,42 @@ def test_gamma_class_cache_follows_precision():
     assert abs(gamma_class(P2).coeffs[1] + 3 * mp.euler) < 1e-30
 
 
+def _max_gap(a, b):
+    return max(abs(mpc(x) - mpc(y)) for x, y in zip(a.coeffs, b.coeffs))
+
+
+def test_closed_form_and_kapranov_cache_follow_precision():
+    gamma_G_closed_form(2, 4)   # fill the 40-digit cache entries
+    kapranov_ch((1,), G24)
+    with mp.workdps(60):
+        assert _max_gap(gamma_G_closed_form(2, 4), gamma_class(G24)) < mpf("1e-55")
+        ch = kapranov_ch((1,), G24)
+        # Ch(V*) = 2 + 2 pi i sigma_1 + (2 pi i)^2 (sigma_2 - sigma_11) / 2 + ...
+        assert abs(ch[(1,)] - 2j * mp.pi) < mpf("1e-55")
+        assert abs(ch[(2,)] + 2 * mp.pi ** 2) < mpf("1e-55")
+        assert abs(ch[(1, 1)] - 2 * mp.pi ** 2) < mpf("1e-55")
+
+
+def test_cached_classes_are_immutable():
+    for cls in [gamma_class(P2), gamma_G_closed_form(2, 4), kapranov_ch((1,), G24)]:
+        with pytest.raises(TypeError):
+            cls.coeffs[0] = 0
+    assert gamma_class(P2).coeffs[0] == 1
+
+
+def test_criterion_5_builds_each_closed_form_once(monkeypatch):
+    build = charclasses._gamma_G_closed_form
+    calls = []
+
+    def counted(ring):
+        calls.append((ring.r, ring.N))
+        return build(ring)
+    monkeypatch.setattr(charclasses, "_CLASS_CACHE", {})
+    monkeypatch.setattr(charclasses, "_gamma_G_closed_form", counted)
+    assert verify.criterion_5()["passed"]
+    assert sorted(calls) == [(2, 4), (2, 5), (3, 6)]
+
+
 def test_gamma_g_closed_form_matches_generic():
     for (r, N) in [(2, 4), (2, 5)]:
         ring = build_ring("G", N, r)
@@ -95,6 +134,37 @@ def test_bracket_reproduces_euler_pairing():
     assert abs(bracket_pairing(O, O) - 1) < 1e-12
     assert abs(bracket_pairing(O, O1) - 2) < 1e-12
     assert abs(bracket_pairing(O1, O)) < 1e-12
+
+
+def test_bracket_gram_equals_bracket_pairing():
+    pi_i = 1j * mp.pi
+    for vs in [beilinson_gamma_mrs(4).vectors, kapranov_gamma_mrs(2, 4).vectors]:
+        ring = vs[0].ring
+        scale = mpmath.power(2 * mp.pi, -ring.dim)
+        g = bracket_gram(vs)
+        assert len(g) == len(vs) and all(len(row) == len(vs) for row in g)
+        for i, a in enumerate(vs):
+            # the per-entry formula, evaluated directly as the reference
+            left = exp_cup(charclasses.exp_mu(a, pi_i), ring.c1(), pi_i)
+            for j, b in enumerate(vs):
+                assert g[i][j] == bracket_pairing(a, b)
+                assert g[i][j] == scale * poincare_pair(left, b)
+
+
+def test_bracket_gram_rejects_disagreeing_orderings(monkeypatch):
+    vs = beilinson_gamma_mrs(3).vectors
+    honest = charclasses.exp_mu
+
+    def corrupt(a, scalar):
+        # exp_mu sees the input vector itself only in the e^{pi i rho}
+        # e^{pi i mu} ordering, so this corrupts the other ordering
+        out = honest(a, scalar)
+        return out if any(a is v for v in vs) else 2 * out
+    monkeypatch.setattr(charclasses, "exp_mu", corrupt)
+    with pytest.raises(ArithmeticError):
+        bracket_gram(vs)
+    with pytest.raises(ArithmeticError):
+        bracket_pairing(vs[0], vs[1])
 
 
 def test_kapranov_euler_pairing_not_orthogonal():

@@ -8,6 +8,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from mpmath import mpc
+
+from qgamma.rings import CohClass
 
 from qgamma.mrs import (SOB, MRS, gram, is_uni_uppertriangular, braid_act,
                         right_mutation, left_mutation, h_phase, is_admissible,
@@ -71,6 +74,21 @@ def test_braid_inverse_and_shape(seed, i):
     s = braid_act(braid_act(sob, [i]), [-i])
     assert all(np.array_equal(a, b) for a, b in zip(s.vectors, sob.vectors))
     assert is_uni_uppertriangular(gram(braid_act(sob, [i])))
+
+
+def test_braid_act_on_classes_never_formats_repr(monkeypatch):
+    # mutations put the class on the left of the mpc pairing; an mpmath
+    # scalar on the left would format repr(CohClass) before falling back
+    def refuse(self):
+        raise AssertionError("repr(CohClass) was formatted")
+    monkeypatch.setattr(CohClass, "__repr__", refuse)
+    base = beilinson_gamma_mrs(4)
+    sob = SOB(base.vectors, base.pairing)
+    out = braid_act(sob, [1, -1, 2])
+    back = braid_act(sob, [1, -1])
+    for a, b in zip(back.vectors, base.vectors):
+        assert max(abs(mpc(x) - mpc(y)) for x, y in zip(a.coeffs, b.coeffs)) < 1e-25
+    assert is_uni_uppertriangular(gram(out))
 
 
 def test_admissibility():
