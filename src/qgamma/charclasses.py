@@ -3,14 +3,17 @@ classes, the non-symmetric pairing [.,.), HRR Euler pairings, and the
 zeta-regularized product.
 
 Bundles are described by K-theoretic root data: a list of (linear form in
-x_1..x_r, integer multiplicity).  Every class is assembled as an exact
-truncated polynomial with mpmath scalars and re-expanded in the Schur basis.
+x_1..x_r, integer multiplicity).  The Gamma class is built inside the ring,
+as the exponential of a combination of power sums of the Chern roots, each
+an alternating sum of hook classes.  Chern characters, Todd classes and the
+Grassmannian closed form of the Gamma class are assembled as exact truncated
+polynomials with mpmath scalars and re-expanded in the Schur basis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
+from math import comb, factorial
 
 from mpmath import mp, mpc, mpf, gamma as mp_gamma, bernoulli, exp as mp_exp, sqrt as mp_sqrt, power as mp_power
 
@@ -144,22 +147,37 @@ def _cached(name: str, build, ring: RingSpec, *args) -> CohClass:
 
 def gamma_class(ring: RingSpec) -> CohClass:
     """Gamma class exp(-C_eu c_1 + sum_{k>=2} (-1)^k (k-1)! zeta(k) ch_k(TF)),
-    assembled as prod Gamma(1 + delta) over the (virtual) roots of TF."""
+    i.e. prod Gamma(1 + delta) over the (virtual) roots of TF."""
     return _cached("gamma_class", _gamma_class, ring)
 
 
+def _power_sum(ring: RingSpec, k: int) -> CohClass:
+    """p_k = sum_i x_i^k over the Chern roots of V*: the alternating sum of
+    the hooks (k-b, 1^b) that fit in the box, and p_0 = r."""
+    if k == 0:
+        return ring.r * ring.unit()
+    out = ring.zero()
+    for b in range(min(k, ring.r)):
+        if k - b <= ring.cols:
+            out = out + (-1) ** b * ring.basis_class((k - b,) + (1,) * b)
+    return out
+
+
 def _gamma_class(ring: RingSpec) -> CohClass:
+    """exp of sum_k lg_k sum_{roots} root^k in the ring.  TG = Hom(V, C^N) -
+    Hom(V, V), so sum_{roots} root^k = N p_k - sum_a C(k,a) (-1)^{k-a} p_a
+    p_{k-a}, an integer class."""
     cap = ring.dim
     lg = log_gamma_coeffs(cap)
-    tangent = tangent_bundle(ring)
-    total: symfunc.Poly = {}
-    for v, mult in tangent.roots:
-        if all(c == 0 for c in v):
-            continue
-        lin = symfunc.poly_linear(ring.r, v, mpf(1))
-        total = symfunc.poly_add(total, symfunc.poly_scale(
-            symfunc.poly_series_of(lin, ring.r, lg, cap), mult))
-    return _to_cohclass(ring, symfunc.poly_exp(total, ring.r, cap))
+    p = [_power_sum(ring, k) for k in range(cap + 1)]
+    log_gamma = ring.zero()
+    for k in range(1, cap + 1):
+        roots_k = ring.N * p[k]
+        for a in range(k + 1):
+            roots_k = roots_k - comb(k, a) * (-1) ** (k - a) * cup(p[a], p[k - a])
+        log_gamma = log_gamma + roots_k * lg[k]
+    # an mpf scalar: exp_cup divides it by k, and an int would give floats
+    return exp_cup(ring.unit(), log_gamma, mpf(1))
 
 
 def gamma_G_closed_form(r: int, N: int) -> CohClass:

@@ -1,7 +1,8 @@
 """Command-line surface.  Every acceptance computation is a subcommand with
 deterministic JSON or CSV output.
 
-Exit codes: 0 on pass, 2 on a check failure, 1 on a usage error."""
+Exit codes: 0 on pass, 1 on a usage error, 2 on a check failure, 3 when the
+numerics are out of range (a float value overflowed)."""
 
 from __future__ import annotations
 
@@ -352,12 +353,15 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return COMMANDS[args.cmd](args)
-    # every ValueError raised in qgamma is an argument check; ArithmeticError
-    # (a failed self-check) is left to surface
+    # every ValueError raised in qgamma is an argument check; any other
+    # ArithmeticError (a failed self-check) is left to surface
     except (UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         print(f"valid subcommands: {', '.join(sorted(COMMANDS))}", file=sys.stderr)
         return 1
+    except OverflowError as exc:
+        print(f"numerics out of range: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

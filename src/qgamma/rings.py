@@ -2,10 +2,11 @@
 
 P^{N-1} is handled internally as G(1,N), so every basis label is a partition
 inside the r x (N-r) box (h^k corresponds to the one-row partition (k)).
-Classical products are computed once, exactly, by multiplying Schur
-polynomials and re-expanding in the Schur basis; partitions leaving the box
-are dropped, which is exact in the quotient ring.  The quantum correction is
-Bertram's quantum Pieri rule.
+Classical products are computed once, exactly, by the Pieri recursion
+sigma_lam = h_{lam_1} sigma_{lam-bar} - (the other horizontal strips of size
+lam_1 on lam-bar), lam-bar being lam without its first row; partitions
+leaving the box are dropped, which is exact in the quotient ring.  The
+quantum correction is Bertram's quantum Pieri rule.
 """
 
 from __future__ import annotations
@@ -182,24 +183,54 @@ def build_ring(kind: str, N: int, r: int = 1) -> RingSpec:
         for lam in basis
     )
 
-    cup_table = {}
-    schur_cache = {lam: symfunc.schur_poly(lam, r) for lam in basis}
-    for i, lam in enumerate(basis):
-        for j, mu in enumerate(basis):
-            if j < i:
-                cup_table[(i, j)] = cup_table[(j, i)]
-                continue
-            if sum(lam) + sum(mu) > dim:
-                cup_table[(i, j)] = ()
-                continue
-            prod = symfunc.poly_mul(schur_cache[lam], schur_cache[mu], dim)
-            expansion = symfunc.schur_expand(prod, r, cols, dim)
-            cup_table[(i, j)] = tuple((index[nu], c) for nu, c in sorted(expansion.items()))
-
+    cup_table = _pieri_cup_table(basis, index, r, cols)
     ring = RingSpec(kind=kind, r=r, N=N, basis=basis, dim=dim, fano_index=N,
                     index=index, pairing_matrix=pairing, cup_table=cup_table)
     _RING_CACHE[key] = ring
     return ring
+
+
+def _horizontal_strips(nu: tuple, rows: int, cols: int) -> dict:
+    """{k: partitions kappa in the rows x cols box with kappa/nu a horizontal
+    strip of size k}; h_k sigma_nu is the sum of those sigma_kappa."""
+    padded = list(nu) + [0] * (rows - len(nu))
+    caps = [cols] + padded[:-1]   # kappa_i <= nu_{i-1}
+    out: dict = {}
+    for adds in itertools.product(*(range(c - p + 1) for c, p in zip(caps, padded))):
+        kappa = normalize_partition(p + a for p, a in zip(padded, adds))
+        out.setdefault(sum(adds), []).append(kappa)
+    return out
+
+
+def _pieri_cup_table(basis, index, r: int, cols: int) -> dict:
+    """sigma_lam cup sigma_mu for every pair of basis partitions, from
+    sigma_lam = h_{lam_1} sigma_{lam-bar} - sum of the other sigma_kappa.
+    Each such kappa has the degree of lam and a longer first row, so visiting
+    lam by (degree, -lam_1) finds every row the recursion needs built."""
+    dim = r * cols
+    strips = [{k: [index[kappa] for kappa in kappas]
+               for k, kappas in _horizontal_strips(nu, r, cols).items()} for nu in basis]
+    prods = {}   # lam -> [{nu index: coefficient} for each mu]
+    for lam in sorted(basis, key=lambda p: (sum(p), -p[0] if p else 0)):
+        if not lam:
+            prods[lam] = [{j: 1} for j in range(len(basis))]
+            continue
+        k, below = lam[0], prods[lam[1:]]
+        others = [prods[basis[m]] for m in strips[index[lam[1:]]][k] if basis[m] != lam]
+        row = []
+        for j, mu in enumerate(basis):
+            out: dict = {}
+            if sum(lam) + sum(mu) <= dim:
+                for m, c in below[j].items():
+                    for n in strips[m].get(k, ()):
+                        out[n] = out.get(n, 0) + c
+                for other in others:
+                    for n, c in other[j].items():
+                        out[n] -= c
+            row.append({n: c for n, c in out.items() if c})
+        prods[lam] = row
+    return {(i, j): tuple(sorted(prods[lam][j].items(), key=lambda nc: basis[nc[0]]))
+            for i, lam in enumerate(basis) for j in range(len(basis))}
 
 
 def cup(a: CohClass, b: CohClass) -> CohClass:

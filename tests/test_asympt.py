@@ -76,6 +76,19 @@ def test_radius_refuses_non_finite_terms():
         radius_estimate([1.0] * 150 + [math.nan] + [1.0] * 49)
 
 
+def test_eval_j_and_apery_refuse_overflowing_rows():
+    # n! J_n of P^3 overflows float64 from n = 500 on (every 4th row is nonzero)
+    P3 = build_ring("P", 4)
+    with pytest.raises(OverflowError, match="the first at n = 500"):
+        eval_J(P3, 40.0, 600)
+    with pytest.raises(OverflowError, match="the first at n = 500"):
+        limit_ratio(P3, [40, 60])
+    # G(2,5): rows r_F n = 100 and 400; only the second overflows
+    g = G25.basis_class((3, 1)) - G25.basis_class((2, 2))
+    with pytest.raises(OverflowError, match="the first at n = 400"):
+        apery_ratios(G25, g, [20, 80])
+
+
 def test_psi_n1_exponential():
     for t in [0.5, 1, 2]:
         assert abs(mellin_psi(1, t) - math.exp(-t)) < 1e-10

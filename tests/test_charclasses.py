@@ -7,7 +7,8 @@ import mpmath
 import pytest
 from mpmath import mp, mpf, mpc
 
-from qgamma import charclasses, verify
+from qgamma import charclasses, symfunc, verify
+from qgamma.constants import log_gamma_coeffs
 from qgamma.mrs import beilinson_gamma_mrs, kapranov_gamma_mrs
 from qgamma.rings import build_ring, cup, exp_cup, poincare_pair
 from qgamma.charclasses import (trivial_bundle, line_on_P, tangent_bundle,
@@ -57,6 +58,32 @@ def test_gamma_p2():
     assert abs(g.coeffs[1] + 3 * mp.euler) < 1e-30
     expect = mpf(9) / 2 * mp.euler ** 2 + mpf(3) / 2 * mpmath.zeta(2)
     assert abs(g.coeffs[2] - expect) < 1e-30
+
+
+def _gamma_over_roots(ring):
+    """prod Gamma(1 + delta)^mult over the roots of TF, as an exact truncated
+    polynomial in x_1..x_r re-expanded in the Schur basis."""
+    cap = ring.dim
+    lg = log_gamma_coeffs(cap)
+    total = {}
+    for v, mult in tangent_bundle(ring).roots:
+        if all(c == 0 for c in v):
+            continue
+        lin = symfunc.poly_linear(ring.r, v, mpf(1))
+        total = symfunc.poly_add(total, symfunc.poly_scale(
+            symfunc.poly_series_of(lin, ring.r, lg, cap), mult))
+    return charclasses._to_cohclass(ring, symfunc.poly_exp(total, ring.r, cap))
+
+
+@pytest.mark.parametrize("kind,N,r", [("P", N, 1) for N in range(2, 6)]
+                         + [("G", 4, 2), ("G", 5, 2), ("G", 6, 3), ("G", 7, 3)])
+def test_gamma_class_matches_product_over_roots(kind, N, r):
+    ring = build_ring(kind, N, r)
+    got = gamma_class(ring)
+    assert all(type(c) is mpf for c in got.coeffs)
+    want = _gamma_over_roots(ring)
+    scale = max(abs(c) for c in want.coeffs)
+    assert _max_gap(got, want) < mpf("1e-30") * scale
 
 
 def test_gamma_class_cache_follows_precision():

@@ -84,6 +84,17 @@ def test_negative_nmax_exit_1(capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["limit", "--target", "P(3)", "--t", "40,60"],
+    ["apery", "--target", "G(2,5)", "--n-grid", "20,80"],
+], ids=lambda argv: argv[0])
+def test_float_overflow_exit_3(capsys, argv):
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numerics out of range:")
+
+
 def test_stokes_failure_exit_2(capsys):
     # natural Beilinson order on P^3 is not a phase order at -0.05
     code, out = run(capsys, "stokes", "--target", "P(3)")

@@ -2,11 +2,13 @@
 Poincare pairing, and the Satake wedge map."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qgamma import rings, symfunc
 from qgamma.rings import (build_ring, cup, exp_cup, poincare_pair, quantum_pieri,
                           partitions_in_box, box_complement, satake,
                           normalize_partition)
@@ -105,8 +107,63 @@ def test_quantum_pieri_degree():
                         assert sum(mu) == sum(lam) + k - ring.N
 
 
+def _schur_product_oracle(ring, lam, mu) -> list:
+    """sigma_lam cup sigma_mu by multiplying r-variable Schur polynomials and
+    re-expanding through the Vandermonde (partitions leaving the box drop)."""
+    r, cols, dim = ring.r, ring.cols, ring.dim
+    out = [0] * ring.rank
+    if sum(lam) + sum(mu) > dim:
+        return out
+    prod = symfunc.poly_mul(symfunc.schur_poly(lam, r), symfunc.schur_poly(mu, r), dim)
+    for nu, c in symfunc.schur_expand(prod, r, cols, dim).items():
+        out[ring.index[nu]] = c
+    return out
+
+
+@pytest.mark.parametrize("kind,N,r", [("P", N, 1) for N in range(2, 7)]
+                         + [("G", 4, 2), ("G", 5, 2), ("G", 6, 3), ("G", 7, 3), ("G", 8, 3)])
+def test_pieri_cup_table_matches_schur_products(kind, N, r):
+    ring = build_ring(kind, N, r)
+    for lam in ring.basis:
+        for mu in ring.basis:
+            got = cup(ring.basis_class(lam), ring.basis_class(mu)).coeffs
+            assert got == _schur_product_oracle(ring, lam, mu), (lam, mu)
+
+
+def test_pieri_cup_table_is_a_frobenius_ring_at_g49():
+    # G(4,9) is out of reach of the Schur-product oracle; check the ring laws
+    # on random triples of sparse integer classes instead
+    ring = build_ring("G", 9, 4)
+    rng = random.Random(49)
+    point = ring.basis_class(ring.top())
+
+    def rand():
+        c = ring.zero()
+        for lam in rng.sample(ring.basis, 3):
+            c.coeffs[ring.index[lam]] = rng.choice([-2, -1, 1, 3])
+        return c
+    for _ in range(40):
+        a, b, c = rand(), rand(), rand()
+        assert cup(a, b).coeffs == cup(b, a).coeffs
+        assert cup(cup(a, b), c).coeffs == cup(a, cup(b, c)).coeffs
+    for lam in ring.basis:
+        dual = ring.basis_class(box_complement(lam, ring.r, ring.cols))
+        assert cup(ring.basis_class(lam), dual).coeffs == point.coeffs
+
+
+def test_build_ring_needs_no_schur_polynomials(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_ring multiplied Schur polynomials")
+    monkeypatch.setattr(symfunc, "schur_poly", refuse)
+    monkeypatch.setattr(symfunc, "poly_mul", refuse)
+    monkeypatch.setattr(rings, "_RING_CACHE", {})
+    ring = build_ring("G", 7, 3)
+    assert ring.rank == 35
+    s1 = ring.basis_class((1,))
+    assert cup(s1, ring.basis_class((2, 1)))[(3, 1)] == 1
+
+
 def _random_class(ring, seed):
-    import random
     rng = random.Random(seed)
     c = ring.zero()
     c.coeffs = [Fraction(rng.randint(-3, 3)) for _ in range(ring.rank)]
