@@ -2,85 +2,29 @@
 classes, the non-symmetric pairing [.,.), HRR Euler pairings, and the
 zeta-regularized product.
 
-Bundles are described by K-theoretic root data: a list of (linear form in
-x_1..x_r, integer multiplicity).  The Gamma class is built inside the ring,
-as the exponential of a combination of power sums of the Chern roots, each
-an alternating sum of hook classes.  Chern characters, Todd classes and the
-Grassmannian closed form of the Gamma class are assembled as exact truncated
-polynomials with mpmath scalars and re-expanded in the Schur basis.
+Every class lives in the Schubert ring, and a bundle is represented by its
+Chern character.  With p_k the power sums of the Chern roots of V* (each an
+alternating sum of hook classes), ch(V*) = sum_k p_k / k!; ch(Sym^k V*)
+follows by Newton's identities and ch(S^nu V*) by Jacobi-Trudi with cups,
+all with exact Fraction coefficients.  The Gamma and Todd classes are ring
+exponentials of the power sums of the roots of TF.  The Grassmannian closed
+form of the Gamma class is an independent route: an exact truncated
+polynomial in the Chern roots with mpmath scalars, re-expanded in the Schur
+basis.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from fractions import Fraction
 from math import comb, factorial
 
-from mpmath import mp, mpc, mpf, gamma as mp_gamma, bernoulli, exp as mp_exp, sqrt as mp_sqrt, power as mp_power
+from mpmath import (mp, mpc, mpf, gamma as mp_gamma, bernoulli, bernfrac, exp as mp_exp,
+                    sqrt as mp_sqrt, power as mp_power)
 
 from . import symfunc
 from .constants import log_gamma_coeffs
-from .rings import RingSpec, CohClass, build_ring, cup, exp_cup, poincare_pair
-
-Root = tuple  # exponent-coefficient vector of a linear form in x_1..x_r
-
-
-@dataclass(frozen=True)
-class BundleClass:
-    ring: RingSpec
-    roots: tuple          # ((coeff_vector, multiplicity), ...)
-    name: str = ""
-
-    @property
-    def rank(self) -> int:
-        return sum(m for _, m in self.roots)
-
-    def dual(self) -> "BundleClass":
-        return BundleClass(self.ring,
-                           tuple((tuple(-c for c in v), m) for v, m in self.roots),
-                           name=self.name + "^dual")
-
-
-def trivial_bundle(ring: RingSpec) -> BundleClass:
-    return BundleClass(ring, (((0,) * ring.r, 1),), name="O")
-
-
-def line_on_P(ring: RingSpec, k: int) -> BundleClass:
-    if ring.r != 1:
-        raise ValueError("line_on_P needs a projective-space ring")
-    return BundleClass(ring, (((k,), 1),), name=f"O({k})")
-
-
-def tangent_bundle(ring: RingSpec) -> BundleClass:
-    r = ring.r
-    if r == 1:
-        roots = [((1,), ring.N), ((0,), -1)]
-    else:
-        # TG = Hom(V,Q); virtually Hom(V, C^N) - Hom(V, V)
-        roots = []
-        for i in range(r):
-            e = [0] * r
-            e[i] = 1
-            roots.append((tuple(e), ring.N))
-        for i in range(r):
-            for j in range(r):
-                e = [0] * r
-                e[i] += 1
-                e[j] -= 1
-                roots.append((tuple(e), -1))
-    return BundleClass(ring, tuple(roots), name="T")
-
-
-def kapranov_schur(ring: RingSpec, nu) -> BundleClass:
-    """S^nu V* on G(r,N): K-theoretic roots are the SSYT weights of nu."""
-    nu = tuple(p for p in nu if p)
-    if len(nu) > ring.r or (nu and nu[0] > ring.cols):
-        raise ValueError(f"{nu} outside the {ring.r}x{ring.cols} box")
-    weights = symfunc.ssyt_monomials(nu, ring.r)
-    roots: dict = {}
-    for w in weights:
-        roots[w] = roots.get(w, 0) + 1
-    return BundleClass(ring, tuple(sorted(roots.items())),
-                       name=f"S^{list(nu)}V*")
+from .rings import (RingSpec, CohClass, build_ring, cup, det_small, exp_cup,
+                    normalize_partition, poincare_pair)
 
 
 def _to_cohclass(ring: RingSpec, poly) -> CohClass:
@@ -89,46 +33,6 @@ def _to_cohclass(ring: RingSpec, poly) -> CohClass:
     for lam, c in expansion.items():
         out[ring.index[lam]] = c
     return CohClass(ring, out)
-
-
-def _exp_sum(ring: RingSpec, roots, scale) -> symfunc.Poly:
-    """sum over roots of mult * exp(scale * root), as a truncated Poly."""
-    r, cap = ring.r, ring.dim
-    out: symfunc.Poly = {}
-    for v, mult in roots:
-        lin = symfunc.poly_linear(r, v, scale)
-        out = symfunc.poly_add(out, symfunc.poly_scale(symfunc.poly_exp(lin, r, cap), mult))
-    return out
-
-
-def ch_classical(b: BundleClass) -> CohClass:
-    return _to_cohclass(b.ring, _exp_sum(b.ring, b.roots, mpf(1)))
-
-
-def ch_modified(b: BundleClass) -> CohClass:
-    """Ch(V) = sum e^{2 pi i delta_j}; equals (2 pi i)^p ch_p componentwise."""
-    return _to_cohclass(b.ring, _exp_sum(b.ring, b.roots, 2j * mp.pi))
-
-
-def _todd_poly(ring: RingSpec, roots, scale) -> symfunc.Poly:
-    """prod over roots of (u / (1 - e^{-u}))^mult at u = scale * root."""
-    r, cap = ring.r, ring.dim
-    # (1 - e^{-u}) / u = sum_k (-u)^k / (k+1)!
-    d_coeffs = [mpf((-1) ** k) / factorial(k + 1) for k in range(cap + 1)]
-    out = symfunc.poly_const(r, mpf(1))
-    for v, mult in roots:
-        if all(c == 0 for c in v):
-            continue
-        lin = symfunc.poly_linear(r, v, scale)
-        d = symfunc.poly_series_of(lin, r, d_coeffs, cap)
-        factor = symfunc.poly_inv(d, r, cap) if mult > 0 else d
-        for _ in range(abs(mult)):
-            out = symfunc.poly_mul(out, factor, cap)
-    return out
-
-
-def todd_classical(b: BundleClass) -> CohClass:
-    return _to_cohclass(b.ring, _todd_poly(b.ring, b.roots, mpf(1)))
 
 
 _CLASS_CACHE: dict = {}
@@ -164,20 +68,72 @@ def _power_sum(ring: RingSpec, k: int) -> CohClass:
 
 
 def _gamma_class(ring: RingSpec) -> CohClass:
-    """exp of sum_k lg_k sum_{roots} root^k in the ring.  TG = Hom(V, C^N) -
-    Hom(V, V), so sum_{roots} root^k = N p_k - sum_a C(k,a) (-1)^{k-a} p_a
+    # an mpf scalar: exp_cup divides it by k, and an int would give floats
+    return _root_exp(ring, log_gamma_coeffs(ring.dim), mpf(1))
+
+
+def todd_class(ring: RingSpec) -> CohClass:
+    """td(TF) = prod x/(1 - e^{-x}) over the (virtual) roots of TF, exactly
+    (Fraction coefficients)."""
+    # log(x/(1 - e^{-x})) = x/2 - sum_k B_2k x^2k / (2k (2k)!); B_k = 0 at odd k > 1
+    log_td = [Fraction(0), Fraction(1, 2)] + [-Fraction(*bernfrac(k)) / (k * factorial(k))
+                                              for k in range(2, ring.dim + 1)]
+    return _root_exp(ring, log_td, Fraction(1))
+
+
+def _root_exp(ring: RingSpec, coeffs, one) -> CohClass:
+    """exp of sum_{k>=1} coeffs[k] sum_{roots} root^k over the roots of TF,
+    in the ring; one is the scalar 1 of the result's type.  TG = Hom(V, C^N)
+    - Hom(V, V), so sum_{roots} root^k = N p_k - sum_a C(k,a) (-1)^{k-a} p_a
     p_{k-a}, an integer class."""
     cap = ring.dim
-    lg = log_gamma_coeffs(cap)
     p = [_power_sum(ring, k) for k in range(cap + 1)]
-    log_gamma = ring.zero()
+    log_sum = ring.zero()
     for k in range(1, cap + 1):
         roots_k = ring.N * p[k]
         for a in range(k + 1):
             roots_k = roots_k - comb(k, a) * (-1) ** (k - a) * cup(p[a], p[k - a])
-        log_gamma = log_gamma + roots_k * lg[k]
-    # an mpf scalar: exp_cup divides it by k, and an int would give floats
-    return exp_cup(ring.unit(), log_gamma, mpf(1))
+        log_sum = log_sum + roots_k * coeffs[k]
+    return exp_cup(ring.unit(), log_sum, one)
+
+
+def scale_degrees(a: CohClass, s) -> CohClass:
+    """Multiply the degree-p part of a by s^p.  On a Chern character ch(E)
+    this is the Adams operation psi^s at an integer s, ch(E^dual) at s = -1
+    and Ch(E) = sum_p (2 pi i)^p ch_p(E) at s = 2 pi i."""
+    return CohClass(a.ring, [s ** sum(lam) * c for lam, c in zip(a.ring.basis, a.coeffs)])
+
+
+def ch_sym(k: int, ring: RingSpec) -> CohClass:
+    """ch(Sym^k V*), exactly, for 0 <= k; on P^{N-1} this is ch(O(k))."""
+    return _cached("ch_sym", _ch_sym, ring, k)
+
+
+def _ch_sym(ring: RingSpec, k: int) -> CohClass:
+    """Newton's identities k h_k = sum_{m=1}^k p_m h_{k-m} in the variables
+    e^{x_i}, whose m-th power sum is psi^m ch(V*), ch(V*) = sum_j p_j / j!."""
+    if k == 0:
+        return ring.unit()
+    ch_v = ring.zero()
+    for j in range(ring.dim + 1):
+        ch_v = ch_v + Fraction(1, factorial(j)) * _power_sum(ring, j)
+    total = ring.zero()
+    for m in range(1, k + 1):
+        total = total + cup(scale_degrees(ch_v, m), ch_sym(k - m, ring))
+    return Fraction(1, k) * total
+
+
+def ch_schur(nu, ring: RingSpec) -> CohClass:
+    """ch(S^nu V*), exactly: the Jacobi-Trudi determinant
+    det(ch Sym^{nu_i - i + j} V*) with cups."""
+    nu = normalize_partition(nu)
+    if nu not in ring.index:
+        raise ValueError(f"{nu} outside the {ring.r}x{ring.cols} box")
+    if not nu:
+        return ring.unit()
+    n = len(nu)
+    return det_small([[ch_sym(nu[i] - i + j, ring) if nu[i] - i + j >= 0 else ring.zero()
+                       for j in range(n)] for i in range(n)], cup)
 
 
 def gamma_G_closed_form(r: int, N: int) -> CohClass:
@@ -222,11 +178,11 @@ def _gamma_G_closed_form(ring: RingSpec) -> CohClass:
 
 def kapranov_ch(nu, ring: RingSpec) -> CohClass:
     """Ch(S^nu V*) = s_nu(e^{2 pi i x_1}, ..., e^{2 pi i x_r})."""
-    return _cached("kapranov_ch", _kapranov_ch, ring, tuple(nu))
+    return _cached("kapranov_ch", _kapranov_ch, ring, normalize_partition(nu))
 
 
 def _kapranov_ch(ring: RingSpec, nu) -> CohClass:
-    return ch_modified(kapranov_schur(ring, nu))
+    return scale_degrees(ch_schur(nu, ring), 2j * mp.pi)
 
 
 def exp_mu(a: CohClass, scalar) -> CohClass:
@@ -268,16 +224,15 @@ def bracket_pairing(a: CohClass, b: CohClass):
     return bracket_gram([a], [b])[0][0]
 
 
-def euler_pairing_hrr(e1: BundleClass, e2: BundleClass):
-    """chi(E1, E2) = int ch(E1^dual) ch(E2) td(TF); returns (raw, rounded)."""
-    ring = e1.ring
-    integrand = cup(cup(ch_classical(e1.dual()), ch_classical(e2)),
-                    todd_classical(tangent_bundle(ring)))
-    raw = integrand.coeffs[ring.index[ring.top()]]
-    rounded = int(mp.nint(raw.real if isinstance(raw, mpc) else raw))
-    if abs(raw - rounded) > 1e-6:
-        raise ArithmeticError(f"Euler pairing {raw} not near an integer")
-    return raw, rounded
+def euler_pairing_hrr(ch1: CohClass, ch2: CohClass) -> int:
+    """chi(E1, E2) = int ch(E1^dual) ch(E2) td(TF), from the exact Chern
+    characters ch1, ch2; an integer, or ArithmeticError."""
+    ring = ch1.ring
+    integrand = cup(cup(scale_degrees(ch1, -1), ch2), todd_class(ring))
+    chi = Fraction(integrand.coeffs[ring.index[ring.top()]])
+    if chi.denominator != 1:
+        raise ArithmeticError(f"Euler pairing {chi} is not an integer")
+    return chi.numerator
 
 
 # --- Appendix-A zeta regularization -------------------------------------

@@ -1,8 +1,9 @@
 """Command-line surface.  Every acceptance computation is a subcommand with
 deterministic JSON or CSV output.
 
-Exit codes: 0 on pass, 1 on a usage error, 2 on a check failure, 3 when the
-numerics are out of range (a float value overflowed)."""
+Exit codes: 0 on pass, 1 on a usage error, 2 on a check failure (reported,
+or a self-check raising ArithmeticError), 3 when the numerics are out of
+range (a float value overflowed)."""
 
 from __future__ import annotations
 
@@ -353,8 +354,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return COMMANDS[args.cmd](args)
-    # every ValueError raised in qgamma is an argument check; any other
-    # ArithmeticError (a failed self-check) is left to surface
+    # every ValueError raised in qgamma is an argument check; OverflowError is
+    # an ArithmeticError, so it is caught before the failed self-checks
     except (UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         print(f"valid subcommands: {', '.join(sorted(COMMANDS))}", file=sys.stderr)
@@ -362,6 +363,9 @@ def main(argv=None) -> int:
     except OverflowError as exc:
         print(f"numerics out of range: {exc}", file=sys.stderr)
         return 3
+    except ArithmeticError as exc:
+        print(f"check failed: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ from mpmath import mp, mpc, mpf, exp as mp_exp, log as mp_log
 
 from . import symfunc
 from .rings import RingSpec, CohClass, build_ring, cup, exp_cup, quantum_pieri
-from .charclasses import BundleClass, gamma_class, ch_modified, bracket_pairing
+from .charclasses import gamma_class, scale_degrees, bracket_pairing
 
 
 # --- matrices of (c_1 *) -------------------------------------------------
@@ -400,10 +400,10 @@ def quantum_period(ring: RingSpec, nmax: int, exact: bool = True):
     return [row[0] for row in j_scaled(ring, nmax)]   # scaled: n! G_n
 
 
-def central_charge(V: BundleClass, t, nmax: int):
-    """Z(V) = (2 pi i)^{dim} [J(e^{pi i} t), Gamma Ch(V)), with
-    log(e^{pi i} t) = log t + pi i."""
-    ring = V.ring
+def central_charge(ch: CohClass, t, nmax: int):
+    """Z(V) = (2 pi i)^{dim} [J(e^{pi i} t), Gamma Ch(V)) for the Chern
+    character ch = ch(V), with log(e^{pi i} t) = log t + pi i."""
+    ring = ch.ring
     J = j_coefficients(ring, nmax)
     logt = mp_log(mpf(t)) + mpc(0, 1) * mp.pi
     # sum J_n e^{n log t}
@@ -422,5 +422,5 @@ def central_charge(V: BundleClass, t, nmax: int):
     if last > mpf("1e-30") * (1 + biggest):
         raise ArithmeticError("J series tail not converged at nmax")
     total = exp_cup(total, ring.c1(), logt)   # e^{rho log t}
-    gv = cup(gamma_class(ring), ch_modified(V))
+    gv = cup(gamma_class(ring), scale_degrees(ch, 2j * mp.pi))   # Ch(V)
     return mpc(0, 2 * mp.pi) ** ring.dim * bracket_pairing(total, gv)

@@ -16,7 +16,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .rings import det_small
+from .charclasses import gamma_class, kapranov_ch, bracket_pairing
+from .rings import build_ring, cup, det_small
 
 
 @dataclass
@@ -258,12 +259,11 @@ def _verify_mrs(mrs: MRS, tol: float = 1e-9):
 # --- Gamma-basis MRSs ----------------------------------------------------
 
 def beilinson_gamma_mrs(N: int, phase: float = -0.05) -> MRS:
-    """Vectors Gamma-hat_P Ch(O(j)), markings N e^{-2 pi i j / N}."""
-    from .rings import build_ring, cup
-    from .charclasses import gamma_class, ch_modified, line_on_P, bracket_pairing
+    """Vectors Gamma-hat_P Ch(O(j)), markings N e^{-2 pi i j / N}; on P^{N-1}
+    O(j) = S^(j) V*."""
     ring = build_ring("P", N)
     gam = gamma_class(ring)
-    vectors = [cup(gam, ch_modified(line_on_P(ring, j))) for j in range(N)]
+    vectors = [cup(gam, kapranov_ch((j,), ring)) for j in range(N)]
     markings = [N * cmath.exp(-2j * math.pi * j / N) for j in range(N)]
     return MRS(vectors=vectors, markings=markings, phase=phase,
                pairing=bracket_pairing)
@@ -272,7 +272,6 @@ def beilinson_gamma_mrs(N: int, phase: float = -0.05) -> MRS:
 def kapranov_markings(r: int, N: int) -> list:
     """Marking of S^nu V*: sum of rotated P-markings at exponents
     k = (nu_1 + r - 1, ..., nu_r)."""
-    from .rings import build_ring
     ring = build_ring("G", N, r)
     rot = cmath.exp(1j * math.pi * (r - 1) / N)
     out = []
@@ -285,8 +284,6 @@ def kapranov_markings(r: int, N: int) -> list:
 
 def kapranov_gamma_mrs(r: int, N: int, phase: float = -0.05) -> MRS:
     """Vectors Gamma-hat_G Ch(S^nu V*) in degree-lex order of nu."""
-    from .rings import build_ring, cup
-    from .charclasses import gamma_class, kapranov_ch, bracket_pairing
     ring = build_ring("G", N, r)
     gam = gamma_class(ring)
     vectors = [cup(gam, kapranov_ch(nu, ring)) for nu in ring.basis]

@@ -12,6 +12,7 @@ quantum correction is Bertram's quantum Pieri rule.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from math import comb
 
@@ -46,15 +47,17 @@ def box_complement(lam: tuple, rows: int, cols: int) -> tuple:
     return normalize_partition(tuple(cols - padded[rows - 1 - i] for i in range(rows)))
 
 
-def det_small(m):
-    """Determinant by permutation expansion; fine for r <= 4, any scalar type."""
-    n = len(m)
-    total = 0
-    for perm in itertools.permutations(range(n)):
-        term = symfunc.perm_sign(perm)
-        for i in range(n):
-            term = term * m[i][perm[i]]
-        total = total + term
+def det_small(m, mul=operator.mul):
+    """Determinant of a nonempty square matrix by permutation expansion; fine
+    for r <= 4, over any scalar type or, given its product mul, any
+    commutative ring of objects with + and integer scaling."""
+    total = None
+    for perm in itertools.permutations(range(len(m))):
+        term = m[0][perm[0]]
+        for i in range(1, len(m)):
+            term = mul(term, m[i][perm[i]])
+        term = symfunc.perm_sign(perm) * term
+        total = term if total is None else total + term
     return total
 
 

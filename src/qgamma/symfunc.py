@@ -5,7 +5,9 @@ coefficients, truncated at a fixed total degree.  The scalar type is left
 generic: exact work uses int/Fraction, numeric work uses complex or mpmath
 numbers.  Symmetric polynomials are expanded in the Schur basis through the
 bialternant trick: multiply by the Vandermonde determinant and read off the
-coefficients of the strictly-decreasing staircase monomials.
+coefficients of the strictly-decreasing staircase monomials.  These serve
+the polynomial routes kept as independent checks of the ring arithmetic:
+the Grassmannian closed-form Gamma class, j_closed_form_P and the Psi series.
 """
 
 from __future__ import annotations

@@ -13,9 +13,8 @@ import numpy as np
 from mpmath import mp, mpc
 
 from .rings import RingSpec, CohClass, build_ring, cup, exp_cup, satake, normalize_partition
-from .charclasses import (gamma_class, gamma_G_closed_form, kapranov_ch,
-                          ch_modified, line_on_P, bracket_gram)
-from .connection import c1_matrix, _multiset_distance
+from .charclasses import gamma_class, gamma_G_closed_form, kapranov_ch, bracket_gram
+from .connection import c1_matrix, spectrum_closed_form, _multiset_distance
 from . import mrs as mrsmod
 
 
@@ -49,9 +48,7 @@ def check_wedge_spectrum(r: int, N: int, tol: float = 1e-8) -> SatakeCheckReport
     ring = build_ring("G", N, r)
     lhs = sorted(np.linalg.eigvals(c1_matrix(ring)),
                  key=lambda z: (round(z.real, 8), round(z.imag, 8)))
-    rot = N * cmath.exp(1j * math.pi * (r - 1) / N)
-    base = [rot * cmath.exp(-2j * math.pi * k / N) for k in range(N)]
-    rhs = sorted((sum(c) for c in itertools.combinations(base, r)),
+    rhs = sorted(spectrum_closed_form(r, N),
                  key=lambda z: (round(z.real, 8), round(z.imag, 8)))
     resid = _multiset_distance(lhs, rhs)
     return SatakeCheckReport(case=f"spectrum G({r},{N})",
@@ -74,7 +71,7 @@ def _wedge_factors(nu, r: int, N: int):
     gam = gamma_class(ring_P)
     padded = list(nu) + [0] * (r - len(nu))
     ks = [padded[i] + r - 1 - i for i in range(r)]
-    return [cup(gam, ch_modified(line_on_P(ring_P, k))) for k in ks]
+    return [cup(gam, kapranov_ch((k,), ring_P)) for k in ks]   # O(k) = S^(k) V*
 
 
 def check_kapranov_wedge_identity(r: int, N: int, nu,

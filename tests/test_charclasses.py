@@ -1,7 +1,9 @@
 """Characteristic classes: Chern characters, Todd and Gamma classes, the
 Euler pairing, and zeta-regularized products."""
 
+import itertools
 import math
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -11,9 +13,7 @@ from qgamma import charclasses, symfunc, verify
 from qgamma.constants import log_gamma_coeffs
 from qgamma.mrs import beilinson_gamma_mrs, kapranov_gamma_mrs
 from qgamma.rings import build_ring, cup, exp_cup, poincare_pair
-from qgamma.charclasses import (trivial_bundle, line_on_P, tangent_bundle,
-                                kapranov_schur, ch_classical, ch_modified,
-                                todd_classical, gamma_class,
+from qgamma.charclasses import (ch_schur, scale_degrees, todd_class, gamma_class,
                                 gamma_G_closed_form, kapranov_ch,
                                 bracket_pairing, bracket_gram,
                                 euler_pairing_hrr,
@@ -26,23 +26,22 @@ G24 = build_ring("G", 4, 2)
 
 
 def test_ch_line_bundle():
-    c = ch_classical(line_on_P(P2, 1))
+    c = ch_schur((1,), P2)
     assert abs(c.coeffs[0] - 1) < 1e-30
     assert abs(c.coeffs[1] - 1) < 1e-30
-    assert abs(c.coeffs[2] - mpf(1) / 2) < 1e-30
+    assert c.coeffs[2] == Fraction(1, 2)   # exact (Fraction - mpf raises in mpmath)
 
 
 def test_ch_rank_and_dual():
-    V = kapranov_schur(G24, (2, 1))
-    assert V.rank == 2
-    c = ch_classical(V)
-    cd = ch_classical(V.dual())
+    c = ch_schur((2, 1), G24)
+    assert c[()] == 2
+    cd = scale_degrees(c, -1)
     assert abs(c.coeffs[0] - 2) < 1e-30
     assert abs(c.coeffs[1] + cd.coeffs[1]) < 1e-30
 
 
 def test_todd_p1():
-    td = todd_classical(tangent_bundle(P1))
+    td = todd_class(P1)
     assert abs(td.coeffs[0] - 1) < 1e-30
     assert abs(td.coeffs[1] - 1) < 1e-30
 
@@ -60,13 +59,26 @@ def test_gamma_p2():
     assert abs(g.coeffs[2] - expect) < 1e-30
 
 
-def _gamma_over_roots(ring):
-    """prod Gamma(1 + delta)^mult over the roots of TF, as an exact truncated
+def _tangent_roots(ring):
+    """(linear form in x_1..x_r, multiplicity) for the K-theoretic roots of
+    TF: TG = Hom(V, C^N) - Hom(V, V), so x_i with multiplicity N and
+    x_i - x_j with multiplicity -1."""
+    r = ring.r
+    roots = []
+    for i in range(r):
+        roots.append((tuple(int(a == i) for a in range(r)), ring.N))
+        for j in range(r):
+            roots.append((tuple(int(a == i) - int(a == j) for a in range(r)), -1))
+    return roots
+
+
+def _gamma_over_roots(ring, roots):
+    """prod Gamma(1 + delta)^mult over the given roots, as an exact truncated
     polynomial in x_1..x_r re-expanded in the Schur basis."""
     cap = ring.dim
     lg = log_gamma_coeffs(cap)
     total = {}
-    for v, mult in tangent_bundle(ring).roots:
+    for v, mult in roots:
         if all(c == 0 for c in v):
             continue
         lin = symfunc.poly_linear(ring.r, v, mpf(1))
@@ -81,9 +93,95 @@ def test_gamma_class_matches_product_over_roots(kind, N, r):
     ring = build_ring(kind, N, r)
     got = gamma_class(ring)
     assert all(type(c) is mpf for c in got.coeffs)
-    want = _gamma_over_roots(ring)
+    want = _gamma_over_roots(ring, _tangent_roots(ring))
     scale = max(abs(c) for c in want.coeffs)
     assert _max_gap(got, want) < mpf("1e-30") * scale
+
+
+def _todd_over_roots(ring, roots):
+    """prod (u / (1 - e^{-u}))^mult over the given roots, as an exact
+    Fraction polynomial re-expanded in the Schur basis."""
+    r, cap = ring.r, ring.dim
+    # (1 - e^{-u}) / u = sum_k (-u)^k / (k+1)!
+    d_coeffs = [Fraction((-1) ** k, math.factorial(k + 1)) for k in range(cap + 1)]
+    total = symfunc.poly_const(r, Fraction(1))
+    for v, mult in roots:
+        if not any(v):
+            continue
+        d = symfunc.poly_series_of(symfunc.poly_linear(r, v, Fraction(1)), r, d_coeffs, cap)
+        factor = symfunc.poly_inv(d, r, cap) if mult > 0 else d
+        for _ in range(abs(mult)):
+            total = symfunc.poly_mul(total, factor, cap)
+    return symfunc.schur_expand(total, r, ring.cols, cap)
+
+
+def _nonzero(cls):
+    return {lam: c for lam, c in zip(cls.ring.basis, cls.coeffs) if c != 0}
+
+
+@pytest.mark.parametrize("kind,N,r", [("P", N, 1) for N in range(2, 6)]
+                         + [("G", 4, 2), ("G", 5, 2), ("G", 6, 2), ("G", 6, 3)])
+def test_todd_class_matches_product_over_roots(kind, N, r):
+    ring = build_ring(kind, N, r)
+    assert _nonzero(todd_class(ring)) == _todd_over_roots(ring, _tangent_roots(ring))
+
+
+def _ch_over_ssyt_weights(shape, ring):
+    """sum of e^{w . x} over the SSYT weights w of the shape with entries in
+    1..r, as an exact Fraction polynomial re-expanded in the Schur basis."""
+    r, cap = ring.r, ring.dim
+    total = {}
+    for w in symfunc.ssyt_monomials(shape, r):
+        total = symfunc.poly_add(total, symfunc.poly_exp(
+            symfunc.poly_linear(r, w, Fraction(1)), r, cap))
+    return symfunc.schur_expand(total, r, ring.cols, cap)
+
+
+CH_RINGS = [("P", N, 1) for N in range(2, 7)] + [("G", 4, 2), ("G", 5, 2), ("G", 6, 3),
+                                                  ("G", 8, 2)]
+
+
+@pytest.mark.parametrize("kind,N,r", CH_RINGS)
+def test_ch_schur_matches_ssyt_weight_route(kind, N, r):
+    ring = build_ring(kind, N, r)
+    for nu in ring.basis:
+        ch = ch_schur(nu, ring)
+        assert _nonzero(ch) == _ch_over_ssyt_weights(nu, ring)
+        assert ch[()] == len(symfunc.ssyt_monomials(nu, r))
+    for k in range(N):
+        assert _nonzero(charclasses.ch_sym(k, ring)) == _ch_over_ssyt_weights((k,), ring)
+
+
+def _horizontal_strips(mu, k, rows):
+    """kappa with at most rows parts, |kappa| = |mu| + k and
+    mu_i <= kappa_i <= mu_{i-1}."""
+    mu = list(mu) + [0] * (rows - len(mu))
+    caps = [mu[0] + k] + mu[:-1]
+    for kappa in itertools.product(*(range(m, c + 1) for m, c in zip(mu, caps))):
+        if sum(kappa) == sum(mu) + k:
+            yield tuple(p for p in kappa if p)
+
+
+@pytest.mark.parametrize("kind,N,r", [("P", 5, 1), ("G", 5, 2), ("G", 6, 2), ("G", 6, 3)])
+def test_ch_schur_k_theoretic_pieri(kind, N, r):
+    # Sym^k V* (x) S^mu V* = sum of S^kappa V* over horizontal strips
+    # kappa/mu, for every kappa inside the box
+    ring = build_ring(kind, N, r)
+    for mu in ring.basis:
+        for k in range(1, ring.cols - (mu[0] if mu else 0) + 1):
+            lhs = cup(charclasses.ch_sym(k, ring), ch_schur(mu, ring))
+            rhs = ring.zero()
+            for kappa in _horizontal_strips(mu, k, r):
+                rhs = rhs + ch_schur(kappa, ring)
+            assert lhs.coeffs == rhs.coeffs
+
+
+@pytest.mark.parametrize("nu", [(1, 2), (1, -1), (3,), (1, 1, 1)])
+def test_characters_reject_malformed_partitions(nu):
+    with pytest.raises(ValueError):
+        kapranov_ch(nu, G24)
+    with pytest.raises(ValueError):
+        ch_schur(nu, G24)
 
 
 def test_gamma_class_cache_follows_precision():
@@ -139,25 +237,31 @@ def test_gamma_g_closed_form_matches_generic():
 
 
 def test_euler_pairing_p1():
-    O = trivial_bundle(P1)
-    O1 = line_on_P(P1, 1)
-    assert euler_pairing_hrr(O, O1)[1] == 2
-    assert euler_pairing_hrr(O1, O)[1] == 0
-    assert euler_pairing_hrr(O, O)[1] == 1
+    O = ch_schur((), P1)
+    O1 = ch_schur((1,), P1)
+    assert euler_pairing_hrr(O, O1) == 2
+    assert euler_pairing_hrr(O1, O) == 0
+    assert euler_pairing_hrr(O, O) == 1
+
+
+def test_euler_pairing_rejects_non_integer():
+    half_O = Fraction(1, 2) * ch_schur((), P2)
+    with pytest.raises(ArithmeticError):
+        euler_pairing_hrr(half_O, ch_schur((), P2))
 
 
 def test_euler_pairing_p3_binomial():
     P3 = build_ring("P", 4)
     for i in range(4):
         for j in range(4):
-            chi = euler_pairing_hrr(line_on_P(P3, i), line_on_P(P3, j))[1]
+            chi = euler_pairing_hrr(ch_schur((i,), P3), ch_schur((j,), P3))
             assert chi == (math.comb(3 + j - i, 3) if j >= i else 0)
 
 
 def test_bracket_reproduces_euler_pairing():
     gam = gamma_class(P1)
-    O = cup(gam, ch_modified(trivial_bundle(P1)))
-    O1 = cup(gam, ch_modified(line_on_P(P1, 1)))
+    O = cup(gam, kapranov_ch((), P1))
+    O1 = cup(gam, kapranov_ch((1,), P1))
     assert abs(bracket_pairing(O, O) - 1) < 1e-12
     assert abs(bracket_pairing(O, O1) - 2) < 1e-12
     assert abs(bracket_pairing(O1, O)) < 1e-12
@@ -197,9 +301,9 @@ def test_bracket_gram_rejects_disagreeing_orderings(monkeypatch):
 def test_kapranov_euler_pairing_not_orthogonal():
     # chi(S^(1) V*, S^(21) V*) on G(2,4) is 16, not 0: the two marking-0
     # members of the Kapranov collection pair nontrivially in one direction.
-    chi = euler_pairing_hrr(kapranov_schur(G24, (1,)), kapranov_schur(G24, (2, 1)))[1]
+    chi = euler_pairing_hrr(ch_schur((1,), G24), ch_schur((2, 1), G24))
     assert chi == 16
-    chi = euler_pairing_hrr(kapranov_schur(G24, (2, 1)), kapranov_schur(G24, (1,)))[1]
+    chi = euler_pairing_hrr(ch_schur((2, 1), G24), ch_schur((1,), G24))
     assert chi == 0
 
 

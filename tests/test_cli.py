@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from qgamma import connection
 from qgamma.cli import main, parse_target, clean
 
 
@@ -93,6 +94,16 @@ def test_float_overflow_exit_3(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("numerics out of range:")
+
+
+def test_failed_self_check_exit_2(capsys, monkeypatch):
+    def fail(*args):
+        raise ArithmeticError("graded solve residual")
+    monkeypatch.setattr(connection, "_check_graded", fail)
+    assert main(["jfun", "--target", "P(2)", "--nmax", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("check failed: graded solve residual")
 
 
 def test_stokes_failure_exit_2(capsys):

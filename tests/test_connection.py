@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mpf, pi as mp_pi, exp as mp_exp, mpc
 
 from qgamma.rings import build_ring
-from qgamma.charclasses import trivial_bundle, gamma_class, ch_modified, line_on_P
 from qgamma.connection import (c1_matrix, spectrum, spectrum_closed_form,
                                fundamental_solution, recursion_residual,
                                pairing_identity_residual, degree_shift_ok,
@@ -201,6 +200,6 @@ def test_quantum_period_g24():
 
 def test_central_charge_p1():
     # Z(O) on P^1 at t: (2 pi i) [J(e^{i pi} t), Gamma-hat)
-    z1 = central_charge(trivial_bundle(P1), mpf(2), 150)
-    z2 = central_charge(trivial_bundle(P1), mpf(2), 200)
+    z1 = central_charge(P1.unit(), mpf(2), 150)
+    z2 = central_charge(P1.unit(), mpf(2), 200)
     assert abs(z1 - z2) < 1e-20 * (1 + abs(z1))
