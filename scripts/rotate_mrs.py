@@ -31,7 +31,7 @@ def main():
     for e in log:
         print(f"phase {e['crossing_angle']:+.6f}: {e['direction']}-mutation of "
               f"indices {e['affected_indices']} by marking "
-              f"{e['moved_marking']:.4f}")
+              f"{e['moved_marking']:.4f}, {e['count']} time(s)")
     M = np.array(m2.vectors).T
     print(f"\nmonodromy matrix (columns = transported basis):\n{M}")
     print(f"det = {round(np.linalg.det(M))}")

@@ -38,11 +38,11 @@ def _to_cohclass(ring: RingSpec, poly) -> CohClass:
 _CLASS_CACHE: dict = {}
 
 
-def _cached(name: str, build, ring: RingSpec, *args) -> CohClass:
-    """build(ring, *args), computed once per (name, ring, args, working
-    precision) and kept with tuple coefficients, so the shared value cannot
-    be changed in place."""
-    key = (name, ring.kind, ring.r, ring.N, *args, mp.prec)
+def _cached(name: str, build, ring: RingSpec, *args, exact: bool = False) -> CohClass:
+    """build(ring, *args), computed once per (name, ring, args) and, unless
+    the class is exact, working precision; kept with tuple coefficients, so
+    the shared value cannot be changed in place."""
+    key = (name, ring.kind, ring.r, ring.N, *args, None if exact else mp.prec)
     out = _CLASS_CACHE.get(key)
     if out is None:
         out = _CLASS_CACHE[key] = CohClass(ring, tuple(build(ring, *args).coeffs))
@@ -106,7 +106,7 @@ def scale_degrees(a: CohClass, s) -> CohClass:
 
 def ch_sym(k: int, ring: RingSpec) -> CohClass:
     """ch(Sym^k V*), exactly, for 0 <= k; on P^{N-1} this is ch(O(k))."""
-    return _cached("ch_sym", _ch_sym, ring, k)
+    return _cached("ch_sym", _ch_sym, ring, k, exact=True)
 
 
 def _ch_sym(ring: RingSpec, k: int) -> CohClass:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -127,8 +128,20 @@ def _nmax(args) -> int:
     return args.nmax
 
 
-def _grid(text: str):
-    return [float(x) for x in text.split(",")]
+def _finite_float(text: str) -> float:
+    """argparse type: a float that is neither infinite nor NaN."""
+    try:
+        x = float(text)
+    except ValueError:
+        x = math.nan
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return x
+
+
+def _float_list(text: str) -> list:
+    """argparse type: comma-separated finite floats."""
+    return [_finite_float(x) for x in text.split(",")]
 
 
 def build_parser() -> Parser:
@@ -157,8 +170,9 @@ def build_parser() -> Parser:
 
     sp = add("limit", help="Gamma Conjecture I limit ratio")
     sp.add_argument("--target", required=True)
-    sp.add_argument("--t", required=True, help="comma-separated t grid")
-    sp.add_argument("--tol", type=float, default=1e-6)
+    sp.add_argument("--t", type=_float_list, required=True,
+                    help="comma-separated t grid")
+    sp.add_argument("--tol", type=_finite_float, default=1e-6)
 
     sp = add("apery", help="Apery-style ratio limit")
     sp.add_argument("--target", required=True)
@@ -167,30 +181,30 @@ def build_parser() -> Parser:
                     help="comma-separated coefficients of the Poincare dual "
                          "class in basis order (default: the G(2,5) class "
                          "dual to sigma_2 - sigma_{1,1})")
-    sp.add_argument("--tol", type=float, default=1e-6)
+    sp.add_argument("--tol", type=_finite_float, default=1e-6)
 
     sp = add("psi", help="Mellin-Barnes solution Psi(t), all three routes")
     sp.add_argument("--N", type=int, required=True)
-    sp.add_argument("--t", type=float, required=True)
-    sp.add_argument("--tol", type=float, default=1e-8)
+    sp.add_argument("--t", type=_finite_float, required=True)
+    sp.add_argument("--tol", type=_finite_float, default=1e-8)
 
     sp = add("stokes", help="Stokes matrix of the Gamma-basis MRS")
     sp.add_argument("--target", required=True)
-    sp.add_argument("--phase", type=float, default=-0.05)
+    sp.add_argument("--phase", type=_finite_float, default=-0.05)
 
     sp = add("mutate", help="phase rotation with mutation log")
     sp.add_argument("--target", required=True)
-    sp.add_argument("--phase", type=float, default=-0.05)
-    sp.add_argument("--to", type=float, required=True)
+    sp.add_argument("--phase", type=_finite_float, default=-0.05)
+    sp.add_argument("--to", type=_finite_float, required=True)
 
     sp = add("satake", help="wedge spectrum, Kapranov identity, MRS wedge")
     sp.add_argument("--target", required=True, help="G(r,N)")
-    sp.add_argument("--phase", type=float, default=-0.05)
+    sp.add_argument("--phase", type=_finite_float, default=-0.05)
 
     sp = add("zetareg", help="zeta-regularized product, both routes")
-    sp.add_argument("--delta", type=float, required=True)
-    sp.add_argument("--z", type=float, required=True)
-    sp.add_argument("--tol", type=float, default=1e-8)
+    sp.add_argument("--delta", type=_finite_float, required=True)
+    sp.add_argument("--z", type=_finite_float, required=True)
+    sp.add_argument("--tol", type=_finite_float, default=1e-8)
 
     add("verify-all", help="run the full acceptance suite")
     return p
@@ -243,7 +257,7 @@ def cmd_period(args):
 
 def cmd_limit(args):
     ring = parse_target(args.target)
-    rep = limit_ratio(ring, _grid(args.t), tol=args.tol)
+    rep = limit_ratio(ring, args.t, tol=args.tol)
     emit({"target": args.target, "grid": rep.grid,
           "ratio_at_last_t": rep.extrapolated, "gamma_class": rep.target,
           "gap_to_gamma": rep.notes["gap_to_gamma"],

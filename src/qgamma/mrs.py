@@ -85,7 +85,10 @@ def h_phase(u: complex, phi: float) -> float:
 
 def is_admissible(markings, phi: float, tol: float = 1e-10) -> bool:
     """True iff e^{i phi} is not parallel to any difference of distinct
-    markings (checked on the sine of the angle)."""
+    markings (checked on the sine of the angle); False for a non-finite
+    phi."""
+    if not math.isfinite(phi):
+        return False
     for u, v in itertools.combinations(markings, 2):
         d = u - v
         if abs(d) < tol:
@@ -143,50 +146,91 @@ def mutate_phase_rotation(mrs: MRS, phi_target: float):
     Convention: when the phase decreases through phi_c = arg(u_j - u_i), the
     marking u_j crosses the ray u_i + R_{>=0} e^{i phi} from the side of
     smaller h_phi, and the u_i-block is right-mutated by the u_j-block.
-    Increasing phase gives left mutations.  Returns (new MRS, log)."""
-    phi0, phi1 = mrs.phase, phi_target
-    decreasing = phi1 < phi0
-    groups = _marking_groups(mrs.markings)
-    reps = {g[0]: [i for i in g] for g in groups}
+    Increasing phase gives left mutations.
 
-    events = []   # (phi_c along the path, gi, gj, |d|)
-    for gi in reps:
-        for gj in reps:
+    The mutations act on coefficient rows over the start vectors, paired
+    through their Gram, taken once (so the pairing must be bilinear).  A
+    full turn leaves the markings unchanged and acts by one matrix M, so k
+    whole turns are M^k by squaring, followed by the crossings of the
+    remainder.  M must preserve the Gram, as it does when the start system
+    is semiorthonormal in phase order; otherwise ArithmeticError.  When the
+    Gram is integral to 1e-9 the rows are exact Python ints.
+
+    Returns (new MRS, log): one log entry per crossing of the first turn
+    with "count": k, then one per crossing of the remainder with "count": 1."""
+    phi0, phi1 = mrs.phase, phi_target
+    for phi in (phi0, phi1):
+        if not is_admissible(mrs.markings, phi):
+            raise ValueError(f"phase {phi} is not admissible")
+    decreasing = phi1 < phi0
+    sign = -1 if decreasing else 1
+    turns, rest = divmod(abs(phi1 - phi0), 2 * math.pi)
+    turns = int(turns)
+    groups = _marking_groups(mrs.markings)
+
+    # the crossings of one turn from phi0, in path order
+    turn = []     # (phi_c, gi, gj, |d|)
+    for gi, a in enumerate(groups):
+        for gj, b in enumerate(groups):
             if gi == gj:
                 continue
-            d = mrs.markings[gj] - mrs.markings[gi]
+            d = mrs.markings[b[0]] - mrs.markings[a[0]]
             theta = math.atan2(d.imag, d.real)
-            # all representatives theta + 2 pi k strictly inside the path
-            if decreasing:
-                k = math.floor((phi0 - theta) / (2 * math.pi))
-                c = theta + 2 * math.pi * k
-                while c > phi1:
-                    if c < phi0 - 1e-12:
-                        events.append((c, gi, gj, abs(d)))
-                    c -= 2 * math.pi
-            else:
-                k = math.ceil((phi0 - theta) / (2 * math.pi))
-                c = theta + 2 * math.pi * k
-                while c < phi1:
-                    if c > phi0 + 1e-12:
-                        events.append((c, gi, gj, abs(d)))
-                    c += 2 * math.pi
-    events.sort(key=lambda e: (-e[0] if decreasing else e[0], -e[3]))
+            wraps = (phi0 - theta) / (2 * math.pi)
+            k = math.floor(wraps) if decreasing else math.ceil(wraps)
+            turn.append((theta + 2 * math.pi * k, gi, gj, abs(d)))
+    turn.sort(key=lambda e: (sign * e[0], -e[3]))
+    tail = [e for e in turn if sign * (phi0 + sign * rest - e[0]) > 0]
+    if not turns and not tail:
+        return replace(mrs, vectors=list(mrs.vectors), phase=phi_target), []
 
-    mutate = right_mutation if decreasing else left_mutation
-    vectors = list(mrs.vectors)
-    log = []
-    for phi_c, gi, gj, _ in events:
-        for idx in reps[gi]:
-            v = vectors[idx]
-            for k in reps[gj]:
-                v = mutate(v, vectors[k], mrs.pairing)
-            vectors[idx] = v
-        log.append({"crossing_angle": phi_c,
-                    "moved_marking": complex(mrs.markings[gj]),
-                    "affected_indices": list(reps[gi]),
-                    "direction": "R" if decreasing else "L"})
+    G = _start_gram(mrs)
+
+    def cross(rows, events):
+        for _, gi, gj, _ in events:
+            for i in groups[gi]:
+                r = rows[i]
+                for k in groups[gj]:
+                    r = r - rows[k] * (r @ G @ rows[k] if decreasing else rows[k] @ G @ r)
+                rows[i] = r
+        return rows
+
+    rows = np.eye(len(mrs.vectors), dtype=object)
+    if turns:
+        M = cross(rows, turn)
+        drift = max(abs(x) for x in (M @ G @ M.T - G).flat)
+        if drift > 1e-9 * (1 + max(abs(x) for x in G.flat)):
+            raise ArithmeticError("one-turn monodromy does not preserve the Gram: "
+                                  "the start system is not semiorthonormal in phase order")
+        rows = np.linalg.matrix_power(M, turns)
+    rows = cross(rows, tail)
+
+    vectors = []
+    for row in rows:
+        # vector on the left: an mpmath scalar on the left would format repr
+        terms = [v * c for v, c in zip(mrs.vectors, row) if c != 0]
+        vectors.append(sum(terms[1:], terms[0]))
+
+    def entry(e, angle, count):
+        return {"crossing_angle": angle,
+                "moved_marking": complex(mrs.markings[groups[e[2]][0]]),
+                "affected_indices": list(groups[e[1]]),
+                "direction": "R" if decreasing else "L",
+                "count": count}
+    log = [entry(e, e[0], turns) for e in turn] if turns else []
+    log += [entry(e, e[0] + sign * 2 * math.pi * turns, 1) for e in tail]
     return replace(mrs, vectors=vectors, phase=phi_target), log
+
+
+def _start_gram(mrs: MRS) -> np.ndarray:
+    """[v_i, v_j) as an object array: Python ints when every entry is within
+    1e-9 of an integer, else the pairing's own scalars."""
+    g = [[mrs.pairing(a, b) for b in mrs.vectors] for a in mrs.vectors]
+    near = [[round(complex(x).real) for x in row] for row in g]
+    if all(abs(complex(x) - m) <= 1e-9 for row, mrow in zip(g, near)
+           for x, m in zip(row, mrow)):
+        g = near
+    return np.array(g, dtype=object)
 
 
 # --- wedges --------------------------------------------------------------

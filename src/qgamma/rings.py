@@ -127,8 +127,8 @@ class CohClass:
         return CohClass(self.ring, [a + b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __sub__(self, other: "CohClass") -> "CohClass":
-        _same_ring(self, other)
-        return CohClass(self.ring, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        # a + (-b): mpmath's mpf.__rsub__ rejects a Fraction on the left
+        return self + -other
 
     def __neg__(self) -> "CohClass":
         return CohClass(self.ring, [-a for a in self.coeffs])

@@ -208,6 +208,31 @@ def test_closed_form_and_kapranov_cache_follow_precision():
         assert abs(ch[(1, 1)] - 2 * mp.pi ** 2) < mpf("1e-55")
 
 
+def test_exact_classes_are_cached_across_precisions(monkeypatch):
+    build = charclasses._ch_sym
+    calls = []
+
+    def counted(ring, k):
+        calls.append(k)
+        return build(ring, k)
+    monkeypatch.setattr(charclasses, "_CLASS_CACHE", {})
+    monkeypatch.setattr(charclasses, "_ch_sym", counted)
+    exact = charclasses.ch_sym(2, P2)
+    with mp.workdps(60):
+        assert charclasses.ch_sym(2, P2) is exact
+        kapranov_ch((2,), P2)
+    assert sorted(calls) == [0, 1, 2]
+    assert all(isinstance(c, (int, Fraction)) for c in exact.coeffs)
+
+
+def test_exact_class_minus_mpf_class():
+    exact, gam = charclasses.ch_sym(2, P2), gamma_class(P2)
+    diff = exact - gam
+    want = [mpf(a.numerator) / a.denominator - b
+            for a, b in zip(map(Fraction, exact.coeffs), gam.coeffs)]
+    assert list(diff.coeffs) == want
+
+
 def test_cached_classes_are_immutable():
     for cls in [gamma_class(P2), gamma_G_closed_form(2, 4), kapranov_ch((1,), G24)]:
         with pytest.raises(TypeError):

@@ -6,9 +6,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qgamma import connection
+from qgamma.mrs import (MRS, SOB, beilinson_gamma_mrs, gram,
+                        mutate_phase_rotation)
 from qgamma.cli import main, parse_target, clean
 
 
@@ -134,6 +137,61 @@ def test_mutate_command(capsys):
     payload = json.loads(out)
     assert len(payload["mutations"]) == 1
     assert payload["mutations"][0]["direction"] == "R"
+
+
+def _p2_integer_rotation_gram(phase, target):
+    """Gram after rotating the integer system that scripts/rotate_mrs.py
+    builds for P^2: unit vectors paired through the rounded Beilinson Gram."""
+    base = beilinson_gamma_mrs(3, phase=phase)
+    G = np.round(gram(SOB(base.vectors, base.pairing)).real).astype(int)
+    m = MRS(vectors=[np.eye(3, dtype=int)[i] for i in range(3)],
+            markings=base.markings, phase=phase, pairing=lambda a, b: a @ G @ b)
+    m2, _ = mutate_phase_rotation(m, target)
+    return gram(SOB(m2.vectors, m2.pairing)).real.astype(int).tolist()
+
+
+def test_mutate_many_turns_stays_exact(capsys):
+    code, out = run(capsys, "mutate", "--target", "P(2)", "--phase", "-1.87",
+                    "--to=-200")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["final_gram"] == _p2_integer_rotation_gram(-1.87, -200.0)
+    assert payload["gram_rounding_error"] < 1e-20
+    assert sum(e["count"] for e in payload["mutations"]) > 150
+
+
+def test_mutate_a_million_radians(capsys):
+    code, out = run(capsys, "mutate", "--target", "P(2)", "--phase", "-1.87",
+                    "--to=-1e6")
+    assert code == 0
+    assert len(json.loads(out)["mutations"]) <= 12
+
+
+@pytest.mark.parametrize("to", ["--to=-inf", "--to=nan", "--to=inf"])
+def test_mutate_non_finite_phase_exit_1(capsys, to):
+    assert main(["mutate", "--target", "P(1)", to]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["stokes", "--target", "P(1)", "--phase", "nan"],
+    ["limit", "--target", "P(2)", "--t", "8,inf"],
+    ["psi", "--N", "2", "--t", "1e999"],
+    ["zetareg", "--delta", "1", "--z", "-inf"],
+], ids=lambda argv: argv[0])
+def test_non_finite_floats_are_usage_errors(capsys, argv):
+    assert main(argv) == 1
+    assert capsys.readouterr().out == ""
+
+
+def test_mutate_turns_of_unsorted_system_exit_2(capsys):
+    # the Beilinson order of P^2 is not a phase order at the default -0.05
+    assert main(["mutate", "--target", "P(2)", "--to", "-700"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("check failed:")
 
 
 def test_satake_command(capsys):

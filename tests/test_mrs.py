@@ -2,12 +2,13 @@
 sorting, phase-rotation monodromy, and wedge products."""
 
 import cmath
+import itertools
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from mpmath import mpc
 
 from qgamma.rings import CohClass
@@ -170,3 +171,161 @@ def test_wedge_mrs_gram_is_minor_determinant():
             minor = G[np.ix_(ca, cb)]
             assert g[a, b] == round(np.linalg.det(minor))
     assert w.markings[0] == 5.0
+
+
+# --- whole turns by the one-turn monodromy ----------------------------------
+
+def _replay_rotation(m, phi_target):
+    """Reference rotation: every crossing replayed on the vectors, turn after
+    turn (the per-crossing loop that the monodromy power replaces)."""
+    phi0, phi1 = m.phase, phi_target
+    decreasing = phi1 < phi0
+    groups = []
+    for i, u in enumerate(m.markings):
+        for g in groups:
+            if abs(m.markings[g[0]] - u) < 1e-9:
+                g.append(i)
+                break
+        else:
+            groups.append([i])
+    events = []
+    for a in groups:
+        for b in groups:
+            if a is b:
+                continue
+            d = m.markings[b[0]] - m.markings[a[0]]
+            theta = math.atan2(d.imag, d.real)
+            if decreasing:
+                c = theta + 2 * math.pi * math.floor((phi0 - theta) / (2 * math.pi))
+                while c > phi1:
+                    if c < phi0 - 1e-12:
+                        events.append((c, a, b, abs(d)))
+                    c -= 2 * math.pi
+            else:
+                c = theta + 2 * math.pi * math.ceil((phi0 - theta) / (2 * math.pi))
+                while c < phi1:
+                    if c > phi0 + 1e-12:
+                        events.append((c, a, b, abs(d)))
+                    c += 2 * math.pi
+    events.sort(key=lambda e: (-e[0] if decreasing else e[0], -e[3]))
+    mutate = right_mutation if decreasing else left_mutation
+    vectors = list(m.vectors)
+    steps = []
+    for _, a, b, _ in events:
+        for i in a:
+            v = vectors[i]
+            for k in b:
+                v = mutate(v, vectors[k], m.pairing)
+            vectors[i] = v
+        steps.append((complex(m.markings[b[0]]), list(a)))
+    return vectors, steps
+
+
+@st.composite
+def _semiorthonormal_systems(draw):
+    """An integer system, semiorthonormal in the phase order of an
+    admissible phase, with markings in general position (no two distinct
+    difference directions parallel) and possibly repeated markings."""
+    n = draw(st.integers(2, 5))
+    points = draw(st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)),
+                           min_size=2, max_size=n, unique=True))
+    owner = draw(st.permutations(list(range(len(points))) +
+                                 draw(st.lists(st.integers(0, len(points) - 1),
+                                               min_size=n - len(points),
+                                               max_size=n - len(points)))))
+    markings = [complex(*points[p]) for p in owner]
+    dirs = [(q[0] - p[0], q[1] - p[1])
+            for p, q in itertools.combinations(points, 2)]
+    assume(all(a[0] * b[1] != a[1] * b[0]
+               for a, b in itertools.combinations(dirs, 2)))
+    angles = [math.atan2(y, x) for x, y in dirs]
+
+    def admissible(phi):
+        return all(abs(math.sin(phi - t)) > 1e-3 for t in angles)
+    phase = draw(st.floats(-4, 4))
+    assume(admissible(phase))
+    # upper unitriangular in phase order, zero between equal markings
+    order = sorted(range(n), key=lambda i: (-h_phase(markings[i], phase), i))
+    G = np.eye(n, dtype=int)
+    for a, b in itertools.combinations(range(n), 2):
+        i, j = order[a], order[b]
+        if owner[i] != owner[j]:
+            G[i, j] = draw(st.integers(-3, 3))
+    turns = draw(st.integers(0, 5))
+    rest = draw(st.floats(0.01, 2 * math.pi - 0.01))
+    sign = draw(st.sampled_from([-1, 1]))
+    target = phase + sign * (2 * math.pi * turns + rest)
+    assume(admissible(target))
+    m = MRS(vectors=[np.eye(n, dtype=int)[i] for i in range(n)], markings=markings,
+            phase=phase, pairing=lambda a, b: a @ G @ b)
+    return m, target
+
+
+@settings(max_examples=150, deadline=None)
+@given(_semiorthonormal_systems())
+def test_rotation_matches_replayed_crossings(system):
+    m, target = system
+    m2, log = mutate_phase_rotation(m, target)
+    want, steps = _replay_rotation(m, target)
+    assert all(np.array_equal(a, b) for a, b in zip(m2.vectors, want))
+    assert all(v.dtype.kind == "i" for v in m2.vectors)
+    assert sum(e["count"] for e in log) == len(steps)
+    # unrolled, the log is the first turn `count` times, then the remainder
+    # (with count 1 the two cannot be told apart, nor need they be)
+    k = log[0]["count"] if log else 1
+    block = list(itertools.takewhile(lambda e: e["count"] == k, log))
+    unrolled = [(e["moved_marking"], e["affected_indices"])
+                for e in block * k + log[len(block):]]
+    assert unrolled == steps
+
+
+def _p2_integer_mrs(phase=-(math.pi / 2 + 0.3)):
+    G = np.array([[1, 3, 6], [0, 1, 3], [0, 0, 1]])
+    mk = [3 * cmath.exp(-2j * math.pi * j / 3) for j in range(3)]
+    return MRS(vectors=[np.eye(3, dtype=int)[i] for i in range(3)], markings=mk,
+               phase=phase, pairing=lambda a, b: a @ G @ b), G.tolist()
+
+
+def _int_mat_mul(a, b):
+    return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))]
+            for i in range(len(a))]
+
+
+def test_million_turns_are_the_monodromy_power():
+    m, G = _p2_integer_mrs()
+    one, _ = mutate_phase_rotation(m, m.phase - 2 * math.pi)
+    many, log = mutate_phase_rotation(m, m.phase - 2 * math.pi * 10**6)
+    M1 = [[int(x) for x in v] for v in one.vectors]
+    Mk = [[int(x) for x in v] for v in many.vectors]
+    power = [[int(i == j) for j in range(3)] for i in range(3)]
+    base, k = M1, 10**6
+    while k:
+        if k & 1:
+            power = _int_mat_mul(power, base)
+        base, k = _int_mat_mul(base, base), k >> 1
+    assert Mk == power
+    assert _int_mat_mul(_int_mat_mul(Mk, G), [list(c) for c in zip(*Mk)]) == G
+    assert len(log) <= 12 and sum(e["count"] for e in log) == 6 * 10**6
+
+
+def test_rotation_of_a_non_semiorthonormal_start_raises():
+    # the Beilinson order of P^2 is not a phase order at -0.05
+    m, _ = _p2_integer_mrs(phase=-0.05)
+    mutate_phase_rotation(m, -3.0)   # less than a turn: only the crossings
+    with pytest.raises(ArithmeticError):
+        mutate_phase_rotation(m, -0.05 - 2 * math.pi - 0.1)
+
+
+@pytest.mark.parametrize("start, target", [
+    (-math.pi / 2, -7.0), (-1.87, -math.pi / 2),
+    (math.nan, -7.0), (-1.87, math.nan), (-1.87, -math.inf), (math.inf, 0.3)])
+def test_rotation_needs_admissible_finite_phases(start, target):
+    m, _ = _p2_integer_mrs(phase=start)
+    with pytest.raises(ValueError):
+        mutate_phase_rotation(m, target)
+
+
+def test_admissibility_of_non_finite_phases():
+    mk = [2.0 + 0j, -2.0 + 0j]
+    assert not any(is_admissible(mk, phi) for phi in [math.nan, math.inf, -math.inf])
+    assert not is_admissible([1.0 + 0j], math.nan)
