@@ -11,9 +11,8 @@ import numpy as np
 from mpmath import fp, mp, mpf, exp as mp_exp, log as mp_log
 
 from . import symfunc
-from .constants import log_gamma_coeffs
 from .rings import RingSpec, CohClass, build_ring, cup, exp_cup, poincare_pair
-from .charclasses import gamma_class
+from .charclasses import gamma_class, log_gamma_coeffs
 from .connection import j_scaled
 
 
@@ -61,10 +60,10 @@ def eval_J(ring: RingSpec, t: float, nmax: int) -> np.ndarray:
     return np.array(out.coeffs)
 
 
-def limit_ratio(ring: RingSpec, t_grid, nmax: int = None, tol: float = 1e-6) -> LimitReport:
-    """Componentwise J(t) / <[pt], J(t)>, compared against the Gamma class."""
-    if nmax is None:
-        nmax = max(80, int(6 * ring.N * max(t_grid)))
+def limit_ratio(ring: RingSpec, t_grid, tol: float = 1e-6) -> LimitReport:
+    """Componentwise J(t) / <[pt], J(t)>, compared against the Gamma class;
+    J is summed to order max(80, 6 N max(t_grid))."""
+    nmax = max(80, int(6 * ring.N * max(t_grid)))
     values = []
     for t in t_grid:
         J = eval_J(ring, t, nmax)
@@ -121,19 +120,18 @@ def apery_ratios(ring: RingSpec, g: CohClass, n_grid, tol: float = 1e-6) -> Limi
 
 # --- radius of the regularized quantum period ----------------------------
 
-def radius_estimate(scaled_Gn, tail_start: int = None) -> dict:
+def radius_estimate(scaled_Gn) -> dict:
     """Estimate limsup |n! G_n|^{1/n} from the scaled sequence a_n = n! G_n.
 
-    Returns the plain running sup over the tail and a consecutive-ratio
-    refinement |a_n / a_m|^{1/(n-m)} (successive nonzero terms), which
-    cancels the slowly-decaying polynomial prefactor.  Raises OverflowError
-    on a non-finite term."""
+    Returns the plain running sup over the tail n >= len/2 and a
+    consecutive-ratio refinement |a_n / a_m|^{1/(n-m)} (successive nonzero
+    terms), which cancels the slowly-decaying polynomial prefactor.  Raises
+    OverflowError on a non-finite term."""
     a = [abs(float(x)) for x in scaled_Gn]
     _require_finite(a, range(len(a)))
     if len(a) < 100:
         raise ValueError("need at least 100 terms")
-    if tail_start is None:
-        tail_start = len(a) // 2
+    tail_start = len(a) // 2
     support = [n for n in range(1, len(a)) if a[n] > 0]
     if not support or support[-1] < tail_start:
         raise ValueError("all-zero tail")
@@ -145,15 +143,15 @@ def radius_estimate(scaled_Gn, tail_start: int = None) -> dict:
 
 # --- Mellin-Barnes solution Psi ------------------------------------------
 
-def mellin_psi(N: int, t: float, c: float = 1.0, nodes_per_unit: int = 32) -> float:
-    """(1/2 pi i) int_{c-iH}^{c+iH} Gamma(s)^N t^{-Ns} ds by composite
-    Gauss-Legendre; H from the Stirling decay e^{-N pi |y| / 2}."""
+def mellin_psi(N: int, t: float, c: float = 1.0) -> float:
+    """(1/2 pi i) int_{c-iH}^{c+iH} Gamma(s)^N t^{-Ns} ds by 32-node
+    Gauss-Legendre on unit intervals; H from the Stirling decay e^{-N pi |y| / 2}."""
     if not (1 <= N <= 6):
         raise ValueError("Psi is supported for 1 <= N <= 6")
     if c <= 0 or t <= 0:
         raise ValueError("need c > 0 and t > 0")
     H = math.ceil(2.0 / (N * math.pi) * (46 + abs(N * c * math.log(t))) + 2)
-    x, w = np.polynomial.legendre.leggauss(nodes_per_unit)
+    x, w = np.polynomial.legendre.leggauss(32)
     total = 0.0
     for k in range(-H, H):
         y = k + (x + 1) / 2
@@ -207,10 +205,10 @@ def frobenius_Pi(N: int, t, nmax: int = 80) -> list:
     return [out.get((p,), mpf(0)) for p in range(N)]
 
 
-def psi_residue_sum(N: int, t, nmax: int = 80) -> float:
+def psi_residue_sum(N: int, t) -> float:
     """Sum of residues: sum_n int_P Gamma(1+h)^N prod_{k<=n}(h-k)^{-N}
-    t^{Nn - Nh}; term-by-term, so it is an independent route from
-    int_P Gamma-hat cup Pi."""
+    t^{Nn - Nh} for n <= 80; term-by-term, so it is an independent route
+    from int_P Gamma-hat cup Pi."""
     t = mpf(t)
     cap = N - 1
     base = symfunc.poly_mul(_gamma_pow(N), _exp_h(-N * mp_log(t), cap), cap)
@@ -218,7 +216,7 @@ def psi_residue_sum(N: int, t, nmax: int = 80) -> float:
     total = mpf(0)
     prod_inv = symfunc.poly_const(1, mpf(1))
     tn = mpf(1)
-    for n in range(nmax + 1):
+    for n in range(81):
         if n > 0:
             tn = tn * t ** N
             inv = _inv_h_minus(n, cap)

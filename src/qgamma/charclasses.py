@@ -1,6 +1,8 @@
 """Characteristic-class calculus: Gamma classes, Chern characters, Todd
 classes, the non-symmetric pairing [.,.), HRR Euler pairings, and the
-zeta-regularized product.
+zeta-regularized product.  Importing it sets mpmath's working precision to
+40 digits.  No mpmath constant is frozen, so inside mp.workdps(60) pi, Euler's
+constant and zeta(k) carry 60 digits too.
 
 Every class lives in the Schubert ring, and a bundle is represented by its
 Chern character.  With p_k the power sums of the Chern roots of V* (each an
@@ -19,12 +21,22 @@ from fractions import Fraction
 from math import comb, factorial
 
 from mpmath import (mp, mpc, mpf, gamma as mp_gamma, bernoulli, bernfrac, exp as mp_exp,
-                    sqrt as mp_sqrt, power as mp_power)
+                    sqrt as mp_sqrt, power as mp_power, zeta)
 
 from . import symfunc
-from .constants import log_gamma_coeffs
 from .rings import (RingSpec, CohClass, build_ring, cup, det_small, exp_cup,
                     normalize_partition, poincare_pair)
+
+mp.dps = 40
+
+
+def log_gamma_coeffs(order: int) -> list:
+    """Taylor coefficients of log Gamma(1+x) up to x^order (index = power),
+    at the current working precision."""
+    coeffs = [mpf(0), -mp.euler]
+    for k in range(2, order + 1):
+        coeffs.append((-1) ** k * zeta(k) / k)
+    return coeffs
 
 
 def _to_cohclass(ring: RingSpec, poly) -> CohClass:
@@ -237,8 +249,9 @@ def euler_pairing_hrr(ch1: CohClass, ch2: CohClass) -> int:
 
 # --- Appendix-A zeta regularization -------------------------------------
 
-def hurwitz_zeta_em(s, a, M: int = 30, K: int = 12):
+def hurwitz_zeta_em(s, a):
     """Hurwitz zeta(s, a) by Euler-Maclaurin (valid for Re(s) > -2K+1, s != 1)."""
+    M, K = 30, 12   # direct terms, Bernoulli corrections
     s, a = mpf(s) if not isinstance(s, (mpf, mpc)) else s, mpf(a)
     total = sum(mp_power(a + n, -s) for n in range(M))
     q = a + M

@@ -45,9 +45,10 @@ def graded_pieces(ring: RingSpec):
     return G0, GN
 
 
-def c1_matrix(ring: RingSpec, q: complex = 1.0) -> np.ndarray:
+def c1_matrix(ring: RingSpec) -> np.ndarray:
+    """(c_1 *) at q = 1 as a complex matrix."""
     G0, GN = graded_pieces(ring)
-    return np.array(G0, dtype=complex) + q * np.array(GN, dtype=complex)
+    return np.array(G0, dtype=complex) + np.array(GN, dtype=complex)
 
 
 # --- spectrum and Property O --------------------------------------------
@@ -85,7 +86,7 @@ def _cluster(values, tol=1e-8):
 
 
 def spectrum(ring: RingSpec, tol: float = 1e-8) -> SpectrumReport:
-    eig = np.linalg.eigvals(c1_matrix(ring, q=1.0))
+    eig = np.linalg.eigvals(c1_matrix(ring))
     clusters = _cluster(eig, tol)
     T = max(abs(v) for v, _ in clusters)
     t_cluster = [(v, m) for v, m in clusters if abs(v - T) < tol]
@@ -139,31 +140,6 @@ def _mat_id(n):
     for i in range(n):
         m[i][i] = Fraction(1)
     return m
-
-
-def _mat_mul(a, b):
-    n = len(a)
-    out = _mat_zero(n)
-    for i in range(n):
-        ai = a[i]
-        for k in range(n):
-            c = ai[k]
-            if c == 0:
-                continue
-            bk = b[k]
-            oi = out[i]
-            for j in range(n):
-                if bk[j] != 0:
-                    oi[j] += c * bk[j]
-    return out
-
-
-def _mat_add(a, b, sb=1):
-    return [[a[i][j] + sb * b[i][j] for j in range(len(a))] for i in range(len(a))]
-
-
-def _mat_scale(a, s):
-    return [[s * x for x in row] for row in a]
 
 
 def _sparse_rows(a):
@@ -283,66 +259,6 @@ def fundamental_solution(ring: RingSpec, M: int) -> FundamentalSolution:
     U = _graded_series(M, ring.N, _sparse_rho(ring, G0), lambda A: _right_mul(A, gn_cols))
     J = [CohClass(ring, [row[0] for row in Um]) for Um in U]
     return FundamentalSolution(ring=ring, order=M, U=U, J=J)
-
-
-def recursion_residual(fs: FundamentalSolution):
-    """Max |m T_m + sum_k G_k T_{m-k} + [rho, T_m]| over m (exact zero)."""
-    G0, GN = graded_pieces(fs.ring)
-    rho = [[Fraction(x) for x in row] for row in G0]
-    GNf = [[Fraction(x) for x in row] for row in GN]
-    worst = Fraction(0)
-    for m in range(1, fs.order + 1):
-        acc = _mat_scale(fs.T[m], Fraction(m))
-        acc = _mat_add(acc, _mat_add(_mat_mul(rho, fs.T[m]), _mat_mul(fs.T[m], rho), sb=-1))
-        if m >= fs.ring.N:
-            acc = _mat_add(acc, _mat_mul(GNf, fs.T[m - fs.ring.N]))
-        worst = max(worst, max(abs(x) for row in acc for x in row))
-    return worst
-
-
-def pairing_identity_residual(fs: FundamentalSolution):
-    """Prop-2.1 pairing: with S_m[i,j] = T_{m + deg_j - deg_i}[i,j],
-    sum_{a+b=m} (-1)^a S_a^t P S_b = delta_{m,0} P, exactly.
-
-    S_m draws on T up to order m + dim, so only m <= order - dim is checked."""
-    ring = fs.ring
-    n = ring.rank
-    degs = ring.degrees()
-    mmax = fs.order - ring.dim
-    P = [[Fraction(x) for x in row] for row in ring.pairing_matrix]
-
-    def S(m):
-        out = _mat_zero(n)
-        for i in range(n):
-            for j in range(n):
-                k = m + degs[j] - degs[i]
-                if 0 <= k <= fs.order:
-                    out[i][j] = fs.T[k][i][j]
-        return out
-
-    S_cache = [S(m) for m in range(max(mmax, 0) + 1)]
-    worst = Fraction(0)
-    for m in range(max(mmax, 0) + 1):
-        acc = _mat_zero(n)
-        for a in range(m + 1):
-            Sa_t = [[S_cache[a][j][i] for j in range(n)] for i in range(n)]
-            term = _mat_mul(_mat_mul(Sa_t, P), S_cache[m - a])
-            acc = _mat_add(acc, _mat_scale(term, Fraction((-1) ** a)))
-        if m == 0:
-            acc = _mat_add(acc, P, sb=-1)
-        worst = max(worst, max(abs(x) for row in acc for x in row))
-    return worst
-
-
-def degree_shift_ok(fs: FundamentalSolution) -> bool:
-    """T_k[i,j] = 0 unless deg_i - deg_j >= 1 - k (endomorphism degree bound)."""
-    degs = fs.ring.degrees()
-    for k in range(1, fs.order + 1):
-        for i in range(fs.ring.rank):
-            for j in range(fs.ring.rank):
-                if fs.T[k][i][j] != 0 and degs[i] - degs[j] < 1 - k:
-                    return False
-    return True
 
 
 # --- J-function ----------------------------------------------------------

@@ -264,7 +264,7 @@ def wedge_pairing_from(base_pairing):
     return pairing
 
 
-def wedge_mrs(mrs: MRS, r: int, verify: bool = False, tol: float = 1e-9) -> MRS:
+def wedge_mrs(mrs: MRS, r: int) -> MRS:
     """Wedge MRS: vectors v_{i_1} ^ ... ^ v_{i_r} (i_1 < ... < i_r),
     pairing det([v_{i_a}, v_{j_b})), markings u_{i_1} + ... + u_{i_r}."""
     n = len(mrs.vectors)
@@ -275,29 +275,7 @@ def wedge_mrs(mrs: MRS, r: int, verify: bool = False, tol: float = 1e-9) -> MRS:
         vectors.append(WedgeVec(((1, tuple(mrs.vectors[i] for i in combo)),)))
         markings.append(sum(mrs.markings[i] for i in combo))
     pairing = wedge_pairing_from(mrs.pairing)
-    out = MRS(vectors=vectors, markings=markings, phase=mrs.phase, pairing=pairing)
-    if verify:
-        _verify_mrs(out, tol)
-    return out
-
-
-def _verify_mrs(mrs: MRS, tol: float = 1e-9):
-    """Semiorthonormality: [v_i, v_j) = delta_ij when h(u_i) <= h(u_j);
-    equal-marking vectors orthogonal both ways."""
-    n = len(mrs.vectors)
-    for i in range(n):
-        d = complex(mrs.pairing(mrs.vectors[i], mrs.vectors[i]))
-        if abs(d - 1) > tol:
-            raise ArithmeticError(f"[v_{i}, v_{i}) = {d} != 1")
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            hi, hj = h_phase(mrs.markings[i], mrs.phase), h_phase(mrs.markings[j], mrs.phase)
-            if hi <= hj + tol:
-                v = complex(mrs.pairing(mrs.vectors[i], mrs.vectors[j]))
-                if abs(v) > tol and not (hi > hj - tol and abs(mrs.markings[i] - mrs.markings[j]) > tol):
-                    raise ArithmeticError(f"semiorthonormality fails at ({i},{j}): {v}")
+    return MRS(vectors=vectors, markings=markings, phase=mrs.phase, pairing=pairing)
 
 
 # --- Gamma-basis MRSs ----------------------------------------------------

@@ -86,9 +86,6 @@ class RingSpec:
             return f"h^{sum(lam)}"
         return "[" + ",".join(str(p) for p in lam) + "]"
 
-    def degree(self, lam: tuple) -> int:
-        return sum(lam)
-
     def degrees(self):
         return [sum(lam) for lam in self.basis]
 

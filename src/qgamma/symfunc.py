@@ -22,14 +22,6 @@ def poly_const(r: int, c) -> Poly:
     return {(0,) * r: c}
 
 
-def poly_var(r: int, i: int, degree_cap: int) -> Poly:
-    if degree_cap < 1:
-        return {}
-    e = [0] * r
-    e[i] = 1
-    return {tuple(e): 1}
-
-
 def poly_add(p: Poly, q: Poly) -> Poly:
     out = dict(p)
     for e, c in q.items():

@@ -24,22 +24,8 @@ class SatakeCheckReport:
     lhs: object
     rhs: object
     max_residual: float
-    tolerance: float
     passed: bool
     details: dict = field(default_factory=dict)
-
-    def serialize(self):
-        def enc(x):
-            if isinstance(x, CohClass):
-                return x.serialize()
-            if isinstance(x, (list, tuple)):
-                return [enc(v) for v in x]
-            if isinstance(x, (complex, mpc)):
-                return [float(x.real), float(x.imag)]
-            return x
-        return {"case": self.case, "lhs": enc(self.lhs), "rhs": enc(self.rhs),
-                "max_residual": self.max_residual, "tolerance": self.tolerance,
-                "pass": self.passed}
 
 
 def check_wedge_spectrum(r: int, N: int, tol: float = 1e-8) -> SatakeCheckReport:
@@ -54,8 +40,7 @@ def check_wedge_spectrum(r: int, N: int, tol: float = 1e-8) -> SatakeCheckReport
     return SatakeCheckReport(case=f"spectrum G({r},{N})",
                              lhs=[complex(z) for z in lhs],
                              rhs=[complex(z) for z in rhs],
-                             max_residual=resid, tolerance=tol,
-                             passed=resid < tol)
+                             max_residual=resid, passed=resid < tol)
 
 
 def satake_normalized(factors, ring_G: RingSpec) -> CohClass:
@@ -92,8 +77,7 @@ def check_kapranov_wedge_identity(r: int, N: int, nu,
         resid = max(resid, float(abs(mpc(a) - mpc(b))))
     return SatakeCheckReport(case=f"kapranov G({r},{N}) nu={list(nu)}",
                              lhs=lhs_generic, rhs=rhs,
-                             max_residual=resid, tolerance=tol,
-                             passed=resid < tol)
+                             max_residual=resid, passed=resid < tol)
 
 
 def complex_gram(vectors) -> np.ndarray:
@@ -152,7 +136,7 @@ def check_mrs_wedge(r: int, N: int, phi: float = -0.05,
     resid = max(vec_resid, mark_resid, float(gram_round_err))
     return SatakeCheckReport(case=f"mrs-wedge G({r},{N}) phi={phi}",
                              lhs=int_W.tolist(), rhs=int_K.tolist(),
-                             max_residual=resid, tolerance=tol,
+                             max_residual=resid,
                              passed=gram_ok and vec_resid < tol and mark_resid < tol,
                              details={"signs": signs,
                                       "vector_residual": vec_resid,

@@ -10,13 +10,12 @@ import pytest
 from mpmath import mp, mpf, mpc
 
 from qgamma import charclasses, symfunc, verify
-from qgamma.constants import log_gamma_coeffs
 from qgamma.mrs import beilinson_gamma_mrs, kapranov_gamma_mrs
 from qgamma.rings import build_ring, cup, exp_cup, poincare_pair
 from qgamma.charclasses import (ch_schur, scale_degrees, todd_class, gamma_class,
                                 gamma_G_closed_form, kapranov_ch,
                                 bracket_pairing, bracket_gram,
-                                euler_pairing_hrr,
+                                euler_pairing_hrr, log_gamma_coeffs,
                                 hurwitz_zeta_em, zeta_reg_reciprocal_product,
                                 zeta_reg_closed_form)
 

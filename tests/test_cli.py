@@ -111,8 +111,19 @@ def test_failed_self_check_exit_2(capsys, monkeypatch):
 
 def test_stokes_failure_exit_2(capsys):
     # natural Beilinson order on P^3 is not a phase order at -0.05
-    code, out = run(capsys, "stokes", "--target", "P(3)")
-    assert code == 2
+    assert main(["stokes", "--target", "P(3)"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("check failed:")
+
+
+def test_stokes_inadmissible_phase_is_usage_error(capsys):
+    # mutate exits 1 on the same input
+    for cmd in (["stokes"], ["mutate", "--to", "-3"]):
+        assert main(cmd + ["--target", "P(1)", "--phase", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: phase 0.0 is not admissible")
 
 
 def test_byte_identical_json(tmp_path, capsys):
@@ -165,6 +176,22 @@ def test_mutate_a_million_radians(capsys):
                     "--to=-1e6")
     assert code == 0
     assert len(json.loads(out)["mutations"]) <= 12
+
+
+def test_mutate_1e10_radians_stays_within_gram_tolerance(capsys):
+    code, out = run(capsys, "mutate", "--target", "P(2)", "--phase", "-1.87",
+                    "--to=-1e10")
+    assert code == 0
+    assert json.loads(out)["gram_rounding_error"] < 1e-9
+
+
+@pytest.mark.parametrize("to", ["--to=-1e12", "--to=-1e15"])
+def test_mutate_past_the_precision_is_out_of_range(capsys, to):
+    # the Gamma-basis rounding error grows like turns^4: 2.4e-6 at 1e12 radians
+    assert main(["mutate", "--target", "P(2)", "--phase", "-1.87", to]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numerics out of range: final Gram rounding error")
 
 
 @pytest.mark.parametrize("to", ["--to=-inf", "--to=nan", "--to=inf"])

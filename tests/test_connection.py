@@ -11,12 +11,10 @@ from mpmath import mpf, pi as mp_pi, exp as mp_exp, mpc
 
 from qgamma.rings import build_ring
 from qgamma.connection import (c1_matrix, spectrum, spectrum_closed_form,
-                               fundamental_solution, recursion_residual,
-                               pairing_identity_residual, degree_shift_ok,
-                               j_coefficients, j_scaled, j_closed_form_P,
-                               quantum_period, central_charge, graded_pieces,
-                               _mat_add, _mat_id, _mat_mul, _mat_scale, _mat_zero,
-                               _solve_graded, _sparse_rho, _multiset_distance)
+                               fundamental_solution, j_coefficients, j_scaled,
+                               j_closed_form_P, quantum_period, central_charge,
+                               graded_pieces, _mat_id, _mat_zero, _solve_graded,
+                               _sparse_rho, _multiset_distance)
 from qgamma import connection
 
 P1 = build_ring("P", 2)
@@ -24,6 +22,94 @@ P2 = build_ring("P", 3)
 G24 = build_ring("G", 4, 2)
 G25 = build_ring("G", 5, 2)
 G36 = build_ring("G", 6, 3)
+
+
+# --- dense Fraction-matrix oracles ----------------------------------------
+
+def _mat_mul(a, b):
+    n = len(a)
+    out = _mat_zero(n)
+    for i in range(n):
+        ai = a[i]
+        for k in range(n):
+            c = ai[k]
+            if c == 0:
+                continue
+            bk = b[k]
+            oi = out[i]
+            for j in range(n):
+                if bk[j] != 0:
+                    oi[j] += c * bk[j]
+    return out
+
+
+def _mat_add(a, b, sb=1):
+    return [[a[i][j] + sb * b[i][j] for j in range(len(a))] for i in range(len(a))]
+
+
+def _mat_scale(a, s):
+    return [[s * x for x in row] for row in a]
+
+
+def recursion_residual(fs):
+    """Max |m T_m + sum_k G_k T_{m-k} + [rho, T_m]| over m (exact zero)."""
+    G0, GN = graded_pieces(fs.ring)
+    rho = [[Fraction(x) for x in row] for row in G0]
+    GNf = [[Fraction(x) for x in row] for row in GN]
+    worst = Fraction(0)
+    for m in range(1, fs.order + 1):
+        acc = _mat_scale(fs.T[m], Fraction(m))
+        acc = _mat_add(acc, _mat_add(_mat_mul(rho, fs.T[m]), _mat_mul(fs.T[m], rho), sb=-1))
+        if m >= fs.ring.N:
+            acc = _mat_add(acc, _mat_mul(GNf, fs.T[m - fs.ring.N]))
+        worst = max(worst, max(abs(x) for row in acc for x in row))
+    return worst
+
+
+def pairing_identity_residual(fs):
+    """Prop-2.1 pairing: with S_m[i,j] = T_{m + deg_j - deg_i}[i,j],
+    sum_{a+b=m} (-1)^a S_a^t P S_b = delta_{m,0} P, exactly.
+
+    S_m draws on T up to order m + dim, so only m <= order - dim is checked."""
+    ring = fs.ring
+    n = ring.rank
+    degs = ring.degrees()
+    mmax = fs.order - ring.dim
+    P = [[Fraction(x) for x in row] for row in ring.pairing_matrix]
+
+    def S(m):
+        out = _mat_zero(n)
+        for i in range(n):
+            for j in range(n):
+                k = m + degs[j] - degs[i]
+                if 0 <= k <= fs.order:
+                    out[i][j] = fs.T[k][i][j]
+        return out
+
+    S_cache = [S(m) for m in range(max(mmax, 0) + 1)]
+    worst = Fraction(0)
+    for m in range(max(mmax, 0) + 1):
+        acc = _mat_zero(n)
+        for a in range(m + 1):
+            Sa_t = [[S_cache[a][j][i] for j in range(n)] for i in range(n)]
+            term = _mat_mul(_mat_mul(Sa_t, P), S_cache[m - a])
+            acc = _mat_add(acc, _mat_scale(term, Fraction((-1) ** a)))
+        if m == 0:
+            acc = _mat_add(acc, P, sb=-1)
+        worst = max(worst, max(abs(x) for row in acc for x in row))
+    return worst
+
+
+def degree_shift_ok(fs) -> bool:
+    """T_k[i,j] = 0 unless deg_i - deg_j >= 1 - k (endomorphism degree bound)."""
+    degs = fs.ring.degrees()
+    for k in range(1, fs.order + 1):
+        for i in range(fs.ring.rank):
+            for j in range(fs.ring.rank):
+                if fs.T[k][i][j] != 0 and degs[i] - degs[j] < 1 - k:
+                    return False
+    return True
+
 
 
 def _neumann_solve(m, rhs, rho):

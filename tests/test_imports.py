@@ -1,5 +1,7 @@
-"""Lint: no module of the package imports a name it never uses, and the
-package imports exactly the third-party packages it declares.
+"""Lint: no module of the package imports a name it never uses, the
+package imports exactly the third-party packages it declares, and every
+top-level function and class of the package is used by the package, its
+scripts or its benchmark.
 
 Uses only the stdlib ``ast`` module, so it runs wherever the test suite does.
 A name counts as used when it appears as a bare name anywhere in the module
@@ -17,6 +19,11 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "qgamma"
 MODULES = sorted(SRC.glob("*.py"))
+CALLERS = [*MODULES, *sorted((ROOT / "scripts").glob("*.py")),
+           *sorted((ROOT / "perfbench").glob("*.py"))]
+# paper content that only the tests call: Gamma II central charges, the
+# wedge MRS and the HRR Euler pairing
+TEST_ONLY_PAPER_CONTENT = {"central_charge", "wedge_mrs", "euler_pairing_hrr"}
 
 
 def _imported_names(tree):
@@ -85,3 +92,38 @@ def test_imports_match_declared_dependencies():
     declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group(0) for dep in project["dependencies"]}
     imported = set().union(*(_third_party_imports(p.read_text()) for p in MODULES))
     assert imported == declared == {"numpy", "mpmath"}
+
+
+def _references(tree) -> set:
+    """Names read as a bare name or an attribute anywhere in the module,
+    except a top-level definition's reads of itself."""
+    refs = set()
+    for top in tree.body:
+        names = {node.id if isinstance(node, ast.Name) else node.attr
+                 for node in ast.walk(top)
+                 if isinstance(node, (ast.Name, ast.Attribute))
+                 and isinstance(node.ctx, ast.Load)}
+        names.discard(getattr(top, "name", None))
+        refs |= names
+    return refs
+
+
+def _definitions(tree) -> list:
+    return [node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+
+
+def test_reference_checker():
+    tree = ast.parse("def f(n):\n    return f(n - 1)\nclass C:\n    g = h.k\nx = C()\n")
+    assert _definitions(tree) == ["f", "C"]
+    assert _references(tree) == {"n", "h", "k", "C"}
+
+
+def test_every_definition_is_referenced():
+    refs = set().union(*(_references(ast.parse(p.read_text())) for p in CALLERS))
+    defined = {name: path.name for path in MODULES
+               for name in _definitions(ast.parse(path.read_text()))}
+    assert TEST_ONLY_PAPER_CONTENT <= defined.keys()
+    unreferenced = sorted(f"{module}: {name}" for name, module in defined.items()
+                          if name not in refs | TEST_ONLY_PAPER_CONTENT)
+    assert unreferenced == []

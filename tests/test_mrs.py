@@ -173,6 +173,18 @@ def test_wedge_mrs_gram_is_minor_determinant():
     assert w.markings[0] == 5.0
 
 
+def test_wedge_of_p2_integer_system_is_semiorthonormal_in_phase_order():
+    # Lambda^2 of the P^2 Beilinson system: its Stokes matrix exists (unit
+    # diagonal, zero lower triangle in phase order) and is integral
+    base = beilinson_gamma_mrs(3, phase=-1.87)
+    G = np.round(gram(SOB(base.vectors, base.pairing)).real).astype(int)
+    m = MRS(vectors=[np.eye(3, dtype=int)[i] for i in range(3)],
+            markings=base.markings, phase=-1.87, pairing=lambda a, b: a @ G @ b)
+    S = stokes_matrix(wedge_mrs(m, 2))
+    assert np.round(S.real).astype(int).tolist() == [[1, 3, 3], [0, 1, 3], [0, 0, 1]]
+    assert np.max(np.abs(S - np.round(S.real))) == 0
+
+
 # --- whole turns by the one-turn monodromy ----------------------------------
 
 def _replay_rotation(m, phi_target):

@@ -2,9 +2,18 @@
 
 from fractions import Fraction
 
-from qgamma.symfunc import (poly_var, poly_mul, poly_add, poly_linear,
-                            poly_exp, poly_inv, schur_poly, schur_expand,
-                            ssyt_monomials, vandermonde, perm_sign)
+from qgamma.symfunc import (poly_mul, poly_add, poly_linear, poly_exp,
+                            poly_inv, schur_poly, schur_expand, ssyt_monomials,
+                            vandermonde, perm_sign)
+
+
+def poly_var(r: int, i: int, degree_cap: int):
+    """The variable x_i as a Poly truncated at degree_cap."""
+    if degree_cap < 1:
+        return {}
+    e = [0] * r
+    e[i] = 1
+    return {tuple(e): 1}
 
 
 def test_perm_sign():
