@@ -22,7 +22,6 @@ class LimitReport:
     values: list
     extrapolated: list | float
     target: list | float
-    est_error: float
     converged: bool
     notes: dict = field(default_factory=dict)
 
@@ -71,10 +70,9 @@ def limit_ratio(ring: RingSpec, t_grid, tol: float = 1e-6) -> LimitReport:
             raise ArithmeticError(f"degree-0 part of J vanished at t={t}")
         values.append((J / J[0]).tolist())
     target = [float(c) for c in gamma_class(ring).coeffs]
-    est_error = max(abs(a - b) for a, b in zip(values[-1], values[-2])) if len(values) > 1 else float("inf")
     gap = max(abs(a - b) for a, b in zip(values[-1], target))
     return LimitReport(grid=list(t_grid), values=values, extrapolated=values[-1],
-                       target=target, est_error=est_error, converged=gap < tol,
+                       target=target, converged=gap < tol,
                        notes={"gap_to_gamma": gap})
 
 
@@ -111,10 +109,9 @@ def apery_ratios(ring: RingSpec, g: CohClass, n_grid, tol: float = 1e-6) -> Limi
     target = float(sum(c * poincare_pair(g, ring.basis_class(lam))
                        for lam, c in zip(ring.basis, gam.coeffs) if c != 0) / gam.coeffs[0])
     gap = abs(values[-1] - target) if values else float("inf")
-    est_error = abs(values[-1] - values[-2]) if len(values) > 1 else float("inf")
     return LimitReport(grid=[n for n in n_grid if n not in skipped], values=values,
                        extrapolated=values[-1] if values else None, target=target,
-                       est_error=est_error, converged=gap < tol,
+                       converged=gap < tol,
                        notes={"gap": gap, "skipped": skipped})
 
 

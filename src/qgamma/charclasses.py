@@ -9,10 +9,11 @@ Chern character.  With p_k the power sums of the Chern roots of V* (each an
 alternating sum of hook classes), ch(V*) = sum_k p_k / k!; ch(Sym^k V*)
 follows by Newton's identities and ch(S^nu V*) by Jacobi-Trudi with cups,
 all with exact Fraction coefficients.  The Gamma and Todd classes are ring
-exponentials of the power sums of the roots of TF.  The Grassmannian closed
-form of the Gamma class is an independent route: an exact truncated
-polynomial in the Chern roots with mpmath scalars, re-expanded in the Schur
-basis.
+exponentials of the power sums of the roots of TF.  The bilinear [.,.) is
+its matrix on the Schubert basis, built once per ring and precision.  The
+Grassmannian closed form of the Gamma class is an independent route: an
+exact truncated polynomial in the Chern roots with mpmath scalars,
+re-expanded in the Schur basis.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from mpmath import (mp, mpc, mpf, gamma as mp_gamma, bernoulli, bernfrac, exp as
 
 from . import symfunc
 from .rings import (RingSpec, CohClass, build_ring, cup, det_small, exp_cup,
-                    normalize_partition, poincare_pair)
+                    normalize_partition, _same_ring)
 
 mp.dps = 40
 
@@ -50,14 +51,16 @@ def _to_cohclass(ring: RingSpec, poly) -> CohClass:
 _CLASS_CACHE: dict = {}
 
 
-def _cached(name: str, build, ring: RingSpec, *args, exact: bool = False) -> CohClass:
+def _cached(name: str, build, ring: RingSpec, *args, exact: bool = False):
     """build(ring, *args), computed once per (name, ring, args) and, unless
-    the class is exact, working precision; kept with tuple coefficients, so
-    the shared value cannot be changed in place."""
+    the value is exact, working precision; a class is kept with tuple
+    coefficients, so the shared value cannot be changed in place."""
     key = (name, ring.kind, ring.r, ring.N, *args, None if exact else mp.prec)
     out = _CLASS_CACHE.get(key)
     if out is None:
-        out = _CLASS_CACHE[key] = CohClass(ring, tuple(build(ring, *args).coeffs))
+        out = build(ring, *args)
+        out = _CLASS_CACHE[key] = (CohClass(ring, tuple(out.coeffs))
+                                   if isinstance(out, CohClass) else out)
     return out
 
 
@@ -197,43 +200,46 @@ def _kapranov_ch(ring: RingSpec, nu) -> CohClass:
     return scale_degrees(ch_schur(nu, ring), 2j * mp.pi)
 
 
-def exp_mu(a: CohClass, scalar) -> CohClass:
-    """exp(scalar * mu): multiply degree-p part by exp(scalar*(p - dim/2))."""
-    half = mpf(a.ring.dim) / 2
-    return CohClass(a.ring, [mp_exp(scalar * (sum(lam) - half)) * c if c != 0 else mpf(0)
-                             for lam, c in zip(a.ring.basis, a.coeffs)])
-
-
-def bracket_gram(vectors, right=None) -> list:
-    """Matrix of [a, b) = (2 pi)^{-dim} (e^{pi i rho} e^{pi i mu} a, b) for a
-    in vectors and b in right (default: vectors), as nested lists of mpc.
+def _bracket_form(ring: RingSpec) -> tuple:
+    """B[i][j] = [sigma_i, sigma_j) on the Schubert basis, as rows of (j,
+    B[i][j]) for the nonzero entries: (2 pi)^{-dim} (e^{pi i rho} e^{pi i mu}
+    sigma_i, sigma_j), where mu scales degree p by p - dim/2.
 
     Each entry is also evaluated as (2 pi)^{-dim} (e^{pi i mu} e^{-pi i rho}
-    a, b); the two must agree (operator identity from [mu, rho] = rho).  Both
-    left images of each a are built once per row."""
-    right = vectors if right is None else right
-    ring = vectors[0].ring
-    scale = mp_power(2 * mp.pi, -ring.dim)
-    c1 = ring.c1()
+    sigma_i, sigma_j); the two must agree (operator identity from [mu, rho] =
+    rho), and by bilinearity agreement on the basis is agreement for every
+    pair of classes."""
     pi_i = 1j * mp.pi
-    gram = []
-    for a in vectors:
-        l1 = exp_cup(exp_mu(a, pi_i), c1, pi_i)
-        l2 = exp_mu(exp_cup(a, c1, -pi_i), pi_i)
+    c1 = ring.c1()
+    # (2 pi)^{-dim} e^{pi i mu} on sigma_k
+    emu = [mp_power(2 * mp.pi, -ring.dim) * mp_exp(pi_i * (p - mpf(ring.dim) / 2))
+           for p in ring.degrees()]
+    form = []
+    for i, lam in enumerate(ring.basis):
+        sigma = ring.basis_class(lam)
+        l1 = exp_cup(sigma, c1, pi_i).coeffs
+        l2 = exp_cup(sigma, c1, -pi_i).coeffs
         row = []
-        for b in right:
-            v1 = scale * poincare_pair(l1, b)
-            v2 = scale * poincare_pair(l2, b)
+        for j, k in enumerate(ring.dual):
+            v1 = emu[i] * l1[k]
+            v2 = emu[k] * l2[k]
             if abs(v1 - v2) > mpf("1e-15") * (1 + abs(v1)):
                 raise ArithmeticError(f"bracket pairing forms disagree: {v1} vs {v2}")
-            row.append(v1)
-        gram.append(row)
-    return gram
+            if v1 != 0:
+                row.append((j, v1))
+        form.append(tuple(row))
+    return tuple(form)
 
 
 def bracket_pairing(a: CohClass, b: CohClass):
-    """[a, b), the 1x1 case of bracket_gram."""
-    return bracket_gram([a], [b])[0][0]
+    """[a, b) = sum_ij a_i B[i][j] b_j, with the basis form B built once per
+    ring and working precision."""
+    _same_ring(a, b)
+    total = 0
+    for ca, row in zip(a.coeffs, _cached("bracket_form", _bracket_form, a.ring)):
+        if ca != 0:
+            total = total + ca * sum(v * b.coeffs[j] for j, v in row)
+    return total
 
 
 def euler_pairing_hrr(ch1: CohClass, ch2: CohClass) -> int:

@@ -25,7 +25,7 @@ from .connection import spectrum, j_coefficients, quantum_period
 from .asympt import (limit_ratio, apery_ratios, mellin_psi, psi_residue_sum,
                      psi_gamma_pi)
 from . import mrs as mrsmod
-from .mrs import SOB, gram, stokes_matrix, mutate_phase_rotation
+from .mrs import SOB, gram, round_gram, stokes_matrix, mutate_phase_rotation
 from .wedgecheck import (check_wedge_spectrum, check_kapranov_wedge_identity,
                          check_mrs_wedge)
 from . import verify
@@ -297,10 +297,9 @@ def cmd_psi(args):
 
 def cmd_stokes(args):
     ring = parse_target(args.target)
-    S = stokes_matrix(_mrs_for(ring, args.phase))
-    emit({"target": args.target, "phase": args.phase,
-          "stokes_matrix": np.round(S.real).astype(int),
-          "rounding_error": float(np.max(np.abs(S - np.round(S.real))))}, args)
+    S, err = round_gram(stokes_matrix(_mrs_for(ring, args.phase)))
+    emit({"target": args.target, "phase": args.phase, "stokes_matrix": S,
+          "rounding_error": err}, args)
     return 0
 
 
@@ -308,12 +307,11 @@ def cmd_mutate(args):
     ring = parse_target(args.target)
     m = _mrs_for(ring, args.phase)
     m2, log = mutate_phase_rotation(m, args.to)
-    g = gram(SOB(m2.vectors, m2.pairing))
-    err = float(np.max(np.abs(g - np.round(g.real))))
+    g, err = round_gram(gram(SOB(m2.vectors, m2.pairing)))
     if err > 1e-9:   # the Gram tolerance of criterion 4
         raise OverflowError(f"final Gram rounding error {err:.3g} exceeds 1e-9")
     emit({"target": args.target, "phase_from": args.phase, "phase_to": args.to,
-          "mutations": log, "final_gram": np.round(g.real).astype(int),
+          "mutations": log, "final_gram": g,
           "gram_rounding_error": err}, args)
     return 0
 

@@ -73,21 +73,25 @@ def spectrum_closed_form(r: int, N: int) -> list:
             for subset in itertools.combinations(range(N), r)]
 
 
-def _cluster(values, tol=1e-8):
-    clusters: list[list] = []
-    for v in sorted(values, key=lambda z: (round(z.real, 6), round(z.imag, 6))):
-        for c in clusters:
-            if abs(v - c[0]) < tol:
-                c.append(v)
+def greedy_groups(values, tol: float) -> list:
+    """Index groups of values in input order: each value joins the first
+    group whose first member lies within tol, else opens a new group."""
+    groups: list[list] = []
+    for i, v in enumerate(values):
+        for g in groups:
+            if abs(values[g[0]] - v) < tol:
+                g.append(i)
                 break
         else:
-            clusters.append([v])
-    return [(complex(np.mean(c)), len(c)) for c in clusters]
+            groups.append([i])
+    return groups
 
 
 def spectrum(ring: RingSpec, tol: float = 1e-8) -> SpectrumReport:
-    eig = np.linalg.eigvals(c1_matrix(ring))
-    clusters = _cluster(eig, tol)
+    eig = sorted(np.linalg.eigvals(c1_matrix(ring)),
+                 key=lambda z: (round(z.real, 6), round(z.imag, 6)))
+    clusters = [(complex(np.mean([eig[i] for i in g])), len(g))
+                for g in greedy_groups(eig, tol)]
     T = max(abs(v) for v, _ in clusters)
     t_cluster = [(v, m) for v, m in clusters if abs(v - T) < tol]
     holds, clause = True, None

@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .charclasses import gamma_class, kapranov_ch, bracket_pairing
+from .connection import greedy_groups
 from .rings import build_ring, cup, det_small
 
 
@@ -41,6 +42,12 @@ def gram(sob) -> np.ndarray:
         for j in range(n):
             g[i, j] = complex(sob.pairing(sob.vectors[i], sob.vectors[j]))
     return g
+
+
+def round_gram(g: np.ndarray):
+    """(the integer matrix nearest to Re g, max |g - that matrix|)."""
+    near = np.round(g.real)
+    return near.astype(int), float(np.max(np.abs(g - near)))
 
 
 def is_uni_uppertriangular(g: np.ndarray, tol: float = 1e-9) -> bool:
@@ -127,18 +134,6 @@ def stokes_matrix(mrs: MRS, tol: float = 1e-9) -> np.ndarray:
 
 # --- phase rotation ------------------------------------------------------
 
-def _marking_groups(markings, tol=1e-9):
-    groups = []
-    for i, u in enumerate(markings):
-        for g in groups:
-            if abs(markings[g[0]] - u) < tol:
-                g.append(i)
-                break
-        else:
-            groups.append([i])
-    return groups
-
-
 def mutate_phase_rotation(mrs: MRS, phi_target: float):
     """Continuously rotate the phase to phi_target, applying the block
     mutation at every crossing of a non-admissible direction.
@@ -166,7 +161,7 @@ def mutate_phase_rotation(mrs: MRS, phi_target: float):
     sign = -1 if decreasing else 1
     turns, rest = divmod(abs(phi1 - phi0), 2 * math.pi)
     turns = int(turns)
-    groups = _marking_groups(mrs.markings)
+    groups = greedy_groups(mrs.markings, 1e-9)
 
     # the crossings of one turn from phi0, in path order
     turn = []     # (phi_c, gi, gj, |d|)
@@ -226,11 +221,8 @@ def _start_gram(mrs: MRS) -> np.ndarray:
     """[v_i, v_j) as an object array: Python ints when every entry is within
     1e-9 of an integer, else the pairing's own scalars."""
     g = [[mrs.pairing(a, b) for b in mrs.vectors] for a in mrs.vectors]
-    near = [[round(complex(x).real) for x in row] for row in g]
-    if all(abs(complex(x) - m) <= 1e-9 for row, mrow in zip(g, near)
-           for x, m in zip(row, mrow)):
-        g = near
-    return np.array(g, dtype=object)
+    near, err = round_gram(np.array(g, dtype=complex))
+    return np.array(near.tolist() if err <= 1e-9 else g, dtype=object)
 
 
 # --- wedges --------------------------------------------------------------

@@ -70,7 +70,7 @@ class RingSpec:
     dim: int             # complex dimension
     fano_index: int
     index: dict = field(hash=False, compare=False, default=None, repr=False)
-    pairing_matrix: tuple = field(hash=False, compare=False, default=None, repr=False)
+    dual: tuple = field(hash=False, compare=False, default=None, repr=False)   # complement indices
     cup_table: dict = field(hash=False, compare=False, default=None, repr=False)
 
     @property
@@ -178,14 +178,10 @@ def build_ring(kind: str, N: int, r: int = 1) -> RingSpec:
     index = {lam: i for i, lam in enumerate(basis)}
     dim = r * cols
 
-    pairing = tuple(
-        tuple(1 if mu == box_complement(lam, r, cols) else 0 for mu in basis)
-        for lam in basis
-    )
-
+    dual = tuple(index[box_complement(lam, r, cols)] for lam in basis)
     cup_table = _pieri_cup_table(basis, index, r, cols)
     ring = RingSpec(kind=kind, r=r, N=N, basis=basis, dim=dim, fano_index=N,
-                    index=index, pairing_matrix=pairing, cup_table=cup_table)
+                    index=index, dual=dual, cup_table=cup_table)
     _RING_CACHE[key] = ring
     return ring
 
@@ -258,15 +254,13 @@ def exp_cup(a: CohClass, x: CohClass, s) -> CohClass:
 
 
 def poincare_pair(a: CohClass, b: CohClass):
+    """int a b = sum_i a_i b_{dual[i]}: the pairing matches each Schubert
+    class with its box complement."""
     _same_ring(a, b)
-    ring = a.ring
     total = 0
-    for i, ca in enumerate(a.coeffs):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(b.coeffs):
-            if cb == 0 or ring.pairing_matrix[i][j] == 0:
-                continue
+    for ca, j in zip(a.coeffs, a.ring.dual):
+        cb = b.coeffs[j]
+        if ca != 0 and cb != 0:
             total = total + ca * cb
     return total
 

@@ -7,13 +7,13 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from mpmath import mp, mpc
 
 from .rings import RingSpec, CohClass, build_ring, cup, exp_cup, satake, normalize_partition
-from .charclasses import gamma_class, gamma_G_closed_form, kapranov_ch, bracket_gram
+from .charclasses import gamma_class, gamma_G_closed_form, kapranov_ch, bracket_pairing
 from .connection import c1_matrix, spectrum_closed_form, _multiset_distance
 from . import mrs as mrsmod
 
@@ -21,11 +21,8 @@ from . import mrs as mrsmod
 @dataclass
 class SatakeCheckReport:
     case: str
-    lhs: object
-    rhs: object
     max_residual: float
     passed: bool
-    details: dict = field(default_factory=dict)
 
 
 def check_wedge_spectrum(r: int, N: int, tol: float = 1e-8) -> SatakeCheckReport:
@@ -37,10 +34,8 @@ def check_wedge_spectrum(r: int, N: int, tol: float = 1e-8) -> SatakeCheckReport
     rhs = sorted(spectrum_closed_form(r, N),
                  key=lambda z: (round(z.real, 8), round(z.imag, 8)))
     resid = _multiset_distance(lhs, rhs)
-    return SatakeCheckReport(case=f"spectrum G({r},{N})",
-                             lhs=[complex(z) for z in lhs],
-                             rhs=[complex(z) for z in rhs],
-                             max_residual=resid, passed=resid < tol)
+    return SatakeCheckReport(case=f"spectrum G({r},{N})", max_residual=resid,
+                             passed=resid < tol)
 
 
 def satake_normalized(factors, ring_G: RingSpec) -> CohClass:
@@ -76,13 +71,7 @@ def check_kapranov_wedge_identity(r: int, N: int, nu,
     for a, b in zip(lhs_closed.coeffs, rhs.coeffs):
         resid = max(resid, float(abs(mpc(a) - mpc(b))))
     return SatakeCheckReport(case=f"kapranov G({r},{N}) nu={list(nu)}",
-                             lhs=lhs_generic, rhs=rhs,
                              max_residual=resid, passed=resid < tol)
-
-
-def complex_gram(vectors) -> np.ndarray:
-    """bracket_gram(vectors) as a complex numpy matrix."""
-    return np.array([[complex(x) for x in row] for row in bracket_gram(vectors)])
 
 
 def _combo_to_partition(combo, r: int):
@@ -97,7 +86,6 @@ def check_mrs_wedge(r: int, N: int, phi: float = -0.05,
     the normalized Satake map, against the Kapranov-Gamma MRS of G(r,N):
     per-vector match up to sign, integer Gram equality, marking multisets."""
     ring_G = build_ring("G", N, r)
-    ring_P = build_ring("P", N)
     mP = mrsmod.beilinson_gamma_mrs(N, phase=phi)
     rot = cmath.exp(1j * math.pi * (r - 1) / N)
     rotated = [rot * u for u in mP.markings]
@@ -122,22 +110,14 @@ def check_mrs_wedge(r: int, N: int, phi: float = -0.05,
         signs.append(1 if rp <= rm else -1)
         vec_resid = max(vec_resid, min(rp, rm))
 
-    gram_K = complex_gram(mK.vectors)
-    gram_W = complex_gram([mapped[nu] for nu in ring_G.basis])
-    gram_W *= np.outer(signs, signs)
-    int_K = np.round(gram_K.real).astype(int)
-    int_W = np.round(gram_W.real).astype(int)
-    gram_round_err = max(np.max(np.abs(gram_K - int_K)),
-                         np.max(np.abs(gram_W - int_W)))
+    gram_W = mrsmod.gram(mrsmod.SOB([mapped[nu] for nu in ring_G.basis], bracket_pairing))
+    int_K, err_K = mrsmod.round_gram(mrsmod.gram(mrsmod.SOB(mK.vectors, bracket_pairing)))
+    int_W, err_W = mrsmod.round_gram(gram_W * np.outer(signs, signs))
+    gram_round_err = max(err_K, err_W)
     gram_ok = bool(np.array_equal(int_K, int_W)) and gram_round_err < tol
 
     mark_resid = _multiset_distance([wedge_marks[nu] for nu in ring_G.basis],
                                     list(mK.markings))
-    resid = max(vec_resid, mark_resid, float(gram_round_err))
     return SatakeCheckReport(case=f"mrs-wedge G({r},{N}) phi={phi}",
-                             lhs=int_W.tolist(), rhs=int_K.tolist(),
-                             max_residual=resid,
-                             passed=gram_ok and vec_resid < tol and mark_resid < tol,
-                             details={"signs": signs,
-                                      "vector_residual": vec_resid,
-                                      "marking_residual": mark_resid})
+                             max_residual=max(vec_resid, mark_resid, gram_round_err),
+                             passed=gram_ok and vec_resid < tol and mark_resid < tol)

@@ -10,11 +10,11 @@ import pytest
 from mpmath import mp, mpf, mpc
 
 from qgamma import charclasses, symfunc, verify
-from qgamma.mrs import beilinson_gamma_mrs, kapranov_gamma_mrs
-from qgamma.rings import build_ring, cup, exp_cup, poincare_pair
+from qgamma.mrs import SOB, beilinson_gamma_mrs, gram, kapranov_gamma_mrs, round_gram
+from qgamma.rings import CohClass, build_ring, cup, exp_cup, poincare_pair
 from qgamma.charclasses import (ch_schur, scale_degrees, todd_class, gamma_class,
                                 gamma_G_closed_form, kapranov_ch,
-                                bracket_pairing, bracket_gram,
+                                bracket_pairing,
                                 euler_pairing_hrr, log_gamma_coeffs,
                                 hurwitz_zeta_em, zeta_reg_reciprocal_product,
                                 zeta_reg_closed_form)
@@ -291,35 +291,67 @@ def test_bracket_reproduces_euler_pairing():
     assert abs(bracket_pairing(O1, O)) < 1e-12
 
 
-def test_bracket_gram_equals_bracket_pairing():
+def _exp_mu(a, scalar):
+    """exp(scalar * mu): the degree-p part times exp(scalar (p - dim/2))."""
+    half = mpf(a.ring.dim) / 2
+    return CohClass(a.ring, [mpmath.exp(scalar * (sum(lam) - half)) * c
+                             for lam, c in zip(a.ring.basis, a.coeffs)])
+
+
+def test_bracket_pairing_equals_operator_formula():
+    # the whole-vector operator formula (2 pi)^{-dim} (e^{pi i rho}
+    # e^{pi i mu} a, b) against the basis form, entry by entry
     pi_i = 1j * mp.pi
     for vs in [beilinson_gamma_mrs(4).vectors, kapranov_gamma_mrs(2, 4).vectors]:
         ring = vs[0].ring
         scale = mpmath.power(2 * mp.pi, -ring.dim)
-        g = bracket_gram(vs)
-        assert len(g) == len(vs) and all(len(row) == len(vs) for row in g)
-        for i, a in enumerate(vs):
-            # the per-entry formula, evaluated directly as the reference
-            left = exp_cup(charclasses.exp_mu(a, pi_i), ring.c1(), pi_i)
-            for j, b in enumerate(vs):
-                assert g[i][j] == bracket_pairing(a, b)
-                assert g[i][j] == scale * poincare_pair(left, b)
+        for a in vs:
+            left = exp_cup(_exp_mu(a, pi_i), ring.c1(), pi_i)
+            for b in vs:
+                want = scale * poincare_pair(left, b)
+                assert abs(bracket_pairing(a, b) - want) < mpf("1e-32") * (1 + abs(want))
 
 
-def test_bracket_gram_rejects_disagreeing_orderings(monkeypatch):
+def test_bracket_form_rejects_disagreeing_orderings(monkeypatch):
     vs = beilinson_gamma_mrs(3).vectors
-    honest = charclasses.exp_mu
+    honest = charclasses.exp_cup
 
-    def corrupt(a, scalar):
-        # exp_mu sees the input vector itself only in the e^{pi i rho}
-        # e^{pi i mu} ordering, so this corrupts the other ordering
-        out = honest(a, scalar)
-        return out if any(a is v for v in vs) else 2 * out
-    monkeypatch.setattr(charclasses, "exp_mu", corrupt)
-    with pytest.raises(ArithmeticError):
-        bracket_gram(vs)
+    def corrupt(a, x, s):
+        # the negative imaginary scalar is the e^{-pi i rho} ordering only
+        out = honest(a, x, s)
+        return 2 * out if mpmath.im(s) < 0 else out
+    # an empty cache for the test's duration: the form is rebuilt through the
+    # corrupted exp_cup, and no corrupted form outlives the test
+    monkeypatch.setattr(charclasses, "_CLASS_CACHE", {})
+    monkeypatch.setattr(charclasses, "exp_cup", corrupt)
     with pytest.raises(ArithmeticError):
         bracket_pairing(vs[0], vs[1])
+    with pytest.raises(ArithmeticError):
+        gram(SOB(vs, bracket_pairing))
+
+
+def test_kapranov_gram_is_exact_hrr_euler_pairing_g25():
+    # the numeric Gamma-basis Gram against the exact HRR Euler pairings
+    G25 = build_ring("G", 5, 2)
+    m = kapranov_gamma_mrs(2, 5)
+    ints, err = round_gram(gram(SOB(m.vectors, m.pairing)))
+    exact = [[euler_pairing_hrr(ch_schur(nu, G25), ch_schur(kappa, G25))
+              for kappa in G25.basis] for nu in G25.basis]
+    assert ints.tolist() == exact
+    assert err < 1e-30
+
+
+def test_bracket_form_follows_working_precision():
+    # the cached form is keyed by precision: a 60-digit Gram is not limited
+    # by a 40-digit form built first
+    m = beilinson_gamma_mrs(4)
+    assert round_gram(gram(SOB(m.vectors, m.pairing)))[1] < 1e-30
+    with mp.workdps(60):
+        m = beilinson_gamma_mrs(4)
+        ints, err = round_gram(gram(SOB(m.vectors, m.pairing)))
+    assert ints.tolist() == [[math.comb(3 + j - i, 3) if j >= i else 0 for j in range(4)]
+                             for i in range(4)]
+    assert err < 1e-50
 
 
 def test_kapranov_euler_pairing_not_orthogonal():

@@ -75,7 +75,7 @@ def pairing_identity_residual(fs):
     n = ring.rank
     degs = ring.degrees()
     mmax = fs.order - ring.dim
-    P = [[Fraction(x) for x in row] for row in ring.pairing_matrix]
+    P = [[Fraction(int(j == ring.dual[i])) for j in range(n)] for i in range(n)]
 
     def S(m):
         out = _mat_zero(n)

@@ -1,7 +1,8 @@
 """Lint: no module of the package imports a name it never uses, the
-package imports exactly the third-party packages it declares, and every
+package imports exactly the third-party packages it declares, every
 top-level function and class of the package is used by the package, its
-scripts or its benchmark.
+scripts or its benchmark, and so is every dataclass field (read as an
+attribute).
 
 Uses only the stdlib ``ast`` module, so it runs wherever the test suite does.
 A name counts as used when it appears as a bare name anywhere in the module
@@ -127,3 +128,44 @@ def test_every_definition_is_referenced():
     unreferenced = sorted(f"{module}: {name}" for name, module in defined.items()
                           if name not in refs | TEST_ONLY_PAPER_CONTENT)
     assert unreferenced == []
+
+
+# paper content kept in a report although no caller reads it: the inverse
+# series U of the fundamental solution
+UNREAD_PAPER_FIELDS = {"FundamentalSolution.U"}
+
+
+def _is_dataclass(decorator) -> bool:
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return isinstance(target, ast.Name) and target.id == "dataclass"
+
+
+def _dataclass_fields(tree) -> list:
+    """"Class.field" for each annotated field of a top-level @dataclass."""
+    return [f"{node.name}.{stmt.target.id}" for node in tree.body
+            if isinstance(node, ast.ClassDef) and any(map(_is_dataclass, node.decorator_list))
+            for stmt in node.body
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+
+
+def _attribute_reads(tree) -> set:
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def test_field_checker():
+    tree = ast.parse("@dataclass\nclass A:\n    x: int\n    y: int = 0\n"
+                     "@dataclass(frozen=True)\nclass B:\n    z: int\n"
+                     "class C:\n    w: int\n"
+                     "def f(a, b):\n    a.y = 1\n    return b.z\n")
+    assert _dataclass_fields(tree) == ["A.x", "A.y", "B.z"]
+    assert _attribute_reads(tree) == {"z"}
+
+
+def test_every_dataclass_field_is_read():
+    reads = set().union(*(_attribute_reads(ast.parse(p.read_text())) for p in CALLERS))
+    fields = [f for p in MODULES for f in _dataclass_fields(ast.parse(p.read_text()))]
+    assert UNREAD_PAPER_FIELDS <= set(fields)
+    unread = sorted(f for f in fields
+                    if f.split(".")[1] not in reads and f not in UNREAD_PAPER_FIELDS)
+    assert unread == []

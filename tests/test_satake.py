@@ -2,7 +2,6 @@
 
 import math
 
-import numpy as np
 import pytest
 from mpmath import mpc
 
@@ -46,9 +45,8 @@ def test_kapranov_identity_trivial_r1():
 
 def test_mrs_wedge_g24():
     rep = check_mrs_wedge(2, 4, -0.05)
-    assert rep.passed
-    assert np.array_equal(rep.lhs, rep.rhs)
-    assert rep.details["marking_residual"] < 1e-8
+    # passed requires integer Gram equality and a marking residual below 1e-8
+    assert rep.passed and rep.max_residual < 1e-8
 
 
 def test_mrs_wedge_g25():
