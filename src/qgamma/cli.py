@@ -3,7 +3,8 @@ deterministic JSON or CSV output.
 
 Exit codes: 0 on pass, 1 on a usage error, 2 on a check failure (reported,
 or a self-check raising ArithmeticError), 3 when the numerics are out of
-range (a float value overflowed, or a rotated Gram lost its integrality)."""
+range (an output float overflowed or is not finite, or a rotated Gram lost
+its integrality)."""
 
 from __future__ import annotations
 
@@ -40,19 +41,22 @@ class Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _round12(x: float) -> float:
+def _round12(x: float, key: str) -> float:
+    if not math.isfinite(x):
+        raise OverflowError(f"{key or 'output'} is {x}")
     return float(f"{x:.12e}")
 
 
-def clean(obj):
+def clean(obj, key: str = ""):
     """Normalize a result tree for serialization: 12-significant-digit
-    floats, complex as [re, im], exact rationals as strings."""
+    floats, complex as [re, im], exact rationals as strings.  A float that
+    is not finite raises OverflowError naming its key."""
     if isinstance(obj, dict):
-        return {str(k): clean(v) for k, v in obj.items()}
+        return {str(k): clean(v, str(k)) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [clean(v) for v in obj]
+        return [clean(v, key) for v in obj]
     if isinstance(obj, CohClass):
-        return clean(obj.serialize())
+        return clean(obj.serialize(), key)
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
     if isinstance(obj, (int, np.integer)):
@@ -62,12 +66,12 @@ def clean(obj):
     if isinstance(obj, (complex, np.complexfloating, mpc)):
         z = complex(obj)
         if z.imag == 0:
-            return _round12(z.real)
-        return [_round12(z.real), _round12(z.imag)]
+            return _round12(z.real, key)
+        return [_round12(z.real, key), _round12(z.imag, key)]
     if isinstance(obj, (float, np.floating, mpf)):
-        return _round12(float(obj))
+        return _round12(float(obj), key)
     if isinstance(obj, np.ndarray):
-        return clean(obj.tolist())
+        return clean(obj.tolist(), key)
     return obj
 
 
@@ -76,7 +80,7 @@ def emit(payload, args) -> None:
     if getattr(args, "format", "json") == "csv":
         text = to_csv(payload)
     else:
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
             fh.write(text)

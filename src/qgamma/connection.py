@@ -2,15 +2,16 @@
 Property O, the recursive canonical fundamental solution, J-function
 coefficients, quantum periods, and central charges.
 
-One graded solver serves two arithmetic paths: exact Fractions for the
-recursion and its order-by-order identities, and a scaled float path
-(carrying n! J_n instead of J_n) for the long runs used by radius and Apery
-estimates.
+One graded solver serves two arithmetic paths: the exact recursion runs on
+integers over one denominator per order and checks each order exactly, and
+a scaled float path (carrying n! J_n instead of J_n) serves the long runs
+used by radius and Apery estimates.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -142,7 +143,7 @@ def _mat_zero(n):
 def _mat_id(n):
     m = _mat_zero(n)
     for i in range(n):
-        m[i][i] = Fraction(1)
+        m[i][i] = 1
     return m
 
 
@@ -168,6 +169,7 @@ class _SparseRho:
     rows: list     # rows[i] = [(k, rho[i][k]), ...], nonzero entries only
     cols: list     # cols[j] = [(k, rho[k][j]), ...], nonzero entries only
     order: list    # every (i, j), by increasing deg_i - deg_j
+    levels: int    # 2 dim + 1 values of deg_i - deg_j: ad_rho^levels = 0
 
 
 def _sparse_rho(ring: RingSpec, G0) -> _SparseRho:
@@ -175,7 +177,7 @@ def _sparse_rho(ring: RingSpec, G0) -> _SparseRho:
     n = ring.rank
     order = sorted(((i, j) for i in range(n) for j in range(n)),
                    key=lambda ij: degs[ij[0]] - degs[ij[1]])
-    return _SparseRho(_sparse_rows(G0), _sparse_rows(zip(*G0)), order)
+    return _SparseRho(_sparse_rows(G0), _sparse_rows(zip(*G0)), order, 2 * ring.dim + 1)
 
 
 def _minus_commutator(s, rho: _SparseRho, X, i: int, j: int):
@@ -192,17 +194,19 @@ def _minus_commutator(s, rho: _SparseRho, X, i: int, j: int):
     return s
 
 
-def _solve_graded(m: int, rhs, rho: _SparseRho):
-    """Solve m X + [rho, X] = rhs (m >= 1); exact when rhs holds Fractions.
+def _solve_graded(m: int, rhs, rho: _SparseRho, div=operator.truediv):
+    """Solve m X + [rho, X] = rhs (m >= 1); exact for Fractions, and for
+    integers with div = floordiv when m^rho.levels divides rhs.
 
     rho raises degree by exactly one, so [rho, X][i][j] reads only entries of
     X whose deg_i - deg_j is one less.  Visiting (i, j) in rho.order finds them
-    already solved: one back-substitution pass, O(n^2 nnz(rho))."""
+    already solved: one back-substitution pass, O(n^2 nnz(rho)).  The solution
+    is sum_{l < rho.levels} (-ad_rho)^l rhs / m^(l+1), hence integral."""
     X = _mat_zero(len(rhs))
     for i, j in rho.order:
         s = _minus_commutator(rhs[i][j], rho, X, i, j)
         if s:
-            X[i][j] = s / m
+            X[i][j] = div(s, m)
     return X
 
 
@@ -217,17 +221,23 @@ def _check_graded(m: int, X, rhs, rho: _SparseRho):
 
 def _graded_series(M: int, N: int, rho: _SparseRho, step) -> list:
     """X_0 = id and m X_m + [rho, X_m] = step(X_{m-N}) for m = 1..M, with
-    X_{m-N} = 0 for m < N; each solve is checked exactly."""
+    X_{m-N} = 0 for m < N.  X_m = Y_m / d_m is kept as the pair (Y_m, d_m)
+    in lowest terms, Y_m an integer matrix; step is linear on integers.  The
+    right-hand side is scaled by d_{m-N} m^rho.levels, so every division of
+    the solve is exact, and each solve is checked exactly."""
     n = len(rho.rows)
-    out = [_mat_id(n)]
+    out = [(_mat_id(n), 1)]
     for m in range(1, M + 1):
-        if m < N or not any(map(any, out[m - N])):
-            out.append(_mat_zero(n))
+        if m < N or not any(map(any, out[m - N][0])):
+            out.append((_mat_zero(n), 1))
             continue
-        rhs = step(out[m - N])
-        X = _solve_graded(m, rhs, rho)
+        Y, d = out[m - N]
+        scale = m ** rho.levels
+        rhs = [[scale * x for x in row] for row in step(Y)]
+        X = _solve_graded(m, rhs, rho, operator.floordiv)
         _check_graded(m, X, rhs, rho)
-        out.append(X)
+        g = math.gcd(d * scale, *(x for row in X for x in row))
+        out.append(([[x // g for x in row] for row in X], d * scale // g))
     return out
 
 
@@ -238,13 +248,13 @@ class FundamentalSolution:
     access, so callers that need only J never build it."""
     ring: RingSpec
     order: int
-    U: list        # inverse series, U[0] = id, U[m] exact Fraction matrices
-    J: list        # J[m] = U[m][.][0] as CohClass with Fraction coefficients
+    U: list        # inverse series, U[m] = (Y, d): U_m = Y / d, int Y in lowest terms
+    J: list        # J[m] = U_m[.][0] as CohClass with Fraction coefficients
     _T: list | None = field(default=None, repr=False, compare=False)
 
     @property
     def T(self) -> list:
-        """T[0] = id, T[m] exact Fraction matrices:
+        """T[0] = (id, 1), T[m] = (Y, d) as U[m]:
         m T_m + [rho, T_m] + G_N T_{m-N} = 0."""
         if self._T is None:
             G0, GN = graded_pieces(self.ring)
@@ -261,7 +271,7 @@ def fundamental_solution(ring: RingSpec, M: int) -> FundamentalSolution:
     gn_cols = _sparse_rows(zip(*GN))
     # inverse series: m U_m + [rho, U_m] = U_{m-N} G_N
     U = _graded_series(M, ring.N, _sparse_rho(ring, G0), lambda A: _right_mul(A, gn_cols))
-    J = [CohClass(ring, [row[0] for row in Um]) for Um in U]
+    J = [CohClass(ring, [Fraction(row[0], d) for row in Y]) for Y, d in U]
     return FundamentalSolution(ring=ring, order=M, U=U, J=J)
 
 

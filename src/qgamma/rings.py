@@ -11,6 +11,7 @@ quantum correction is Bertram's quantum Pieri rule.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import operator
 from dataclasses import dataclass, field
@@ -72,6 +73,8 @@ class RingSpec:
     index: dict = field(hash=False, compare=False, default=None, repr=False)
     dual: tuple = field(hash=False, compare=False, default=None, repr=False)   # complement indices
     cup_table: dict = field(hash=False, compare=False, default=None, repr=False)
+    # fits[i]: the basis prefix sigma_j with deg sigma_i + deg sigma_j <= dim
+    fits: tuple = field(hash=False, compare=False, default=None, repr=False)
 
     @property
     def rank(self) -> int:
@@ -180,8 +183,10 @@ def build_ring(kind: str, N: int, r: int = 1) -> RingSpec:
 
     dual = tuple(index[box_complement(lam, r, cols)] for lam in basis)
     cup_table = _pieri_cup_table(basis, index, r, cols)
+    degs = [sum(lam) for lam in basis]
+    fits = tuple(bisect.bisect_right(degs, dim - d) for d in degs)
     ring = RingSpec(kind=kind, r=r, N=N, basis=basis, dim=dim, fano_index=N,
-                    index=index, dual=dual, cup_table=cup_table)
+                    index=index, dual=dual, cup_table=cup_table, fits=fits)
     _RING_CACHE[key] = ring
     return ring
 
@@ -233,11 +238,12 @@ def cup(a: CohClass, b: CohClass) -> CohClass:
     _same_ring(a, b)
     ring = a.ring
     out = [0] * ring.rank
+    # `not x` rather than x == 0: mpmath converts the 0 on every comparison
     for i, ca in enumerate(a.coeffs):
-        if ca == 0:
+        if not ca:
             continue
-        for j, cb in enumerate(b.coeffs):
-            if cb == 0:
+        for j, cb in zip(range(ring.fits[i]), b.coeffs):
+            if not cb:
                 continue
             for k, s in ring.cup_table[(i, j)]:
                 out[k] = out[k] + s * ca * cb

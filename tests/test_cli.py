@@ -34,6 +34,8 @@ def test_clean_formats_floats():
     assert clean(0.1234567890123456789) == float("1.234567890123e-01")
     assert clean(complex(1, 2)) == [1.0, 2.0]
     assert clean(complex(1, 0)) == 1.0
+    with pytest.raises(OverflowError, match="spread"):
+        clean({"ok": 1.0, "spread": [0.5, float("nan")]})
 
 
 def test_spectrum_command(capsys):
@@ -91,6 +93,10 @@ def test_negative_nmax_exit_1(capsys):
 @pytest.mark.parametrize("argv", [
     ["limit", "--target", "P(3)", "--t", "40,60"],
     ["apery", "--target", "G(2,5)", "--n-grid", "20,80"],
+    # non-finite results: never Infinity or NaN in the JSON
+    pytest.param(["zetareg", "--delta", "1e300", "--z", "1"], id="zetareg-inf"),
+    pytest.param(["psi", "--N", "3", "--t", "1e5"], id="psi-inf"),
+    pytest.param(["psi", "--N", "2", "--t", "1e-300"], id="psi-nan"),
 ], ids=lambda argv: argv[0])
 def test_float_overflow_exit_3(capsys, argv):
     assert main(argv) == 3

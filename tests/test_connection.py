@@ -2,6 +2,7 @@
 solution and its exact identities, J-function oracles, central charges."""
 
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -51,17 +52,23 @@ def _mat_scale(a, s):
     return [[s * x for x in row] for row in a]
 
 
+def _fractions(series):
+    """Fraction matrices Y / d from the solver's integer pairs (Y, d)."""
+    return [[[Fraction(x, d) for x in row] for row in Y] for Y, d in series]
+
+
 def recursion_residual(fs):
     """Max |m T_m + sum_k G_k T_{m-k} + [rho, T_m]| over m (exact zero)."""
     G0, GN = graded_pieces(fs.ring)
     rho = [[Fraction(x) for x in row] for row in G0]
     GNf = [[Fraction(x) for x in row] for row in GN]
+    T = _fractions(fs.T)
     worst = Fraction(0)
     for m in range(1, fs.order + 1):
-        acc = _mat_scale(fs.T[m], Fraction(m))
-        acc = _mat_add(acc, _mat_add(_mat_mul(rho, fs.T[m]), _mat_mul(fs.T[m], rho), sb=-1))
+        acc = _mat_scale(T[m], Fraction(m))
+        acc = _mat_add(acc, _mat_add(_mat_mul(rho, T[m]), _mat_mul(T[m], rho), sb=-1))
         if m >= fs.ring.N:
-            acc = _mat_add(acc, _mat_mul(GNf, fs.T[m - fs.ring.N]))
+            acc = _mat_add(acc, _mat_mul(GNf, T[m - fs.ring.N]))
         worst = max(worst, max(abs(x) for row in acc for x in row))
     return worst
 
@@ -76,6 +83,7 @@ def pairing_identity_residual(fs):
     degs = ring.degrees()
     mmax = fs.order - ring.dim
     P = [[Fraction(int(j == ring.dual[i])) for j in range(n)] for i in range(n)]
+    T = _fractions(fs.T)
 
     def S(m):
         out = _mat_zero(n)
@@ -83,7 +91,7 @@ def pairing_identity_residual(fs):
             for j in range(n):
                 k = m + degs[j] - degs[i]
                 if 0 <= k <= fs.order:
-                    out[i][j] = fs.T[k][i][j]
+                    out[i][j] = T[k][i][j]
         return out
 
     S_cache = [S(m) for m in range(max(mmax, 0) + 1)]
@@ -103,10 +111,11 @@ def pairing_identity_residual(fs):
 def degree_shift_ok(fs) -> bool:
     """T_k[i,j] = 0 unless deg_i - deg_j >= 1 - k (endomorphism degree bound)."""
     degs = fs.ring.degrees()
+    T = _fractions(fs.T)
     for k in range(1, fs.order + 1):
         for i in range(fs.ring.rank):
             for j in range(fs.ring.rank):
-                if fs.T[k][i][j] != 0 and degs[i] - degs[j] < 1 - k:
+                if T[k][i][j] != 0 and degs[i] - degs[j] < 1 - k:
                     return False
     return True
 
@@ -191,9 +200,21 @@ def test_spectrum_matches_closed_form(kind, N, r):
 
 def test_fundamental_solution_p1():
     fs = fundamental_solution(P1, 6)
-    assert fs.T[2][0][0] == Fraction(-1) and fs.T[2][0][1] == Fraction(-1)
-    assert fs.T[2][1][0] == Fraction(2) and fs.T[2][1][1] == Fraction(1)
+    T = _fractions(fs.T)
+    assert T[2][0][0] == Fraction(-1) and T[2][0][1] == Fraction(-1)
+    assert T[2][1][0] == Fraction(2) and T[2][1][1] == Fraction(1)
     assert recursion_residual(fs) == 0
+
+
+def test_fundamental_solution_integer_pairs():
+    """Every order is an int matrix over one int d >= 1, in lowest terms;
+    a zero order is (0, 1)."""
+    fs = fundamental_solution(G36, 18)
+    assert fs.U[1] == (_mat_zero(G36.rank), 1)
+    for Y, d in fs.U + fs.T:
+        assert type(d) is int and d >= 1
+        assert all(type(x) is int for row in Y for x in row)
+        assert math.gcd(d, *(x for row in Y for x in row)) == 1
 
 
 def test_fundamental_solution_identities():
@@ -209,8 +230,8 @@ def test_graded_solver_matches_neumann_oracle():
         M = 2 * ring.N + 1
         fs = fundamental_solution(ring, M)
         T, U = _neumann_series(ring, M)
-        assert fs.U == U
-        assert fs.T == T
+        assert _fractions(fs.U) == U
+        assert _fractions(fs.T) == T
         assert [J.coeffs for J in fs.J] == [[row[0] for row in Um] for Um in U]
 
 
@@ -223,14 +244,21 @@ def test_solve_graded_random_rhs(ring, m, data):
     rhs = [entries[i * n:(i + 1) * n] for i in range(n)]
     G0, _ = graded_pieces(ring)
     rho = [[Fraction(x) for x in row] for row in G0]
-    assert _solve_graded(m, rhs, _sparse_rho(ring, G0)) == _neumann_solve(m, rhs, rho)
+    want = _neumann_solve(m, rhs, rho)
+    assert _solve_graded(m, rhs, _sparse_rho(ring, G0)) == want
+    # integer path: clear denominators, scale by m^(2 dim + 1), divide exactly
+    scale = math.lcm(*(x.denominator for x in entries)) * m ** (2 * ring.dim + 1)
+    Y = _solve_graded(m, [[int(x * scale) for x in row] for row in rhs],
+                      _sparse_rho(ring, G0), operator.floordiv)
+    assert all(type(y) is int for row in Y for y in row)
+    assert [[Fraction(y, scale) for y in row] for row in Y] == want
 
 
 def test_corrupted_solve_raises(monkeypatch):
     solve = connection._solve_graded
 
-    def corrupted(m, rhs, rho):
-        X = solve(m, rhs, rho)
+    def corrupted(m, rhs, rho, div):
+        X = solve(m, rhs, rho, div)
         X[-1][0] += 1
         return X
 
@@ -251,8 +279,8 @@ def test_fundamental_solution_rejects_negative_order():
 def test_j_oracle_projective():
     for N in range(2, 6):
         ring = build_ring("P", N)
-        rec = j_coefficients(ring, 3 * N)
-        closed = j_closed_form_P(N, 3 * N)
+        rec = j_coefficients(ring, 200)
+        closed = j_closed_form_P(N, 200)
         for a, b in zip(rec, closed):
             assert a.coeffs == b.coeffs
 
