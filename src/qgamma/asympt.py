@@ -147,6 +147,9 @@ def mellin_psi(N: int, t: float, c: float = 1.0) -> float:
         raise ValueError("Psi is supported for 1 <= N <= 6")
     if c <= 0 or t <= 0:
         raise ValueError("need c > 0 and t > 0")
+    # |t^{-N s}| = t^{-N c} on the whole contour
+    if -N * c * math.log(t) > math.log(np.finfo(float).max):
+        raise OverflowError(f"t^(-N s) overflows at N = {N}, t = {t}")
     H = math.ceil(2.0 / (N * math.pi) * (46 + abs(N * c * math.log(t))) + 2)
     x, w = np.polynomial.legendre.leggauss(32)
     total = 0.0

@@ -6,18 +6,20 @@ constant and zeta(k) carry 60 digits too.
 
 Every class lives in the Schubert ring, and a bundle is represented by its
 Chern character.  With p_k the power sums of the Chern roots of V* (each an
-alternating sum of hook classes), ch(V*) = sum_k p_k / k!; ch(Sym^k V*)
-follows by Newton's identities and ch(S^nu V*) by Jacobi-Trudi with cups,
-all with exact Fraction coefficients.  The Gamma and Todd classes are ring
-exponentials of the power sums of the roots of TF.  The bilinear [.,.) is
-its matrix on the Schubert basis, built once per ring and precision.  The
-Grassmannian closed form of the Gamma class is an independent route: an
-exact truncated polynomial in the Chern roots with mpmath scalars,
+alternating sum of hook classes), ch(V*) = sum_k p_k / k!; ch(Lambda^k V*)
+follows by Newton's identities and ch(S^nu V*) by the dual Pieri rule, one
+cup per partition, all with exact Fraction coefficients.  The Gamma and Todd
+classes are ring exponentials of the power sums of the roots of TF.  The
+bilinear [.,.) is its matrix B on the Schubert basis, built once per ring and
+precision; a left vector a becomes the row a B once, then one dot per
+pairing.  The Grassmannian closed form of the Gamma class is an independent
+route: an exact truncated polynomial in the Chern roots with mpmath scalars,
 re-expanded in the Schur basis.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from math import comb, factorial
 
@@ -25,8 +27,8 @@ from mpmath import (mp, mpc, mpf, gamma as mp_gamma, bernoulli, bernfrac, exp as
                     sqrt as mp_sqrt, power as mp_power, zeta)
 
 from . import symfunc
-from .rings import (RingSpec, CohClass, build_ring, cup, det_small, exp_cup,
-                    normalize_partition, _same_ring)
+from .rings import (RingSpec, CohClass, build_ring, cup, exp_cup, normalize_partition,
+                    _same_ring)
 
 mp.dps = 40
 
@@ -119,36 +121,42 @@ def scale_degrees(a: CohClass, s) -> CohClass:
     return CohClass(a.ring, [s ** sum(lam) * c for lam, c in zip(a.ring.basis, a.coeffs)])
 
 
-def ch_sym(k: int, ring: RingSpec) -> CohClass:
-    """ch(Sym^k V*), exactly, for 0 <= k; on P^{N-1} this is ch(O(k))."""
-    return _cached("ch_sym", _ch_sym, ring, k, exact=True)
-
-
-def _ch_sym(ring: RingSpec, k: int) -> CohClass:
-    """Newton's identities k h_k = sum_{m=1}^k p_m h_{k-m} in the variables
-    e^{x_i}, whose m-th power sum is psi^m ch(V*), ch(V*) = sum_j p_j / j!."""
-    if k == 0:
-        return ring.unit()
-    ch_v = ring.zero()
-    for j in range(ring.dim + 1):
-        ch_v = ch_v + Fraction(1, factorial(j)) * _power_sum(ring, j)
-    total = ring.zero()
-    for m in range(1, k + 1):
-        total = total + cup(scale_degrees(ch_v, m), ch_sym(k - m, ring))
-    return Fraction(1, k) * total
-
-
 def ch_schur(nu, ring: RingSpec) -> CohClass:
-    """ch(S^nu V*), exactly: the Jacobi-Trudi determinant
-    det(ch Sym^{nu_i - i + j} V*) with cups."""
+    """ch(S^nu V*), exactly, by the dual Pieri rule (see _ch_schur)."""
     nu = normalize_partition(nu)
     if nu not in ring.index:
         raise ValueError(f"{nu} outside the {ring.r}x{ring.cols} box")
-    if not nu:
+    return _cached("ch_schur", _ch_schur, ring, nu, exact=True)
+
+
+def _ch_schur(ring: RingSpec, nu: tuple) -> CohClass:
+    """e_k s_mu = sum of s_kappa over the kappa with at most r rows and
+    kappa/mu a vertical strip of size k (Macdonald I (5.17)).  With k the
+    length of nu and mu = nu without its first column, nu is one such kappa;
+    every other one is longer than nu, so the recursion ends at the columns,
+    and it is lexicographically smaller, so visiting the basis in degree-lex
+    order finds it already built.  The columns e_k = ch(Lambda^k V*) come from Newton's
+    identities k e_k = sum_m (-1)^(m-1) p_m e_{k-m} in the variables e^{x_i},
+    whose m-th power sum is psi^m ch(V*), ch(V*) = sum_j p_j / j!."""
+    k = len(nu)
+    if k == 0:
         return ring.unit()
-    n = len(nu)
-    return det_small([[ch_sym(nu[i] - i + j, ring) if nu[i] - i + j >= 0 else ring.zero()
-                       for j in range(n)] for i in range(n)], cup)
+    if nu == (1,) * k:
+        ch_v = ring.zero()
+        for j in range(ring.dim + 1):
+            ch_v = ch_v + Fraction(1, factorial(j)) * _power_sum(ring, j)
+        total = ring.zero()
+        for m in range(1, k + 1):
+            total = total + (-1) ** (m - 1) * cup(scale_degrees(ch_v, m),
+                                                   ch_schur((1,) * (k - m), ring))
+        return Fraction(1, k) * total
+    mu = [p - 1 for p in nu] + [0] * (ring.r - k)
+    out = cup(ch_schur((1,) * k, ring), ch_schur(mu, ring))
+    for rows in itertools.combinations(range(ring.r), k):
+        kappa = [p + (i in rows) for i, p in enumerate(mu)]
+        if kappa == sorted(kappa, reverse=True) and normalize_partition(kappa) != nu:
+            out = out - ch_schur(kappa, ring)
+    return out
 
 
 def gamma_G_closed_form(r: int, N: int) -> CohClass:
@@ -231,15 +239,25 @@ def _bracket_form(ring: RingSpec) -> tuple:
     return tuple(form)
 
 
+def bracket_row(a: CohClass):
+    """The functional b -> [a, b) = sum_j w_j b_j, with the row w = a B taken
+    once; a Gram makes one row per left vector."""
+    w = [0] * a.ring.rank
+    for ca, row in zip(a.coeffs, _cached("bracket_form", _bracket_form, a.ring)):
+        if ca != 0:
+            for j, v in row:
+                w[j] = w[j] + ca * v
+
+    def pair(b: CohClass):
+        _same_ring(a, b)
+        return sum(x * y for x, y in zip(w, b.coeffs))
+    return pair
+
+
 def bracket_pairing(a: CohClass, b: CohClass):
     """[a, b) = sum_ij a_i B[i][j] b_j, with the basis form B built once per
     ring and working precision."""
-    _same_ring(a, b)
-    total = 0
-    for ca, row in zip(a.coeffs, _cached("bracket_form", _bracket_form, a.ring)):
-        if ca != 0:
-            total = total + ca * sum(v * b.coeffs[j] for j, v in row)
-    return total
+    return bracket_row(a)(b)
 
 
 def euler_pairing_hrr(ch1: CohClass, ch2: CohClass) -> int:

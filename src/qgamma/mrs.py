@@ -10,13 +10,14 @@ cohomology classes."""
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .charclasses import gamma_class, kapranov_ch, bracket_pairing
+from .charclasses import gamma_class, kapranov_ch, bracket_pairing, bracket_row
 from .connection import greedy_groups
 from .rings import build_ring, cup, det_small
 
@@ -36,11 +37,19 @@ class MRS:
 
 
 def gram(sob) -> np.ndarray:
-    n = len(sob.vectors)
-    g = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            g[i, j] = complex(sob.pairing(sob.vectors[i], sob.vectors[j]))
+    """[v_i, v_j) for all i, j.  Under the bracket pairing each left vector
+    becomes its row a B once (bracket_row), so n classes cost n nnz(B) +
+    n^2 rank products instead of n^2 nnz(B); any other pairing is called per
+    entry."""
+    vs = sob.vectors
+    if sob.pairing is bracket_pairing:
+        rows = [bracket_row(a) for a in vs]
+    else:
+        rows = [functools.partial(sob.pairing, a) for a in vs]
+    g = np.zeros((len(vs), len(vs)), dtype=complex)
+    for i, row in enumerate(rows):
+        for j, b in enumerate(vs):
+            g[i, j] = complex(row(b))
     return g
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import bisect
 import itertools
-import operator
 from dataclasses import dataclass, field
 from math import comb
 
@@ -48,17 +47,15 @@ def box_complement(lam: tuple, rows: int, cols: int) -> tuple:
     return normalize_partition(tuple(cols - padded[rows - 1 - i] for i in range(rows)))
 
 
-def det_small(m, mul=operator.mul):
+def det_small(m):
     """Determinant of a nonempty square matrix by permutation expansion; fine
-    for r <= 4, over any scalar type or, given its product mul, any
-    commutative ring of objects with + and integer scaling."""
-    total = None
+    for r <= 4."""
+    total = 0
     for perm in itertools.permutations(range(len(m))):
-        term = m[0][perm[0]]
-        for i in range(1, len(m)):
-            term = mul(term, m[i][perm[i]])
-        term = symfunc.perm_sign(perm) * term
-        total = term if total is None else total + term
+        term = symfunc.perm_sign(perm)
+        for i, j in enumerate(perm):
+            term = term * m[i][j]
+        total = total + term
     return total
 
 
@@ -298,28 +295,17 @@ def quantum_pieri(k: int, lam, ring: RingSpec) -> dict:
 
 def satake(factors, ring_G: RingSpec) -> CohClass:
     """Multilinear alternating extension of h^{b_1} ^ ... ^ h^{b_r} ->
-    (+/-) sigma_{lambda}, lambda_i = b_i - (r - i) for sorted exponents."""
+    sigma_lambda, lambda_i = b_i - (r - i) for b_1 > ... > b_r: the
+    coefficient of sigma_lambda is the r x r minor det[f_i(h^{b_j})], one
+    per exponent set."""
     r = ring_G.r
     if len(factors) != r:
         raise ValueError(f"need exactly {r} wedge factors")
     ring_P = factors[0].ring
     if ring_P.N != ring_G.N or ring_P.r != 1:
         raise ValueError("wedge factors must live on P^{N-1} with matching N")
-    out = ring_G.zero().coeffs
-    npow = ring_P.rank
-    for expts in itertools.product(range(npow), repeat=r):
-        if len(set(expts)) < r:
-            continue
-        coeff = 1
-        for f, e in zip(factors, expts):
-            coeff = coeff * f.coeffs[e]
-            if coeff == 0:
-                break
-        if coeff == 0:
-            continue
-        order = sorted(range(r), key=lambda i: -expts[i])
-        sign = symfunc.perm_sign(tuple(order))
-        b = [expts[i] for i in order]
-        lam = normalize_partition(tuple(b[i] - (r - 1 - i) for i in range(r)))
-        out[ring_G.index[lam]] = out[ring_G.index[lam]] + sign * coeff
+    out = [0] * ring_G.rank
+    for b in itertools.combinations(reversed(range(ring_P.rank)), r):
+        lam = normalize_partition(e - (r - 1 - i) for i, e in enumerate(b))
+        out[ring_G.index[lam]] = det_small([[f.coeffs[e] for e in b] for f in factors])
     return CohClass(ring_G, out)

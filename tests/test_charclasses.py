@@ -6,6 +6,7 @@ import math
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from mpmath import mp, mpf, mpc
 
@@ -136,6 +137,57 @@ def _ch_over_ssyt_weights(shape, ring):
     return symfunc.schur_expand(total, r, ring.cols, cap)
 
 
+def _det(m, mul):
+    """Determinant by permutation expansion over any commutative ring of
+    objects with + and integer scaling, given its product mul."""
+    total = None
+    for perm in itertools.permutations(range(len(m))):
+        term = m[0][perm[0]]
+        for i in range(1, len(m)):
+            term = mul(term, m[i][perm[i]])
+        term = symfunc.perm_sign(perm) * term
+        total = term if total is None else total + term
+    return total
+
+
+def _ch_syms(ring, kmax):
+    """[ch(Sym^k V*) for k = 0..kmax] by Newton's identities k h_k =
+    sum_{m=1}^k p_m h_{k-m} in the variables e^{x_i}, whose m-th power sum
+    is psi^m ch(V*): the h-recursion the package used before the dual Pieri
+    rule."""
+    ch_v = ring.zero()
+    for j in range(ring.dim + 1):
+        ch_v = ch_v + Fraction(1, math.factorial(j)) * charclasses._power_sum(ring, j)
+    hs = [ring.unit()]
+    for k in range(1, kmax + 1):
+        total = ring.zero()
+        for m in range(1, k + 1):
+            total = total + cup(scale_degrees(ch_v, m), hs[k - m])
+        hs.append(Fraction(1, k) * total)
+    return hs
+
+
+def _jacobi_trudi(nu, hs):
+    """ch(S^nu V*) as the Jacobi-Trudi determinant det(h_{nu_i - i + j})
+    with cups, from hs = _ch_syms(ring, kmax)."""
+    ring = hs[0].ring
+    if not nu:
+        return ring.unit()
+    n = len(nu)
+    return _det([[hs[nu[i] - i + j] if nu[i] - i + j >= 0 else ring.zero()
+                  for j in range(n)] for i in range(n)], cup)
+
+
+@pytest.mark.parametrize("kind,N,r", [("P", 5, 1), ("G", 5, 2), ("G", 8, 2), ("G", 6, 3),
+                                      ("G", 7, 3)])
+def test_dual_pieri_matches_jacobi_trudi(kind, N, r):
+    ring = build_ring(kind, N, r)
+    hs = _ch_syms(ring, ring.cols + ring.r)
+    for nu in ring.basis:
+        got, want = ch_schur(nu, ring), _jacobi_trudi(nu, hs)
+        assert [Fraction(c) for c in got.coeffs] == [Fraction(c) for c in want.coeffs]
+
+
 CH_RINGS = [("P", N, 1) for N in range(2, 7)] + [("G", 4, 2), ("G", 5, 2), ("G", 6, 3),
                                                   ("G", 8, 2)]
 
@@ -147,8 +199,8 @@ def test_ch_schur_matches_ssyt_weight_route(kind, N, r):
         ch = ch_schur(nu, ring)
         assert _nonzero(ch) == _ch_over_ssyt_weights(nu, ring)
         assert ch[()] == len(symfunc.ssyt_monomials(nu, r))
-    for k in range(N):
-        assert _nonzero(charclasses.ch_sym(k, ring)) == _ch_over_ssyt_weights((k,), ring)
+    for k, h in enumerate(_ch_syms(ring, N - 1)):
+        assert _nonzero(h) == _ch_over_ssyt_weights((k,), ring)
 
 
 def _horizontal_strips(mu, k, rows):
@@ -166,9 +218,10 @@ def test_ch_schur_k_theoretic_pieri(kind, N, r):
     # Sym^k V* (x) S^mu V* = sum of S^kappa V* over horizontal strips
     # kappa/mu, for every kappa inside the box
     ring = build_ring(kind, N, r)
+    hs = _ch_syms(ring, ring.cols)
     for mu in ring.basis:
         for k in range(1, ring.cols - (mu[0] if mu else 0) + 1):
-            lhs = cup(charclasses.ch_sym(k, ring), ch_schur(mu, ring))
+            lhs = cup(hs[k], ch_schur(mu, ring))
             rhs = ring.zero()
             for kappa in _horizontal_strips(mu, k, r):
                 rhs = rhs + ch_schur(kappa, ring)
@@ -208,24 +261,26 @@ def test_closed_form_and_kapranov_cache_follow_precision():
 
 
 def test_exact_classes_are_cached_across_precisions(monkeypatch):
-    build = charclasses._ch_sym
+    build = charclasses._ch_schur
     calls = []
 
-    def counted(ring, k):
-        calls.append(k)
-        return build(ring, k)
+    def counted(ring, nu):
+        calls.append(nu)
+        return build(ring, nu)
     monkeypatch.setattr(charclasses, "_CLASS_CACHE", {})
-    monkeypatch.setattr(charclasses, "_ch_sym", counted)
-    exact = charclasses.ch_sym(2, P2)
+    monkeypatch.setattr(charclasses, "_ch_schur", counted)
+    exact = ch_schur((2,), P2)
     with mp.workdps(60):
-        assert charclasses.ch_sym(2, P2) is exact
+        assert ch_schur((2,), P2) is exact
         kapranov_ch((2,), P2)
-    assert sorted(calls) == [0, 1, 2]
+    # ch O(2) = ch O(1) ch O(1) by the dual Pieri rule, ch O(1) by Newton
+    # from ch O
+    assert sorted(calls) == [(), (1,), (2,)]
     assert all(isinstance(c, (int, Fraction)) for c in exact.coeffs)
 
 
 def test_exact_class_minus_mpf_class():
-    exact, gam = charclasses.ch_sym(2, P2), gamma_class(P2)
+    exact, gam = ch_schur((2,), P2), gamma_class(P2)
     diff = exact - gam
     want = [mpf(a.numerator) / a.denominator - b
             for a, b in zip(map(Fraction, exact.coeffs), gam.coeffs)]
@@ -330,15 +385,35 @@ def test_bracket_form_rejects_disagreeing_orderings(monkeypatch):
         gram(SOB(vs, bracket_pairing))
 
 
-def test_kapranov_gram_is_exact_hrr_euler_pairing_g25():
+def _assert_kapranov_gram_is_exact_hrr(r, N):
     # the numeric Gamma-basis Gram against the exact HRR Euler pairings
-    G25 = build_ring("G", 5, 2)
-    m = kapranov_gamma_mrs(2, 5)
+    ring = build_ring("G", N, r)
+    m = kapranov_gamma_mrs(r, N)
     ints, err = round_gram(gram(SOB(m.vectors, m.pairing)))
-    exact = [[euler_pairing_hrr(ch_schur(nu, G25), ch_schur(kappa, G25))
-              for kappa in G25.basis] for nu in G25.basis]
+    exact = [[euler_pairing_hrr(ch_schur(nu, ring), ch_schur(kappa, ring))
+              for kappa in ring.basis] for nu in ring.basis]
     assert ints.tolist() == exact
     assert err < 1e-30
+
+
+def test_kapranov_gram_is_exact_hrr_euler_pairing_g25():
+    _assert_kapranov_gram_is_exact_hrr(2, 5)
+
+
+def test_kapranov_gram_is_exact_hrr_euler_pairing_g36():
+    _assert_kapranov_gram_is_exact_hrr(3, 6)
+
+
+@pytest.mark.parametrize("build,args", [(kapranov_gamma_mrs, (3, 6)),
+                                       (beilinson_gamma_mrs, (4,))],
+                         ids=["kapranov-G36", "beilinson-P3"])
+def test_row_gram_matches_per_entry_pairing(build, args):
+    # one bracket row per left vector against a pairing gram cannot
+    # recognize, which it calls once per entry
+    m = build(*args)
+    rows = gram(SOB(m.vectors, bracket_pairing))
+    entries = gram(SOB(m.vectors, lambda a, b: bracket_pairing(a, b)))
+    assert np.max(np.abs(rows - entries)) <= 1e-30 * np.max(np.abs(entries))
 
 
 def test_bracket_form_follows_working_precision():

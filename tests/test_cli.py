@@ -235,11 +235,22 @@ def test_satake_command(capsys):
     assert len(payload["checks"]) == 8
 
 
-def test_cli_import_leaves_scipy_out():
+def _run_python(*args):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in [src, os.environ.get("PYTHONPATH")] if p)}
-    code = "import sys, qgamma.cli; print('scipy' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def test_cli_import_leaves_scipy_out():
+    out = _run_python("-c", "import sys, qgamma.cli; print('scipy' in sys.modules)")
+    assert out.returncode == 0
     assert out.stdout.strip() == "False"
+
+
+def test_psi_overflow_is_reported_without_warnings():
+    # a fresh process: pytest would capture numpy's RuntimeWarnings
+    out = _run_python("-m", "qgamma.cli", "psi", "--N", "2", "--t", "1e-300")
+    assert out.returncode == 3
+    assert out.stdout == ""
+    assert out.stderr == "numerics out of range: t^(-N s) overflows at N = 2, t = 1e-300\n"

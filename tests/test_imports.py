@@ -1,8 +1,9 @@
 """Lint: no module of the package imports a name it never uses, the
 package imports exactly the third-party packages it declares, every
-top-level function and class of the package is used by the package, its
-scripts or its benchmark, and so is every dataclass field (read as an
-attribute).
+top-level function and class of the package is reachable through a chain
+of reads from ``cli.main``, the package's module-level statements, its
+scripts or its benchmark, and every dataclass field is read as an
+attribute.
 
 Uses only the stdlib ``ast`` module, so it runs wherever the test suite does.
 A name counts as used when it appears as a bare name anywhere in the module
@@ -20,8 +21,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "qgamma"
 MODULES = sorted(SRC.glob("*.py"))
-CALLERS = [*MODULES, *sorted((ROOT / "scripts").glob("*.py")),
-           *sorted((ROOT / "perfbench").glob("*.py"))]
+OUTSIDE = [*sorted((ROOT / "scripts").glob("*.py")), *sorted((ROOT / "perfbench").glob("*.py"))]
+CALLERS = [*MODULES, *OUTSIDE]
 # paper content that only the tests call: Gamma II central charges, the
 # wedge MRS and the HRR Euler pairing
 TEST_ONLY_PAPER_CONTENT = {"central_charge", "wedge_mrs", "euler_pairing_hrr"}
@@ -95,18 +96,10 @@ def test_imports_match_declared_dependencies():
     assert imported == declared == {"numpy", "mpmath"}
 
 
-def _references(tree) -> set:
-    """Names read as a bare name or an attribute anywhere in the module,
-    except a top-level definition's reads of itself."""
-    refs = set()
-    for top in tree.body:
-        names = {node.id if isinstance(node, ast.Name) else node.attr
-                 for node in ast.walk(top)
-                 if isinstance(node, (ast.Name, ast.Attribute))
-                 and isinstance(node.ctx, ast.Load)}
-        names.discard(getattr(top, "name", None))
-        refs |= names
-    return refs
+def _reads(node) -> set:
+    """Names read as a bare name or an attribute anywhere under node."""
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)}
 
 
 def _definitions(tree) -> list:
@@ -114,20 +107,52 @@ def _definitions(tree) -> list:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
 
 
+def _unreachable(package, callers, roots) -> list:
+    """Top-level definitions of the package modules that no chain of reads
+    reaches from the roots, the package's other module-level statements or
+    the caller modules.  Names are matched across modules, so a chain may
+    pass through a same-named definition elsewhere; that errs towards used."""
+    edges: dict = {}
+    seen = set(roots).union(*map(_reads, callers))
+    for tree in package:
+        for top in tree.body:
+            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                edges.setdefault(top.name, set()).update(_reads(top))
+            else:
+                seen |= _reads(top)
+    todo = list(seen)
+    while todo:
+        for name in edges.get(todo.pop(), set()) - seen:
+            seen.add(name)
+            todo.append(name)
+    return sorted(set(edges) - seen)
+
+
 def test_reference_checker():
-    tree = ast.parse("def f(n):\n    return f(n - 1)\nclass C:\n    g = h.k\nx = C()\n")
-    assert _definitions(tree) == ["f", "C"]
-    assert _references(tree) == {"n", "h", "k", "C"}
+    tree = ast.parse("def f(n):\n    return f(n - 1)\nclass C:\n    g = h.k\nx = C()\n"
+                     "def h():\n    pass\n")
+    assert _definitions(tree) == ["f", "C", "h"]
+    assert _reads(tree.body[1]) == {"h", "k"}
+    # a self-read does not make f used; the statement x = C() reaches C and h
+    assert _unreachable([tree], [], set()) == ["f"]
+    assert _unreachable([tree], [ast.parse("f(2)")], set()) == []
+
+
+def test_reference_checker_rejects_a_closed_cycle():
+    tree = ast.parse("def f(n):\n    return g(n)\ndef g(n):\n    return f(n - 1)\n"
+                     "def main():\n    pass\n")
+    assert _unreachable([tree], [], {"main"}) == ["f", "g"]
+    assert _unreachable([tree], [], {"main", "g"}) == []
 
 
 def test_every_definition_is_referenced():
-    refs = set().union(*(_references(ast.parse(p.read_text())) for p in CALLERS))
-    defined = {name: path.name for path in MODULES
-               for name in _definitions(ast.parse(path.read_text()))}
+    package = [ast.parse(p.read_text()) for p in MODULES]
+    callers = [ast.parse(p.read_text()) for p in OUTSIDE]
+    defined = {name: path.name for path, tree in zip(MODULES, package)
+               for name in _definitions(tree)}
     assert TEST_ONLY_PAPER_CONTENT <= defined.keys()
-    unreferenced = sorted(f"{module}: {name}" for name, module in defined.items()
-                          if name not in refs | TEST_ONLY_PAPER_CONTENT)
-    assert unreferenced == []
+    unreachable = _unreachable(package, callers, {"main"} | TEST_ONLY_PAPER_CONTENT)
+    assert sorted(f"{defined[name]}: {name}" for name in unreachable) == []
 
 
 # paper content kept in a report although no caller reads it: the inverse

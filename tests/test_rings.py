@@ -1,12 +1,14 @@
 """Cohomology ring layer: basis combinatorics, cup products, Pieri rules,
 Poincare pairing, and the Satake wedge map."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from mpmath import mpc, mpf
 
 from qgamma import rings, symfunc
 from qgamma.rings import (build_ring, cup, exp_cup, poincare_pair, quantum_pieri,
@@ -202,6 +204,32 @@ def test_satake_antisymmetry():
     b = satake([h2, h3], G24)
     assert a.coeffs == [-c for c in b.coeffs]
     assert all(c == 0 for c in satake([h2, h2], G24).coeffs)
+
+
+def _satake_over_ordered_tuples(factors, ring_G):
+    """The Satake map term by term: every ordered tuple of distinct
+    exponents, sorted into b_1 > ... > b_r with the sign of the sort."""
+    r = ring_G.r
+    out = ring_G.zero().coeffs
+    for expts in itertools.permutations(range(factors[0].ring.rank), r):
+        coeff = 1
+        for f, e in zip(factors, expts):
+            coeff = coeff * f.coeffs[e]
+        order = sorted(range(r), key=lambda i: -expts[i])
+        b = [expts[i] for i in order]
+        lam = normalize_partition(tuple(b[i] - (r - 1 - i) for i in range(r)))
+        out[ring_G.index[lam]] = out[ring_G.index[lam]] + symfunc.perm_sign(tuple(order)) * coeff
+    return out
+
+
+@pytest.mark.parametrize("r,N", [(2, 5), (3, 6), (4, 7)])
+def test_satake_minors_match_ordered_tuples(r, N):
+    rng = random.Random(20 * r + N)
+    ring_P, ring_G = build_ring("P", N), build_ring("G", N, r)
+    factors = [rings.CohClass(ring_P, [mpc(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                                       for _ in range(N)]) for _ in range(r)]
+    got, want = satake(factors, ring_G).coeffs, _satake_over_ordered_tuples(factors, ring_G)
+    assert max(abs(a - b) for a, b in zip(got, want)) < mpf("1e-30")
 
 
 def test_wedge_pairing_determinant():
