@@ -1,6 +1,8 @@
 """Limit-taking machinery: the Gamma Conjecture I limit ratio, Apery ratios,
 quantum-period radius estimation, and the Mellin-Barnes solution Psi(t) with
-its three evaluation routes and asymptotic constant."""
+its three evaluation routes and asymptotic constant.  The Psi series are
+classes of H*(P^{N-1}) = C[h]/(h^N) built from connection.rising_inverses;
+the float quadrature shares none of their arithmetic."""
 
 from __future__ import annotations
 
@@ -10,10 +12,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from mpmath import fp, mp, mpf, exp as mp_exp, log as mp_log
 
-from . import symfunc
 from .rings import RingSpec, CohClass, build_ring, cup, exp_cup, poincare_pair
-from .charclasses import gamma_class, log_gamma_coeffs
-from .connection import j_scaled
+from .charclasses import gamma_class
+from .connection import j_scaled, rising_inverses
 
 
 @dataclass
@@ -142,7 +143,11 @@ def radius_estimate(scaled_Gn) -> dict:
 
 def mellin_psi(N: int, t: float, c: float = 1.0) -> float:
     """(1/2 pi i) int_{c-iH}^{c+iH} Gamma(s)^N t^{-Ns} ds by 32-node
-    Gauss-Legendre on unit intervals; H from the Stirling decay e^{-N pi |y| / 2}."""
+    Gauss-Legendre on unit intervals; H from the Stirling decay e^{-N pi |y| / 2}.
+
+    The rounding error is about 1e-15 M with M the L1 mass sum |w f| / (4 pi)
+    on the same nodes, so a result with M > 1e6 |Psi| (large t, or t near 0)
+    raises OverflowError rather than return a number with few right digits."""
     if not (1 <= N <= 6):
         raise ValueError("Psi is supported for 1 <= N <= 6")
     if c <= 0 or t <= 0:
@@ -152,57 +157,37 @@ def mellin_psi(N: int, t: float, c: float = 1.0) -> float:
         raise OverflowError(f"t^(-N s) overflows at N = {N}, t = {t}")
     H = math.ceil(2.0 / (N * math.pi) * (46 + abs(N * c * math.log(t))) + 2)
     x, w = np.polynomial.legendre.leggauss(32)
-    total = 0.0
+    total = mass = 0.0
     for k in range(-H, H):
         y = k + (x + 1) / 2
         s = c + 1j * y
-        vals = np.array([fp.gamma(z) for z in s.tolist()]) ** N * t ** (-N * s)
-        total += np.sum(w * vals) / 2
-    return float((total / (2 * math.pi)).real)
+        terms = w * np.array([fp.gamma(z) for z in s.tolist()]) ** N * t ** (-N * s)
+        total += np.sum(terms) / 2
+        mass += np.sum(np.abs(terms)) / 2
+    psi = float((total / (2 * math.pi)).real)
+    mass /= 2 * math.pi
+    if mass > 1e6 * abs(psi):
+        raise OverflowError(f"quadrature below its rounding floor at N = {N}, t = {t}: "
+                            f"L1 mass {mass:.3g} exceeds 1e6 |Psi| = {1e6 * abs(psi):.3g}")
+    return psi
 
 
-def _inv_h_minus(k: int, cap: int) -> symfunc.Poly:
-    """1/(h-k) = -(1/k) sum_j (h/k)^j, truncated at h^cap."""
-    return {(j,): -(mpf(1) / k) * (mpf(1) / k) ** j for j in range(cap + 1)}
-
-
-def _exp_h(a, cap: int) -> symfunc.Poly:
-    """e^{a h} = sum_p a^p h^p / p!, truncated at h^cap."""
-    return {(p,): a ** p / math.factorial(p) for p in range(cap + 1)}
-
-
-def _gamma_pow(N: int) -> symfunc.Poly:
-    """Gamma(1+h)^N in C[h]/(h^N), at the current working precision."""
-    cap = N - 1
-    lg = log_gamma_coeffs(max(cap, 1))
-    return symfunc.poly_exp({(k,): N * lg[k] for k in range(1, cap + 1)}, 1, cap)
-
-
-def frobenius_Pi(N: int, t, nmax: int = 80) -> list:
+def frobenius_Pi(N: int, t, nmax: int = 80) -> CohClass:
     """Pi(t; h) = e^{-N h log t} sum_n prod_{k=1}^n (h-k)^{-N} t^{Nn} in
-    C[h]/(h^N); returns the N coefficients (mpmath reals)."""
+    H*(P^{N-1}) = C[h]/(h^N), with mpmath coefficients."""
     if t <= 0:
         raise ValueError("t must be positive")
     t = mpf(t)
-    cap = N - 1
-    series: symfunc.Poly = {}
-    prod_inv = symfunc.poly_const(1, mpf(1))   # prod (h-k)^{-N} for k <= n
+    ring = build_ring("P", N)
+    series = ring.zero()
     tn = mpf(1)
-    n = 0
-    while True:
-        series = symfunc.poly_add(series, symfunc.poly_scale(prod_inv, tn))
-        n += 1
-        tpow = t ** N
-        tn = tn * tpow
-        inv = _inv_h_minus(n, cap)
-        for _ in range(N):
-            prod_inv = symfunc.poly_mul(prod_inv, inv, cap)
-        if n > 3 and tn * max(abs(x) for x in prod_inv.values()) < mpf("1e-45") and n >= nmax // 2:
+    for n, prod_inv in enumerate(rising_inverses(ring, -1, mpf(1))):
+        if n > nmax or (n > 3 and n >= nmax // 2 and
+                        tn * max(abs(x) for x in prod_inv.coeffs) < mpf("1e-45")):
             break
-        if n > nmax:
-            break
-    out = symfunc.poly_mul(series, _exp_h(-N * mp_log(t), cap), cap)
-    return [out.get((p,), mpf(0)) for p in range(N)]
+        series = series + tn * prod_inv
+        tn = tn * t ** N
+    return exp_cup(series, ring.basis_class((1,)), -N * mp_log(t))
 
 
 def psi_residue_sum(N: int, t) -> float:
@@ -210,32 +195,22 @@ def psi_residue_sum(N: int, t) -> float:
     t^{Nn - Nh} for n <= 80; term-by-term, so it is an independent route
     from int_P Gamma-hat cup Pi."""
     t = mpf(t)
-    cap = N - 1
-    base = symfunc.poly_mul(_gamma_pow(N), _exp_h(-N * mp_log(t), cap), cap)
-
+    ring = build_ring("P", N)
+    base = exp_cup(gamma_class(ring), ring.basis_class((1,)), -N * mp_log(t))
     total = mpf(0)
-    prod_inv = symfunc.poly_const(1, mpf(1))
     tn = mpf(1)
-    for n in range(81):
-        if n > 0:
-            tn = tn * t ** N
-            inv = _inv_h_minus(n, cap)
-            for _ in range(N):
-                prod_inv = symfunc.poly_mul(prod_inv, inv, cap)
-        term = symfunc.poly_mul(base, prod_inv, cap).get((cap,), mpf(0)) * tn
+    for n, prod_inv in zip(range(81), rising_inverses(ring, -1, mpf(1))):
+        term = poincare_pair(base, prod_inv) * tn
         total += term
         if n > 3 * int(t) + 6 and abs(term) < mpf("1e-45") * (1 + abs(total)):
             break
+        tn = tn * t ** N
     return float(total)
 
 
 def psi_gamma_pi(N: int, t) -> float:
     """int_P Gamma-hat_P cup Pi(t; h): the connection-formula route."""
-    ring = build_ring("P", N)
-    gam = gamma_class(ring).coeffs        # coefficients of h^0..h^{N-1}
-    Pi = frobenius_Pi(N, t)
-    total = sum(gam[k] * Pi[N - 1 - k] for k in range(N))
-    return float(total)
+    return float(poincare_pair(gamma_class(build_ring("P", N)), frobenius_Pi(N, t)))
 
 
 def psi_asymptotic_constant(N: int, t_grid) -> dict:
@@ -243,11 +218,10 @@ def psi_asymptotic_constant(N: int, t_grid) -> dict:
     Richardson on the last three grid values; target N^{-1/2}(2 pi)^{(N-1)/2}."""
     with mp.workdps(60):
         vals = []
-        gam = _gamma_pow(N)
+        gam = gamma_class(build_ring("P", N))
         for t in t_grid:
             # residue sum at high precision (entire series, heavy cancellation)
-            Pi = frobenius_Pi(N, t, nmax=int(6 * t) + 40)
-            psi = sum(gam.get((k,), 0) * Pi[N - 1 - k] for k in range(N))
+            psi = poincare_pair(gam, frobenius_Pi(N, t, nmax=int(6 * t) + 40))
             vals.append(psi * mpf(t) ** (mpf(N - 1) / 2) * mp_exp(N * mpf(t)))
         extrap = _richardson3([mpf(t) for t in t_grid[-3:]], vals[-3:]) if len(vals) >= 3 else vals[-1]
         target = mpf(N) ** mpf("-0.5") * (2 * mp.pi) ** (mpf(N - 1) / 2)

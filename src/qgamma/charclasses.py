@@ -170,8 +170,9 @@ def gamma_G_closed_form(r: int, N: int) -> CohClass:
 def _gamma_G_closed_form(ring: RingSpec) -> CohClass:
     r, N, cap = ring.r, ring.N, ring.dim
     two_pi_i = 2j * mp.pi
-    # (e^{u} - 1)/u = sum u^k/(k+1)! with u = 2 pi i (x_i - x_j)
-    s_coeffs = [mpf(1) / factorial(k + 1) for k in range(cap + 1)]
+    # e^u = sum u^k/k! and (e^u - 1)/u = sum u^k/(k+1)!, u = 2 pi i (x_i - x_j)
+    exp_coeffs = [mpf(1) / factorial(k) for k in range(cap + 2)]
+    s_coeffs = exp_coeffs[1:]
     total = symfunc.poly_const(r, mpc(1))
     for i in range(r):
         for j in range(i + 1, r):
@@ -181,7 +182,8 @@ def _gamma_G_closed_form(ring: RingSpec) -> CohClass:
             ratio = symfunc.poly_series_of(u, r, s_coeffs, cap)
             ej = [0] * r
             ej[j] = 1
-            pref = symfunc.poly_exp(symfunc.poly_linear(r, ej, two_pi_i), r, cap)
+            pref = symfunc.poly_series_of(symfunc.poly_linear(r, ej, two_pi_i), r,
+                                          exp_coeffs, cap)
             factor = symfunc.poly_scale(symfunc.poly_mul(ratio, pref, cap), two_pi_i)
             total = symfunc.poly_mul(total, factor, cap)
     lg = log_gamma_coeffs(cap)
@@ -191,10 +193,10 @@ def _gamma_G_closed_form(ring: RingSpec) -> CohClass:
         e[i] = 1
         gam_sum = symfunc.poly_add(gam_sum, symfunc.poly_series_of(
             symfunc.poly_linear(r, e, mpf(1)), r, lg, cap))
-    total = symfunc.poly_mul(total, symfunc.poly_exp(
-        symfunc.poly_scale(gam_sum, N), r, cap), cap)
-    total = symfunc.poly_mul(total, symfunc.poly_exp(
-        symfunc.poly_linear(r, [1] * r, -(r - 1) * 1j * mp.pi), r, cap), cap)
+    total = symfunc.poly_mul(total, symfunc.poly_series_of(
+        symfunc.poly_scale(gam_sum, N), r, exp_coeffs, cap), cap)
+    total = symfunc.poly_mul(total, symfunc.poly_series_of(
+        symfunc.poly_linear(r, [1] * r, -(r - 1) * 1j * mp.pi), r, exp_coeffs, cap), cap)
     prefactor = mp_power(two_pi_i, -(r * (r - 1) // 2))
     return _to_cohclass(ring, symfunc.poly_scale(total, prefactor))
 

@@ -148,6 +148,17 @@ def _float_list(text: str) -> list:
     return [_finite_float(x) for x in text.split(",")]
 
 
+def _positive_int_list(text: str) -> list:
+    """argparse type: comma-separated positive integers."""
+    try:
+        values = [int(x) for x in text.split(",")]
+    except ValueError:
+        values = [0]
+    if min(values) < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a list of positive integers")
+    return values
+
+
 def build_parser() -> Parser:
     p = Parser(prog="qgamma", description=__doc__)
     sub = p.add_subparsers(dest="cmd", required=True)
@@ -180,7 +191,7 @@ def build_parser() -> Parser:
 
     sp = add("apery", help="Apery-style ratio limit")
     sp.add_argument("--target", required=True)
-    sp.add_argument("--n-grid", default="20,30,40")
+    sp.add_argument("--n-grid", type=_positive_int_list, default="20,30,40")
     sp.add_argument("--g-coeffs",
                     help="comma-separated coefficients of the Poincare dual "
                          "class in basis order (default: the G(2,5) class "
@@ -280,8 +291,7 @@ def cmd_apery(args):
         g = ring.basis_class((3, 1)) - ring.basis_class((2, 2))
     else:
         raise UsageError("no default class for this target; pass --g-coeffs")
-    n_grid = [int(x) for x in args.n_grid.split(",")]
-    rep = apery_ratios(ring, g, n_grid, tol=args.tol)
+    rep = apery_ratios(ring, g, args.n_grid, tol=args.tol)
     emit({"target": args.target, "n_grid": rep.grid, "ratios": rep.values,
           "target_value": rep.target, "gap": rep.notes["gap"],
           "converged": rep.converged}, args)

@@ -10,6 +10,7 @@ used by radius and Apery estimates.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -18,7 +19,6 @@ from fractions import Fraction
 import numpy as np
 from mpmath import mp, mpc, mpf, exp as mp_exp, log as mp_log
 
-from . import symfunc
 from .rings import RingSpec, CohClass, build_ring, cup, exp_cup, quantum_pieri
 from .charclasses import gamma_class, scale_degrees, bracket_pairing
 
@@ -67,7 +67,6 @@ class SpectrumReport:
 
 def spectrum_closed_form(r: int, N: int) -> list:
     """Spec(c1 *) on G(r,N): N e^{(r-1) pi i / N} (zeta^{i_1}+...+zeta^{i_r})."""
-    import itertools
     zeta = np.exp(2j * np.pi / N)
     rot = N * np.exp(1j * np.pi * (r - 1) / N)
     return [rot * sum(zeta ** i for i in subset)
@@ -300,27 +299,24 @@ def j_scaled(ring: RingSpec, nmax: int) -> np.ndarray:
     return np.array([[row[0] for row in Wm] for Wm in W], dtype=float)
 
 
+def rising_inverses(ring: RingSpec, sign: int, one):
+    """Yield prod_{k=1}^{n} (h + sign k)^{-N} for n = 0, 1, 2, ... on
+    ring = P^{N-1}, with 1/(h + c) = sum_j (-h)^j / c^{j+1}; one is the
+    scalar 1 of the result's type (Fraction or mpf)."""
+    prod = one * ring.unit()
+    for n in itertools.count(1):
+        yield prod
+        c = sign * n * one
+        inv = CohClass(ring, [(-1) ** j / c ** (j + 1) for j in range(ring.rank)])
+        for _ in range(ring.N):
+            prod = cup(prod, inv)
+
+
 def j_closed_form_P(N: int, nmax: int) -> list:
     """J_{N n} = 1 / prod_{k=1}^{n} (h + k)^N on P^{N-1}, exact Fractions."""
     ring = build_ring("P", N)
-    dim = ring.dim
-    out = []
-    prod = symfunc.poly_const(1, Fraction(1))   # prod (1 + h/k)^N
-    fact_pow = Fraction(1)
-    n = 0
-    for m in range(nmax + 1):
-        if m % N:
-            out.append(ring.zero())
-            continue
-        if m > 0:
-            n += 1
-            fact_pow *= Fraction(n) ** N
-            factor = {(0,): Fraction(1), (1,): Fraction(1, n)}
-            for _ in range(N):
-                prod = symfunc.poly_mul(prod, factor, dim)
-        inv = symfunc.poly_inv(prod, 1, dim)
-        out.append(CohClass(ring, [inv.get((k,), 0) / fact_pow for k in range(dim + 1)]))
-    return out
+    inverses = rising_inverses(ring, 1, Fraction(1))
+    return [ring.zero() if m % N else next(inverses) for m in range(nmax + 1)]
 
 
 def quantum_period(ring: RingSpec, nmax: int, exact: bool = True):

@@ -36,21 +36,22 @@ class MRS:
     pairing: object
 
 
-def gram(sob) -> np.ndarray:
-    """[v_i, v_j) for all i, j.  Under the bracket pairing each left vector
-    becomes its row a B once (bracket_row), so n classes cost n nnz(B) +
-    n^2 rank products instead of n^2 nnz(B); any other pairing is called per
-    entry."""
+def _pairings(sob) -> list:
+    """[v_i, v_j) for all i, j, in the pairing's own scalars.  Under the
+    bracket pairing each left vector becomes its row a B once (bracket_row),
+    so n classes cost n nnz(B) + n^2 rank products instead of n^2 nnz(B);
+    any other pairing is called per entry."""
     vs = sob.vectors
     if sob.pairing is bracket_pairing:
         rows = [bracket_row(a) for a in vs]
     else:
         rows = [functools.partial(sob.pairing, a) for a in vs]
-    g = np.zeros((len(vs), len(vs)), dtype=complex)
-    for i, row in enumerate(rows):
-        for j, b in enumerate(vs):
-            g[i, j] = complex(row(b))
-    return g
+    return [[row(b) for b in vs] for row in rows]
+
+
+def gram(sob) -> np.ndarray:
+    """[v_i, v_j) for all i, j, as a complex matrix."""
+    return np.array(_pairings(sob), dtype=complex)
 
 
 def round_gram(g: np.ndarray):
@@ -229,7 +230,7 @@ def mutate_phase_rotation(mrs: MRS, phi_target: float):
 def _start_gram(mrs: MRS) -> np.ndarray:
     """[v_i, v_j) as an object array: Python ints when every entry is within
     1e-9 of an integer, else the pairing's own scalars."""
-    g = [[mrs.pairing(a, b) for b in mrs.vectors] for a in mrs.vectors]
+    g = _pairings(mrs)
     near, err = round_gram(np.array(g, dtype=complex))
     return np.array(near.tolist() if err <= 1e-9 else g, dtype=object)
 

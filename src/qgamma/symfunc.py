@@ -5,9 +5,10 @@ coefficients, truncated at a fixed total degree.  The scalar type is left
 generic: exact work uses int/Fraction, numeric work uses complex or mpmath
 numbers.  Symmetric polynomials are expanded in the Schur basis through the
 bialternant trick: multiply by the Vandermonde determinant and read off the
-coefficients of the strictly-decreasing staircase monomials.  These serve
-the polynomial routes kept as independent checks of the ring arithmetic:
-the Grassmannian closed-form Gamma class, j_closed_form_P and the Psi series.
+coefficients of the strictly-decreasing staircase monomials.  They serve
+one route kept as an independent check of the ring arithmetic, the
+Grassmannian closed-form Gamma class; a one-variable series such as e^u
+enters it through poly_series_of.
 """
 
 from __future__ import annotations
@@ -57,41 +58,6 @@ def poly_linear(r: int, coeffs, scalar=1) -> Poly:
         e[i] = 1
         out[tuple(e)] = out.get(tuple(e), 0) + c * scalar
     return {e: c for e, c in out.items() if c != 0}
-
-
-def poly_exp(p: Poly, r: int, degree_cap: int) -> Poly:
-    """exp(p) truncated at degree_cap; p must have no constant term.
-
-    Term k is built as term_{k-1} * p / k, which stays exact for Fraction
-    scalars and loses nothing for mpmath scalars.
-    """
-    if p.get((0,) * r, 0) != 0:
-        raise ValueError("poly_exp needs a polynomial without constant term")
-    out = poly_const(r, 1)
-    term = poly_const(r, 1)
-    for k in range(1, degree_cap + 1):
-        term = poly_mul(term, p, degree_cap)
-        if not term:
-            break
-        term = {e: c / k for e, c in term.items()}
-        out = poly_add(out, term)
-    return out
-
-
-def poly_inv(p: Poly, r: int, degree_cap: int) -> Poly:
-    """Inverse of a power series with constant term 1 (Neumann series)."""
-    one = (0,) * r
-    if p.get(one, 0) != 1:
-        raise ValueError("poly_inv needs constant term 1")
-    w = poly_scale(poly_add(p, {one: -1}), -1)  # p = 1 - w
-    out = poly_const(r, 1)
-    power = poly_const(r, 1)
-    for _ in range(degree_cap):
-        power = poly_mul(power, w, degree_cap)
-        if not power:
-            break
-        out = poly_add(out, power)
-    return out
 
 
 def poly_series_of(p: Poly, r: int, series_coeffs, degree_cap: int) -> Poly:

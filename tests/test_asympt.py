@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 from mpmath import mp, mpf
 
-from qgamma.rings import build_ring, cup
+from qgamma.rings import build_ring, cup, poincare_pair
 from qgamma.charclasses import gamma_class
 from qgamma.connection import spectrum, quantum_period, j_scaled
 from qgamma.asympt import (eval_J, limit_ratio, apery_precondition,
                            apery_ratios, radius_estimate, mellin_psi,
-                           psi_residue_sum, psi_gamma_pi,
+                           psi_residue_sum, psi_gamma_pi, frobenius_Pi,
                            psi_asymptotic_constant)
 
 P2 = build_ring("P", 3)
@@ -99,6 +99,17 @@ def test_psi_three_routes_agree():
         for t in [0.5, 1, 2]:
             a, b, c = mellin_psi(N, t), psi_residue_sum(N, t), psi_gamma_pi(N, t)
             assert max(abs(a - b), abs(b - c)) < 1e-8
+
+
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_gamma_pi_pairing_matches_meijer_g(N):
+    """int_P Gamma-hat cup Pi(t) = Psi(t) = G^{N,0}_{0,N}(t^N | 0, ..., 0)
+    to 30 of the 40 working digits."""
+    ring = build_ring("P", N)
+    for t in [0.5, 1, 2]:
+        got = poincare_pair(gamma_class(ring), frobenius_Pi(N, t))
+        want = mp.meijerg([[], []], [[0] * N, []], mpf(t) ** N)
+        assert abs(got - want) < mpf("1e-30") * abs(want)
 
 
 def test_psi_contour_independence():

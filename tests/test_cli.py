@@ -61,9 +61,11 @@ def test_limit_command(capsys):
 
 
 def test_psi_command(capsys):
-    code, out = run(capsys, "psi", "--N", "2", "--t", "1")
-    assert code == 0
-    assert json.loads(out)["max_spread"] < 1e-8
+    # t = 8 is still above the quadrature's rounding floor
+    for t in ["1", "8"]:
+        code, out = run(capsys, "psi", "--N", "2", "--t", t)
+        assert code == 0
+        assert json.loads(out)["max_spread"] < 1e-8
 
 
 def test_usage_error_exit_1(capsys):
@@ -78,6 +80,7 @@ def test_usage_error_exit_1(capsys):
     ["psi", "--N", "9", "--t", "1"],
     ["zetareg", "--delta", "-1", "--z", "1"],
     ["limit", "--target", "P(2)", "--t", "-1"],
+    ["apery", "--target", "G(2,5)", "--n-grid", "-3"],
 ], ids=lambda argv: argv[0])
 def test_bad_argument_values_are_usage_errors(capsys, argv):
     assert main(argv) == 1
@@ -97,6 +100,10 @@ def test_negative_nmax_exit_1(capsys):
     pytest.param(["zetareg", "--delta", "1e300", "--z", "1"], id="zetareg-inf"),
     pytest.param(["psi", "--N", "3", "--t", "1e5"], id="psi-inf"),
     pytest.param(["psi", "--N", "2", "--t", "1e-300"], id="psi-nan"),
+    # quadrature below its rounding floor: an answer would have few right digits
+    pytest.param(["psi", "--N", "2", "--t", "20"], id="psi-floor-N2-t20"),
+    pytest.param(["psi", "--N", "3", "--t", "12"], id="psi-floor-N3-t12"),
+    pytest.param(["psi", "--N", "2", "--t", "1e-5"], id="psi-floor-N2-t1e-5"),
 ], ids=lambda argv: argv[0])
 def test_float_overflow_exit_3(capsys, argv):
     assert main(argv) == 3

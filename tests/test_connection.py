@@ -10,10 +10,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mpf, pi as mp_pi, exp as mp_exp, mpc
 
-from qgamma.rings import build_ring
+from qgamma.rings import build_ring, cup
 from qgamma.connection import (c1_matrix, spectrum, spectrum_closed_form,
                                fundamental_solution, j_coefficients, j_scaled,
-                               j_closed_form_P, quantum_period, central_charge,
+                               j_closed_form_P, rising_inverses, quantum_period,
+                               central_charge,
                                graded_pieces, _mat_id, _mat_zero, _solve_graded,
                                _sparse_rho, _multiset_distance)
 from qgamma import connection
@@ -283,6 +284,20 @@ def test_j_oracle_projective():
         closed = j_closed_form_P(N, 200)
         for a, b in zip(rec, closed):
             assert a.coeffs == b.coeffs
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("N", [2, 3, 5])
+def test_rising_inverses_invert_the_products(N, sign):
+    """prod_{k<=n} (h + sign k)^{-N} cup prod_{k<=n} (h + sign k)^N = 1 exactly."""
+    ring = build_ring("P", N)
+    h = ring.basis_class((1,))
+    prod = ring.unit()
+    for n, inv in zip(range(8), rising_inverses(ring, sign, Fraction(1))):
+        assert all(type(c) is Fraction for c in inv.coeffs)
+        assert cup(inv, prod).coeffs == ring.unit().coeffs
+        for _ in range(N):
+            prod = cup(prod, h + sign * (n + 1) * ring.unit())
 
 
 def test_j_scaled_matches_exact():

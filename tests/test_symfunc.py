@@ -1,10 +1,25 @@
 """Truncated polynomial kernel and Schur expansion."""
 
+import math
 from fractions import Fraction
 
-from qgamma.symfunc import (poly_mul, poly_add, poly_linear, poly_exp,
-                            poly_inv, schur_poly, schur_expand, ssyt_monomials,
-                            vandermonde, perm_sign)
+from qgamma.symfunc import (poly_mul, poly_add, poly_const, poly_scale, poly_series_of,
+                            schur_poly, schur_expand, ssyt_monomials, perm_sign)
+
+
+def poly_inv(p, r: int, degree_cap: int):
+    """Inverse of a power series with constant term 1 (Neumann series); a
+    test oracle for the ring arithmetic."""
+    one = (0,) * r
+    assert p.get(one, 0) == 1, "poly_inv needs constant term 1"
+    w = poly_scale(poly_add(p, {one: -1}), -1)  # p = 1 - w
+    out = power = poly_const(r, 1)
+    for _ in range(degree_cap):
+        power = poly_mul(power, w, degree_cap)
+        if not power:
+            break
+        out = poly_add(out, power)
+    return out
 
 
 def poly_var(r: int, i: int, degree_cap: int):
@@ -45,7 +60,7 @@ def test_schur_expand_littlewood_richardson():
 
 def test_poly_exp_inv():
     x = poly_var(2, 0, 5)
-    e = poly_exp({k: Fraction(v) for k, v in x.items()}, 2, 5)
+    e = poly_series_of(x, 2, [Fraction(1, math.factorial(k)) for k in range(6)], 5)
     inv = poly_inv(e, 2, 5)
     prod = poly_mul(e, inv, 5)
     assert prod.get((0, 0)) == 1
