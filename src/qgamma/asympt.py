@@ -175,19 +175,36 @@ def mellin_psi(N: int, t: float, c: float = 1.0) -> float:
 def frobenius_Pi(N: int, t, nmax: int = 80) -> CohClass:
     """Pi(t; h) = e^{-N h log t} sum_n prod_{k=1}^n (h-k)^{-N} t^{Nn} in
     H*(P^{N-1}) = C[h]/(h^N), with mpmath coefficients."""
+    return _frobenius_Pi(N, t, nmax)[0]
+
+
+def _frobenius_Pi(N: int, t, nmax: int):
+    """(Pi(t; h), sizes of its largest summed and first omitted series term)."""
     if t <= 0:
         raise ValueError("t must be positive")
     t = mpf(t)
     ring = build_ring("P", N)
     series = ring.zero()
-    tn = mpf(1)
+    tn, biggest = mpf(1), mpf(0)
     for n, prod_inv in enumerate(rising_inverses(ring, -1, mpf(1))):
-        if n > nmax or (n > 3 and n >= nmax // 2 and
-                        tn * max(abs(x) for x in prod_inv.coeffs) < mpf("1e-45")):
+        size = tn * max(abs(x) for x in prod_inv.coeffs)
+        if n > nmax or (n > 3 * int(t) + 6 and size < mpf("1e-45")):
             break
         series = series + tn * prod_inv
+        biggest = max(biggest, size)
         tn = tn * t ** N
-    return exp_cup(series, ring.basis_class((1,)), -N * mp_log(t))
+    return exp_cup(series, ring.basis_class((1,)), -N * mp_log(t)), biggest, size
+
+
+def _above_floor(psi, biggest, tail, N: int, t) -> float:
+    """float(psi), or OverflowError when fewer than 9 of its digits are right:
+    a summed term exceeds 10^(dps - 9) |psi| (the floor mellin_psi applies
+    at float precision), or the series tail exceeds 1e-9 |psi|."""
+    if biggest > mpf(10) ** (mp.dps - 9) * abs(psi) or tail > mpf("1e-9") * abs(psi):
+        raise OverflowError(f"Psi series at N = {N}, t = {t} keeps fewer than 9 of "
+                            f"{mp.dps} digits: terms up to {float(biggest):.3g}, "
+                            f"last term {float(tail):.3g}, sum {float(psi):.3g}")
+    return float(psi)
 
 
 def psi_residue_sum(N: int, t) -> float:
@@ -197,20 +214,23 @@ def psi_residue_sum(N: int, t) -> float:
     t = mpf(t)
     ring = build_ring("P", N)
     base = exp_cup(gamma_class(ring), ring.basis_class((1,)), -N * mp_log(t))
-    total = mpf(0)
+    total = biggest = mpf(0)
     tn = mpf(1)
     for n, prod_inv in zip(range(81), rising_inverses(ring, -1, mpf(1))):
         term = poincare_pair(base, prod_inv) * tn
         total += term
+        biggest = max(biggest, abs(term))
         if n > 3 * int(t) + 6 and abs(term) < mpf("1e-45") * (1 + abs(total)):
             break
         tn = tn * t ** N
-    return float(total)
+    return _above_floor(total, biggest, abs(term), N, t)
 
 
 def psi_gamma_pi(N: int, t) -> float:
     """int_P Gamma-hat_P cup Pi(t; h): the connection-formula route."""
-    return float(poincare_pair(gamma_class(build_ring("P", N)), frobenius_Pi(N, t)))
+    Pi, biggest, tail = _frobenius_Pi(N, t, 80)
+    psi = poincare_pair(gamma_class(build_ring("P", N)), Pi)
+    return _above_floor(psi, biggest, tail, N, t)
 
 
 def psi_asymptotic_constant(N: int, t_grid) -> dict:

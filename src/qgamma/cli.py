@@ -25,8 +25,7 @@ from .charclasses import (gamma_class, zeta_reg_reciprocal_product,
 from .connection import spectrum, j_coefficients, quantum_period
 from .asympt import (limit_ratio, apery_ratios, mellin_psi, psi_residue_sum,
                      psi_gamma_pi)
-from . import mrs as mrsmod
-from .mrs import SOB, gram, round_gram, stokes_matrix, mutate_phase_rotation
+from .mrs import SOB, gamma_mrs, gram, round_gram, stokes_matrix, mutate_phase_rotation
 from .wedgecheck import (check_wedge_spectrum, check_kapranov_wedge_identity,
                          check_mrs_wedge)
 from . import verify
@@ -225,12 +224,6 @@ def build_parser() -> Parser:
     return p
 
 
-def _mrs_for(ring, phase):
-    if ring.kind == "P":
-        return mrsmod.beilinson_gamma_mrs(ring.N, phase=phase)
-    return mrsmod.kapranov_gamma_mrs(ring.r, ring.N, phase=phase)
-
-
 def cmd_spectrum(args):
     ring = parse_target(args.target)
     rep = spectrum(ring)
@@ -311,7 +304,7 @@ def cmd_psi(args):
 
 def cmd_stokes(args):
     ring = parse_target(args.target)
-    S, err = round_gram(stokes_matrix(_mrs_for(ring, args.phase)))
+    S, err = round_gram(stokes_matrix(gamma_mrs(ring, args.phase)))
     emit({"target": args.target, "phase": args.phase, "stokes_matrix": S,
           "rounding_error": err}, args)
     return 0
@@ -319,11 +312,12 @@ def cmd_stokes(args):
 
 def cmd_mutate(args):
     ring = parse_target(args.target)
-    m = _mrs_for(ring, args.phase)
-    m2, log = mutate_phase_rotation(m, args.to)
+    m2, log = mutate_phase_rotation(gamma_mrs(ring, args.phase), args.to)
     g, err = round_gram(gram(SOB(m2.vectors, m2.pairing)))
     if err > 1e-9:   # the Gram tolerance of criterion 4
         raise OverflowError(f"final Gram rounding error {err:.3g} exceeds 1e-9")
+    if any(g.diagonal() != 1):   # a mutated exceptional collection has unit diagonal
+        raise OverflowError(f"final Gram diagonal {g.diagonal().tolist()} is not all 1")
     emit({"target": args.target, "phase_from": args.phase, "phase_to": args.to,
           "mutations": log, "final_gram": g,
           "gram_rounding_error": err}, args)

@@ -10,6 +10,7 @@ used by radius and Apery estimates.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 import operator
@@ -19,7 +20,8 @@ from fractions import Fraction
 import numpy as np
 from mpmath import mp, mpc, mpf, exp as mp_exp, log as mp_log
 
-from .rings import RingSpec, CohClass, build_ring, cup, exp_cup, quantum_pieri
+from .rings import (RingSpec, CohClass, build_ring, cup, exp_cup, partitions_in_box,
+                    quantum_pieri, wedge_exponents)
 from .charclasses import gamma_class, scale_degrees, bracket_pairing
 
 
@@ -66,11 +68,13 @@ class SpectrumReport:
 
 
 def spectrum_closed_form(r: int, N: int) -> list:
-    """Spec(c1 *) on G(r,N): N e^{(r-1) pi i / N} (zeta^{i_1}+...+zeta^{i_r})."""
-    zeta = np.exp(2j * np.pi / N)
-    rot = N * np.exp(1j * np.pi * (r - 1) / N)
-    return [rot * sum(zeta ** i for i in subset)
-            for subset in itertools.combinations(range(N), r)]
+    """Spec(c1 *) on G(r,N), one eigenvalue per partition nu in basis order:
+    sum_i N e^{(r-1) pi i / N} e^{-2 pi i k_i / N}, k = wedge_exponents(nu, r).
+    This is also the marking rule of the Gamma basis Gamma-hat Ch(S^nu V*):
+    the sum of the rotated P^{N-1} markings of O(k_1), ..., O(k_r)."""
+    rot = cmath.exp(1j * math.pi * (r - 1) / N)
+    return [sum(N * rot * cmath.exp(-2j * math.pi * k / N) for k in wedge_exponents(nu, r))
+            for nu in partitions_in_box(r, N - r)]
 
 
 def greedy_groups(values, tol: float) -> list:

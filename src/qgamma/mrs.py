@@ -18,8 +18,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .charclasses import gamma_class, kapranov_ch, bracket_pairing, bracket_row
-from .connection import greedy_groups
-from .rings import build_ring, cup, det_small
+from .connection import greedy_groups, spectrum_closed_form
+from .rings import RingSpec, build_ring, cup, det_small
 
 
 @dataclass
@@ -282,34 +282,18 @@ def wedge_mrs(mrs: MRS, r: int) -> MRS:
 
 # --- Gamma-basis MRSs ----------------------------------------------------
 
-def beilinson_gamma_mrs(N: int, phase: float = -0.05) -> MRS:
-    """Vectors Gamma-hat_P Ch(O(j)), markings N e^{-2 pi i j / N}; on P^{N-1}
-    O(j) = S^(j) V*."""
-    ring = build_ring("P", N)
+def gamma_mrs(ring: RingSpec, phase: float = -0.05) -> MRS:
+    """Vectors Gamma-hat Ch(S^nu V*) for nu in ring.basis, marked by the
+    closed-form spectrum.  On P^{N-1}, S^(j) V* = O(j): the Beilinson basis."""
     gam = gamma_class(ring)
-    vectors = [cup(gam, kapranov_ch((j,), ring)) for j in range(N)]
-    markings = [N * cmath.exp(-2j * math.pi * j / N) for j in range(N)]
-    return MRS(vectors=vectors, markings=markings, phase=phase,
-               pairing=bracket_pairing)
+    vectors = [cup(gam, kapranov_ch(nu, ring)) for nu in ring.basis]
+    return MRS(vectors=vectors, markings=spectrum_closed_form(ring.r, ring.N),
+               phase=phase, pairing=bracket_pairing)
 
 
-def kapranov_markings(r: int, N: int) -> list:
-    """Marking of S^nu V*: sum of rotated P-markings at exponents
-    k = (nu_1 + r - 1, ..., nu_r)."""
-    ring = build_ring("G", N, r)
-    rot = cmath.exp(1j * math.pi * (r - 1) / N)
-    out = []
-    for nu in ring.basis:
-        padded = list(nu) + [0] * (r - len(nu))
-        ks = [padded[i] + r - 1 - i for i in range(r)]
-        out.append(sum(N * rot * cmath.exp(-2j * math.pi * k / N) for k in ks))
-    return out
+def beilinson_gamma_mrs(N: int, phase: float = -0.05) -> MRS:
+    return gamma_mrs(build_ring("P", N), phase)
 
 
 def kapranov_gamma_mrs(r: int, N: int, phase: float = -0.05) -> MRS:
-    """Vectors Gamma-hat_G Ch(S^nu V*) in degree-lex order of nu."""
-    ring = build_ring("G", N, r)
-    gam = gamma_class(ring)
-    vectors = [cup(gam, kapranov_ch(nu, ring)) for nu in ring.basis]
-    return MRS(vectors=vectors, markings=kapranov_markings(r, N), phase=phase,
-               pairing=bracket_pairing)
+    return gamma_mrs(build_ring("G", N, r), phase)

@@ -293,19 +293,24 @@ def quantum_pieri(k: int, lam, ring: RingSpec) -> dict:
     return {0: classical, 1: quantum}
 
 
+def wedge_exponents(nu, r: int) -> tuple:
+    """The quantum Satake dictionary sigma_nu <-> h^{k_1} ^ ... ^ h^{k_r}:
+    k_i = nu_i + r - i, strictly decreasing; inside the r x (N - r) box the
+    k are exactly the r-subsets of range(N)."""
+    padded = tuple(nu) + (0,) * (r - len(nu))
+    return tuple(p + r - 1 - i for i, p in enumerate(padded))
+
+
 def satake(factors, ring_G: RingSpec) -> CohClass:
-    """Multilinear alternating extension of h^{b_1} ^ ... ^ h^{b_r} ->
-    sigma_lambda, lambda_i = b_i - (r - i) for b_1 > ... > b_r: the
-    coefficient of sigma_lambda is the r x r minor det[f_i(h^{b_j})], one
-    per exponent set."""
+    """Multilinear alternating extension of h^{k_1} ^ ... ^ h^{k_r} ->
+    sigma_nu, k = wedge_exponents(nu, r): the coefficient of sigma_nu is the
+    r x r minor det[f_i(h^{k_j})]."""
     r = ring_G.r
     if len(factors) != r:
         raise ValueError(f"need exactly {r} wedge factors")
     ring_P = factors[0].ring
     if ring_P.N != ring_G.N or ring_P.r != 1:
         raise ValueError("wedge factors must live on P^{N-1} with matching N")
-    out = [0] * ring_G.rank
-    for b in itertools.combinations(reversed(range(ring_P.rank)), r):
-        lam = normalize_partition(e - (r - 1 - i) for i, e in enumerate(b))
-        out[ring_G.index[lam]] = det_small([[f.coeffs[e] for e in b] for f in factors])
-    return CohClass(ring_G, out)
+    exponents = [wedge_exponents(nu, r) for nu in ring_G.basis]
+    return CohClass(ring_G, [det_small([[f.coeffs[k] for k in ks] for f in factors])
+                             for ks in exponents])

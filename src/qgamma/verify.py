@@ -13,8 +13,8 @@ from mpmath import mpf
 
 from .rings import build_ring
 from .charclasses import zeta_reg_reciprocal_product, zeta_reg_closed_form
-from .connection import (spectrum, j_coefficients, j_closed_form_P,
-                         quantum_period, _multiset_distance)
+from .connection import (spectrum, spectrum_closed_form, j_coefficients,
+                         j_closed_form_P, quantum_period, _multiset_distance)
 from .asympt import (limit_ratio, apery_precondition, apery_ratios,
                      radius_estimate, mellin_psi, psi_residue_sum,
                      psi_gamma_pi, psi_asymptotic_constant)
@@ -184,9 +184,8 @@ def criterion_9():
         b = braid_act(base, [3, 1])
         ok &= all(np.array_equal(x, y) for x, y in zip(a.vectors, b.vectors))
     G3 = np.array([[1, 3, 6], [0, 1, 3], [0, 0, 1]])
-    mk = [3 * cmath.exp(-2j * math.pi * j / 3) for j in range(3)]
     phase = -(math.pi / 2 + 0.3)
-    m3 = MRS(vectors=[np.eye(3, dtype=int)[i] for i in range(3)], markings=mk,
+    m3 = MRS(vectors=list(np.eye(3, dtype=int)), markings=spectrum_closed_form(1, 3),
              phase=phase, pairing=lambda a, b: a @ G3 @ b)
     m3b, _ = mrsmod.mutate_phase_rotation(m3, phase - 2 * math.pi)
     M = np.array(m3b.vectors).T

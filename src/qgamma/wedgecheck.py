@@ -5,14 +5,14 @@ comparison of marked reflection systems."""
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from mpmath import mp, mpc
 
-from .rings import RingSpec, CohClass, build_ring, cup, exp_cup, satake, normalize_partition
+from .rings import (RingSpec, CohClass, build_ring, cup, exp_cup, satake,
+                    normalize_partition, wedge_exponents)
 from .charclasses import gamma_class, gamma_G_closed_form, kapranov_ch, bracket_pairing
 from .connection import c1_matrix, spectrum_closed_form, _multiset_distance
 from . import mrs as mrsmod
@@ -28,12 +28,8 @@ class SatakeCheckReport:
 def check_wedge_spectrum(r: int, N: int, tol: float = 1e-8) -> SatakeCheckReport:
     """Eigenvalues of c1 on G(r,N) versus r-fold distinct-index sums of the
     rotated projective-space spectrum N e^{(r-1) pi i / N} zeta^k."""
-    ring = build_ring("G", N, r)
-    lhs = sorted(np.linalg.eigvals(c1_matrix(ring)),
-                 key=lambda z: (round(z.real, 8), round(z.imag, 8)))
-    rhs = sorted(spectrum_closed_form(r, N),
-                 key=lambda z: (round(z.real, 8), round(z.imag, 8)))
-    resid = _multiset_distance(lhs, rhs)
+    resid = _multiset_distance(np.linalg.eigvals(c1_matrix(build_ring("G", N, r))),
+                               spectrum_closed_form(r, N))
     return SatakeCheckReport(case=f"spectrum G({r},{N})", max_residual=resid,
                              passed=resid < tol)
 
@@ -46,38 +42,24 @@ def satake_normalized(factors, ring_G: RingSpec) -> CohClass:
     return exp_cup(raw, ring_G.basis_class((1,)), -(r - 1) * 1j * mp.pi) * pref
 
 
-def _wedge_factors(nu, r: int, N: int):
-    ring_P = build_ring("P", N)
-    gam = gamma_class(ring_P)
-    padded = list(nu) + [0] * (r - len(nu))
-    ks = [padded[i] + r - 1 - i for i in range(r)]
-    return [cup(gam, kapranov_ch((k,), ring_P)) for k in ks]   # O(k) = S^(k) V*
-
-
 def check_kapranov_wedge_identity(r: int, N: int, nu,
                                   tol: float = 1e-10) -> SatakeCheckReport:
     """Gamma-hat_G Ch(S^nu V*) against the normalized Satake image of the
-    wedge of Gamma-hat_P Ch(O(nu_i + r - i)).  The left side is evaluated
-    both through the generic Gamma class and through its closed form."""
+    wedge of Gamma-hat_P Ch(O(k_i)), k = wedge_exponents(nu, r); the left
+    side goes through both the generic Gamma class and its closed form."""
     nu = normalize_partition(nu)
     ring_G = build_ring("G", N, r)
     chS = kapranov_ch(nu, ring_G)
     lhs_generic = cup(gamma_class(ring_G), chS)
     lhs_closed = cup(gamma_G_closed_form(r, N), chS)
-    rhs = satake_normalized(_wedge_factors(nu, r, N), ring_G)
-    resid = 0.0
-    for a, b in zip(lhs_generic.coeffs, rhs.coeffs):
-        resid = max(resid, float(abs(mpc(a) - mpc(b))))
-    for a, b in zip(lhs_closed.coeffs, rhs.coeffs):
-        resid = max(resid, float(abs(mpc(a) - mpc(b))))
+    ring_P = build_ring("P", N)
+    gam_P = gamma_class(ring_P)
+    rhs = satake_normalized([cup(gam_P, kapranov_ch((k,), ring_P))   # O(k) = S^(k) V*
+                             for k in wedge_exponents(nu, r)], ring_G)
+    resid = max(float(abs(mpc(a) - mpc(b))) for lhs in (lhs_generic, lhs_closed)
+                for a, b in zip(lhs.coeffs, rhs.coeffs))
     return SatakeCheckReport(case=f"kapranov G({r},{N}) nu={list(nu)}",
                              max_residual=resid, passed=resid < tol)
-
-
-def _combo_to_partition(combo, r: int):
-    """Ascending exponent tuple (k_r < ... < k_1) back to nu_i = k_i - r + i."""
-    ks = list(reversed(combo))
-    return normalize_partition(tuple(ks[i] - (r - 1 - i) for i in range(r)))
 
 
 def check_mrs_wedge(r: int, N: int, phi: float = -0.05,
@@ -93,31 +75,25 @@ def check_mrs_wedge(r: int, N: int, phi: float = -0.05,
     if not mrsmod.is_admissible(mK.markings, phi):
         raise ValueError(f"phase {phi} not admissible for the summed markings")
 
-    mapped = {}
-    wedge_marks = {}
-    for combo in itertools.combinations(range(N), r):
-        nu = _combo_to_partition(combo, r)
-        factors = [mP.vectors[i] for i in reversed(combo)]
-        mapped[nu] = satake_normalized(factors, ring_G)
-        wedge_marks[nu] = sum(rotated[i] for i in combo)
+    exponents = [wedge_exponents(nu, r) for nu in ring_G.basis]
+    mapped = [satake_normalized([mP.vectors[k] for k in ks], ring_G) for ks in exponents]
+    wedge_marks = [sum(rotated[k] for k in reversed(ks)) for ks in exponents]
 
     signs = []
     vec_resid = 0.0
-    for nu, kap in zip(ring_G.basis, mK.vectors):
-        w = mapped[nu]
+    for w, kap in zip(mapped, mK.vectors):
         rp = max(float(abs(mpc(a) - mpc(b))) for a, b in zip(w.coeffs, kap.coeffs))
         rm = max(float(abs(mpc(a) + mpc(b))) for a, b in zip(w.coeffs, kap.coeffs))
         signs.append(1 if rp <= rm else -1)
         vec_resid = max(vec_resid, min(rp, rm))
 
-    gram_W = mrsmod.gram(mrsmod.SOB([mapped[nu] for nu in ring_G.basis], bracket_pairing))
+    gram_W = mrsmod.gram(mrsmod.SOB(mapped, bracket_pairing))
     int_K, err_K = mrsmod.round_gram(mrsmod.gram(mrsmod.SOB(mK.vectors, bracket_pairing)))
     int_W, err_W = mrsmod.round_gram(gram_W * np.outer(signs, signs))
     gram_round_err = max(err_K, err_W)
     gram_ok = bool(np.array_equal(int_K, int_W)) and gram_round_err < tol
 
-    mark_resid = _multiset_distance([wedge_marks[nu] for nu in ring_G.basis],
-                                    list(mK.markings))
+    mark_resid = _multiset_distance(wedge_marks, mK.markings)
     return SatakeCheckReport(case=f"mrs-wedge G({r},{N}) phi={phi}",
                              max_residual=max(vec_resid, mark_resid, gram_round_err),
                              passed=gram_ok and vec_resid < tol and mark_resid < tol)

@@ -112,6 +112,15 @@ def test_gamma_pi_pairing_matches_meijer_g(N):
         assert abs(got - want) < mpf("1e-30") * abs(want)
 
 
+@pytest.mark.parametrize("route", [psi_residue_sum, psi_gamma_pi])
+@pytest.mark.parametrize("N,t", [(3, 40), (2, 20)])
+def test_psi_series_refuse_catastrophic_cancellation(route, N, t):
+    # true values: 6.93e-54 and 1.68e-18; at 40 digits the sums keep too few
+    # right digits, and at (3, 40) the series has not converged by n = 80
+    with pytest.raises(OverflowError, match="keeps fewer than 9"):
+        route(N, t)
+
+
 def test_psi_contour_independence():
     assert abs(mellin_psi(2, 1.0, c=0.7) - mellin_psi(2, 1.0, c=1.4)) < 1e-12
 

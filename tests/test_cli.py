@@ -104,6 +104,10 @@ def test_negative_nmax_exit_1(capsys):
     pytest.param(["psi", "--N", "2", "--t", "20"], id="psi-floor-N2-t20"),
     pytest.param(["psi", "--N", "3", "--t", "12"], id="psi-floor-N3-t12"),
     pytest.param(["psi", "--N", "2", "--t", "1e-5"], id="psi-floor-N2-t1e-5"),
+    # the rotated vectors lose their degree-0 part and the Gram rounds to 0
+    pytest.param(["mutate", "--target", "P(1)", "--to", "1e100"], id="mutate-zero-gram-P1"),
+    pytest.param(["mutate", "--target", "P(2)", "--phase", "-1.87", "--to=1e308"],
+                 id="mutate-zero-gram-P2"),
 ], ids=lambda argv: argv[0])
 def test_float_overflow_exit_3(capsys, argv):
     assert main(argv) == 3
@@ -205,6 +209,12 @@ def test_mutate_past_the_precision_is_out_of_range(capsys, to):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("numerics out of range: final Gram rounding error")
+
+
+def test_mutate_far_rotation_keeps_the_unit_diagonal(capsys):
+    code, out = run(capsys, "mutate", "--target", "P(1)", "--to", "1e20")
+    assert code == 0
+    assert json.loads(out)["final_gram"] == [[1, 0], [-2, 1]]
 
 
 @pytest.mark.parametrize("to", ["--to=-inf", "--to=nan", "--to=inf"])

@@ -11,12 +11,14 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from mpmath import mpc
 
-from qgamma.rings import CohClass
+from qgamma.rings import CohClass, build_ring, cup
+from qgamma.charclasses import gamma_class, kapranov_ch
+from qgamma.connection import spectrum_closed_form
 
 from qgamma.mrs import (SOB, MRS, gram, is_uni_uppertriangular, braid_act,
                         right_mutation, left_mutation, h_phase, is_admissible,
                         sort_by_phase, stokes_matrix, mutate_phase_rotation,
-                        wedge_mrs, beilinson_gamma_mrs, kapranov_gamma_mrs)
+                        wedge_mrs, gamma_mrs, beilinson_gamma_mrs, kapranov_gamma_mrs)
 
 
 def _int_sob(seed, n=4):
@@ -45,6 +47,35 @@ def test_kapranov_gram_g24():
     assert np.max(np.abs(g - gi)) < 1e-9
     assert is_uni_uppertriangular(g)
     assert gi[0].tolist() == [1, 4, 6, 10, 20, 20]
+
+
+@pytest.mark.parametrize("N", range(2, 7))
+def test_gamma_mrs_of_projective_space_is_the_beilinson_basis(N):
+    # Gamma-hat Ch(O(j)), marked N e^{-2 pi i j / N}, built without the ring basis
+    ring = build_ring("P", N)
+    m = gamma_mrs(ring)
+    gam = gamma_class(ring)
+    assert [v.coeffs for v in m.vectors] == [cup(gam, kapranov_ch((j,), ring)).coeffs
+                                             for j in range(N)]
+    assert m.markings == [N * cmath.exp(-2j * math.pi * j / N) for j in range(N)]
+    assert beilinson_gamma_mrs(N).markings == m.markings
+
+
+def _rotated_wedge_markings(r, N):
+    """Marking of S^nu V*: sum of the P-markings at k = (nu_1 + r - 1, ...,
+    nu_r), rotated by e^{(r-1) pi i / N}; the formula as first written."""
+    rot = cmath.exp(1j * math.pi * (r - 1) / N)
+    out = []
+    for nu in build_ring("G", N, r).basis:
+        padded = list(nu) + [0] * (r - len(nu))
+        ks = [padded[i] + r - 1 - i for i in range(r)]
+        out.append(sum(N * rot * cmath.exp(-2j * math.pi * k / N) for k in ks))
+    return out
+
+
+@pytest.mark.parametrize("r,N", [(2, 4), (2, 5), (3, 6), (3, 7), (2, 8), (4, 8), (3, 9)])
+def test_kapranov_markings_are_the_rotated_wedge_sums(r, N):
+    assert spectrum_closed_form(r, N) == _rotated_wedge_markings(r, N)
 
 
 def test_mutation_orthogonalizes():

@@ -13,7 +13,7 @@ from mpmath import mpc, mpf
 from qgamma import rings, symfunc
 from qgamma.rings import (build_ring, cup, exp_cup, poincare_pair, quantum_pieri,
                           partitions_in_box, box_complement, satake,
-                          normalize_partition)
+                          normalize_partition, wedge_exponents)
 from qgamma.mrs import WedgeVec, wedge_pairing_from
 
 
@@ -204,6 +204,25 @@ def test_satake_antisymmetry():
     b = satake([h2, h3], G24)
     assert a.coeffs == [-c for c in b.coeffs]
     assert all(c == 0 for c in satake([h2, h2], G24).coeffs)
+
+
+DICTIONARY_CASES = [(2, 4), (2, 5), (3, 6), (3, 7), (4, 8)]
+
+
+@pytest.mark.parametrize("r,N", DICTIONARY_CASES)
+def test_wedge_exponents_biject_onto_decreasing_subsets(r, N):
+    ks = [wedge_exponents(nu, r) for nu in build_ring("G", N, r).basis]
+    assert all(list(k) == sorted(k, reverse=True) and len(set(k)) == r for k in ks)
+    assert sorted(ks) == sorted(itertools.combinations(reversed(range(N)), r))
+
+
+@pytest.mark.parametrize("r,N", DICTIONARY_CASES)
+def test_satake_of_a_basis_wedge_is_its_schubert_class(r, N):
+    ring_P, ring_G = build_ring("P", N), build_ring("G", N, r)
+    for nu in ring_G.basis:
+        out = satake([ring_P.basis_class((k,)) for k in wedge_exponents(nu, r)], ring_G)
+        assert out.coeffs == ring_G.basis_class(nu).coeffs
+        assert all(type(c) is int for c in out.coeffs)
 
 
 def _satake_over_ordered_tuples(factors, ring_G):
