@@ -40,33 +40,40 @@ def _require_finite(values, orders) -> None:
 def eval_J(ring: RingSpec, t: float, nmax: int) -> np.ndarray:
     """J(t) = e^{c1 log t} sum_n J_n t^n as a float coefficient vector.
     Raises OverflowError if a row n! J_n it reads is not finite in float64."""
-    if t <= 0:
-        raise ValueError("t must be positive")
     rows = j_scaled(ring, nmax)
     _require_finite(rows, range(nmax + 1))
+    return _sum_J(ring, rows, t)
+
+
+def _sum_J(ring: RingSpec, rows: np.ndarray, t: float) -> np.ndarray:
+    """e^{c1 log t} sum_n rows[n] t^n / n! for the rows n! J_n of j_scaled."""
+    if t <= 0:
+        raise ValueError("t must be positive")
     total = np.zeros(ring.rank)
     weight = 1.0  # t^n / n!
     biggest = last = 0.0
-    for n in range(nmax + 1):
-        term = rows[n] * weight
+    for n, row in enumerate(rows):
+        term = row * weight
         total += term
-        if rows[n].any():
+        if row.any():
             last = np.max(np.abs(term))
             biggest = max(biggest, last)
         weight *= t / (n + 1)
     if last > 1e-13 * (1 + biggest):
-        raise ArithmeticError(f"J series tail not converged at nmax={nmax}")
+        raise ArithmeticError(f"J series tail not converged at nmax={len(rows) - 1}")
     out = exp_cup(CohClass(ring, total.tolist()), ring.c1(), math.log(t))   # e^{rho log t}
     return np.array(out.coeffs)
 
 
 def limit_ratio(ring: RingSpec, t_grid, tol: float = 1e-6) -> LimitReport:
     """Componentwise J(t) / <[pt], J(t)>, compared against the Gamma class;
-    J is summed to order max(80, 6 N max(t_grid))."""
+    J is summed to order max(80, 6 N max(t_grid)) from one set of rows."""
     nmax = max(80, int(6 * ring.N * max(t_grid)))
+    rows = j_scaled(ring, nmax)
+    _require_finite(rows, range(nmax + 1))
     values = []
     for t in t_grid:
-        J = eval_J(ring, t, nmax)
+        J = _sum_J(ring, rows, t)
         if J[0] == 0:
             raise ArithmeticError(f"degree-0 part of J vanished at t={t}")
         values.append((J / J[0]).tolist())

@@ -28,7 +28,7 @@ from mpmath import (mp, mpc, mpf, gamma as mp_gamma, bernoulli, bernfrac, exp as
 
 from . import symfunc
 from .rings import (RingSpec, CohClass, build_ring, cup, exp_cup, normalize_partition,
-                    _same_ring)
+                    same_ring)
 
 mp.dps = 40
 
@@ -251,7 +251,7 @@ def bracket_row(a: CohClass):
                 w[j] = w[j] + ca * v
 
     def pair(b: CohClass):
-        _same_ring(a, b)
+        same_ring(a, b)
         return sum(x * y for x, y in zip(w, b.coeffs))
     return pair
 

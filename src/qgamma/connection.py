@@ -2,10 +2,13 @@
 Property O, the recursive canonical fundamental solution, J-function
 coefficients, quantum periods, and central charges.
 
-One graded solver serves two arithmetic paths: the exact recursion runs on
-integers over one denominator per order and checks each order exactly, and
-a scaled float path (carrying n! J_n instead of J_n) serves the long runs
-used by radius and Apery estimates.
+(c_1 *) = rho + q G_N is built in one place, `_c1_operator`, as a sparse
+record: rho = N (sigma_1 cup .) read off the ring's cup table, G_N from
+Bertram's quantum Pieri rule for sigma_1.  The matrix, the spectrum and
+every solve read that record.  One graded solver serves two arithmetic
+paths: the exact recursion runs on integers over one denominator per order
+and checks each order exactly, and a scaled float path (carrying n! J_n
+instead of J_n) serves the long runs used by radius and Apery estimates.
 """
 
 from __future__ import annotations
@@ -20,38 +23,60 @@ from fractions import Fraction
 import numpy as np
 from mpmath import mp, mpc, mpf, exp as mp_exp, log as mp_log
 
-from .rings import (RingSpec, CohClass, build_ring, cup, exp_cup, partitions_in_box,
-                    quantum_pieri, wedge_exponents)
+from .rings import (RingSpec, CohClass, build_ring, cup, exp_cup, normalize_partition,
+                    partitions_in_box, wedge_exponents)
 from .charclasses import gamma_class, scale_degrees, bracket_pairing
 
 
-# --- matrices of (c_1 *) -------------------------------------------------
+# --- (c_1 *) on the Schubert basis ----------------------------------------
 
-def _pieri_columns(ring: RingSpec):
-    """Classical and quantum parts of (sigma_1 *) as integer column data."""
-    classical = [[0] * ring.rank for _ in range(ring.rank)]
-    quantum = [[0] * ring.rank for _ in range(ring.rank)]
-    for j, lam in enumerate(ring.basis):
-        parts = quantum_pieri(1, lam, ring)
-        for i in range(ring.rank):
-            classical[i][j] = parts[0].coeffs[i]
-            quantum[i][j] = parts[1].coeffs[i]
-    return classical, quantum
+@dataclass(frozen=True)
+class _C1:
+    """(c_1 *) = rho + q G_N in the sparse form every solver reads: rows[i]
+    and cols[j] list the nonzero entries (k, value) of row i and column j."""
+    rho_rows: list
+    rho_cols: list
+    gn_rows: list
+    gn_cols: list
+    order: list    # every (i, j), by increasing deg_i - deg_j
+    levels: int    # 2 dim + 1 values of deg_i - deg_j: ad_rho^levels = 0
 
 
-def graded_pieces(ring: RingSpec):
-    """G_0 = rho = (c_1 cup .) and G_N = the q-part of (c_1 *), exact ints."""
-    classical, quantum = _pieri_columns(ring)
-    N = ring.N
-    G0 = [[N * classical[i][j] for j in range(ring.rank)] for i in range(ring.rank)]
-    GN = [[N * quantum[i][j] for j in range(ring.rank)] for i in range(ring.rank)]
-    return G0, GN
+def _transpose(cols, n: int) -> list:
+    """Sparse rows of the n x n matrix with the given sparse columns."""
+    rows = [[] for _ in range(n)]
+    for j, col in enumerate(cols):
+        for k, c in col:
+            rows[k].append((j, c))
+    return rows
+
+
+def _c1_operator(ring: RingSpec) -> _C1:
+    """rho = N (sigma_1 cup .) from the cup table, and G_N from Bertram's
+    quantum Pieri rule for sigma_1: the q-term of sigma_1 * sigma_lam is
+    sigma_(lam_2 - 1, ..., lam_r - 1) when lam has r parts and
+    lam_1 = N - r, and zero otherwise."""
+    N, r, n = ring.N, ring.r, ring.rank
+    s1 = ring.index[(1,)]
+    rho_cols = [[(k, N * c) for k, c in ring.cup_table[(s1, j)]] for j in range(n)]
+    gn_cols = [[(ring.index[normalize_partition(p - 1 for p in lam[1:])], N)]
+               if len(lam) == r and lam[0] == N - r else [] for lam in ring.basis]
+    degs = ring.degrees()
+    order = sorted(((i, j) for i in range(n) for j in range(n)),
+                   key=lambda ij: degs[ij[0]] - degs[ij[1]])
+    return _C1(_transpose(rho_cols, n), rho_cols, _transpose(gn_cols, n), gn_cols,
+               order, 2 * ring.dim + 1)
 
 
 def c1_matrix(ring: RingSpec) -> np.ndarray:
-    """(c_1 *) at q = 1 as a complex matrix."""
-    G0, GN = graded_pieces(ring)
-    return np.array(G0, dtype=complex) + np.array(GN, dtype=complex)
+    """(c_1 *) at q = 1 as a complex matrix (rho and G_N never share an
+    entry: they shift degree by 1 and by 1 - N)."""
+    op = _c1_operator(ring)
+    m = np.zeros((ring.rank, ring.rank), dtype=complex)
+    for j, col in enumerate(op.rho_cols):
+        for k, c in col + op.gn_cols[j]:
+            m[k, j] = c
+    return m
 
 
 # --- spectrum and Property O --------------------------------------------
@@ -117,13 +142,13 @@ def spectrum(ring: RingSpec, tol: float = 1e-8) -> SpectrumReport:
     T_prime = max((v.real for v, _ in clusters if abs(v - T) >= tol), default=float("-inf"))
 
     closed = spectrum_closed_form(ring.r, ring.N)
-    closed_match = _multiset_distance(eig, closed) <= tol
+    closed_match = multiset_distance(eig, closed) <= tol
     return SpectrumReport(eigenvalues=clusters, T=float(T), T_prime=float(T_prime),
                           T_multiplicity=T_mult, property_o_holds=holds,
                           violated_clause=clause, closed_form_match=closed_match)
 
 
-def _multiset_distance(a, b) -> float:
+def multiset_distance(a, b) -> float:
     """Largest distance in a greedy nearest-neighbour matching of the
     multisets a and b; inf when their sizes differ."""
     left = list(b)
@@ -150,11 +175,6 @@ def _mat_id(n):
     return m
 
 
-def _sparse_rows(a):
-    """Nonzero entries of each row of a, as [(column, value), ...]."""
-    return [[(k, x) for k, x in enumerate(row) if x] for row in a]
-
-
 def _right_mul(a, cols):
     """a @ B, with B given by its sparse columns."""
     return [[sum(row[k] * c for k, c in col) for col in cols] for row in a]
@@ -166,79 +186,62 @@ def _left_mul(rows, a):
     return [[sum(c * a[k][j] for k, c in row) for j in range(n)] for row in rows]
 
 
-@dataclass(frozen=True)
-class _SparseRho:
-    """rho = (c_1 cup .) in the form the graded solver reads."""
-    rows: list     # rows[i] = [(k, rho[i][k]), ...], nonzero entries only
-    cols: list     # cols[j] = [(k, rho[k][j]), ...], nonzero entries only
-    order: list    # every (i, j), by increasing deg_i - deg_j
-    levels: int    # 2 dim + 1 values of deg_i - deg_j: ad_rho^levels = 0
-
-
-def _sparse_rho(ring: RingSpec, G0) -> _SparseRho:
-    degs = ring.degrees()
-    n = ring.rank
-    order = sorted(((i, j) for i in range(n) for j in range(n)),
-                   key=lambda ij: degs[ij[0]] - degs[ij[1]])
-    return _SparseRho(_sparse_rows(G0), _sparse_rows(zip(*G0)), order, 2 * ring.dim + 1)
-
-
-def _minus_commutator(s, rho: _SparseRho, X, i: int, j: int):
+def _minus_commutator(s, op: _C1, X, i: int, j: int):
     """s - [rho, X][i][j], skipping zero entries of X."""
-    for k, c in rho.rows[i]:
+    for k, c in op.rho_rows[i]:
         x = X[k][j]
         if x:
             s -= c * x
     Xi = X[i]
-    for k, c in rho.cols[j]:
+    for k, c in op.rho_cols[j]:
         x = Xi[k]
         if x:
             s += c * x
     return s
 
 
-def _solve_graded(m: int, rhs, rho: _SparseRho, div=operator.truediv):
+def _solve_graded(m: int, rhs, op: _C1, div=operator.truediv):
     """Solve m X + [rho, X] = rhs (m >= 1); exact for Fractions, and for
-    integers with div = floordiv when m^rho.levels divides rhs.
+    integers with div = floordiv when m^op.levels divides rhs.
 
     rho raises degree by exactly one, so [rho, X][i][j] reads only entries of
-    X whose deg_i - deg_j is one less.  Visiting (i, j) in rho.order finds them
+    X whose deg_i - deg_j is one less.  Visiting (i, j) in op.order finds them
     already solved: one back-substitution pass, O(n^2 nnz(rho)).  The solution
-    is sum_{l < rho.levels} (-ad_rho)^l rhs / m^(l+1), hence integral."""
+    is sum_{l < op.levels} (-ad_rho)^l rhs / m^(l+1), hence integral."""
     X = _mat_zero(len(rhs))
-    for i, j in rho.order:
-        s = _minus_commutator(rhs[i][j], rho, X, i, j)
+    for i, j in op.order:
+        s = _minus_commutator(rhs[i][j], op, X, i, j)
         if s:
             X[i][j] = div(s, m)
     return X
 
 
-def _check_graded(m: int, X, rhs, rho: _SparseRho):
+def _check_graded(m: int, X, rhs, op: _C1):
     """Raise ArithmeticError unless m X + [rho, X] == rhs exactly."""
-    for i, j in rho.order:
-        s = _minus_commutator(rhs[i][j] - m * X[i][j], rho, X, i, j)
+    for i, j in op.order:
+        s = _minus_commutator(rhs[i][j] - m * X[i][j], op, X, i, j)
         if s:
             raise ArithmeticError(
                 f"graded solve at order {m}: residual {s} at ({i}, {j})")
 
 
-def _graded_series(M: int, N: int, rho: _SparseRho, step) -> list:
+def _graded_series(M: int, N: int, op: _C1, step) -> list:
     """X_0 = id and m X_m + [rho, X_m] = step(X_{m-N}) for m = 1..M, with
     X_{m-N} = 0 for m < N.  X_m = Y_m / d_m is kept as the pair (Y_m, d_m)
     in lowest terms, Y_m an integer matrix; step is linear on integers.  The
-    right-hand side is scaled by d_{m-N} m^rho.levels, so every division of
+    right-hand side is scaled by d_{m-N} m^op.levels, so every division of
     the solve is exact, and each solve is checked exactly."""
-    n = len(rho.rows)
+    n = len(op.rho_rows)
     out = [(_mat_id(n), 1)]
     for m in range(1, M + 1):
         if m < N or not any(map(any, out[m - N][0])):
             out.append((_mat_zero(n), 1))
             continue
         Y, d = out[m - N]
-        scale = m ** rho.levels
+        scale = m ** op.levels
         rhs = [[scale * x for x in row] for row in step(Y)]
-        X = _solve_graded(m, rhs, rho, operator.floordiv)
-        _check_graded(m, X, rhs, rho)
+        X = _solve_graded(m, rhs, op, operator.floordiv)
+        _check_graded(m, X, rhs, op)
         g = math.gcd(d * scale, *(x for row in X for x in row))
         out.append(([[x // g for x in row] for row in X], d * scale // g))
     return out
@@ -260,20 +263,18 @@ class FundamentalSolution:
         """T[0] = (id, 1), T[m] = (Y, d) as U[m]:
         m T_m + [rho, T_m] + G_N T_{m-N} = 0."""
         if self._T is None:
-            G0, GN = graded_pieces(self.ring)
-            minus_gn = _sparse_rows([[-x for x in row] for row in GN])
-            self._T = _graded_series(self.order, self.ring.N, _sparse_rho(self.ring, G0),
-                                     lambda A: _left_mul(minus_gn, A))
+            op = _c1_operator(self.ring)
+            self._T = _graded_series(self.order, self.ring.N, op, lambda A: [
+                [-x for x in row] for row in _left_mul(op.gn_rows, A)])
         return self._T
 
 
 def fundamental_solution(ring: RingSpec, M: int) -> FundamentalSolution:
     if M < 0:
         raise ValueError(f"order must be >= 0, got {M}")
-    G0, GN = graded_pieces(ring)
-    gn_cols = _sparse_rows(zip(*GN))
+    op = _c1_operator(ring)
     # inverse series: m U_m + [rho, U_m] = U_{m-N} G_N
-    U = _graded_series(M, ring.N, _sparse_rho(ring, G0), lambda A: _right_mul(A, gn_cols))
+    U = _graded_series(M, ring.N, op, lambda A: _right_mul(A, op.gn_cols))
     J = [CohClass(ring, [Fraction(row[0], d) for row in Y]) for Y, d in U]
     return FundamentalSolution(ring=ring, order=M, U=U, J=J)
 
@@ -289,17 +290,15 @@ def j_scaled(ring: RingSpec, nmax: int) -> np.ndarray:
     """Float path: row n holds n! * J_n (basis coefficients).  W_m = m! U_m
     solves m W_m + [rho, W_m] = m!/(m-N)! W_{m-N} G_N on the graded solver."""
     n, N = ring.rank, ring.N
-    G0, GN = graded_pieces(ring)
-    rho = _sparse_rho(ring, G0)
-    gn_cols = _sparse_rows(zip(*GN))
+    op = _c1_operator(ring)
     W = [np.eye(n).tolist()]
     for m in range(1, nmax + 1):
         if m < N or not any(map(any, W[m - N])):
             W.append(_mat_zero(n))
             continue
         rising = float(math.perm(m, N))
-        rhs = [[rising * x for x in row] for row in _right_mul(W[m - N], gn_cols)]
-        W.append(_solve_graded(m, rhs, rho))
+        rhs = [[rising * x for x in row] for row in _right_mul(W[m - N], op.gn_cols)]
+        W.append(_solve_graded(m, rhs, op))
     return np.array([[row[0] for row in Wm] for Wm in W], dtype=float)
 
 

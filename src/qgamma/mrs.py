@@ -50,7 +50,7 @@ def _pairings(sob) -> list:
 
 
 def gram(sob) -> np.ndarray:
-    """[v_i, v_j) for all i, j, as a complex matrix."""
+    """[v_i, v_j) for all i, j, as a complex matrix (of an SOB or an MRS)."""
     return np.array(_pairings(sob), dtype=complex)
 
 
@@ -115,30 +115,39 @@ def is_admissible(markings, phi: float, tol: float = 1e-10) -> bool:
     return True
 
 
-def sort_by_phase(mrs: MRS) -> SOB:
-    """Vectors ordered by strictly decreasing h_phi(u); ties allowed only
-    for equal markings (kept in input order)."""
-    if not is_admissible(mrs.markings, mrs.phase):
-        raise ValueError(f"phase {mrs.phase} is not admissible")
-    order = sorted(range(len(mrs.vectors)),
-                   key=lambda i: (-h_phase(mrs.markings[i], mrs.phase), i))
-    return SOB(vectors=[mrs.vectors[i] for i in order], pairing=mrs.pairing)
+def _phase_order(markings, phi: float) -> list:
+    """Indices by strictly decreasing h_phi(u); ties allowed only for equal
+    markings (kept in input order).  ValueError unless phi is admissible."""
+    if not is_admissible(markings, phi):
+        raise ValueError(f"phase {phi} is not admissible")
+    return sorted(range(len(markings)), key=lambda i: (-h_phase(markings[i], phi), i))
+
+
+def sort_by_phase(mrs: MRS) -> MRS:
+    """The system with vectors and markings in phase order."""
+    order = _phase_order(mrs.markings, mrs.phase)
+    return replace(mrs, vectors=[mrs.vectors[i] for i in order],
+                   markings=[mrs.markings[i] for i in order])
+
+
+def _check_semiorthonormal(g: np.ndarray, u: list, tol: float) -> None:
+    """Raise ArithmeticError unless the Gram g of vectors marked u, both in
+    phase order, has unit diagonal, vanishing lower triangle, and vanishing
+    entries between equal distinct markings."""
+    if not is_uni_uppertriangular(g, tol):
+        raise ArithmeticError("phase-ordered Gram is not uni-uppertriangular")
+    for i in range(len(u)):
+        for j in range(len(u)):
+            if i != j and abs(u[i] - u[j]) < tol and abs(g[i, j]) > tol:
+                raise ArithmeticError("nonzero Gram entry between equal markings")
 
 
 def stokes_matrix(mrs: MRS, tol: float = 1e-9) -> np.ndarray:
     """Gram matrix in phase order; asserts unit diagonal, vanishing lower
     triangle, and vanishing entries between equal distinct markings."""
-    sob = sort_by_phase(mrs)
-    g = gram(sob)
-    if not is_uni_uppertriangular(g, tol):
-        raise ArithmeticError("phase-ordered Gram is not uni-uppertriangular")
-    order = sorted(range(len(mrs.vectors)),
-                   key=lambda i: (-h_phase(mrs.markings[i], mrs.phase), i))
-    u = [mrs.markings[i] for i in order]
-    for i in range(len(u)):
-        for j in range(len(u)):
-            if i != j and abs(u[i] - u[j]) < tol and abs(g[i, j]) > tol:
-                raise ArithmeticError("nonzero Gram entry between equal markings")
+    s = sort_by_phase(mrs)
+    g = gram(s)
+    _check_semiorthonormal(g, s.markings, tol)
     return g
 
 
@@ -153,20 +162,21 @@ def mutate_phase_rotation(mrs: MRS, phi_target: float):
     smaller h_phi, and the u_i-block is right-mutated by the u_j-block.
     Increasing phase gives left mutations.
 
-    The mutations act on coefficient rows over the start vectors, paired
-    through their Gram, taken once (so the pairing must be bilinear).  A
+    The start system must be semiorthonormal in phase order at phi0, checked
+    on its Gram as stokes_matrix does; otherwise ArithmeticError.  The
+    mutations act on coefficient rows over the start vectors, paired
+    through that Gram, taken once (so the pairing must be bilinear).  A
     full turn leaves the markings unchanged and acts by one matrix M, so k
     whole turns are M^k by squaring, followed by the crossings of the
-    remainder.  M must preserve the Gram, as it does when the start system
-    is semiorthonormal in phase order; otherwise ArithmeticError.  When the
-    Gram is integral to 1e-9 the rows are exact Python ints.
+    remainder; M must preserve the Gram (ArithmeticError otherwise).  When
+    the Gram is integral to 1e-9 the rows are exact Python ints.
 
     Returns (new MRS, log): one log entry per crossing of the first turn
     with "count": k, then one per crossing of the remainder with "count": 1."""
     phi0, phi1 = mrs.phase, phi_target
-    for phi in (phi0, phi1):
-        if not is_admissible(mrs.markings, phi):
-            raise ValueError(f"phase {phi} is not admissible")
+    order = _phase_order(mrs.markings, phi0)
+    if not is_admissible(mrs.markings, phi1):
+        raise ValueError(f"phase {phi1} is not admissible")
     decreasing = phi1 < phi0
     sign = -1 if decreasing else 1
     turns, rest = divmod(abs(phi1 - phi0), 2 * math.pi)
@@ -186,10 +196,11 @@ def mutate_phase_rotation(mrs: MRS, phi_target: float):
             turn.append((theta + 2 * math.pi * k, gi, gj, abs(d)))
     turn.sort(key=lambda e: (sign * e[0], -e[3]))
     tail = [e for e in turn if sign * (phi0 + sign * rest - e[0]) > 0]
+    G = _start_gram(mrs)
+    _check_semiorthonormal(np.array(G[np.ix_(order, order)], dtype=complex),
+                           [mrs.markings[i] for i in order], 1e-9)
     if not turns and not tail:
         return replace(mrs, vectors=list(mrs.vectors), phase=phi_target), []
-
-    G = _start_gram(mrs)
 
     def cross(rows, events):
         for _, gi, gj, _ in events:
@@ -205,8 +216,7 @@ def mutate_phase_rotation(mrs: MRS, phi_target: float):
         M = cross(rows, turn)
         drift = max(abs(x) for x in (M @ G @ M.T - G).flat)
         if drift > 1e-9 * (1 + max(abs(x) for x in G.flat)):
-            raise ArithmeticError("one-turn monodromy does not preserve the Gram: "
-                                  "the start system is not semiorthonormal in phase order")
+            raise ArithmeticError("one-turn monodromy does not preserve the Gram")
         rows = np.linalg.matrix_power(M, turns)
     rows = cross(rows, tail)
 

@@ -6,7 +6,8 @@ Classical products are computed once, exactly, by the Pieri recursion
 sigma_lam = h_{lam_1} sigma_{lam-bar} - (the other horizontal strips of size
 lam_1 on lam-bar), lam-bar being lam without its first row; partitions
 leaving the box are dropped, which is exact in the quotient ring.  The
-quantum correction is Bertram's quantum Pieri rule.
+quantum product by sigma_1, the only one the package needs, is built in
+`connection` from this cup table.
 """
 
 from __future__ import annotations
@@ -120,7 +121,7 @@ class CohClass:
             raise ValueError("coefficient vector length mismatch")
 
     def __add__(self, other: "CohClass") -> "CohClass":
-        _same_ring(self, other)
+        same_ring(self, other)
         return CohClass(self.ring, [a + b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __sub__(self, other: "CohClass") -> "CohClass":
@@ -148,7 +149,7 @@ class CohClass:
         return out
 
 
-def _same_ring(a: CohClass, b: CohClass):
+def same_ring(a: CohClass, b: CohClass):
     if a.ring is not b.ring and (a.ring.kind, a.ring.r, a.ring.N) != (b.ring.kind, b.ring.r, b.ring.N):
         raise ValueError("ring mismatch")
 
@@ -232,7 +233,7 @@ def _pieri_cup_table(basis, index, r: int, cols: int) -> dict:
 
 
 def cup(a: CohClass, b: CohClass) -> CohClass:
-    _same_ring(a, b)
+    same_ring(a, b)
     ring = a.ring
     out = [0] * ring.rank
     # `not x` rather than x == 0: mpmath converts the 0 on every comparison
@@ -259,38 +260,13 @@ def exp_cup(a: CohClass, x: CohClass, s) -> CohClass:
 def poincare_pair(a: CohClass, b: CohClass):
     """int a b = sum_i a_i b_{dual[i]}: the pairing matches each Schubert
     class with its box complement."""
-    _same_ring(a, b)
+    same_ring(a, b)
     total = 0
     for ca, j in zip(a.coeffs, a.ring.dual):
         cb = b.coeffs[j]
         if ca != 0 and cb != 0:
             total = total + ca * cb
     return total
-
-
-def quantum_pieri(k: int, lam, ring: RingSpec) -> dict:
-    """sigma_k * sigma_lam as {q_power: CohClass} (q^0 classical, q^1 Bertram)."""
-    lam = normalize_partition(lam)
-    if not (1 <= k <= ring.cols):
-        raise ValueError(f"Pieri class index {k} out of range 1..{ring.cols}")
-    if lam not in ring.index:
-        raise ValueError(f"{lam} not in the {ring.r}x{ring.cols} box")
-    classical = cup(ring.basis_class((k,)), ring.basis_class(lam))
-
-    r = ring.r
-    padded = list(lam) + [0] * (r - len(lam))
-    target = sum(lam) + k - ring.N
-    quantum = ring.zero()
-    if target >= 0:
-        for mu in ring.basis:
-            if sum(mu) != target:
-                continue
-            mp = list(mu) + [0] * (r - len(mu))
-            ok = all(padded[i] - 1 >= mp[i] for i in range(r)) and \
-                all(mp[i] >= padded[i + 1] - 1 for i in range(r - 1))
-            if ok:
-                quantum = quantum + ring.basis_class(mu)
-    return {0: classical, 1: quantum}
 
 
 def wedge_exponents(nu, r: int) -> tuple:

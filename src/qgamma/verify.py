@@ -14,7 +14,7 @@ from mpmath import mpf
 from .rings import build_ring
 from .charclasses import zeta_reg_reciprocal_product, zeta_reg_closed_form
 from .connection import (spectrum, spectrum_closed_form, j_coefficients,
-                         j_closed_form_P, quantum_period, _multiset_distance)
+                         j_closed_form_P, quantum_period, multiset_distance)
 from .asympt import (limit_ratio, apery_precondition, apery_ratios,
                      radius_estimate, mellin_psi, psi_residue_sum,
                      psi_gamma_pi, psi_asymptotic_constant)
@@ -32,7 +32,7 @@ def criterion_1():
         rep = spectrum(build_ring("P", N))
         expected = [N * cmath.exp(2j * math.pi * k / N) for k in range(N)]
         eig = [v for v, m in rep.eigenvalues for _ in range(m)]
-        worst = max(worst, _multiset_distance(eig, expected))
+        worst = max(worst, multiset_distance(eig, expected))
         ok &= rep.property_o_holds
     rep24 = spectrum(build_ring("G", 4, 2))
     t24 = abs(rep24.T - 4 * math.sqrt(2))

@@ -14,7 +14,7 @@ from mpmath import mp, mpc
 from .rings import (RingSpec, CohClass, build_ring, cup, exp_cup, satake,
                     normalize_partition, wedge_exponents)
 from .charclasses import gamma_class, gamma_G_closed_form, kapranov_ch, bracket_pairing
-from .connection import c1_matrix, spectrum_closed_form, _multiset_distance
+from .connection import c1_matrix, spectrum_closed_form, multiset_distance
 from . import mrs as mrsmod
 
 
@@ -28,8 +28,8 @@ class SatakeCheckReport:
 def check_wedge_spectrum(r: int, N: int, tol: float = 1e-8) -> SatakeCheckReport:
     """Eigenvalues of c1 on G(r,N) versus r-fold distinct-index sums of the
     rotated projective-space spectrum N e^{(r-1) pi i / N} zeta^k."""
-    resid = _multiset_distance(np.linalg.eigvals(c1_matrix(build_ring("G", N, r))),
-                               spectrum_closed_form(r, N))
+    resid = multiset_distance(np.linalg.eigvals(c1_matrix(build_ring("G", N, r))),
+                              spectrum_closed_form(r, N))
     return SatakeCheckReport(case=f"spectrum G({r},{N})", max_residual=resid,
                              passed=resid < tol)
 
@@ -93,7 +93,7 @@ def check_mrs_wedge(r: int, N: int, phi: float = -0.05,
     gram_round_err = max(err_K, err_W)
     gram_ok = bool(np.array_equal(int_K, int_W)) and gram_round_err < tol
 
-    mark_resid = _multiset_distance(wedge_marks, mK.markings)
+    mark_resid = multiset_distance(wedge_marks, mK.markings)
     return SatakeCheckReport(case=f"mrs-wedge G({r},{N}) phi={phi}",
                              max_residual=max(vec_resid, mark_resid, gram_round_err),
                              passed=gram_ok and vec_resid < tol and mark_resid < tol)

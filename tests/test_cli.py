@@ -244,6 +244,15 @@ def test_mutate_turns_of_unsorted_system_exit_2(capsys):
     assert captured.err.startswith("check failed:")
 
 
+@pytest.mark.parametrize("target, to", [("G(2,4)", "-3"), ("G(3,7)", "-2")])
+def test_mutate_less_than_a_turn_of_unsorted_system_exit_2(capsys, target, to):
+    # the Kapranov order is not a phase order at the default -0.05
+    assert main(["mutate", "--target", target, "--to", to]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("check failed:")
+
+
 def test_satake_command(capsys):
     code, out = run(capsys, "satake", "--target", "G(2,4)")
     assert code == 0

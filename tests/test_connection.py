@@ -1,5 +1,6 @@
-"""Quantum connection: c1 spectra and Property O, the canonical fundamental
-solution and its exact identities, J-function oracles, central charges."""
+"""Quantum connection: the sparse (c1 *) against the general quantum Pieri
+oracle, c1 spectra and Property O, the canonical fundamental solution and
+its exact identities, J-function oracles, central charges."""
 
 import math
 import operator
@@ -10,13 +11,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mpf, pi as mp_pi, exp as mp_exp, mpc
 
-from qgamma.rings import build_ring, cup
+from qgamma.rings import build_ring, cup, normalize_partition
 from qgamma.connection import (c1_matrix, spectrum, spectrum_closed_form,
                                fundamental_solution, j_coefficients, j_scaled,
                                j_closed_form_P, rising_inverses, quantum_period,
-                               central_charge,
-                               graded_pieces, _mat_id, _mat_zero, _solve_graded,
-                               _sparse_rho, _multiset_distance)
+                               central_charge, multiset_distance,
+                               _c1_operator, _mat_id, _mat_zero, _solve_graded)
 from qgamma import connection
 
 P1 = build_ring("P", 2)
@@ -24,6 +24,104 @@ P2 = build_ring("P", 3)
 G24 = build_ring("G", 4, 2)
 G25 = build_ring("G", 5, 2)
 G36 = build_ring("G", 6, 3)
+
+
+# --- the quantum Pieri oracle ------------------------------------------------
+
+def quantum_pieri(k: int, lam, ring) -> dict:
+    """sigma_k * sigma_lam as {q_power: CohClass} for any 1 <= k <= N - r:
+    q^0 the cup product, q^1 Bertram's rule (every mu of degree
+    |lam| + k - N with lam_i - 1 >= mu_i >= lam_{i+1} - 1)."""
+    lam = normalize_partition(lam)
+    if not (1 <= k <= ring.cols):
+        raise ValueError(f"Pieri class index {k} out of range 1..{ring.cols}")
+    if lam not in ring.index:
+        raise ValueError(f"{lam} not in the {ring.r}x{ring.cols} box")
+    classical = cup(ring.basis_class((k,)), ring.basis_class(lam))
+
+    r = ring.r
+    padded = list(lam) + [0] * (r - len(lam))
+    target = sum(lam) + k - ring.N
+    quantum = ring.zero()
+    if target >= 0:
+        for mu in ring.basis:
+            if sum(mu) != target:
+                continue
+            mp = list(mu) + [0] * (r - len(mu))
+            ok = all(padded[i] - 1 >= mp[i] for i in range(r)) and \
+                all(mp[i] >= padded[i + 1] - 1 for i in range(r - 1))
+            if ok:
+                quantum = quantum + ring.basis_class(mu)
+    return {0: classical, 1: quantum}
+
+
+def graded_pieces(ring):
+    """Dense G_0 = rho = (c_1 cup .) and G_N = the q-part of (c_1 *), exact
+    ints, from the general rule at k = 1."""
+    G0, GN = _mat_zero(ring.rank), _mat_zero(ring.rank)
+    for j, lam in enumerate(ring.basis):
+        parts = quantum_pieri(1, lam, ring)
+        for i in range(ring.rank):
+            G0[i][j] = ring.N * parts[0].coeffs[i]
+            GN[i][j] = ring.N * parts[1].coeffs[i]
+    return G0, GN
+
+
+def test_quantum_pieri_classical_part_matches_cup():
+    for ring in [G24, G25]:
+        for k in range(1, ring.cols + 1):
+            for lam in ring.basis:
+                out = quantum_pieri(k, lam, ring)
+                cl = cup(ring.basis_class((k,)), ring.basis_class(lam))
+                assert out[0].coeffs == cl.coeffs
+
+
+def test_quantum_pieri_examples():
+    out = quantum_pieri(1, (2, 1), G24)
+    assert out[0][(2, 2)] == 1
+    assert out[1].coeffs == G24.unit().coeffs
+    out = quantum_pieri(1, (2, 2), G24)
+    assert all(c == 0 for c in out[0].coeffs)
+    assert out[1][(1,)] == 1
+    out = quantum_pieri(2, (2, 2), G24)
+    assert out[1][(1, 1)] == 1 and out[1][(2,)] == 0
+
+
+def test_quantum_pieri_degree():
+    for ring in [G24, G25]:
+        for k in range(1, ring.cols + 1):
+            for lam in ring.basis:
+                out = quantum_pieri(k, lam, ring)
+                for mu, c in zip(ring.basis, out[1].coeffs):
+                    if c:
+                        assert sum(mu) == sum(lam) + k - ring.N
+
+
+def _dense(entries, n, transpose=False):
+    """The n x n int matrix with sparse columns (rows if transpose) entries."""
+    out = _mat_zero(n)
+    for j, line in enumerate(entries):
+        for k, c in line:
+            if transpose:
+                out[j][k] = c
+            else:
+                out[k][j] = c
+    return out
+
+
+@pytest.mark.parametrize("kind,N,r", [("P", N, 1) for N in range(2, 12)]
+                         + [("G", N, r) for N in range(2, 11) for r in range(1, N)]
+                         + [("G", 25, 2), ("G", 13, 3)])
+def test_c1_operator_matches_the_quantum_pieri_oracle(kind, N, r):
+    ring = build_ring(kind, N, r)
+    op, n = _c1_operator(ring), ring.rank
+    G0, GN = graded_pieces(ring)
+    assert _dense(op.rho_cols, n) == _dense(op.rho_rows, n, transpose=True) == G0
+    assert _dense(op.gn_cols, n) == _dense(op.gn_rows, n, transpose=True) == GN
+    assert all(type(c) is int and c for lines in (op.rho_cols, op.gn_cols, op.rho_rows,
+                                                  op.gn_rows)
+               for line in lines for _, c in line)
+    assert np.array_equal(c1_matrix(ring), np.array(G0) + np.array(GN))
 
 
 # --- dense Fraction-matrix oracles ----------------------------------------
@@ -187,10 +285,10 @@ def test_spectrum_closed_form_count():
 
 
 def test_multiset_distance_size_mismatch_is_inf():
-    assert _multiset_distance([1], [1, 2]) == math.inf
-    assert _multiset_distance([1, 2], [1]) == math.inf
-    assert _multiset_distance([], []) == 0.0
-    assert _multiset_distance([2, 1j], [1j, 2.5]) == 0.5
+    assert multiset_distance([1], [1, 2]) == math.inf
+    assert multiset_distance([1, 2], [1]) == math.inf
+    assert multiset_distance([], []) == 0.0
+    assert multiset_distance([2, 1j], [1j, 2.5]) == 0.5
 
 
 @pytest.mark.parametrize("kind,N,r", [("P", N, 1) for N in range(2, 7)]
@@ -246,11 +344,11 @@ def test_solve_graded_random_rhs(ring, m, data):
     G0, _ = graded_pieces(ring)
     rho = [[Fraction(x) for x in row] for row in G0]
     want = _neumann_solve(m, rhs, rho)
-    assert _solve_graded(m, rhs, _sparse_rho(ring, G0)) == want
+    assert _solve_graded(m, rhs, _c1_operator(ring)) == want
     # integer path: clear denominators, scale by m^(2 dim + 1), divide exactly
     scale = math.lcm(*(x.denominator for x in entries)) * m ** (2 * ring.dim + 1)
     Y = _solve_graded(m, [[int(x * scale) for x in row] for row in rhs],
-                      _sparse_rho(ring, G0), operator.floordiv)
+                      _c1_operator(ring), operator.floordiv)
     assert all(type(y) is int for row in Y for y in row)
     assert [[Fraction(y, scale) for y in row] for row in Y] == want
 

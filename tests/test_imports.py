@@ -1,4 +1,5 @@
-"""Lint: no module of the package imports a name it never uses, the
+"""Lint: no module of the package imports a name it never uses or a
+private name of another module of the package, the
 package imports exactly the third-party packages it declares, every
 top-level function and class of the package is reachable through a chain
 of reads from ``cli.main``, the package's module-level statements, its
@@ -24,8 +25,9 @@ MODULES = sorted(SRC.glob("*.py"))
 OUTSIDE = [*sorted((ROOT / "scripts").glob("*.py")), *sorted((ROOT / "perfbench").glob("*.py"))]
 CALLERS = [*MODULES, *OUTSIDE]
 # paper content that only the tests call: Gamma II central charges, the
-# wedge MRS and the HRR Euler pairing
-TEST_ONLY_PAPER_CONTENT = {"central_charge", "wedge_mrs", "euler_pairing_hrr"}
+# wedge MRS, the HRR Euler pairing and J(t) at a single t (limit_ratio sums
+# one set of rows over its whole grid)
+TEST_ONLY_PAPER_CONTENT = {"central_charge", "wedge_mrs", "euler_pairing_hrr", "eval_J"}
 
 
 def _imported_names(tree):
@@ -75,6 +77,27 @@ def test_checker_flags_unused_and_accepts_used():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def private_imports(source: str) -> list:
+    """(line, name) of each underscore name imported from a module of the
+    package, by a relative import or one from qgamma."""
+    return [(node.lineno, alias.name) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom)
+            and (node.level or node.module.split(".")[0] == "qgamma")
+            for alias in node.names if alias.name.startswith("_")]
+
+
+def test_private_import_checker():
+    src = ("from __future__ import annotations\nfrom .rings import cup, _same\n"
+           "from qgamma.connection import _c1\nfrom os import _exit\n"
+           "from . import _mod\nimport qgamma\nfrom qgamma import rings\n")
+    assert private_imports(src) == [(2, "_same"), (3, "_c1"), (5, "_mod")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_imports_across_modules(path):
+    assert private_imports(path.read_text()) == []
 
 
 def _third_party_imports(source: str) -> set:

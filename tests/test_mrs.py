@@ -354,7 +354,8 @@ def test_million_turns_are_the_monodromy_power():
 def test_rotation_of_a_non_semiorthonormal_start_raises():
     # the Beilinson order of P^2 is not a phase order at -0.05
     m, _ = _p2_integer_mrs(phase=-0.05)
-    mutate_phase_rotation(m, -3.0)   # less than a turn: only the crossings
+    with pytest.raises(ArithmeticError):
+        mutate_phase_rotation(m, -3.0)   # less than a turn: the start is checked
     with pytest.raises(ArithmeticError):
         mutate_phase_rotation(m, -0.05 - 2 * math.pi - 0.1)
 

@@ -1,5 +1,5 @@
-"""Cohomology ring layer: basis combinatorics, cup products, Pieri rules,
-Poincare pairing, and the Satake wedge map."""
+"""Cohomology ring layer: basis combinatorics, cup products, the Pieri cup
+table, Poincare pairing, and the Satake wedge map."""
 
 import itertools
 import math
@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mpc, mpf
 
 from qgamma import rings, symfunc
-from qgamma.rings import (build_ring, cup, exp_cup, poincare_pair, quantum_pieri,
+from qgamma.rings import (build_ring, cup, exp_cup, poincare_pair,
                           partitions_in_box, box_complement, satake,
                           normalize_partition, wedge_exponents)
 from qgamma.mrs import WedgeVec, wedge_pairing_from
@@ -77,36 +77,6 @@ def test_poincare_pairing_duality():
                 expect = 1 if mu == box_complement(lam, ring.r, ring.cols) else 0
                 got = poincare_pair(ring.basis_class(lam), ring.basis_class(mu))
                 assert got == expect
-
-
-def test_quantum_pieri_classical_part_matches_cup():
-    for ring in [G24, G25]:
-        for k in range(1, ring.cols + 1):
-            for lam in ring.basis:
-                out = quantum_pieri(k, lam, ring)
-                cl = cup(ring.basis_class((k,)), ring.basis_class(lam))
-                assert out[0].coeffs == cl.coeffs
-
-
-def test_quantum_pieri_examples():
-    out = quantum_pieri(1, (2, 1), G24)
-    assert out[0][(2, 2)] == 1
-    assert out[1].coeffs == G24.unit().coeffs
-    out = quantum_pieri(1, (2, 2), G24)
-    assert all(c == 0 for c in out[0].coeffs)
-    assert out[1][(1,)] == 1
-    out = quantum_pieri(2, (2, 2), G24)
-    assert out[1][(1, 1)] == 1 and out[1][(2,)] == 0
-
-
-def test_quantum_pieri_degree():
-    for ring in [G24, G25]:
-        for k in range(1, ring.cols + 1):
-            for lam in ring.basis:
-                out = quantum_pieri(k, lam, ring)
-                for mu, c in zip(ring.basis, out[1].coeffs):
-                    if c:
-                        assert sum(mu) == sum(lam) + k - ring.N
 
 
 def _schur_product_oracle(ring, lam, mu) -> list:
