@@ -9,7 +9,8 @@ Chern character.  With p_k the power sums of the Chern roots of V* (each an
 alternating sum of hook classes), ch(V*) = sum_k p_k / k!; ch(Lambda^k V*)
 follows by Newton's identities and ch(S^nu V*) by the dual Pieri rule, one
 cup per partition, all with exact Fraction coefficients.  The Gamma and Todd
-classes are ring exponentials of the power sums of the roots of TF.  The
+classes are one graded ring exponential (`rings.exp_cup`) each, of the power
+sums of the roots of TF, a class with a part in every degree.  The
 bilinear [.,.) is its matrix B on the Schubert basis, built once per ring and
 precision; a left vector a becomes the row a B once, then one dot per
 pairing.  The Grassmannian closed form of the Gamma class is an independent
@@ -102,14 +103,17 @@ def _root_exp(ring: RingSpec, coeffs, one) -> CohClass:
     """exp of sum_{k>=1} coeffs[k] sum_{roots} root^k over the roots of TF,
     in the ring; one is the scalar 1 of the result's type.  TG = Hom(V, C^N)
     - Hom(V, V), so sum_{roots} root^k = N p_k - sum_a C(k,a) (-1)^{k-a} p_a
-    p_{k-a}, an integer class."""
+    p_{k-a}, an integer class.  The a and k - a terms differ by (-1)^k: at
+    odd k they cancel, and at even k each pair below k/2 counts twice."""
     cap = ring.dim
     p = [_power_sum(ring, k) for k in range(cap + 1)]
     log_sum = ring.zero()
     for k in range(1, cap + 1):
         roots_k = ring.N * p[k]
-        for a in range(k + 1):
-            roots_k = roots_k - comb(k, a) * (-1) ** (k - a) * cup(p[a], p[k - a])
+        if k % 2 == 0:
+            for a in range(k // 2 + 1):
+                weight = comb(k, a) * (-1) ** a * (1 if 2 * a == k else 2)
+                roots_k = roots_k - weight * cup(p[a], p[k - a])
         log_sum = log_sum + roots_k * coeffs[k]
     return exp_cup(ring.unit(), log_sum, one)
 

@@ -61,9 +61,13 @@ def _c1_operator(ring: RingSpec) -> _C1:
     rho_cols = [[(k, N * c) for k, c in ring.cup_table[(s1, j)]] for j in range(n)]
     gn_cols = [[(ring.index[normalize_partition(p - 1 for p in lam[1:])], N)]
                if len(lam) == r and lam[0] == N - r else [] for lam in ring.basis]
+    # the stable sort by deg_i - deg_j, by bucketing j by degree
     degs = ring.degrees()
-    order = sorted(((i, j) for i in range(n) for j in range(n)),
-                   key=lambda ij: degs[ij[0]] - degs[ij[1]])
+    by_degree: dict = {}
+    for j, d in enumerate(degs):
+        by_degree.setdefault(d, []).append(j)
+    order = [(i, j) for shift in range(-ring.dim, ring.dim + 1)
+             for i, d in enumerate(degs) for j in by_degree.get(d - shift, ())]
     return _C1(_transpose(rho_cols, n), rho_cols, _transpose(gn_cols, n), gn_cols,
                order, 2 * ring.dim + 1)
 

@@ -7,7 +7,9 @@ sigma_lam = h_{lam_1} sigma_{lam-bar} - (the other horizontal strips of size
 lam_1 on lam-bar), lam-bar being lam without its first row; partitions
 leaving the box are dropped, which is exact in the quotient ring.  The
 quantum product by sigma_1, the only one the package needs, is built in
-`connection` from this cup table.
+`connection` from this cup table.  The nilpotent exponential e^{s x} cup a
+is graded: it cups the degree pieces of x into the degree pieces of the
+result, never the whole of x into a whole power.
 """
 
 from __future__ import annotations
@@ -249,12 +251,44 @@ def cup(a: CohClass, b: CohClass) -> CohClass:
 
 
 def exp_cup(a: CohClass, x: CohClass, s) -> CohClass:
-    """e^{s x} cup a for a class x of positive degree (nilpotent, finite sum)."""
-    out = term = a
-    for k in range(1, a.ring.dim + 1):
-        term = cup(x, term) * (s / k)
-        out = out + term
-    return out
+    """e^{s x} cup a for a class x of positive degree (nilpotent, finite sum),
+    by degrees.  With x_j the degree-j part of x, each nonzero degree-m part
+    a_m of a starts G_0 = a_m, G_d = (s/d) sum_{j=1..d} j x_j cup G_{d-j},
+    and G_d is the degree-(m+d) part of e^{s x} a_m (d G_d is the degree
+    derivation of the series, s (sum_j j x_j) times it).  Each pair of basis
+    classes is cupped at most once per m, however many degrees x spans; the
+    coefficients take the type of s."""
+    same_ring(a, x)
+    ring = a.ring
+    if x.coeffs[0] != 0:
+        raise ValueError("exp_cup needs a class x without degree-0 part")
+    degs = ring.degrees()
+    blocks = [range(bisect.bisect_left(degs, d), bisect.bisect_right(degs, d))
+              for d in range(ring.dim + 1)]
+    jx = [[(i, j * x.coeffs[i]) for i in block if x.coeffs[i]] for j, block in enumerate(blocks)]
+    out = [s ** 0 * c for c in a.coeffs]
+    # descending m adds the pieces into each coefficient in the order of the
+    # powers of x, so a degree-1 x gives the power series bit for bit
+    for m in reversed(range(ring.dim + 1)):
+        pieces = [[a.coeffs[i] for i in blocks[m]]]
+        if not any(pieces[0]):
+            continue
+        for d in range(1, ring.dim - m + 1):
+            lo = blocks[m + d].start
+            acc = [0] * len(blocks[m + d])
+            for j in range(1, d + 1):
+                for i, cx in jx[j]:
+                    for jj, cg in enumerate(pieces[d - j], blocks[m + d - j].start):
+                        if not cg:
+                            continue
+                        for k, sk in ring.cup_table[(i, jj)]:
+                            acc[k - lo] = acc[k - lo] + sk * cx * cg
+            sd = s / d
+            piece = [sd * c for c in acc]
+            pieces.append(piece)
+            for k, c in enumerate(piece, lo):
+                out[k] = out[k] + c
+    return CohClass(ring, out)
 
 
 def poincare_pair(a: CohClass, b: CohClass):

@@ -340,6 +340,15 @@ def test_euler_pairing_p3_binomial():
             assert chi == (math.comb(3 + j - i, 3) if j >= i else 0)
 
 
+@pytest.mark.parametrize("N,r", [(25, 2), (10, 4)])
+def test_hrr_of_the_structure_sheaf_and_the_plucker_bundle(N, r):
+    # int td = chi(O) = 1 and int ch(O(1)) td = h^0(O(1)) = C(N, r), exactly
+    ring = build_ring("G", N, r)
+    td = todd_class(ring)
+    assert poincare_pair(ring.unit(), td) == 1
+    assert poincare_pair(ch_schur((1,) * r, ring), td) == math.comb(N, r)
+
+
 def test_bracket_reproduces_euler_pairing():
     gam = gamma_class(P1)
     O = cup(gam, kapranov_ch((), P1))

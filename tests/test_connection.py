@@ -122,6 +122,10 @@ def test_c1_operator_matches_the_quantum_pieri_oracle(kind, N, r):
                                                   op.gn_rows)
                for line in lines for _, c in line)
     assert np.array_equal(c1_matrix(ring), np.array(G0) + np.array(GN))
+    # the degree buckets give the stable sort of every (i, j) by deg_i - deg_j
+    degs = ring.degrees()
+    assert op.order == sorted(((i, j) for i in range(n) for j in range(n)),
+                              key=lambda ij: degs[ij[0]] - degs[ij[1]])
 
 
 # --- dense Fraction-matrix oracles ----------------------------------------

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mpc, mpf
 
-from qgamma import rings, symfunc
+from qgamma import charclasses, rings, symfunc
 from qgamma.rings import (build_ring, cup, exp_cup, poincare_pair,
                           partitions_in_box, box_complement, satake,
                           normalize_partition, wedge_exponents)
@@ -263,3 +263,70 @@ def test_exp_cup_of_unit_on_projective_space(N):
     s = Fraction(3, 7)
     out = exp_cup(P.unit(), P.basis_class((1,)), s)
     assert out.coeffs == [s ** k / math.factorial(k) for k in range(N)]
+
+
+def _exp_cup_by_powers(a, x, s):
+    """The oracle: e^{s x} cup a as the sum of the powers of x, one full cup
+    per power."""
+    out = term = a
+    for k in range(1, a.ring.dim + 1):
+        term = cup(x, term) * (s / k)
+        out = out + term
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([P3, G24, build_ring("G", 6, 3)]), st.data())
+def test_exp_cup_matches_the_powers_of_a_mixed_degree_class(ring, data):
+    a = ring.zero()
+    a.coeffs = data.draw(st.lists(_fractions, min_size=ring.rank, max_size=ring.rank))
+    x = ring.zero()
+    x.coeffs = [0] + data.draw(st.lists(_fractions, min_size=ring.rank - 1,
+                                        max_size=ring.rank - 1))
+    s = data.draw(_fractions)
+    assert exp_cup(a, x, s).coeffs == _exp_cup_by_powers(a, x, s).coeffs
+
+
+@pytest.mark.parametrize("kind,N,r", [("P", N, 1) for N in range(2, 8)]
+                         + [("G", 5, 2), ("G", 6, 3)])
+def test_exp_cup_of_a_degree_one_class_is_the_power_series_bit_for_bit(kind, N, r):
+    # sigma_1 and c1 exponentials (asympt, wedgecheck, the bracket form and
+    # central_charge) keep every rounding of the power series
+    ring = build_ring(kind, N, r)
+    rng = random.Random(N * 10 + r)
+    draws = (lambda: mpf(rng.uniform(-1, 1)),
+             lambda: mpc(rng.uniform(-1, 1), rng.uniform(-1, 1)),
+             lambda: rng.uniform(-1, 1))
+    for x in (ring.basis_class((1,)), ring.c1()):
+        for draw in draws:
+            a = rings.CohClass(ring, [draw() for _ in range(ring.rank)])
+            for s in (draw(), mpc(0, 1) * mpf(3.25), -2.5):
+                assert repr(exp_cup(a, x, s).coeffs) == repr(_exp_cup_by_powers(a, x, s).coeffs)
+
+
+@pytest.mark.parametrize("N,r", [(8, 3), (8, 4)])
+def test_gamma_class_matches_the_powers_of_its_log(monkeypatch, N, r):
+    ring = build_ring("G", N, r)
+    got = charclasses._gamma_class(ring)
+    monkeypatch.setattr(charclasses, "exp_cup", _exp_cup_by_powers)
+    want = charclasses._gamma_class(ring)
+    assert all(type(c) is mpf for c in got.coeffs)
+    scale = max(abs(c) for c in want.coeffs)
+    assert max(abs(g - w) for g, w in zip(got.coeffs, want.coeffs)) < mpf("1e-35") * scale
+
+
+@pytest.mark.parametrize("kind,N,r", [("P", 4, 1), ("G", 5, 2), ("G", 6, 3), ("G", 8, 3)])
+def test_todd_class_equals_the_powers_of_its_log(monkeypatch, kind, N, r):
+    ring = build_ring(kind, N, r)
+    got = charclasses.todd_class(ring)
+    monkeypatch.setattr(charclasses, "exp_cup", _exp_cup_by_powers)
+    want = charclasses.todd_class(ring)
+    assert all(type(c) is Fraction for c in got.coeffs)
+    assert got.coeffs == want.coeffs
+
+
+def test_exp_cup_refuses_a_class_with_a_degree_zero_part():
+    # e^{s x} is a finite sum only for nilpotent x
+    x = G24.basis_class((1,)) + Fraction(1, 3) * G24.unit()
+    with pytest.raises(ValueError):
+        exp_cup(G24.unit(), x, Fraction(1))
