@@ -29,20 +29,10 @@ class LimitReport:
 
 # --- J evaluation and the Gamma Conjecture I limit -----------------------
 
-def _require_finite(values, orders) -> None:
-    """Raise OverflowError at the first order n whose float value (a number or
-    a row of j_scaled) is not finite."""
-    bad = [n for n in orders if not np.isfinite(values[n]).all()]
-    if bad:
-        raise OverflowError(f"{len(bad)} non-finite float64 terms, the first at n = {bad[0]}")
-
-
 def eval_J(ring: RingSpec, t: float, nmax: int) -> np.ndarray:
     """J(t) = e^{c1 log t} sum_n J_n t^n as a float coefficient vector.
-    Raises OverflowError if a row n! J_n it reads is not finite in float64."""
-    rows = j_scaled(ring, nmax)
-    _require_finite(rows, range(nmax + 1))
-    return _sum_J(ring, rows, t)
+    Raises OverflowError at the first row n! J_n not finite in float64."""
+    return _sum_J(ring, j_scaled(ring, nmax), t)
 
 
 def _sum_J(ring: RingSpec, rows: np.ndarray, t: float) -> np.ndarray:
@@ -70,7 +60,6 @@ def limit_ratio(ring: RingSpec, t_grid, tol: float = 1e-6) -> LimitReport:
     J is summed to order max(80, 6 N max(t_grid)) from one set of rows."""
     nmax = max(80, int(6 * ring.N * max(t_grid)))
     rows = j_scaled(ring, nmax)
-    _require_finite(rows, range(nmax + 1))
     values = []
     for t in t_grid:
         J = _sum_J(ring, rows, t)
@@ -96,12 +85,11 @@ def apery_ratios(ring: RingSpec, g: CohClass, n_grid, tol: float = 1e-6) -> Limi
     """<gamma, J_{r_F n}> / <[pt], J_{r_F n}> along n_grid, against the
     Gamma-class target <gamma, Gamma> / <[pt], Gamma>.  g is the Poincare
     dual of gamma (a cohomology class with exact integer coefficients).
-    Raises OverflowError if a row n! J_n it reads is not finite in float64."""
+    Raises OverflowError at the first row n! J_n not finite in float64."""
     if not apery_precondition(ring, g):
         raise ValueError("c1 cap gamma != 0; Apery limit needs a primitive class")
     rf = ring.fano_index
     rows = j_scaled(ring, rf * max(n_grid))
-    _require_finite(rows, sorted(rf * n for n in n_grid))
     pair_idx = [(j, poincare_pair(g, ring.basis_class(lam))) for j, lam in enumerate(ring.basis)]
     pair_idx = [(j, c) for j, c in pair_idx if c != 0]
     values, skipped = [], []
@@ -133,7 +121,9 @@ def radius_estimate(scaled_Gn) -> dict:
     terms), which cancels the slowly-decaying polynomial prefactor.  Raises
     OverflowError on a non-finite term."""
     a = [abs(float(x)) for x in scaled_Gn]
-    _require_finite(a, range(len(a)))
+    bad = [n for n, x in enumerate(a) if not math.isfinite(x)]
+    if bad:
+        raise OverflowError(f"{len(bad)} non-finite float64 terms, the first at n = {bad[0]}")
     if len(a) < 100:
         raise ValueError("need at least 100 terms")
     tail_start = len(a) // 2

@@ -13,9 +13,11 @@ classes are one graded ring exponential (`rings.exp_cup`) each, of the power
 sums of the roots of TF, a class with a part in every degree.  The
 bilinear [.,.) is its matrix B on the Schubert basis, built once per ring and
 precision; a left vector a becomes the row a B once, then one dot per
-pairing.  The Grassmannian closed form of the Gamma class is an independent
-route: an exact truncated polynomial in the Chern roots with mpmath scalars,
-re-expanded in the Schur basis.
+pairing.  The Gamma-basis classes Gamma-hat Ch(S^nu V*) and their normalized
+Satake images are built once per ring, nu and precision.  The Grassmannian
+closed form of the Gamma class is an independent route: an exact truncated
+polynomial in the Chern roots with mpmath scalars, re-expanded in the Schur
+basis.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from mpmath import (mp, mpc, mpf, gamma as mp_gamma, bernoulli, bernfrac, exp as
 
 from . import symfunc
 from .rings import (RingSpec, CohClass, build_ring, cup, exp_cup, normalize_partition,
-                    same_ring)
+                    same_ring, satake, wedge_exponents)
 
 mp.dps = 40
 
@@ -207,11 +209,31 @@ def _gamma_G_closed_form(ring: RingSpec) -> CohClass:
 
 def kapranov_ch(nu, ring: RingSpec) -> CohClass:
     """Ch(S^nu V*) = s_nu(e^{2 pi i x_1}, ..., e^{2 pi i x_r})."""
-    return _cached("kapranov_ch", _kapranov_ch, ring, normalize_partition(nu))
-
-
-def _kapranov_ch(ring: RingSpec, nu) -> CohClass:
     return scale_degrees(ch_schur(nu, ring), 2j * mp.pi)
+
+
+def gamma_basis_class(nu, ring: RingSpec) -> CohClass:
+    """Gamma-hat Ch(S^nu V*), once per ring, nu and working precision; on
+    P^{N-1}, S^(k) V* = O(k)."""
+    return _cached("gamma_basis_class", _gamma_basis_class, ring, normalize_partition(nu))
+
+
+def _gamma_basis_class(ring: RingSpec, nu) -> CohClass:
+    return cup(gamma_class(ring), kapranov_ch(nu, ring))
+
+
+def satake_gamma_class(nu, ring_G: RingSpec) -> CohClass:
+    """(2 pi i)^{-C(r,2)} e^{-(r-1) pi i sigma_1} Sat(f_1 ^ ... ^ f_r), f_i =
+    gamma_basis_class((k_i,), P^{N-1}), k = wedge_exponents(nu, r); Kapranov's
+    identity equates it with gamma_basis_class(nu, ring_G).  Cached likewise."""
+    return _cached("satake_gamma_class", _satake_gamma_class, ring_G, normalize_partition(nu))
+
+
+def _satake_gamma_class(ring_G: RingSpec, nu) -> CohClass:
+    r, ring_P = ring_G.r, build_ring("P", ring_G.N)
+    raw = satake([gamma_basis_class((k,), ring_P) for k in wedge_exponents(nu, r)], ring_G)
+    pref = (2j * mp.pi) ** (-(r * (r - 1) // 2))
+    return exp_cup(raw, ring_G.basis_class((1,)), -(r - 1) * 1j * mp.pi) * pref
 
 
 def _bracket_form(ring: RingSpec) -> tuple:

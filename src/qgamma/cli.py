@@ -3,8 +3,8 @@ deterministic JSON or CSV output.
 
 Exit codes: 0 on pass, 1 on a usage error, 2 on a check failure (reported,
 or a self-check raising ArithmeticError), 3 when the numerics are out of
-range (an output float overflowed or is not finite, or a rotated Gram lost
-its integrality)."""
+range (a float overflowed or is not finite, an exact output is too long to
+print, or a rotated Gram lost its integrality)."""
 
 from __future__ import annotations
 
@@ -49,7 +49,8 @@ def _round12(x: float, key: str) -> float:
 def clean(obj, key: str = ""):
     """Normalize a result tree for serialization: 12-significant-digit
     floats, complex as [re, im], exact rationals as strings.  A float that
-    is not finite raises OverflowError naming its key."""
+    is not finite, or a rational too long to print, raises OverflowError
+    naming its key."""
     if isinstance(obj, dict):
         return {str(k): clean(v, str(k)) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -61,7 +62,11 @@ def clean(obj, key: str = ""):
     if isinstance(obj, (int, np.integer)):
         return int(obj)
     if isinstance(obj, Fraction):
-        return str(obj)
+        try:
+            return str(obj)
+        except ValueError:   # past Python's limit on integer string conversion
+            raise OverflowError(f"{key or 'output'} has more than "
+                                f"{sys.get_int_max_str_digits()} digits") from None
     if isinstance(obj, (complex, np.complexfloating, mpc)):
         z = complex(obj)
         if z.imag == 0:

@@ -292,7 +292,8 @@ def j_coefficients(ring: RingSpec, nmax: int) -> list:
 
 def j_scaled(ring: RingSpec, nmax: int) -> np.ndarray:
     """Float path: row n holds n! * J_n (basis coefficients).  W_m = m! U_m
-    solves m W_m + [rho, W_m] = m!/(m-N)! W_{m-N} G_N on the graded solver."""
+    solves m W_m + [rho, W_m] = m!/(m-N)! W_{m-N} G_N on the graded solver.
+    Raises OverflowError at the first row not finite in float64."""
     n, N = ring.rank, ring.N
     op = _c1_operator(ring)
     W = [np.eye(n).tolist()]
@@ -303,6 +304,8 @@ def j_scaled(ring: RingSpec, nmax: int) -> np.ndarray:
         rising = float(math.perm(m, N))
         rhs = [[rising * x for x in row] for row in _right_mul(W[m - N], op.gn_cols)]
         W.append(_solve_graded(m, rhs, op))
+        if not all(math.isfinite(row[0]) for row in W[m]):
+            raise OverflowError(f"non-finite float64 rows n! J_n, the first at n = {m}")
     return np.array([[row[0] for row in Wm] for Wm in W], dtype=float)
 
 

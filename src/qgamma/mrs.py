@@ -17,9 +17,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .charclasses import gamma_class, kapranov_ch, bracket_pairing, bracket_row
+from .charclasses import gamma_basis_class, bracket_pairing, bracket_row
 from .connection import greedy_groups, spectrum_closed_form
-from .rings import RingSpec, build_ring, cup, det_small
+from .rings import RingSpec, build_ring, det_small
 
 
 @dataclass
@@ -295,8 +295,7 @@ def wedge_mrs(mrs: MRS, r: int) -> MRS:
 def gamma_mrs(ring: RingSpec, phase: float = -0.05) -> MRS:
     """Vectors Gamma-hat Ch(S^nu V*) for nu in ring.basis, marked by the
     closed-form spectrum.  On P^{N-1}, S^(j) V* = O(j): the Beilinson basis."""
-    gam = gamma_class(ring)
-    vectors = [cup(gam, kapranov_ch(nu, ring)) for nu in ring.basis]
+    vectors = [gamma_basis_class(nu, ring) for nu in ring.basis]
     return MRS(vectors=vectors, markings=spectrum_closed_form(ring.r, ring.N),
                phase=phase, pairing=bracket_pairing)
 

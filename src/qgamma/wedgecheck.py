@@ -9,11 +9,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from mpmath import mp, mpc
+from mpmath import mpc
 
-from .rings import (RingSpec, CohClass, build_ring, cup, exp_cup, satake,
-                    normalize_partition, wedge_exponents)
-from .charclasses import gamma_class, gamma_G_closed_form, kapranov_ch, bracket_pairing
+from .rings import build_ring, cup, normalize_partition, wedge_exponents
+from .charclasses import (gamma_G_closed_form, gamma_basis_class, kapranov_ch,
+                          satake_gamma_class, bracket_pairing)
 from .connection import c1_matrix, spectrum_closed_form, multiset_distance
 from . import mrs as mrsmod
 
@@ -34,14 +34,6 @@ def check_wedge_spectrum(r: int, N: int, tol: float = 1e-8) -> SatakeCheckReport
                              passed=resid < tol)
 
 
-def satake_normalized(factors, ring_G: RingSpec) -> CohClass:
-    """(2 pi i)^{-r(r-1)/2} e^{-(r-1) pi i sigma_1} Sat(f_1 ^ ... ^ f_r)."""
-    r = ring_G.r
-    raw = satake(factors, ring_G)
-    pref = (2j * mp.pi) ** (-(r * (r - 1) // 2))
-    return exp_cup(raw, ring_G.basis_class((1,)), -(r - 1) * 1j * mp.pi) * pref
-
-
 def check_kapranov_wedge_identity(r: int, N: int, nu,
                                   tol: float = 1e-10) -> SatakeCheckReport:
     """Gamma-hat_G Ch(S^nu V*) against the normalized Satake image of the
@@ -49,13 +41,9 @@ def check_kapranov_wedge_identity(r: int, N: int, nu,
     side goes through both the generic Gamma class and its closed form."""
     nu = normalize_partition(nu)
     ring_G = build_ring("G", N, r)
-    chS = kapranov_ch(nu, ring_G)
-    lhs_generic = cup(gamma_class(ring_G), chS)
-    lhs_closed = cup(gamma_G_closed_form(r, N), chS)
-    ring_P = build_ring("P", N)
-    gam_P = gamma_class(ring_P)
-    rhs = satake_normalized([cup(gam_P, kapranov_ch((k,), ring_P))   # O(k) = S^(k) V*
-                             for k in wedge_exponents(nu, r)], ring_G)
+    lhs_generic = gamma_basis_class(nu, ring_G)
+    lhs_closed = cup(gamma_G_closed_form(r, N), kapranov_ch(nu, ring_G))
+    rhs = satake_gamma_class(nu, ring_G)
     resid = max(float(abs(mpc(a) - mpc(b))) for lhs in (lhs_generic, lhs_closed)
                 for a, b in zip(lhs.coeffs, rhs.coeffs))
     return SatakeCheckReport(case=f"kapranov G({r},{N}) nu={list(nu)}",
@@ -64,32 +52,25 @@ def check_kapranov_wedge_identity(r: int, N: int, nu,
 
 def check_mrs_wedge(r: int, N: int, phi: float = -0.05,
                     tol: float = 1e-8) -> SatakeCheckReport:
-    """Wedge of the rotated Beilinson-Gamma MRS of P^{N-1}, pushed through
-    the normalized Satake map, against the Kapranov-Gamma MRS of G(r,N):
-    per-vector match up to sign, integer Gram equality, marking multisets."""
+    """Wedge of the Beilinson-Gamma MRS of P^{N-1}, pushed through the
+    normalized Satake map, against the Kapranov-Gamma MRS of G(r,N):
+    per-vector match (the Kapranov identity fixes the sign to +1), integer
+    Gram equality, and the summed rotated P-markings against the G ones."""
     ring_G = build_ring("G", N, r)
-    mP = mrsmod.beilinson_gamma_mrs(N, phase=phi)
     rot = cmath.exp(1j * math.pi * (r - 1) / N)
-    rotated = [rot * u for u in mP.markings]
+    rotated = [rot * u for u in spectrum_closed_form(1, N)]
     mK = mrsmod.kapranov_gamma_mrs(r, N, phase=phi)
     if not mrsmod.is_admissible(mK.markings, phi):
         raise ValueError(f"phase {phi} not admissible for the summed markings")
 
-    exponents = [wedge_exponents(nu, r) for nu in ring_G.basis]
-    mapped = [satake_normalized([mP.vectors[k] for k in ks], ring_G) for ks in exponents]
-    wedge_marks = [sum(rotated[k] for k in reversed(ks)) for ks in exponents]
+    mapped = [satake_gamma_class(nu, ring_G) for nu in ring_G.basis]
+    wedge_marks = [sum(rotated[k] for k in reversed(wedge_exponents(nu, r)))
+                   for nu in ring_G.basis]
+    vec_resid = max(float(abs(mpc(a) - mpc(b))) for w, kap in zip(mapped, mK.vectors)
+                    for a, b in zip(w.coeffs, kap.coeffs))
 
-    signs = []
-    vec_resid = 0.0
-    for w, kap in zip(mapped, mK.vectors):
-        rp = max(float(abs(mpc(a) - mpc(b))) for a, b in zip(w.coeffs, kap.coeffs))
-        rm = max(float(abs(mpc(a) + mpc(b))) for a, b in zip(w.coeffs, kap.coeffs))
-        signs.append(1 if rp <= rm else -1)
-        vec_resid = max(vec_resid, min(rp, rm))
-
-    gram_W = mrsmod.gram(mrsmod.SOB(mapped, bracket_pairing))
     int_K, err_K = mrsmod.round_gram(mrsmod.gram(mrsmod.SOB(mK.vectors, bracket_pairing)))
-    int_W, err_W = mrsmod.round_gram(gram_W * np.outer(signs, signs))
+    int_W, err_W = mrsmod.round_gram(mrsmod.gram(mrsmod.SOB(mapped, bracket_pairing)))
     gram_round_err = max(err_K, err_W)
     gram_ok = bool(np.array_equal(int_K, int_W)) and gram_round_err < tol
 

@@ -67,11 +67,10 @@ def test_radius_g25():
 
 
 def test_radius_refuses_non_finite_terms():
-    # the float period of P^3 overflows from n = 504 on at order 600
-    scaled = quantum_period(build_ring("P", 4), 600, exact=False)
-    assert not all(math.isfinite(float(x)) for x in scaled)
-    with pytest.raises(OverflowError):
-        radius_estimate(scaled)
+    # the float rows n! J_n of P^3 overflow from n = 500 on, so the period
+    # to order 600 is refused before the radius sees it
+    with pytest.raises(OverflowError, match="the first at n = 500"):
+        quantum_period(build_ring("P", 4), 600, exact=False)
     with pytest.raises(OverflowError):
         radius_estimate([1.0] * 150 + [math.nan] + [1.0] * 49)
 
@@ -83,9 +82,10 @@ def test_eval_j_and_apery_refuse_overflowing_rows():
         eval_J(P3, 40.0, 600)
     with pytest.raises(OverflowError, match="the first at n = 500"):
         limit_ratio(P3, [40, 60])
-    # G(2,5): rows r_F n = 100 and 400; only the second overflows
+    # G(2,5): rows r_F n = 100 and 400; j_scaled stops at the first
+    # non-finite row between them
     g = G25.basis_class((3, 1)) - G25.basis_class((2, 2))
-    with pytest.raises(OverflowError, match="the first at n = 400"):
+    with pytest.raises(OverflowError, match="the first at n = 330"):
         apery_ratios(G25, g, [20, 80])
 
 

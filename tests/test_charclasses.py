@@ -16,7 +16,7 @@ from qgamma.mrs import SOB, beilinson_gamma_mrs, gram, kapranov_gamma_mrs, round
 from qgamma.rings import CohClass, build_ring, cup, exp_cup, poincare_pair
 from qgamma.charclasses import (ch_schur, scale_degrees, todd_class, gamma_class,
                                 gamma_G_closed_form, kapranov_ch,
-                                bracket_pairing,
+                                gamma_basis_class, satake_gamma_class, bracket_pairing,
                                 euler_pairing_hrr, log_gamma_coeffs,
                                 hurwitz_zeta_em, zeta_reg_reciprocal_product,
                                 zeta_reg_closed_form)
@@ -263,6 +263,18 @@ def test_closed_form_and_kapranov_cache_follow_precision():
         assert abs(ch[(1, 1)] - 2 * mp.pi ** 2) < mpf("1e-55")
 
 
+@pytest.mark.parametrize("build,nu,ring", [(gamma_basis_class, (2, 1), G24),
+                                           (gamma_basis_class, (2,), P2),
+                                           (satake_gamma_class, (2, 1), G24)],
+                         ids=["gamma-basis-G24", "gamma-basis-P2", "satake-G24"])
+def test_gamma_basis_builders_follow_precision(monkeypatch, build, nu, ring):
+    build(nu, ring)   # fill the 40-digit cache entries
+    with mp.workdps(60):
+        cached = build(nu, ring)
+        monkeypatch.setattr(charclasses, "_CLASS_CACHE", {})
+        assert _max_gap(cached, build(nu, ring)) < mpf("1e-55")
+
+
 def test_exact_classes_are_cached_across_precisions(monkeypatch):
     build = charclasses._ch_schur
     calls = []
@@ -291,7 +303,8 @@ def test_exact_class_minus_mpf_class():
 
 
 def test_cached_classes_are_immutable():
-    for cls in [gamma_class(P2), gamma_G_closed_form(2, 4), kapranov_ch((1,), G24)]:
+    for cls in [gamma_class(P2), gamma_G_closed_form(2, 4), gamma_basis_class((1,), G24),
+                satake_gamma_class((1,), G24)]:
         with pytest.raises(TypeError):
             cls.coeffs[0] = 0
     assert gamma_class(P2).coeffs[0] == 1

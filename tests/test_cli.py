@@ -4,6 +4,8 @@ import json
 import os
 import subprocess
 import sys
+import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +38,12 @@ def test_clean_formats_floats():
     assert clean(complex(1, 0)) == 1.0
     with pytest.raises(OverflowError, match="spread"):
         clean({"ok": 1.0, "spread": [0.5, float("nan")]})
+
+
+def test_clean_refuses_a_rational_too_long_to_print():
+    # Python refuses str() of an integer past sys.get_int_max_str_digits()
+    with pytest.raises(OverflowError, match="value"):
+        clean({"n": 3000, "value": Fraction(10 ** 5000, 3)})
 
 
 def test_spectrum_command(capsys):
@@ -114,6 +122,27 @@ def test_float_overflow_exit_3(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("numerics out of range:")
+
+
+def test_exact_output_too_long_to_print_exit_3(capsys):
+    assert main(["period", "--target", "P(2)", "--nmax", "3000"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("numerics out of range: value has more than "
+                            f"{sys.get_int_max_str_digits()} digits\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["limit", "--target", "P(2)", "--t", "1e5"],             # order 1.8M
+    ["apery", "--target", "G(2,5)", "--n-grid", "100000"],   # order 500k
+], ids=lambda argv: argv[0])
+def test_float_j_stops_at_its_first_non_finite_row(capsys, argv):
+    start = time.perf_counter()
+    assert main(argv) == 3
+    assert time.perf_counter() - start < 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "the first at n = " in captured.err
 
 
 def test_failed_self_check_exit_2(capsys, monkeypatch):

@@ -5,11 +5,12 @@ import math
 import pytest
 from mpmath import mpc
 
+from qgamma import charclasses, mrs, verify
 from qgamma.rings import CohClass, build_ring, exp_cup
-from qgamma.charclasses import bracket_pairing, gamma_class
+from qgamma.charclasses import bracket_pairing, gamma_class, satake_gamma_class
 from qgamma.wedgecheck import (check_wedge_spectrum,
                                check_kapranov_wedge_identity,
-                               check_mrs_wedge, satake_normalized)
+                               check_mrs_wedge)
 
 
 @pytest.mark.parametrize("r,N", [(2, 4), (2, 5), (3, 6)])
@@ -54,6 +55,35 @@ def test_mrs_wedge_g25():
     assert rep.passed
 
 
+def test_mrs_wedge_fails_on_a_negated_kapranov_vector(monkeypatch):
+    # the Kapranov identity fixes every sign to +1, so a sign flip is a failure
+    honest = mrs.kapranov_gamma_mrs
+
+    def negate_one(r, N, phase=-0.05):
+        m = honest(r, N, phase)
+        m.vectors[2] = -m.vectors[2]
+        return m
+    monkeypatch.setattr(mrs, "kapranov_gamma_mrs", negate_one)
+    rep = check_mrs_wedge(2, 4, -0.05)
+    assert not rep.passed
+    assert rep.max_residual > 1
+
+
+def test_criteria_5_and_11_take_each_satake_image_once(monkeypatch):
+    build = charclasses.satake
+    calls = []
+
+    def counted(factors, ring_G):
+        calls.append((ring_G.r, ring_G.N))
+        return build(factors, ring_G)
+    monkeypatch.setattr(charclasses, "_CLASS_CACHE", {})
+    monkeypatch.setattr(charclasses, "satake", counted)
+    assert verify.criterion_5()["passed"]
+    assert len(calls) == 6 + 10 + 20   # the boxes of G(2,4), G(2,5), G(3,6)
+    assert verify.criterion_11()["passed"]
+    assert len(calls) == 36
+
+
 def test_mrs_wedge_rejects_inadmissible_phase():
     with pytest.raises(ValueError):
         check_mrs_wedge(2, 4, 0.0)
@@ -66,6 +96,7 @@ def test_scalar_products_never_format_the_class(monkeypatch):
     def refuse(self):
         raise AssertionError("repr(CohClass) was formatted")
     monkeypatch.setattr(CohClass, "__repr__", refuse)
+    monkeypatch.setattr(charclasses, "_CLASS_CACHE", {})   # build every class here
     P3 = build_ring("P", 4)
     s = mpc(0.5, 1.5)
     out = exp_cup(P3.unit(), P3.basis_class((1,)), s)
@@ -73,5 +104,4 @@ def test_scalar_products_never_format_the_class(monkeypatch):
     G24 = build_ring("G", 4, 2)
     gam = gamma_class(G24)
     assert abs(bracket_pairing(gam, gam) - 1) < 1e-20
-    P3_classes = [gamma_class(P3), P3.basis_class((1,))]
-    assert len(satake_normalized(P3_classes, G24).coeffs) == G24.rank
+    assert len(satake_gamma_class((2, 1), G24).coeffs) == G24.rank
