@@ -2,10 +2,14 @@
 quantum-period radius estimation, and the Mellin-Barnes solution Psi(t) with
 its three evaluation routes and asymptotic constant.  The Psi series are
 classes of H*(P^{N-1}) = C[h]/(h^N) built from connection.rising_inverses;
-the float quadrature shares none of their arithmetic."""
+the float quadrature shares none of their arithmetic.  The series keep the
+class left of every mpmath scalar (see CohClass.__mul__).  The quadrature
+computes its Gauss-Legendre nodes and Gamma(s) on them once per (abscissa,
+interval), on first use rather than at import."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -153,12 +157,11 @@ def mellin_psi(N: int, t: float, c: float = 1.0) -> float:
     if -N * c * math.log(t) > math.log(np.finfo(float).max):
         raise OverflowError(f"t^(-N s) overflows at N = {N}, t = {t}")
     H = math.ceil(2.0 / (N * math.pi) * (46 + abs(N * c * math.log(t))) + 2)
-    x, w = np.polynomial.legendre.leggauss(32)
+    w = _leggauss()[1]
     total = mass = 0.0
     for k in range(-H, H):
-        y = k + (x + 1) / 2
-        s = c + 1j * y
-        terms = w * np.array([fp.gamma(z) for z in s.tolist()]) ** N * t ** (-N * s)
+        s, gam = _gamma_nodes(c, k)
+        terms = w * gam ** N * t ** (-N * s)
         total += np.sum(terms) / 2
         mass += np.sum(np.abs(terms)) / 2
     psi = float((total / (2 * math.pi)).real)
@@ -167,6 +170,23 @@ def mellin_psi(N: int, t: float, c: float = 1.0) -> float:
         raise OverflowError(f"quadrature below its rounding floor at N = {N}, t = {t}: "
                             f"L1 mass {mass:.3g} exceeds 1e6 |Psi| = {1e6 * abs(psi):.3g}")
     return psi
+
+
+@functools.cache
+def _leggauss():
+    """The 32-node Gauss-Legendre rule on [-1, 1], built on first use so that
+    importing the package does not load numpy.polynomial."""
+    return np.polynomial.legendre.leggauss(32)
+
+
+@functools.cache
+def _gamma_nodes(c: float, k: int):
+    """The nodes s = c + i y of mellin_psi on the interval y in [k, k + 1],
+    and Gamma(s) on them; neither depends on N or t.  Read-only arrays."""
+    s = c + 1j * (k + (_leggauss()[0] + 1) / 2)
+    gam = np.array([fp.gamma(z) for z in s.tolist()])
+    s.flags.writeable = gam.flags.writeable = False
+    return s, gam
 
 
 def frobenius_Pi(N: int, t, nmax: int = 80) -> CohClass:
@@ -182,14 +202,14 @@ def _frobenius_Pi(N: int, t, nmax: int):
     t = mpf(t)
     ring = build_ring("P", N)
     series = ring.zero()
-    tn, biggest = mpf(1), mpf(0)
+    tn, tN, biggest = mpf(1), t ** N, mpf(0)
     for n, prod_inv in enumerate(rising_inverses(ring, -1, mpf(1))):
         size = tn * max(abs(x) for x in prod_inv.coeffs)
         if n > nmax or (n > 3 * int(t) + 6 and size < mpf("1e-45")):
             break
-        series = series + tn * prod_inv
+        series = series + prod_inv * tn
         biggest = max(biggest, size)
-        tn = tn * t ** N
+        tn = tn * tN
     return exp_cup(series, ring.basis_class((1,)), -N * mp_log(t)), biggest, size
 
 
@@ -212,14 +232,14 @@ def psi_residue_sum(N: int, t) -> float:
     ring = build_ring("P", N)
     base = exp_cup(gamma_class(ring), ring.basis_class((1,)), -N * mp_log(t))
     total = biggest = mpf(0)
-    tn = mpf(1)
+    tn, tN = mpf(1), t ** N
     for n, prod_inv in zip(range(81), rising_inverses(ring, -1, mpf(1))):
         term = poincare_pair(base, prod_inv) * tn
         total += term
         biggest = max(biggest, abs(term))
         if n > 3 * int(t) + 6 and abs(term) < mpf("1e-45") * (1 + abs(total)):
             break
-        tn = tn * t ** N
+        tn = tn * tN
     return _above_floor(total, biggest, abs(term), N, t)
 
 

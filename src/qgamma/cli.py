@@ -297,6 +297,9 @@ def cmd_apery(args):
 
 
 def cmd_psi(args):
+    # the series routes live on P^{N-1}, which needs N >= 2
+    if not 2 <= args.N <= 6:
+        raise UsageError(f"psi supports 2 <= N <= 6, got --N {args.N}")
     a = mellin_psi(args.N, args.t)
     b = psi_residue_sum(args.N, args.t)
     c = psi_gamma_pi(args.N, args.t)

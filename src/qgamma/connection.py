@@ -311,15 +311,16 @@ def j_scaled(ring: RingSpec, nmax: int) -> np.ndarray:
 
 def rising_inverses(ring: RingSpec, sign: int, one):
     """Yield prod_{k=1}^{n} (h + sign k)^{-N} for n = 0, 1, 2, ... on
-    ring = P^{N-1}, with 1/(h + c) = sum_j (-h)^j / c^{j+1}; one is the
-    scalar 1 of the result's type (Fraction or mpf)."""
-    prod = one * ring.unit()
+    ring = P^{N-1}; one is the scalar 1 of the result's type (Fraction or
+    mpf).  Each order makes one cup, by the class
+    (h + c)^{-N} = sum_j C(N+j-1, j) (-h)^j / c^{N+j}, c = sign n."""
+    N = ring.N
+    prod = ring.unit() * one
     for n in itertools.count(1):
         yield prod
         c = sign * n * one
-        inv = CohClass(ring, [(-1) ** j / c ** (j + 1) for j in range(ring.rank)])
-        for _ in range(ring.N):
-            prod = cup(prod, inv)
+        prod = cup(prod, CohClass(ring, [(-1) ** j * math.comb(N + j - 1, j) / c ** (N + j)
+                                         for j in range(ring.rank)]))
 
 
 def j_closed_form_P(N: int, nmax: int) -> list:

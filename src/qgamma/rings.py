@@ -164,7 +164,7 @@ def build_ring(kind: str, N: int, r: int = 1) -> RingSpec:
     if kind == "P":
         r = 1
         if N < 2:
-            raise ValueError("ProjSpace needs N >= 2")
+            raise ValueError(f"P^{{N-1}} needs N >= 2, got N = {N}")
     elif kind == "G":
         if not (1 <= r <= N - 1):
             raise ValueError(f"invalid Grassmannian ({r},{N})")

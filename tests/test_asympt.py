@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from mpmath import mp, mpf
 
-from qgamma.rings import build_ring, cup, poincare_pair
+from qgamma import asympt, charclasses
+from qgamma.rings import CohClass, build_ring, cup, poincare_pair
 from qgamma.charclasses import gamma_class
 from qgamma.connection import spectrum, quantum_period, j_scaled
 from qgamma.asympt import (eval_J, limit_ratio, apery_precondition,
@@ -123,6 +124,45 @@ def test_psi_series_refuse_catastrophic_cancellation(route, N, t):
 
 def test_psi_contour_independence():
     assert abs(mellin_psi(2, 1.0, c=0.7) - mellin_psi(2, 1.0, c=1.4)) < 1e-12
+
+
+def test_mellin_psi_node_cache_keeps_every_bit():
+    # Gamma(s) on the nodes is cached per (c, interval); the floats must not
+    # depend on whether the cache is cold or warm, on the call order, or on
+    # another abscissa's entries
+    nodes = asympt._gamma_nodes
+    calls = [(4, 0.7, 1.0), (2, 1.3, 1.0), (2, 1.0, 0.7), (2, 1.0, 1.4)]
+    cold = {}
+    for N, t, c in calls:
+        nodes.cache_clear()
+        cold[N, t, c] = mellin_psi(N, t, c=c).hex()
+    for order in (calls, calls[::-1]):
+        nodes.cache_clear()
+        for _ in range(2):   # the second pass runs warm
+            assert [mellin_psi(N, t, c=c).hex() for N, t, c in order] == \
+                [cold[key] for key in order]
+    # the cache is keyed on c: a second abscissa builds its own nodes
+    nodes.cache_clear()
+    mellin_psi(2, 1.0, c=0.7)
+    misses = nodes.cache_info().misses
+    mellin_psi(2, 1.0, c=1.4)
+    assert nodes.cache_info().misses > misses
+    with pytest.raises(ValueError):
+        nodes(1.0, 0)[1][0] = 0   # the cached arrays are read-only
+
+
+def test_psi_routes_never_format_the_class(monkeypatch):
+    # the series put the class left of every mpmath scalar: an mpf on the
+    # left formats repr(CohClass) for a failed conversion before Python
+    # falls back to CohClass.__rmul__
+    def refuse(self):
+        raise AssertionError("repr(CohClass) was formatted")
+    monkeypatch.setattr(CohClass, "__repr__", refuse)
+    monkeypatch.setattr(charclasses, "_CLASS_CACHE", {})   # build every class here
+    for N in [2, 3, 4]:
+        assert len(frobenius_Pi(N, 1.1).coeffs) == N
+        assert abs(psi_residue_sum(N, 1.1) - psi_gamma_pi(N, 1.1)) < 1e-8
+    assert psi_asymptotic_constant(2, [6, 7, 8])["abs_error"] < 1e-3
 
 
 def test_psi_asymptotic_constant():

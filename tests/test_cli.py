@@ -86,13 +86,19 @@ def test_usage_error_exit_1(capsys):
     ["spectrum", "--target", "P(0)"],
     ["gamma", "--target", "G(5,40)"],
     ["psi", "--N", "9", "--t", "1"],
+    pytest.param(["psi", "--N", "1", "--t", "1"], id="psi-N1"),
     ["zetareg", "--delta", "-1", "--z", "1"],
     ["limit", "--target", "P(2)", "--t", "-1"],
     ["apery", "--target", "G(2,5)", "--n-grid", "-3"],
 ], ids=lambda argv: argv[0])
 def test_bad_argument_values_are_usage_errors(capsys, argv):
     assert main(argv) == 1
-    assert capsys.readouterr().err.startswith("usage error:")
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:")
+    if argv[0] == "spectrum":
+        assert "P^{N-1} needs N >= 2, got N = 1" in err
+    if argv[0] == "psi":
+        assert err.startswith(f"usage error: psi supports 2 <= N <= 6, got --N {argv[2]}\n")
 
 
 def test_negative_nmax_exit_1(capsys):
@@ -301,6 +307,17 @@ def test_cli_import_leaves_scipy_out():
     out = _run_python("-c", "import sys, qgamma.cli; print('scipy' in sys.modules)")
     assert out.returncode == 0
     assert out.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_quadrature_setup_out():
+    # the Psi quadrature builds its Gauss-Legendre nodes and Gamma(s) values
+    # on first use, so importing the CLI pays for neither
+    out = _run_python("-c", "import sys, qgamma.cli\n"
+                      "from qgamma.asympt import _gamma_nodes, _leggauss\n"
+                      "print('numpy.polynomial' in sys.modules,\n"
+                      "      _gamma_nodes.cache_info().currsize, _leggauss.cache_info().currsize)")
+    assert out.returncode == 0
+    assert out.stdout.strip() == "False 0 0"
 
 
 def test_psi_overflow_is_reported_without_warnings():

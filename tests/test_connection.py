@@ -2,6 +2,7 @@
 oracle, c1 spectra and Property O, the canonical fundamental solution and
 its exact identities, J-function oracles, central charges."""
 
+import itertools
 import math
 import operator
 from fractions import Fraction
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mpf, pi as mp_pi, exp as mp_exp, mpc
 
-from qgamma.rings import build_ring, cup, normalize_partition
+from qgamma.rings import CohClass, build_ring, cup, normalize_partition
 from qgamma.connection import (c1_matrix, spectrum, spectrum_closed_form,
                                fundamental_solution, j_coefficients, j_scaled,
                                j_closed_form_P, rising_inverses, quantum_period,
@@ -388,18 +389,49 @@ def test_j_oracle_projective():
             assert a.coeffs == b.coeffs
 
 
+def _rising_inverses_by_n_cups(ring, sign, one):
+    """The former rising_inverses: N cups per order with
+    1/(h + c) = sum_j (-h)^j / c^{j+1}."""
+    prod = one * ring.unit()
+    for n in itertools.count(1):
+        yield prod
+        c = sign * n * one
+        inv = CohClass(ring, [(-1) ** j / c ** (j + 1) for j in range(ring.rank)])
+        for _ in range(ring.N):
+            prod = cup(prod, inv)
+
+
 @pytest.mark.parametrize("sign", [1, -1])
-@pytest.mark.parametrize("N", [2, 3, 5])
+@pytest.mark.parametrize("N", [2, 3, 4, 5, 6, 7])
 def test_rising_inverses_invert_the_products(N, sign):
-    """prod_{k<=n} (h + sign k)^{-N} cup prod_{k<=n} (h + sign k)^N = 1 exactly."""
+    """prod_{k<=n} (h + sign k)^{-N} cup prod_{k<=n} (h + sign k)^N = 1
+    exactly; the one-cup Fractions equal the N-cup oracle's, and the mpf
+    classes agree with them to 1e-35 relative."""
     ring = build_ring("P", N)
     h = ring.basis_class((1,))
     prod = ring.unit()
-    for n, inv in zip(range(8), rising_inverses(ring, sign, Fraction(1))):
+    exact = rising_inverses(ring, sign, Fraction(1))
+    oracle = _rising_inverses_by_n_cups(ring, sign, Fraction(1))
+    floats = rising_inverses(ring, sign, mpf(1))
+    for n, inv, old, inv_mp in zip(range(13), exact, oracle, floats):
         assert all(type(c) is Fraction for c in inv.coeffs)
+        assert inv.coeffs == old.coeffs
         assert cup(inv, prod).coeffs == ring.unit().coeffs
+        assert all(type(c) is mpf for c in inv_mp.coeffs)
+        assert all(abs(b - a) <= mpf("1e-35") * abs(a) for a, b in zip(inv.coeffs, inv_mp.coeffs))
         for _ in range(N):
             prod = cup(prod, h + sign * (n + 1) * ring.unit())
+
+
+def test_rising_inverses_cup_once_per_order(monkeypatch):
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return cup(a, b)
+    monkeypatch.setattr(connection, "cup", counted)
+    for n, _ in zip(range(10), rising_inverses(build_ring("P", 5), -1, mpf(1))):
+        assert len(calls) == n
 
 
 def test_j_scaled_matches_exact():
