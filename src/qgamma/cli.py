@@ -25,7 +25,7 @@ from .charclasses import (gamma_class, zeta_reg_reciprocal_product,
 from .connection import spectrum, j_coefficients, quantum_period
 from .asympt import (limit_ratio, apery_ratios, mellin_psi, psi_residue_sum,
                      psi_gamma_pi)
-from .mrs import SOB, gamma_mrs, gram, round_gram, stokes_matrix, mutate_phase_rotation
+from .mrs import gamma_mrs, gram, round_gram, stokes_matrix, mutate_phase_rotation
 from .wedgecheck import (check_wedge_spectrum, check_kapranov_wedge_identity,
                          check_mrs_wedge)
 from . import verify
@@ -321,7 +321,7 @@ def cmd_stokes(args):
 def cmd_mutate(args):
     ring = parse_target(args.target)
     m2, log = mutate_phase_rotation(gamma_mrs(ring, args.phase), args.to)
-    g, err = round_gram(gram(SOB(m2.vectors, m2.pairing)))
+    g, err = round_gram(gram(m2))
     if err > 1e-9:   # the Gram tolerance of criterion 4
         raise OverflowError(f"final Gram rounding error {err:.3g} exceeds 1e-9")
     if any(g.diagonal() != 1):   # a mutated exceptional collection has unit diagonal

@@ -94,6 +94,7 @@ class SpectrumReport:
     property_o_holds: bool
     violated_clause: int | None
     closed_form_match: bool
+    closed_form_residual: float   # multiset distance to spectrum_closed_form
 
 
 def spectrum_closed_form(r: int, N: int) -> list:
@@ -120,7 +121,8 @@ def greedy_groups(values, tol: float) -> list:
     return groups
 
 
-def spectrum(ring: RingSpec, tol: float = 1e-8) -> SpectrumReport:
+def spectrum(ring: RingSpec) -> SpectrumReport:
+    tol = 1e-8
     eig = sorted(np.linalg.eigvals(c1_matrix(ring)),
                  key=lambda z: (round(z.real, 6), round(z.imag, 6)))
     clusters = [(complex(np.mean([eig[i] for i in g])), len(g))
@@ -145,11 +147,11 @@ def spectrum(ring: RingSpec, tol: float = 1e-8) -> SpectrumReport:
         holds, clause = False, 3
     T_prime = max((v.real for v, _ in clusters if abs(v - T) >= tol), default=float("-inf"))
 
-    closed = spectrum_closed_form(ring.r, ring.N)
-    closed_match = multiset_distance(eig, closed) <= tol
+    closed = multiset_distance(eig, spectrum_closed_form(ring.r, ring.N))
     return SpectrumReport(eigenvalues=clusters, T=float(T), T_prime=float(T_prime),
                           T_multiplicity=T_mult, property_o_holds=holds,
-                          violated_clause=clause, closed_form_match=closed_match)
+                          violated_clause=clause, closed_form_match=closed <= tol,
+                          closed_form_residual=closed)
 
 
 def multiset_distance(a, b) -> float:

@@ -60,8 +60,9 @@ def round_gram(g: np.ndarray):
     return near.astype(int), float(np.max(np.abs(g - near)))
 
 
-def is_uni_uppertriangular(g: np.ndarray, tol: float = 1e-9) -> bool:
-    n = g.shape[0]
+def is_uni_uppertriangular(g: np.ndarray) -> bool:
+    """Unit diagonal and vanishing lower triangle, each to 1e-9."""
+    n, tol = g.shape[0], 1e-9
     for i in range(n):
         if abs(g[i, i] - 1) > tol:
             return False
@@ -100,17 +101,17 @@ def h_phase(u: complex, phi: float) -> float:
     return (cmath.exp(-1j * phi) * u).imag
 
 
-def is_admissible(markings, phi: float, tol: float = 1e-10) -> bool:
+def is_admissible(markings, phi: float) -> bool:
     """True iff e^{i phi} is not parallel to any difference of distinct
-    markings (checked on the sine of the angle); False for a non-finite
-    phi."""
+    markings (checked on the sine of the angle, to 1e-10); False for a
+    non-finite phi."""
     if not math.isfinite(phi):
         return False
     for u, v in itertools.combinations(markings, 2):
         d = u - v
-        if abs(d) < tol:
+        if abs(d) < 1e-10:
             continue
-        if abs((d * cmath.exp(-1j * phi)).imag) / abs(d) < tol:
+        if abs((d * cmath.exp(-1j * phi)).imag) / abs(d) < 1e-10:
             return False
     return True
 
@@ -130,24 +131,24 @@ def sort_by_phase(mrs: MRS) -> MRS:
                    markings=[mrs.markings[i] for i in order])
 
 
-def _check_semiorthonormal(g: np.ndarray, u: list, tol: float) -> None:
+def _check_semiorthonormal(g: np.ndarray, u: list) -> None:
     """Raise ArithmeticError unless the Gram g of vectors marked u, both in
     phase order, has unit diagonal, vanishing lower triangle, and vanishing
-    entries between equal distinct markings."""
-    if not is_uni_uppertriangular(g, tol):
+    entries between equal distinct markings, each to 1e-9."""
+    if not is_uni_uppertriangular(g):
         raise ArithmeticError("phase-ordered Gram is not uni-uppertriangular")
     for i in range(len(u)):
         for j in range(len(u)):
-            if i != j and abs(u[i] - u[j]) < tol and abs(g[i, j]) > tol:
+            if i != j and abs(u[i] - u[j]) < 1e-9 and abs(g[i, j]) > 1e-9:
                 raise ArithmeticError("nonzero Gram entry between equal markings")
 
 
-def stokes_matrix(mrs: MRS, tol: float = 1e-9) -> np.ndarray:
+def stokes_matrix(mrs: MRS) -> np.ndarray:
     """Gram matrix in phase order; asserts unit diagonal, vanishing lower
     triangle, and vanishing entries between equal distinct markings."""
     s = sort_by_phase(mrs)
     g = gram(s)
-    _check_semiorthonormal(g, s.markings, tol)
+    _check_semiorthonormal(g, s.markings)
     return g
 
 
@@ -198,7 +199,7 @@ def mutate_phase_rotation(mrs: MRS, phi_target: float):
     tail = [e for e in turn if sign * (phi0 + sign * rest - e[0]) > 0]
     G = _start_gram(mrs)
     _check_semiorthonormal(np.array(G[np.ix_(order, order)], dtype=complex),
-                           [mrs.markings[i] for i in order], 1e-9)
+                           [mrs.markings[i] for i in order])
     if not turns and not tail:
         return replace(mrs, vectors=list(mrs.vectors), phase=phi_target), []
 

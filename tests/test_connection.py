@@ -19,6 +19,7 @@ from qgamma.connection import (c1_matrix, spectrum, spectrum_closed_form,
                                central_charge, multiset_distance,
                                _c1_operator, _mat_id, _mat_zero, _solve_graded)
 from qgamma import connection
+from qgamma.wedgecheck import check_wedge_spectrum
 
 P1 = build_ring("P", 2)
 P2 = build_ring("P", 3)
@@ -299,7 +300,10 @@ def test_multiset_distance_size_mismatch_is_inf():
 @pytest.mark.parametrize("kind,N,r", [("P", N, 1) for N in range(2, 7)]
                          + [("G", 4, 2), ("G", 5, 2)])
 def test_spectrum_matches_closed_form(kind, N, r):
-    assert spectrum(build_ring(kind, N, r)).closed_form_match
+    rep = spectrum(build_ring(kind, N, r))
+    assert rep.closed_form_match and rep.closed_form_residual < 1e-8
+    # the Satake spectrum check reads this eigen-solve and matching
+    assert check_wedge_spectrum(r, N).max_residual == rep.closed_form_residual
 
 
 def test_fundamental_solution_p1():

@@ -3,8 +3,9 @@ private name of another module of the package, the
 package imports exactly the third-party packages it declares, every
 top-level function and class of the package is reachable through a chain
 of reads from ``cli.main``, the package's module-level statements or its
-scripts (the names only the benchmark reaches are listed explicitly), and
-every dataclass field is read as an attribute.
+scripts (the names only the benchmark reaches are listed explicitly),
+every dataclass field is read as an attribute, and every parameter default
+is overridden by some call in the package, its scripts or the benchmark.
 
 Uses only the stdlib ``ast`` module, so it runs wherever the test suite does.
 A name counts as used when it appears as a bare name anywhere in the module
@@ -225,3 +226,61 @@ def test_every_dataclass_field_is_read():
     unread = sorted(f for f in fields
                     if f.split(".")[1] not in reads and f not in UNREAD_PAPER_FIELDS)
     assert unread == []
+
+
+# a knob that only the tests turn: the abscissa of the Mellin contour, which
+# test_psi_contour_independence varies
+TEST_ONLY_KNOBS = {("mellin_psi", "c")}
+
+
+def _call_signatures(trees) -> dict:
+    """name -> [(number of positional arguments, keyword names)] for every
+    call of a bare name or an attribute; *args counts as every position and
+    **kwargs as every keyword (None)."""
+    calls: dict = {}
+    for node in (n for tree in trees for n in ast.walk(tree) if isinstance(n, ast.Call)):
+        name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        star = any(isinstance(a, ast.Starred) for a in node.args)
+        calls.setdefault(name, []).append((float("inf") if star else len(node.args),
+                                           {k.arg for k in node.keywords}))
+    return calls
+
+
+def unset_defaults(package, callers) -> list:
+    """(function, parameter) for each parameter with a default that no call
+    in callers sets, by position or by keyword.  Functions are matched by
+    name across modules; a method's self is not counted as a position."""
+    calls = _call_signatures(callers)
+    out = []
+    for tree in package:
+        methods = {id(fn) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                   for fn in cls.body if isinstance(fn, ast.FunctionDef)}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = fn.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            knobs = [(i - (id(fn) in methods), p.arg)
+                     for i, p in enumerate(positional[first:], first)]
+            knobs += [(float("inf"), p.arg) for p, d in zip(args.kwonlyargs, args.kw_defaults)
+                      if d is not None]
+            out += [(fn.name, name) for i, name in knobs
+                    if not any(n > i or name in kws or None in kws
+                               for n, kws in calls.get(fn.name, []))]
+    return sorted(out)
+
+
+def test_unset_default_checker():
+    package = ast.parse("def f(a, b=1, c=2, *, d=3, e=4):\n    pass\n"
+                        "class C:\n    def m(self, x=0, y=1):\n        pass\n"
+                        "def g(a=1):\n    pass\n")
+    callers = [ast.parse("f(1, 2)\nf(0, e=5)\nobj.m(1)\ng(*xs)\n")]
+    assert unset_defaults([package], callers) == [("f", "c"), ("f", "d"), ("m", "y")]
+    assert unset_defaults([package], [ast.parse("f(0, **kw)\nm(0, 1)\ng()\n")]) == [("g", "a")]
+
+
+def test_every_default_is_set_by_a_caller():
+    package = [ast.parse(p.read_text()) for p in MODULES]
+    callers = [ast.parse(p.read_text()) for p in CALLERS]
+    assert set(unset_defaults(package, callers)) == TEST_ONLY_KNOBS

@@ -3,9 +3,9 @@
 import math
 
 import pytest
-from mpmath import mpc
+from mpmath import mpc, mpf
 
-from qgamma import charclasses, mrs, verify
+from qgamma import charclasses, mrs, verify, wedgecheck
 from qgamma.rings import CohClass, build_ring, exp_cup
 from qgamma.charclasses import bracket_pairing, gamma_class, satake_gamma_class
 from qgamma.wedgecheck import (check_wedge_spectrum,
@@ -44,9 +44,24 @@ def test_kapranov_identity_trivial_r1():
     assert rep.passed and rep.max_residual < 1e-25
 
 
+def test_kapranov_identity_fails_on_a_perturbed_closed_form(monkeypatch):
+    # the closed form is compared with the generic Gamma class on every nu
+    honest = wedgecheck.gamma_G_closed_form
+
+    def perturbed(r, N):
+        gam = honest(r, N)
+        coeffs = list(gam.coeffs)
+        coeffs[3] += mpf("1e-6")
+        return CohClass(gam.ring, coeffs)
+    monkeypatch.setattr(wedgecheck, "gamma_G_closed_form", perturbed)
+    rep = check_kapranov_wedge_identity(2, 4, ())
+    assert not rep.passed
+    assert abs(rep.max_residual - 1e-6) < 1e-12
+
+
 def test_mrs_wedge_g24():
     rep = check_mrs_wedge(2, 4, -0.05)
-    # passed requires integer Gram equality and a marking residual below 1e-8
+    # passed requires the Kapranov Gram to be the compound of the Beilinson one
     assert rep.passed and rep.max_residual < 1e-8
 
 
@@ -67,6 +82,34 @@ def test_mrs_wedge_fails_on_a_negated_kapranov_vector(monkeypatch):
     rep = check_mrs_wedge(2, 4, -0.05)
     assert not rep.passed
     assert rep.max_residual > 1
+
+
+def test_mrs_wedge_fails_on_a_negated_beilinson_vector(monkeypatch):
+    # the Kapranov Gram is read against the minors of the Beilinson Gram, so
+    # a sign flip on P^3 changes every minor with that row or column once
+    honest = mrs.beilinson_gamma_mrs
+
+    def negate_one(N, phase=-0.05):
+        m = honest(N, phase)
+        m.vectors[1] = -m.vectors[1]
+        return m
+    monkeypatch.setattr(mrs, "beilinson_gamma_mrs", negate_one)
+    rep = check_mrs_wedge(2, 4, -0.05)
+    assert not rep.passed
+    assert rep.max_residual >= 1
+
+
+@pytest.mark.parametrize("r,N", [(2, 6), (3, 6), (3, 7)])
+def test_kapranov_gram_is_the_compound_of_the_beilinson_gram(r, N):
+    # Ueda's identity past criterion 11's targets; the residual is only the
+    # Grams' rounding error
+    rep = check_mrs_wedge(r, N, -0.03)
+    assert rep.passed and rep.max_residual < 1e-25
+
+
+def test_criterion_11_reports_the_gram_rounding_margin():
+    details = verify.criterion_11()["details"]
+    assert details["G24_residual"] < 1e-30 and details["G25_residual"] < 1e-30
 
 
 def test_criteria_5_and_11_take_each_satake_image_once(monkeypatch):
