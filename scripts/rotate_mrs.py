@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from qgamma.mrs import MRS, gram, round_gram, mutate_phase_rotation, beilinson_gamma_mrs
+from qgamma.mrs import MRS, integer_gram, mutate_phase_rotation, beilinson_gamma_mrs
 
 
 def main():
@@ -21,7 +21,7 @@ def main():
 
     # run on abstract integer vectors so the monodromy matrix is readable
     base = beilinson_gamma_mrs(N, phase=phase)
-    G, _ = round_gram(gram(base))
+    G, _ = integer_gram(base)
     m = MRS(vectors=[np.eye(N, dtype=int)[i] for i in range(N)],
             markings=base.markings, phase=phase,
             pairing=lambda a, b: a @ G @ b)

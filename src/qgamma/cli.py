@@ -4,7 +4,7 @@ deterministic JSON or CSV output.
 Exit codes: 0 on pass, 1 on a usage error, 2 on a check failure (reported,
 or a self-check raising ArithmeticError), 3 when the numerics are out of
 range (a float overflowed or is not finite, an exact output is too long to
-print, or a rotated Gram lost its integrality)."""
+print, or a Gram to rotate is not integral)."""
 
 from __future__ import annotations
 
@@ -25,7 +25,8 @@ from .charclasses import (gamma_class, zeta_reg_reciprocal_product,
 from .connection import spectrum, j_coefficients, quantum_period
 from .asympt import (limit_ratio, apery_ratios, mellin_psi, psi_residue_sum,
                      psi_gamma_pi)
-from .mrs import gamma_mrs, gram, round_gram, stokes_matrix, mutate_phase_rotation
+from .mrs import (MRS, gamma_mrs, integer_gram, round_gram, stokes_matrix,
+                  mutate_phase_rotation)
 from .wedgecheck import (check_wedge_spectrum, check_kapranov_wedge_identity,
                          check_mrs_wedge)
 from . import verify
@@ -319,15 +320,15 @@ def cmd_stokes(args):
 
 
 def cmd_mutate(args):
-    ring = parse_target(args.target)
-    m2, log = mutate_phase_rotation(gamma_mrs(ring, args.phase), args.to)
-    g, err = round_gram(gram(m2))
-    if err > 1e-9:   # the Gram tolerance of criterion 4
-        raise OverflowError(f"final Gram rounding error {err:.3g} exceeds 1e-9")
-    if any(g.diagonal() != 1):   # a mutated exceptional collection has unit diagonal
-        raise OverflowError(f"final Gram diagonal {g.diagonal().tolist()} is not all 1")
+    # the Gamma basis's integer system: unit vectors paired by its rounded Gram
+    base = gamma_mrs(parse_target(args.target), args.phase)
+    G, err = integer_gram(base)
+    m = MRS(vectors=list(np.eye(len(G), dtype=object)), markings=base.markings,
+            phase=args.phase, pairing=lambda a, b: a @ G @ b)
+    m2, log = mutate_phase_rotation(m, args.to)
+    rows = np.array(m2.vectors, dtype=object)
     emit({"target": args.target, "phase_from": args.phase, "phase_to": args.to,
-          "mutations": log, "final_gram": g,
+          "mutations": log, "final_gram": rows @ G @ rows.T,
           "gram_rounding_error": err}, args)
     return 0
 

@@ -15,6 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 
+import mpmath
 import numpy as np
 
 from .charclasses import gamma_basis_class, bracket_pairing, bracket_row
@@ -36,28 +37,33 @@ class MRS:
     pairing: object
 
 
-def _pairings(sob) -> list:
-    """[v_i, v_j) for all i, j, in the pairing's own scalars.  Under the
-    bracket pairing each left vector becomes its row a B once (bracket_row),
-    so n classes cost n nnz(B) + n^2 rank products instead of n^2 nnz(B);
-    any other pairing is called per entry."""
+def gram(sob) -> np.ndarray:
+    """[v_i, v_j) for all i, j, as a complex matrix (of an SOB or an MRS).
+    Under the bracket pairing each left vector becomes its row a B once
+    (bracket_row), so n classes cost n nnz(B) + n^2 rank products instead of
+    n^2 nnz(B); any other pairing is called per entry."""
     vs = sob.vectors
     if sob.pairing is bracket_pairing:
         rows = [bracket_row(a) for a in vs]
     else:
         rows = [functools.partial(sob.pairing, a) for a in vs]
-    return [[row(b) for b in vs] for row in rows]
-
-
-def gram(sob) -> np.ndarray:
-    """[v_i, v_j) for all i, j, as a complex matrix (of an SOB or an MRS)."""
-    return np.array(_pairings(sob), dtype=complex)
+    return np.array([[row(b) for b in vs] for row in rows], dtype=complex)
 
 
 def round_gram(g: np.ndarray):
     """(the integer matrix nearest to Re g, max |g - that matrix|)."""
     near = np.round(g.real)
     return near.astype(int), float(np.max(np.abs(g - near)))
+
+
+def integer_gram(sob):
+    """(the Gram of a system rounded to Python ints, as an object array, and
+    its rounding error); OverflowError when that error exceeds 1e-9, the
+    Gram tolerance of criterion 4."""
+    near, err = round_gram(gram(sob))
+    if err > 1e-9:
+        raise OverflowError(f"Gram rounding error {err:.3g} exceeds 1e-9")
+    return np.array(near.tolist(), dtype=object), err
 
 
 def is_uni_uppertriangular(g: np.ndarray) -> bool:
@@ -163,48 +169,48 @@ def mutate_phase_rotation(mrs: MRS, phi_target: float):
     smaller h_phi, and the u_i-block is right-mutated by the u_j-block.
     Increasing phase gives left mutations.
 
-    The start system must be semiorthonormal in phase order at phi0, checked
-    on its Gram as stokes_matrix does; otherwise ArithmeticError.  The
-    mutations act on coefficient rows over the start vectors, paired
-    through that Gram, taken once (so the pairing must be bilinear).  A
-    full turn leaves the markings unchanged and acts by one matrix M, so k
-    whole turns are M^k by squaring, followed by the crossings of the
-    remainder; M must preserve the Gram (ArithmeticError otherwise).  When
-    the Gram is integral to 1e-9 the rows are exact Python ints.
+    The mutations act on integer coefficient rows over the start vectors,
+    paired through the start Gram rounded once by integer_gram (so the
+    pairing must be bilinear; OverflowError past 1e-9), which must be
+    semiorthonormal in phase order at phi0, checked as stokes_matrix does
+    (ArithmeticError otherwise).  A full turn leaves the markings unchanged
+    and acts by one matrix M, which must preserve the Gram exactly
+    (ArithmeticError otherwise); k whole turns are M^k by squaring, then
+    come the crossings of the remainder.  Each crossing is placed by its
+    path length from phi0, in [0, 2 pi); these lengths, k and the remainder
+    are computed in mpmath 128 bits past the exponent of the larger phase,
+    so they are exact to far below float spacing for any finite phases.
 
     Returns (new MRS, log): one log entry per crossing of the first turn
-    with "count": k, then one per crossing of the remainder with "count": 1."""
+    with "count": k, then one per crossing of the remainder with "count": 1;
+    each "crossing_angle" is the float nearest to the exact crossing phase."""
     phi0, phi1 = mrs.phase, phi_target
     order = _phase_order(mrs.markings, phi0)
     if not is_admissible(mrs.markings, phi1):
         raise ValueError(f"phase {phi1} is not admissible")
     decreasing = phi1 < phi0
     sign = -1 if decreasing else 1
-    turns, rest = divmod(abs(phi1 - phi0), 2 * math.pi)
-    turns = int(turns)
     groups = greedy_groups(mrs.markings, 1e-9)
-
-    # the crossings of one turn from phi0, in path order
-    turn = []     # (phi_c, gi, gj, |d|)
-    for gi, a in enumerate(groups):
-        for gj, b in enumerate(groups):
-            if gi == gj:
-                continue
-            d = mrs.markings[b[0]] - mrs.markings[a[0]]
-            theta = math.atan2(d.imag, d.real)
-            wraps = (phi0 - theta) / (2 * math.pi)
-            k = math.floor(wraps) if decreasing else math.ceil(wraps)
-            turn.append((theta + 2 * math.pi * k, gi, gj, abs(d)))
-    turn.sort(key=lambda e: (sign * e[0], -e[3]))
-    tail = [e for e in turn if sign * (phi0 + sign * rest - e[0]) > 0]
-    G = _start_gram(mrs)
+    with mpmath.workprec(128 + max(0, *(math.frexp(p)[1] for p in (phi0, phi1)))):
+        two_pi = 2 * mpmath.pi
+        travelled = abs(mpmath.mpf(phi1) - phi0)
+        turns = int(mpmath.floor(travelled / two_pi))
+        paths = []    # (path length, -|d|, gi, gj) of each crossing in one turn
+        for (gi, a), (gj, b) in itertools.permutations(enumerate(groups), 2):
+            d = mpmath.mpc(mrs.markings[b[0]]) - mrs.markings[a[0]]
+            paths.append(((sign * (mpmath.atan2(d.imag, d.real) - phi0)) % two_pi,
+                          -abs(d), gi, gj))
+        paths.sort()
+        # (gi, gj, the float nearest to the crossing phase), in path order
+        turn = [(gi, gj, float(phi0 + sign * x)) for x, _, gi, gj in paths]
+        tail = [(gi, gj, float(phi0 + sign * (x + turns * two_pi)))
+                for x, _, gi, gj in paths if x < travelled - turns * two_pi]
+    G, _ = integer_gram(mrs)
     _check_semiorthonormal(np.array(G[np.ix_(order, order)], dtype=complex),
                            [mrs.markings[i] for i in order])
-    if not turns and not tail:
-        return replace(mrs, vectors=list(mrs.vectors), phase=phi_target), []
 
     def cross(rows, events):
-        for _, gi, gj, _ in events:
+        for gi, gj, _ in events:
             for i in groups[gi]:
                 r = rows[i]
                 for k in groups[gj]:
@@ -212,14 +218,10 @@ def mutate_phase_rotation(mrs: MRS, phi_target: float):
                 rows[i] = r
         return rows
 
-    rows = np.eye(len(mrs.vectors), dtype=object)
-    if turns:
-        M = cross(rows, turn)
-        drift = max(abs(x) for x in (M @ G @ M.T - G).flat)
-        if drift > 1e-9 * (1 + max(abs(x) for x in G.flat)):
-            raise ArithmeticError("one-turn monodromy does not preserve the Gram")
-        rows = np.linalg.matrix_power(M, turns)
-    rows = cross(rows, tail)
+    M = cross(np.eye(len(mrs.vectors), dtype=object), turn)
+    if not np.array_equal(M @ G @ M.T, G):
+        raise ArithmeticError("one-turn monodromy does not preserve the Gram")
+    rows = cross(np.linalg.matrix_power(M, turns), tail)
 
     vectors = []
     for row in rows:
@@ -227,23 +229,15 @@ def mutate_phase_rotation(mrs: MRS, phi_target: float):
         terms = [v * c for v, c in zip(mrs.vectors, row) if c != 0]
         vectors.append(sum(terms[1:], terms[0]))
 
-    def entry(e, angle, count):
+    def entry(gi, gj, angle, count):
         return {"crossing_angle": angle,
-                "moved_marking": complex(mrs.markings[groups[e[2]][0]]),
-                "affected_indices": list(groups[e[1]]),
+                "moved_marking": complex(mrs.markings[groups[gj][0]]),
+                "affected_indices": list(groups[gi]),
                 "direction": "R" if decreasing else "L",
                 "count": count}
-    log = [entry(e, e[0], turns) for e in turn] if turns else []
-    log += [entry(e, e[0] + sign * 2 * math.pi * turns, 1) for e in tail]
+    log = [entry(*e, turns) for e in turn] if turns else []
+    log += [entry(*e, 1) for e in tail]
     return replace(mrs, vectors=vectors, phase=phi_target), log
-
-
-def _start_gram(mrs: MRS) -> np.ndarray:
-    """[v_i, v_j) as an object array: Python ints when every entry is within
-    1e-9 of an integer, else the pairing's own scalars."""
-    g = _pairings(mrs)
-    near, err = round_gram(np.array(g, dtype=complex))
-    return np.array(near.tolist() if err <= 1e-9 else g, dtype=object)
 
 
 # --- wedges --------------------------------------------------------------

@@ -2,18 +2,23 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
-from qgamma import connection
-from qgamma.mrs import (MRS, SOB, beilinson_gamma_mrs, gram,
-                        mutate_phase_rotation)
+from qgamma import cli, connection
+from qgamma.charclasses import bracket_pairing
+from qgamma.mrs import (MRS, SOB, beilinson_gamma_mrs, gamma_mrs, gram,
+                        mutate_phase_rotation, round_gram)
+from qgamma.rings import build_ring
 from qgamma.cli import main, parse_target, clean
 
 
@@ -118,10 +123,6 @@ def test_negative_nmax_exit_1(capsys):
     pytest.param(["psi", "--N", "2", "--t", "20"], id="psi-floor-N2-t20"),
     pytest.param(["psi", "--N", "3", "--t", "12"], id="psi-floor-N3-t12"),
     pytest.param(["psi", "--N", "2", "--t", "1e-5"], id="psi-floor-N2-t1e-5"),
-    # the rotated vectors lose their degree-0 part and the Gram rounds to 0
-    pytest.param(["mutate", "--target", "P(1)", "--to", "1e100"], id="mutate-zero-gram-P1"),
-    pytest.param(["mutate", "--target", "P(2)", "--phase", "-1.87", "--to=1e308"],
-                 id="mutate-zero-gram-P2"),
 ], ids=lambda argv: argv[0])
 def test_float_overflow_exit_3(capsys, argv):
     assert main(argv) == 3
@@ -202,15 +203,34 @@ def test_mutate_command(capsys):
     assert payload["mutations"][0]["direction"] == "R"
 
 
-def _p2_integer_rotation_gram(phase, target):
+def _integer_rotation_gram(N, phase, target):
     """Gram after rotating the integer system that scripts/rotate_mrs.py
-    builds for P^2: unit vectors paired through the rounded Beilinson Gram."""
-    base = beilinson_gamma_mrs(3, phase=phase)
+    builds for P^{N-1}: unit vectors paired through the rounded Beilinson
+    Gram."""
+    base = beilinson_gamma_mrs(N, phase=phase)
     G = np.round(gram(SOB(base.vectors, base.pairing)).real).astype(int)
-    m = MRS(vectors=[np.eye(3, dtype=int)[i] for i in range(3)],
+    m = MRS(vectors=[np.eye(N, dtype=int)[i] for i in range(N)],
             markings=base.markings, phase=phase, pairing=lambda a, b: a @ G @ b)
     m2, _ = mutate_phase_rotation(m, target)
     return gram(SOB(m2.vectors, m2.pairing)).real.astype(int).tolist()
+
+
+def _less_than_a_turn(phase, target):
+    """(start, end): the rotation from phase to target less its whole turns,
+    which preserve the Gram, with the start moved into [0, 2 pi); reduced at
+    2,200 bits, so exact for any finite float phases."""
+    with mpmath.workprec(2200):
+        two_pi = 2 * mpmath.pi
+        travelled = mpmath.mpf(target) - phase
+        start = mpmath.mpf(phase) % two_pi
+        return float(start), float(start + mpmath.sign(travelled) * (abs(travelled) % two_pi))
+
+
+def _mutate(capsys, target, phase, to):
+    """(exit code, payload, seconds) of one mutate command."""
+    start = time.perf_counter()
+    code, out = run(capsys, "mutate", "--target", target, "--phase", phase, f"--to={to}")
+    return code, json.loads(out), time.perf_counter() - start
 
 
 def test_mutate_many_turns_stays_exact(capsys):
@@ -218,7 +238,7 @@ def test_mutate_many_turns_stays_exact(capsys):
                     "--to=-200")
     assert code == 0
     payload = json.loads(out)
-    assert payload["final_gram"] == _p2_integer_rotation_gram(-1.87, -200.0)
+    assert payload["final_gram"] == _integer_rotation_gram(3, -1.87, -200.0)
     assert payload["gram_rounding_error"] < 1e-20
     assert sum(e["count"] for e in payload["mutations"]) > 150
 
@@ -231,25 +251,57 @@ def test_mutate_a_million_radians(capsys):
 
 
 def test_mutate_1e10_radians_stays_within_gram_tolerance(capsys):
-    code, out = run(capsys, "mutate", "--target", "P(2)", "--phase", "-1.87",
-                    "--to=-1e10")
+    code, payload, _ = _mutate(capsys, "P(2)", "-1.87", "-1e10")
     assert code == 0
-    assert json.loads(out)["gram_rounding_error"] < 1e-9
+    # the only rounding is the start Gram's: the rotation runs on its integers
+    err = round_gram(gram(beilinson_gamma_mrs(3, phase=-1.87)))[1]
+    assert payload["gram_rounding_error"] == float(f"{err:.12e}") < 1e-9
+    assert payload["final_gram"] == _integer_rotation_gram(3, *_less_than_a_turn(-1.87, -1e10))
 
 
-@pytest.mark.parametrize("to", ["--to=-1e12", "--to=-1e15"])
-def test_mutate_past_the_precision_is_out_of_range(capsys, to):
-    # the Gamma-basis rounding error grows like turns^4: 2.4e-6 at 1e12 radians
-    assert main(["mutate", "--target", "P(2)", "--phase", "-1.87", to]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("numerics out of range: final Gram rounding error")
+@pytest.mark.parametrize("target, phase, to", [
+    pytest.param("P(1)", "-0.05", "1e100", id="P1-1e100"),
+    pytest.param("P(2)", "-1.87", "1e308", id="P2-1e308"),
+    pytest.param("P(2)", "-1.87", "-1e12", id="P2--1e12"),
+    pytest.param("P(2)", "-1.87", "-1e15", id="P2--1e15"),
+    # 16 rad between two phases near 1e17: two turns and a remainder
+    pytest.param("P(1)", "1e17", "1.0000000000000001e17", id="P1-from-1e17")])
+def test_mutate_far_rotation_is_the_integer_system_rotation(capsys, target, phase, to):
+    # whole turns preserve the integer Gram exactly, so the final Gram is that
+    # of the remainder of less than a turn, at any number of turns
+    code, payload, seconds = _mutate(capsys, target, phase, to)
+    assert code == 0 and seconds < 5
+    g = payload["final_gram"]
+    assert [g[i][i] for i in range(len(g))] == [1] * len(g)
+    N = int(target[2]) + 1
+    assert g == _integer_rotation_gram(N, *_less_than_a_turn(float(phase), float(to)))
+
+
+def test_mutate_1e17_radians_counts_whole_turns_exactly(capsys):
+    # 1e17 + 0.05 = 15915494309189533 turns + 3.67 rad, which passes both crossings
+    code, payload, _ = _mutate(capsys, "P(1)", "-0.05", "1e17")
+    assert code == 0
+    assert [e["count"] for e in payload["mutations"]] == [15915494309189533] * 2 + [1, 1]
+    assert payload["final_gram"] == [[1, 2], [0, 1]]
 
 
 def test_mutate_far_rotation_keeps_the_unit_diagonal(capsys):
     code, out = run(capsys, "mutate", "--target", "P(1)", "--to", "1e20")
     assert code == 0
-    assert json.loads(out)["final_gram"] == [[1, 0], [-2, 1]]
+    assert json.loads(out)["final_gram"] == [[1, 2], [0, 1]]
+
+
+def test_mutate_of_a_non_integral_gram_is_out_of_range(capsys, monkeypatch):
+    def scaled(ring, phase):
+        m = gamma_mrs(ring, phase)
+        return replace(m, pairing=lambda a, b: 1.5 * bracket_pairing(a, b))
+    with pytest.raises(OverflowError):
+        mutate_phase_rotation(scaled(build_ring("P", 2), -0.05), -3.3)
+    monkeypatch.setattr(cli, "gamma_mrs", scaled)
+    assert main(["mutate", "--target", "P(1)", "--to", "-3.3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "numerics out of range: Gram rounding error 0.5 exceeds 1e-9\n"
 
 
 @pytest.mark.parametrize("to", ["--to=-inf", "--to=nan", "--to=inf"])
@@ -326,3 +378,19 @@ def test_psi_overflow_is_reported_without_warnings():
     assert out.returncode == 3
     assert out.stdout == ""
     assert out.stderr == "numerics out of range: t^(-N s) overflows at N = 2, t = 1e-300\n"
+
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def test_rotate_mrs_script_preserves_the_gram():
+    out = _run_python(str(SCRIPTS / "rotate_mrs.py"), "3", "-1.87")
+    assert out.returncode == 0
+    assert "Gram preserved: True" in out.stdout
+    assert re.search(r"^det = -?1$", out.stdout, re.M)
+
+
+def test_apery_convergence_script_runs():
+    out = _run_python(str(SCRIPTS / "apery_convergence.py"), "20")
+    assert out.returncode == 0
+    assert "final gap:" in out.stdout

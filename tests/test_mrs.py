@@ -6,6 +6,7 @@ import itertools
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -265,6 +266,16 @@ def _replay_rotation(m, phi_target):
     return vectors, steps
 
 
+def _reduced_travel(phase, target):
+    """(k, rest) with |target - phase| = 2 pi k + rest and 0 <= rest < 2 pi,
+    reduced at 2,200 bits, so exact for any finite float phases."""
+    with mpmath.workprec(2200):
+        two_pi = 2 * mpmath.pi
+        travelled = abs(mpmath.mpf(target) - phase)
+        k = int(mpmath.floor(travelled / two_pi))
+        return k, float(travelled - k * two_pi)
+
+
 @st.composite
 def _semiorthonormal_systems(draw):
     """An integer system, semiorthonormal in the phase order of an
@@ -335,21 +346,56 @@ def _int_mat_mul(a, b):
             for i in range(len(a))]
 
 
+def _int_mat_pow(a, k):
+    power = [[int(i == j) for j in range(len(a))] for i in range(len(a))]
+    while k:
+        if k & 1:
+            power = _int_mat_mul(power, a)
+        a, k = _int_mat_mul(a, a), k >> 1
+    return power
+
+
 def test_million_turns_are_the_monodromy_power():
     m, G = _p2_integer_mrs()
     one, _ = mutate_phase_rotation(m, m.phase - 2 * math.pi)
     many, log = mutate_phase_rotation(m, m.phase - 2 * math.pi * 10**6)
     M1 = [[int(x) for x in v] for v in one.vectors]
     Mk = [[int(x) for x in v] for v in many.vectors]
-    power = [[int(i == j) for j in range(3)] for i in range(3)]
-    base, k = M1, 10**6
-    while k:
-        if k & 1:
-            power = _int_mat_mul(power, base)
-        base, k = _int_mat_mul(base, base), k >> 1
-    assert Mk == power
+    assert Mk == _int_mat_pow(M1, 10**6)
     assert _int_mat_mul(_int_mat_mul(Mk, G), [list(c) for c in zip(*Mk)]) == G
     assert len(log) <= 12 and sum(e["count"] for e in log) == 6 * 10**6
+
+
+def _quasi_unipotent(M):
+    """Every eigenvalue of the integer matrix M (n <= 5) is a root of unity,
+    so its powers grow polynomially: the orders possible in degree <= 5
+    divide 120, so (M^120 - 1)^n = 0."""
+    n = len(M)
+    P = _int_mat_pow(M, 120)
+    nil = [[P[i][j] - (i == j) for j in range(n)] for i in range(n)]
+    return not any(any(row) for row in _int_mat_pow(nil, n))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_semiorthonormal_systems(), st.data())
+def test_far_rotation_is_the_monodromy_power_then_the_remainder(system, data):
+    m, _ = system
+    m = replace(m, vectors=[v.astype(object) for v in m.vectors])
+    sign = data.draw(st.sampled_from([-1, 1]))
+    one, one_steps = _replay_rotation(m, m.phase + sign * 2 * math.pi)
+    M1 = [[int(x) for x in v] for v in one]
+    # only polynomial growth keeps M1^k computable for k up to 10^30
+    turns = data.draw(st.integers(0, 10**30 if _quasi_unipotent(M1) else 64))
+    target = m.phase + sign * (2 * math.pi * turns + data.draw(st.floats(0.01, 6.27)))
+    # far out the float target is whole turns and more off the drawn one:
+    # its own remainder, reduced here, decides where it lies
+    k, rest = _reduced_travel(m.phase, target)
+    assume(is_admissible(m.markings, m.phase + sign * rest))
+    start = replace(m, vectors=[np.array(row, dtype=object) for row in _int_mat_pow(M1, k)])
+    want, tail_steps = _replay_rotation(start, m.phase + sign * rest)
+    m2, log = mutate_phase_rotation(m, target)
+    assert [list(v) for v in m2.vectors] == [list(v) for v in want]
+    assert sum(e["count"] for e in log) == k * len(one_steps) + len(tail_steps)
 
 
 def test_rotation_of_a_non_semiorthonormal_start_raises():
