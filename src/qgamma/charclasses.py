@@ -15,9 +15,10 @@ bilinear [.,.) is its matrix B on the Schubert basis, built once per ring and
 precision; a left vector a becomes the row a B once, then one dot per
 pairing.  The Gamma-basis classes Gamma-hat Ch(S^nu V*) and their normalized
 Satake images are built once per ring, nu and precision.  The Grassmannian
-closed form of the Gamma class is an independent route: an exact truncated
-polynomial in the Chern roots with mpmath scalars, re-expanded in the Schur
-basis.
+closed form of the Gamma class is an independent route: a truncated
+polynomial in the Chern roots x_1..x_r with mpmath scalars, the product of
+one series in each x_j and one series in x_i - x_j per pair i < j,
+re-expanded in the Schur basis.
 """
 
 from __future__ import annotations
@@ -174,37 +175,25 @@ def gamma_G_closed_form(r: int, N: int) -> CohClass:
 
 
 def _gamma_G_closed_form(ring: RingSpec) -> CohClass:
+    """The product in factors of one and two variables.  A pair i < j gives
+    2 pi i e^{2 pi i x_j} (e^u - 1)/u, u = 2 pi i (x_i - x_j); the C(r,2)
+    factors 2 pi i cancel (2 pi i)^{-C(r,2)}, and the j factors e^{2 pi i x_j}
+    (j from 0) join e^{-(r-1) pi i x_j} and Gamma(1 + x_j)^N in one series."""
     r, N, cap = ring.r, ring.N, ring.dim
     two_pi_i = 2j * mp.pi
-    # e^u = sum u^k/k! and (e^u - 1)/u = sum u^k/(k+1)!, u = 2 pi i (x_i - x_j)
+    # e^u = sum u^k/k! and (e^u - 1)/u = sum u^k/(k+1)!
     exp_coeffs = [mpf(1) / factorial(k) for k in range(cap + 2)]
-    s_coeffs = exp_coeffs[1:]
-    total = symfunc.poly_const(r, mpc(1))
-    for i in range(r):
-        for j in range(i + 1, r):
-            v = [0] * r
-            v[i], v[j] = 1, -1
-            u = symfunc.poly_linear(r, v, two_pi_i)
-            ratio = symfunc.poly_series_of(u, r, s_coeffs, cap)
-            ej = [0] * r
-            ej[j] = 1
-            pref = symfunc.poly_series_of(symfunc.poly_linear(r, ej, two_pi_i), r,
-                                          exp_coeffs, cap)
-            factor = symfunc.poly_scale(symfunc.poly_mul(ratio, pref, cap), two_pi_i)
-            total = symfunc.poly_mul(total, factor, cap)
     lg = log_gamma_coeffs(cap)
-    gam_sum: symfunc.Poly = {}
-    for i in range(r):
-        e = [0] * r
-        e[i] = 1
-        gam_sum = symfunc.poly_add(gam_sum, symfunc.poly_series_of(
-            symfunc.poly_linear(r, e, mpf(1)), r, lg, cap))
-    total = symfunc.poly_mul(total, symfunc.poly_series_of(
-        symfunc.poly_scale(gam_sum, N), r, exp_coeffs, cap), cap)
-    total = symfunc.poly_mul(total, symfunc.poly_series_of(
-        symfunc.poly_linear(r, [1] * r, -(r - 1) * 1j * mp.pi), r, exp_coeffs, cap), cap)
-    prefactor = mp_power(two_pi_i, -(r * (r - 1) // 2))
-    return _to_cohclass(ring, symfunc.poly_scale(total, prefactor))
+    total = symfunc.poly_const(r, mpc(1))
+    for j in range(r):
+        x_j = tuple(int(k == j) for k in range(r))
+        log_f = {tuple(n * e for e in x_j): N * lg[n] for n in range(1, cap + 1)}
+        log_f[x_j] += (2 * j - (r - 1)) * 1j * mp.pi
+        total = symfunc.poly_mul(total, symfunc.poly_series_of(log_f, r, exp_coeffs, cap), cap)
+        for i in range(j):
+            u = symfunc.poly_linear(r, [(k == i) - (k == j) for k in range(r)], two_pi_i)
+            total = symfunc.poly_mul(total, symfunc.poly_series_of(u, r, exp_coeffs[1:], cap), cap)
+    return _to_cohclass(ring, total)
 
 
 def kapranov_ch(nu, ring: RingSpec) -> CohClass:

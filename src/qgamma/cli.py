@@ -301,6 +301,8 @@ def cmd_psi(args):
     # the series routes live on P^{N-1}, which needs N >= 2
     if not 2 <= args.N <= 6:
         raise UsageError(f"psi supports 2 <= N <= 6, got --N {args.N}")
+    if args.t <= 0:
+        raise UsageError(f"psi needs t > 0, got --t {args.t:g}")
     a = mellin_psi(args.N, args.t)
     b = psi_residue_sum(args.N, args.t)
     c = psi_gamma_pi(args.N, args.t)

@@ -3,17 +3,20 @@
 Polynomials are dicts mapping exponent tuples (e_1, ..., e_r) to scalar
 coefficients, truncated at a fixed total degree.  The scalar type is left
 generic: exact work uses int/Fraction, numeric work uses complex or mpmath
-numbers.  Symmetric polynomials are expanded in the Schur basis through the
-bialternant trick: multiply by the Vandermonde determinant and read off the
-coefficients of the strictly-decreasing staircase monomials.  They serve
-one route kept as an independent check of the ring arithmetic, the
-Grassmannian closed-form Gamma class; a one-variable series such as e^u
-enters it through poly_series_of.
+numbers.  A product sorts one factor's terms by degree, so only the pairs
+that fit under the cap are visited.  Symmetric polynomials are expanded in
+the Schur basis by the bialternant: the coefficient of s_lam is that of the
+staircase monomial x^(lam + delta) in p times the Vandermonde, read from r!
+coefficients of p.  They serve one route kept as an independent check of
+the ring arithmetic, the Grassmannian closed-form Gamma class, built from
+series in one or two of the variables through poly_series_of.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
+from operator import add, sub
 
 Expt = tuple[int, ...]
 Poly = dict[Expt, object]
@@ -37,13 +40,14 @@ def poly_scale(p: Poly, c) -> Poly:
 
 
 def poly_mul(p: Poly, q: Poly, degree_cap: int) -> Poly:
+    """p q truncated at degree_cap; q's terms are sorted by degree once, so
+    each term of p visits only the terms of q that fit under the cap."""
+    terms = sorted(q.items(), key=lambda t: sum(t[0]))
+    degrees = [sum(e) for e, _ in terms]
     out: Poly = {}
     for e1, c1 in p.items():
-        d1 = sum(e1)
-        for e2, c2 in q.items():
-            if d1 + sum(e2) > degree_cap:
-                continue
-            e = tuple(a + b for a, b in zip(e1, e2))
+        for e2, c2 in itertools.islice(terms, bisect_right(degrees, degree_cap - sum(e1))):
+            e = tuple(map(add, e1, e2))
             out[e] = out.get(e, 0) + c1 * c2
     return {e: c for e, c in out.items() if c != 0}
 
@@ -110,18 +114,20 @@ def perm_sign(perm) -> int:
 def schur_expand(p: Poly, r: int, box_cols: int, degree_cap: int) -> dict[tuple, object]:
     """Expand a symmetric polynomial in the Schur basis; partitions with a
     first part exceeding box_cols are dropped (they vanish in the quotient
-    ring of a Grassmannian with box_cols = N - r columns)."""
-    if not p:
-        return {}
-    prod = poly_mul(p, vandermonde(r), degree_cap + r * (r - 1) // 2)
+    ring of a Grassmannian with box_cols = N - r columns).  The coefficient
+    of s_lam is that of x^(lam + delta) in p times the Vandermonde, i.e.
+    sum over sigma of sgn(sigma) p[lam + delta - sigma(delta)]."""
+    alternant = vandermonde(r).items()
     out: dict[tuple, object] = {}
-    for e, c in prod.items():
-        if all(e[i] > e[i + 1] for i in range(r - 1)):
-            lam = tuple(e[i] - (r - 1 - i) for i in range(r))
-            if lam[0] <= box_cols:
-                lam_norm = tuple(x for x in lam if x > 0)
-                out[lam_norm] = out.get(lam_norm, 0) + c
-    return {k: v for k, v in out.items() if v != 0}
+    # lam + delta runs over the strictly decreasing exponents below box_cols + r
+    for e in itertools.combinations(range(box_cols + r - 1, -1, -1), r):
+        lam = tuple(x - (r - 1 - i) for i, x in enumerate(e))
+        if sum(lam) > degree_cap:
+            continue
+        c = sum(s * p.get(tuple(map(sub, e, d)), 0) for d, s in alternant)
+        if c != 0:
+            out[tuple(x for x in lam if x > 0)] = c
+    return out
 
 
 def ssyt_monomials(shape: tuple, r: int) -> list[Expt]:

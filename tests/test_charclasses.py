@@ -324,11 +324,20 @@ def test_criterion_5_builds_each_closed_form_once(monkeypatch):
 
 
 def test_gamma_g_closed_form_matches_generic():
-    for (r, N) in [(2, 4), (2, 5)]:
-        ring = build_ring("G", N, r)
-        a = gamma_class(ring)
-        b = gamma_G_closed_form(r, N)
-        assert max(abs(mpc(x) - mpc(y)) for x, y in zip(a.coeffs, b.coeffs)) < 1e-30
+    for r, N in [(1, 4), (2, 4), (2, 5), (3, 4), (4, 5), (3, 6), (3, 7)]:
+        assert _max_gap(gamma_class(build_ring("G", N, r)), gamma_G_closed_form(r, N)) < 1e-30
+
+
+def test_gamma_g_closed_form_composes_series_in_at_most_two_variables(monkeypatch):
+    compose = symfunc.poly_series_of
+
+    def at_most_two(p, r, coeffs, cap):
+        used = {i for e in p for i, k in enumerate(e) if k}
+        assert len(used) <= 2, f"a series composed in the variables {sorted(used)}"
+        return compose(p, r, coeffs, cap)
+    monkeypatch.setattr(symfunc, "poly_series_of", at_most_two)
+    ring = build_ring("G", 6, 3)
+    assert _max_gap(charclasses._gamma_G_closed_form(ring), gamma_class(ring)) < 1e-30
 
 
 def test_euler_pairing_p1():

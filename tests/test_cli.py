@@ -106,6 +106,14 @@ def test_bad_argument_values_are_usage_errors(capsys, argv):
         assert err.startswith(f"usage error: psi supports 2 <= N <= 6, got --N {argv[2]}\n")
 
 
+@pytest.mark.parametrize("t", ["-1", "0"])
+def test_psi_non_positive_t_is_a_usage_error_naming_t(capsys, t):
+    assert main(["psi", "--N", "3", "--t", t]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage error: psi needs t > 0, got --t {t}\n")
+
+
 def test_negative_nmax_exit_1(capsys):
     assert main(["jfun", "--target", "P(2)", "--nmax", "-3"]) == 1
     assert main(["period", "--target", "G(2,4)", "--nmax", "-2"]) == 1

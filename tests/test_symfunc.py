@@ -3,8 +3,10 @@
 import math
 from fractions import Fraction
 
+from hypothesis import given, settings, strategies as st
+
 from qgamma.symfunc import (poly_mul, poly_add, poly_const, poly_scale, poly_series_of,
-                            schur_poly, schur_expand, ssyt_monomials, perm_sign)
+                            schur_poly, schur_expand, ssyt_monomials, perm_sign, vandermonde)
 
 
 def poly_inv(p, r: int, degree_cap: int):
@@ -65,3 +67,59 @@ def test_poly_exp_inv():
     prod = poly_mul(e, inv, 5)
     assert prod.get((0, 0)) == 1
     assert all(v == 0 for k, v in prod.items() if k != (0, 0))
+
+
+def poly_mul_by_pairs(p, q, degree_cap: int):
+    """p q by the plain double loop, testing the degree of every pair; the
+    oracle for the degree-sorted poly_mul."""
+    out = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            if sum(e1) + sum(e2) > degree_cap:
+                continue
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c != 0}
+
+
+def schur_expand_by_product(p, r: int, box_cols: int, degree_cap: int):
+    """The Schur expansion read from the whole product p a_delta; the oracle
+    for the lookup in schur_expand."""
+    prod = poly_mul_by_pairs(p, vandermonde(r), degree_cap + r * (r - 1) // 2)
+    out = {}
+    for e, c in prod.items():
+        if all(e[i] > e[i + 1] for i in range(r - 1)):
+            lam = tuple(e[i] - (r - 1 - i) for i in range(r))
+            if lam[0] <= box_cols:
+                key = tuple(x for x in lam if x > 0)
+                out[key] = out.get(key, 0) + c
+    return {k: v for k, v in out.items() if v != 0}
+
+
+_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+
+
+@st.composite
+def _polys(draw, r: int):
+    exponents = st.tuples(*[st.integers(0, 4)] * r)
+    return draw(st.dictionaries(exponents, _fractions, max_size=12))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.integers(1, 4), st.integers(0, 12))
+def test_poly_mul_matches_the_double_loop(data, r, cap):
+    p, q = data.draw(_polys(r)), data.draw(_polys(r))
+    assert poly_mul(p, q, cap) == poly_mul_by_pairs(p, q, cap)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.integers(1, 4), st.integers(0, 4), st.integers(0, 12))
+def test_schur_expand_matches_the_vandermonde_product(data, r, box_cols, cap):
+    # parts up to box_cols + 2, so some partitions are wider than the box
+    parts = st.lists(st.integers(0, box_cols + 2), min_size=r, max_size=r)
+    terms = data.draw(st.lists(st.tuples(parts, _fractions), max_size=4))
+    p = {}
+    for lam, c in terms:
+        shape = tuple(x for x in sorted(lam, reverse=True) if x > 0)
+        p = poly_add(p, poly_scale(schur_poly(shape, r), c))
+    assert schur_expand(p, r, box_cols, cap) == schur_expand_by_product(p, r, box_cols, cap)
