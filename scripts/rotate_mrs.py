@@ -6,24 +6,25 @@ resulting monodromy data.
 Usage: python3 scripts/rotate_mrs.py [N] [start_phase]
 """
 
-import cmath
 import math
 import sys
 
 import numpy as np
 
-from qgamma.mrs import MRS, integer_gram, mutate_phase_rotation, beilinson_gamma_mrs
+from qgamma.connection import spectrum_closed_form
+from qgamma.mrs import MRS, euler_matrix, mutate_phase_rotation
+from qgamma.rings import build_ring
 
 
 def main():
     N = int(sys.argv[1]) if len(sys.argv) > 1 else 3
     phase = float(sys.argv[2]) if len(sys.argv) > 2 else -(math.pi / 2 + 0.3)
 
-    # run on abstract integer vectors so the monodromy matrix is readable
-    base = beilinson_gamma_mrs(N, phase=phase)
-    G, _ = integer_gram(base)
+    # run on abstract integer vectors, paired by the Euler matrix of the
+    # Beilinson collection, so the monodromy matrix is readable
+    G = euler_matrix(build_ring("P", N))
     m = MRS(vectors=[np.eye(N, dtype=int)[i] for i in range(N)],
-            markings=base.markings, phase=phase,
+            markings=spectrum_closed_form(1, N), phase=phase,
             pairing=lambda a, b: a @ G @ b)
     print(f"P^{N - 1}, Gram in collection order:\n{G}\n")
 

@@ -4,7 +4,7 @@ deterministic JSON or CSV output.
 Exit codes: 0 on pass, 1 on a usage error, 2 on a check failure (reported,
 or a self-check raising ArithmeticError), 3 when the numerics are out of
 range (a float overflowed or is not finite, an exact output is too long to
-print, or a Gram to rotate is not integral)."""
+print, or a Gram is not integral or has an entry of 2^53 or more)."""
 
 from __future__ import annotations
 
@@ -22,10 +22,10 @@ from mpmath import mpf, mpc
 from .rings import build_ring, CohClass
 from .charclasses import (gamma_class, zeta_reg_reciprocal_product,
                           zeta_reg_closed_form)
-from .connection import spectrum, j_coefficients, quantum_period
+from .connection import spectrum, spectrum_closed_form, j_coefficients, quantum_period
 from .asympt import (limit_ratio, apery_ratios, mellin_psi, psi_residue_sum,
                      psi_gamma_pi)
-from .mrs import (MRS, gamma_mrs, integer_gram, round_gram, stokes_matrix,
+from .mrs import (MRS, euler_matrix, gamma_mrs, round_gram, stokes_matrix,
                   mutate_phase_rotation)
 from .wedgecheck import (check_wedge_spectrum, check_kapranov_wedge_identity,
                          check_mrs_wedge)
@@ -322,16 +322,16 @@ def cmd_stokes(args):
 
 
 def cmd_mutate(args):
-    # the Gamma basis's integer system: unit vectors paired by its rounded Gram
-    base = gamma_mrs(parse_target(args.target), args.phase)
-    G, err = integer_gram(base)
-    m = MRS(vectors=list(np.eye(len(G), dtype=object)), markings=base.markings,
-            phase=args.phase, pairing=lambda a, b: a @ G @ b)
+    # the Gamma basis's integer system: unit vectors paired by its Euler matrix
+    ring = parse_target(args.target)
+    G = euler_matrix(ring)
+    m = MRS(vectors=list(np.eye(ring.rank, dtype=object)),
+            markings=spectrum_closed_form(ring.r, ring.N), phase=args.phase,
+            pairing=lambda a, b: a @ G @ b)
     m2, log = mutate_phase_rotation(m, args.to)
     rows = np.array(m2.vectors, dtype=object)
     emit({"target": args.target, "phase_from": args.phase, "phase_to": args.to,
-          "mutations": log, "final_gram": rows @ G @ rows.T,
-          "gram_rounding_error": err}, args)
+          "mutations": log, "final_gram": rows @ G @ rows.T}, args)
     return 0
 
 

@@ -1,11 +1,11 @@
 """Semiorthonormal bases and marked reflection systems: Gram matrices,
 mutations, the braid action, admissibility, phase-rotation mutation
-sequences, Stokes matrices, and wedge products.
+sequences, Stokes matrices, and the exact Euler matrix of the Gamma basis.
 
 Vectors are any objects supporting +, -, and scalar multiplication
-(CohClass, numpy arrays, or WedgeVec); the pairing is an explicit callable,
-so the same machinery runs on abstract integer Grams and on Gamma-basis
-cohomology classes."""
+(CohClass or numpy arrays); the pairing is an explicit callable, so the same
+machinery runs on abstract integer Grams and on Gamma-basis cohomology
+classes."""
 
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ import numpy as np
 
 from .charclasses import gamma_basis_class, bracket_pairing, bracket_row
 from .connection import greedy_groups, spectrum_closed_form
-from .rings import RingSpec, build_ring, det_small
+from .rings import RingSpec, build_ring, compound, wedge_exponents
 
 
 @dataclass
@@ -51,15 +51,19 @@ def gram(sob) -> np.ndarray:
 
 
 def round_gram(g: np.ndarray):
-    """(the integer matrix nearest to Re g, max |g - that matrix|)."""
+    """(the integer matrix nearest to Re g, max |g - that matrix|);
+    OverflowError for an entry of size 2^53 or more, past which float64 no
+    longer holds every integer."""
     near = np.round(g.real)
+    if not np.all(np.abs(near) < 2.0 ** 53):
+        raise OverflowError("Gram entry of size 2^53 or more cannot be rounded exactly")
     return near.astype(int), float(np.max(np.abs(g - near)))
 
 
 def integer_gram(sob):
     """(the Gram of a system rounded to Python ints, as an object array, and
     its rounding error); OverflowError when that error exceeds 1e-9, the
-    Gram tolerance of criterion 4."""
+    Gram tolerance of criterion 4, or an entry reaches 2^53."""
     near, err = round_gram(gram(sob))
     if err > 1e-9:
         raise OverflowError(f"Gram rounding error {err:.3g} exceeds 1e-9")
@@ -171,7 +175,7 @@ def mutate_phase_rotation(mrs: MRS, phi_target: float):
 
     The mutations act on integer coefficient rows over the start vectors,
     paired through the start Gram rounded once by integer_gram (so the
-    pairing must be bilinear; OverflowError past 1e-9), which must be
+    pairing must be bilinear; OverflowError past 1e-9 or 2^53), which must be
     semiorthonormal in phase order at phi0, checked as stokes_matrix does
     (ArithmeticError otherwise).  A full turn leaves the markings unchanged
     and acts by one matrix M, which must preserve the Gram exactly
@@ -240,51 +244,6 @@ def mutate_phase_rotation(mrs: MRS, phi_target: float):
     return replace(mrs, vectors=vectors, phase=phi_target), log
 
 
-# --- wedges --------------------------------------------------------------
-
-@dataclass
-class WedgeVec:
-    """Formal linear combination of decomposable wedges; terms are
-    (coefficient, tuple-of-factor-vectors)."""
-    terms: tuple
-
-    def __add__(self, other):
-        return WedgeVec(self.terms + other.terms)
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __rmul__(self, scalar):
-        return WedgeVec(tuple((scalar * c, f) for c, f in self.terms))
-
-    __mul__ = __rmul__
-
-
-def wedge_pairing_from(base_pairing):
-    def pairing(a: WedgeVec, b: WedgeVec):
-        total = 0
-        for ca, fa in a.terms:
-            for cb, fb in b.terms:
-                m = [[base_pairing(x, y) for y in fb] for x in fa]
-                total = total + ca * cb * det_small(m)
-        return total
-    return pairing
-
-
-def wedge_mrs(mrs: MRS, r: int) -> MRS:
-    """Wedge MRS: vectors v_{i_1} ^ ... ^ v_{i_r} (i_1 < ... < i_r),
-    pairing det([v_{i_a}, v_{j_b})), markings u_{i_1} + ... + u_{i_r}."""
-    n = len(mrs.vectors)
-    if not (1 <= r <= n):
-        raise ValueError("wedge degree out of range")
-    vectors, markings = [], []
-    for combo in itertools.combinations(range(n), r):
-        vectors.append(WedgeVec(((1, tuple(mrs.vectors[i] for i in combo)),)))
-        markings.append(sum(mrs.markings[i] for i in combo))
-    pairing = wedge_pairing_from(mrs.pairing)
-    return MRS(vectors=vectors, markings=markings, phase=mrs.phase, pairing=pairing)
-
-
 # --- Gamma-basis MRSs ----------------------------------------------------
 
 def gamma_mrs(ring: RingSpec, phase: float = -0.05) -> MRS:
@@ -301,3 +260,26 @@ def beilinson_gamma_mrs(N: int, phase: float = -0.05) -> MRS:
 
 def kapranov_gamma_mrs(r: int, N: int, phase: float = -0.05) -> MRS:
     return gamma_mrs(build_ring("G", N, r), phase)
+
+
+def euler_matrix(ring: RingSpec) -> np.ndarray:
+    """chi(S^nu V*, S^mu V*) for nu, mu in ring.basis, as Python ints: the
+    exact Gram of gamma_mrs(ring) by Gamma Conjecture II.  On P^{N-1} it is
+    the Beilinson table chi(O(i), O(j)) = C(N-1+j-i, N-1); on G(r,N) it is
+    the minor of that table on rows wedge_exponents(nu, r) and columns
+    wedge_exponents(mu, r) (Kapranov, Ueda), read from its r-th compound."""
+    N, r = ring.N, ring.r
+    # both index tuples reversed to increasing order: the minor is unchanged
+    keys = [wedge_exponents(nu, r)[::-1] for nu in ring.basis]
+    if 2 * r <= N:
+        minors = compound([[math.comb(N - 1 + j - i, N - 1) if j >= i else 0
+                            for j in range(N)] for i in range(N)], r)
+        return np.array([[minors[a, b] for b in keys] for a in keys], dtype=object)
+    # Jacobi's complementary minors, so the compound has size N - r < r: the
+    # table has determinant 1 and inverse (-1)^{j-i} C(N, j-i), so its minor
+    # on (a, b) is (-1)^{sum a + sum b} times the inverse's on (b^c, a^c)
+    minors = compound([[(-1) ** (j - i) * math.comb(N, j - i) if j >= i else 0
+                        for j in range(N)] for i in range(N)], N - r)
+    co = {a: tuple(k for k in range(N) if k not in a) for a in keys}
+    return np.array([[(-1) ** (sum(a) + sum(b)) * minors[co[b], co[a]] for b in keys]
+                     for a in keys], dtype=object)

@@ -19,8 +19,6 @@ import itertools
 from dataclasses import dataclass, field
 from math import comb
 
-from . import symfunc
-
 DESK_SCALE_CAP = 300
 
 
@@ -50,16 +48,25 @@ def box_complement(lam: tuple, rows: int, cols: int) -> tuple:
     return normalize_partition(tuple(cols - padded[rows - 1 - i] for i in range(rows)))
 
 
-def det_small(m):
-    """Determinant of a nonempty square matrix by permutation expansion; fine
-    for r <= 4."""
-    total = 0
-    for perm in itertools.permutations(range(len(m))):
-        term = symfunc.perm_sign(perm)
-        for i, j in enumerate(perm):
-            term = term * m[i][j]
-        total = total + term
-    return total
+def compound(a, r: int) -> dict:
+    """Every r x r minor of the matrix a (a sequence of rows), as {(rows,
+    cols): minor} over increasing index tuples.  A k x k minor is the Laplace
+    expansion along its first row of (k-1) x (k-1) minors, so nothing is
+    divided and the minors keep the type of the entries (int, Fraction, mpc).
+    Level k keeps only the rows that can end an r-subset."""
+    minors = {((), ()): 1}
+    for k in range(1, r + 1):
+        prev, minors = minors, {}
+        for rows in itertools.combinations(range(r - k, len(a)), k):
+            row = a[rows[0]]
+            for cols in itertools.combinations(range(len(row)), k):
+                total = 0
+                for t, c in enumerate(cols):
+                    if row[c]:
+                        term = row[c] * prev[rows[1:], cols[:t] + cols[t + 1:]]
+                        total = total - term if t % 2 else total + term
+                minors[rows, cols] = total
+    return minors
 
 
 @dataclass(frozen=True)
@@ -314,13 +321,16 @@ def wedge_exponents(nu, r: int) -> tuple:
 def satake(factors, ring_G: RingSpec) -> CohClass:
     """Multilinear alternating extension of h^{k_1} ^ ... ^ h^{k_r} ->
     sigma_nu, k = wedge_exponents(nu, r): the coefficient of sigma_nu is the
-    r x r minor det[f_i(h^{k_j})]."""
+    r x r minor det[f_i(h^{k_j})], read from the compound of the factors'
+    coefficient rows."""
     r = ring_G.r
     if len(factors) != r:
         raise ValueError(f"need exactly {r} wedge factors")
     ring_P = factors[0].ring
     if ring_P.N != ring_G.N or ring_P.r != 1:
         raise ValueError("wedge factors must live on P^{N-1} with matching N")
-    exponents = [wedge_exponents(nu, r) for nu in ring_G.basis]
-    return CohClass(ring_G, [det_small([[f.coeffs[k] for k in ks] for f in factors])
-                             for ks in exponents])
+    # factors reversed and exponents increasing: both orders reversed, so
+    # each minor is det[f_i(h^{k_j})] with k decreasing
+    minors = compound([f.coeffs for f in reversed(factors)], r)
+    top = tuple(range(r))
+    return CohClass(ring_G, [minors[top, wedge_exponents(nu, r)[::-1]] for nu in ring_G.basis])

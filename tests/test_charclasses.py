@@ -12,7 +12,8 @@ from mpmath import mp, mpf, mpc
 
 from qgamma import charclasses, symfunc, verify
 from test_symfunc import poly_inv
-from qgamma.mrs import SOB, beilinson_gamma_mrs, gram, kapranov_gamma_mrs, round_gram
+from qgamma.mrs import (SOB, beilinson_gamma_mrs, euler_matrix, gram, kapranov_gamma_mrs,
+                        round_gram)
 from qgamma.rings import CohClass, build_ring, cup, exp_cup, poincare_pair
 from qgamma.charclasses import (ch_schur, scale_degrees, todd_class, gamma_class,
                                 gamma_G_closed_form, kapranov_ch,
@@ -360,6 +361,11 @@ def test_euler_pairing_p3_binomial():
         for j in range(4):
             chi = euler_pairing_hrr(ch_schur((i,), P3), ch_schur((j,), P3))
             assert chi == (math.comb(3 + j - i, 3) if j >= i else 0)
+    # the closed-form Euler matrix is the HRR pairing, also on P^2 and G(2,4)
+    for ring in [P2, P3, G24]:
+        hrr = [[euler_pairing_hrr(ch_schur(nu, ring), ch_schur(mu, ring)) for mu in ring.basis]
+               for nu in ring.basis]
+        assert euler_matrix(ring).tolist() == hrr
 
 
 @pytest.mark.parametrize("N,r", [(25, 2), (10, 4)])

@@ -16,7 +16,7 @@ import pytest
 
 from qgamma import cli, connection
 from qgamma.charclasses import bracket_pairing
-from qgamma.mrs import (MRS, SOB, beilinson_gamma_mrs, gamma_mrs, gram,
+from qgamma.mrs import (MRS, SOB, beilinson_gamma_mrs, euler_matrix, gamma_mrs, gram,
                         mutate_phase_rotation, round_gram)
 from qgamma.rings import build_ring
 from qgamma.cli import main, parse_target, clean
@@ -212,9 +212,9 @@ def test_mutate_command(capsys):
 
 
 def _integer_rotation_gram(N, phase, target):
-    """Gram after rotating the integer system that scripts/rotate_mrs.py
-    builds for P^{N-1}: unit vectors paired through the rounded Beilinson
-    Gram."""
+    """Gram after rotating the integer system of P^{N-1} that mutate and
+    scripts/rotate_mrs.py rotate, built here from the numeric side: unit
+    vectors paired through the rounded Beilinson Gram."""
     base = beilinson_gamma_mrs(N, phase=phase)
     G = np.round(gram(SOB(base.vectors, base.pairing)).real).astype(int)
     m = MRS(vectors=[np.eye(N, dtype=int)[i] for i in range(N)],
@@ -247,7 +247,7 @@ def test_mutate_many_turns_stays_exact(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["final_gram"] == _integer_rotation_gram(3, -1.87, -200.0)
-    assert payload["gram_rounding_error"] < 1e-20
+    assert set(payload) == {"target", "phase_from", "phase_to", "mutations", "final_gram"}
     assert sum(e["count"] for e in payload["mutations"]) > 150
 
 
@@ -261,9 +261,10 @@ def test_mutate_a_million_radians(capsys):
 def test_mutate_1e10_radians_stays_within_gram_tolerance(capsys):
     code, payload, _ = _mutate(capsys, "P(2)", "-1.87", "-1e10")
     assert code == 0
-    # the only rounding is the start Gram's: the rotation runs on its integers
-    err = round_gram(gram(beilinson_gamma_mrs(3, phase=-1.87)))[1]
-    assert payload["gram_rounding_error"] == float(f"{err:.12e}") < 1e-9
+    # the rotation runs on the exact Euler matrix, which the numeric Gram of
+    # the Gamma basis rounds to within the Gram tolerance; nothing is rounded
+    ints, err = round_gram(gram(beilinson_gamma_mrs(3, phase=-1.87)))
+    assert ints.tolist() == euler_matrix(build_ring("P", 3)).tolist() and err < 1e-9
     assert payload["final_gram"] == _integer_rotation_gram(3, *_less_than_a_turn(-1.87, -1e10))
 
 
@@ -305,11 +306,23 @@ def test_mutate_of_a_non_integral_gram_is_out_of_range(capsys, monkeypatch):
         return replace(m, pairing=lambda a, b: 1.5 * bracket_pairing(a, b))
     with pytest.raises(OverflowError):
         mutate_phase_rotation(scaled(build_ring("P", 2), -0.05), -3.3)
-    monkeypatch.setattr(cli, "gamma_mrs", scaled)
+    monkeypatch.setattr(cli, "euler_matrix", lambda ring: 1.5 * euler_matrix(ring))
     assert main(["mutate", "--target", "P(1)", "--to", "-3.3"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "numerics out of range: Gram rounding error 0.5 exceeds 1e-9\n"
+
+
+@pytest.mark.parametrize("entry", [2**53 + 1, 10**20 + 7])
+def test_mutate_of_a_gram_past_2_53_is_out_of_range(capsys, monkeypatch, entry):
+    # the Euler entries of G(2,18) to G(2,25) reach 4.1e16 to 5.5e24; float64
+    # would round them silently (10^20 + 7 cast to -2^63), so mutate exits 3
+    monkeypatch.setattr(cli, "euler_matrix",
+                        lambda ring: np.array([[1, entry], [0, 1]], dtype=object))
+    assert main(["mutate", "--target", "P(1)", "--to", "-3.3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numerics out of range: Gram entry of size 2^53")
 
 
 @pytest.mark.parametrize("to", ["--to=-inf", "--to=nan", "--to=inf"])

@@ -27,9 +27,9 @@ SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 BENCHMARK = sorted((ROOT / "perfbench").glob("*.py"))
 CALLERS = [*MODULES, *SCRIPTS, *BENCHMARK]
 # paper content that only the tests call: Gamma II central charges, the
-# wedge MRS, the HRR Euler pairing and J(t) at a single t (limit_ratio sums
-# one set of rows over its whole grid)
-TEST_ONLY_PAPER_CONTENT = {"central_charge", "wedge_mrs", "euler_pairing_hrr", "eval_J"}
+# HRR Euler pairing and J(t) at a single t (limit_ratio sums one set of rows
+# over its whole grid)
+TEST_ONLY_PAPER_CONTENT = {"central_charge", "euler_pairing_hrr", "eval_J"}
 # code that only the benchmark reaches: its probe replays the Schur products
 # that build_ring no longer makes
 BENCHMARK_ONLY = {"schur_poly", "ssyt_monomials"}

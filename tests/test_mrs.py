@@ -1,10 +1,12 @@
 """Marked reflection systems: Grams, mutations, braid relations, phase
-sorting, phase-rotation monodromy, and wedge products."""
+sorting, phase-rotation monodromy, wedge systems, and the exact Euler matrix
+with its Serre/Lefschetz check."""
 
 import cmath
 import itertools
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -12,14 +14,14 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from mpmath import mpc
 
-from qgamma.rings import CohClass, build_ring, cup
-from qgamma.charclasses import gamma_class, kapranov_ch
+from qgamma.rings import CohClass, build_ring, compound, cup, wedge_exponents
+from qgamma.charclasses import bracket_row, gamma_class, kapranov_ch
 from qgamma.connection import spectrum_closed_form
 
-from qgamma.mrs import (SOB, MRS, gram, is_uni_uppertriangular, braid_act,
-                        right_mutation, left_mutation, h_phase, is_admissible,
-                        sort_by_phase, stokes_matrix, mutate_phase_rotation,
-                        wedge_mrs, gamma_mrs, beilinson_gamma_mrs, kapranov_gamma_mrs)
+from qgamma.mrs import (SOB, MRS, gram, round_gram, integer_gram, is_uni_uppertriangular,
+                        braid_act, right_mutation, left_mutation, h_phase, is_admissible,
+                        sort_by_phase, stokes_matrix, mutate_phase_rotation, euler_matrix,
+                        gamma_mrs, beilinson_gamma_mrs, kapranov_gamma_mrs)
 
 
 def _int_sob(seed, n=4):
@@ -191,13 +193,22 @@ def test_left_right_rotation_inverse():
         assert np.array_equal(a, b)
 
 
+def _wedge_system(G, markings, phase, r):
+    """Lambda^r of the integer system of unit vectors paired by G: one unit
+    vector per r-subset i_1 < ... < i_r, paired by the r x r minors of G
+    and marked by the summed markings u_{i_1} + ... + u_{i_r}."""
+    combos = list(itertools.combinations(range(len(G)), r))
+    minors = compound(G, r)
+    W = np.array([[minors[a, b] for b in combos] for a in combos], dtype=object)
+    return MRS(vectors=list(np.eye(len(combos), dtype=object)),
+               markings=[sum(markings[i] for i in c) for c in combos],
+               phase=phase, pairing=lambda a, b: a @ W @ b)
+
+
 def test_wedge_mrs_gram_is_minor_determinant():
-    sob, G = _int_sob(11)
-    m = MRS(vectors=sob.vectors, markings=[4.0, 1.0, -2.0, -4.0],
-            phase=-0.05, pairing=sob.pairing)
-    w = wedge_mrs(m, 2)
+    _, G = _int_sob(11)
+    w = _wedge_system(G.tolist(), [4.0, 1.0, -2.0, -4.0], -0.05, 2)
     g = gram(SOB(w.vectors, w.pairing))
-    import itertools
     combos = list(itertools.combinations(range(4), 2))
     for a, ca in enumerate(combos):
         for b, cb in enumerate(combos):
@@ -209,13 +220,127 @@ def test_wedge_mrs_gram_is_minor_determinant():
 def test_wedge_of_p2_integer_system_is_semiorthonormal_in_phase_order():
     # Lambda^2 of the P^2 Beilinson system: its Stokes matrix exists (unit
     # diagonal, zero lower triangle in phase order) and is integral
-    base = beilinson_gamma_mrs(3, phase=-1.87)
-    G = np.round(gram(SOB(base.vectors, base.pairing)).real).astype(int)
-    m = MRS(vectors=[np.eye(3, dtype=int)[i] for i in range(3)],
-            markings=base.markings, phase=-1.87, pairing=lambda a, b: a @ G @ b)
-    S = stokes_matrix(wedge_mrs(m, 2))
+    ring = build_ring("P", 3)
+    m = _wedge_system(euler_matrix(ring).tolist(), spectrum_closed_form(1, 3), -1.87, 2)
+    S = stokes_matrix(m)
     assert np.round(S.real).astype(int).tolist() == [[1, 3, 3], [0, 1, 3], [0, 0, 1]]
     assert np.max(np.abs(S - np.round(S.real))) == 0
+
+
+# --- the exact Euler matrix -------------------------------------------------
+
+# every target of rank <= 35 but G(1,N), which is P^{N-1} under another name
+SMALL_TARGETS = ([("P", N, 1) for N in range(2, 36)] +
+                 [("G", N, r) for N in range(4, 36) for r in range(2, N)
+                  if math.comb(N, r) <= 35])
+
+
+@pytest.mark.parametrize("kind,N,r", SMALL_TARGETS, ids=lambda x: str(x))
+def test_euler_matrix_is_the_rounded_numeric_gram(kind, N, r):
+    # compared in mpmath: past 2^53 (P^29 on) round_gram refuses the float Gram
+    ring = build_ring(kind, N, r)
+    E = euler_matrix(ring)
+    vectors = gamma_mrs(ring).vectors
+    g = [[row(b) for b in vectors] for row in map(bracket_row, vectors)]
+    assert all(type(e) is int for e in E.flat)
+    assert max(abs(x - e) for gr, er in zip(g, E) for x, e in zip(gr, er)) < 1e-9
+    if np.max(np.abs(E)) < 2**53:
+        assert round_gram(np.array(g, dtype=complex))[0].tolist() == E.tolist()
+    else:
+        with pytest.raises(OverflowError):
+            round_gram(np.array(g, dtype=complex))
+
+
+@pytest.mark.parametrize("r,N", [(N - s, N) for N in range(3, 10) for s in range(1, (N + 1) // 2)])
+def test_euler_matrix_past_half_the_box_is_the_direct_compound(r, N):
+    # the complementary-minor route of euler_matrix against the r-th compound
+    # of the Beilinson table itself
+    table = [[math.comb(N - 1 + j - i, N - 1) if j >= i else 0 for j in range(N)]
+             for i in range(N)]
+    minors = compound(table, r)
+    keys = [wedge_exponents(nu, r)[::-1] for nu in build_ring("G", N, r).basis]
+    assert euler_matrix(build_ring("G", N, r)).tolist() == [[minors[a, b] for b in keys]
+                                                            for a in keys]
+
+
+@pytest.mark.parametrize("r,N", [(3, 13), (5, 10), (2, 25), (23, 25)])
+def test_euler_matrix_is_unitriangular_at_the_top_of_the_range(r, N):
+    E = euler_matrix(build_ring("G", N, r))
+    assert np.array_equal(E, np.triu(E)) and set(np.diag(E)) == {1}
+
+
+def _rank(rows):
+    """Rank over Q of an integer matrix, by Fraction elimination."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for c in range(len(m[0])):
+        pivot = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        for i in range(rank + 1, len(m)):
+            if m[i][c]:
+                f = m[i][c] / m[rank][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+def _unitriangular_inverse(K):
+    """The inverse of an upper unitriangular integer matrix, by back
+    substitution: an integer matrix."""
+    n = len(K)
+    inv = [[0] * n for _ in range(n)]
+    for i in reversed(range(n)):
+        for j in range(n):
+            inv[i][j] = int(i == j) - sum(K[i][k] * inv[k][j] for k in range(i + 1, n))
+    return inv
+
+
+@pytest.mark.parametrize("kind,N,r", [("P", 3, 1), ("P", 5, 1), ("G", 4, 2), ("G", 5, 2),
+                                      ("G", 6, 3), ("G", 7, 2), ("G", 7, 3), ("G", 7, 5)])
+def test_serre_functor_has_the_jordan_type_of_sigma_1(kind, N, r):
+    # Serre duality: K^{-1} K^T acts on K_0 as (-1)^dim times the twist by
+    # the canonical bundle, so K^{-1} K^T - (-1)^dim is nilpotent with the
+    # Jordan type of c_1 cup, i.e. of sigma_1 cup; equal ranks of all powers
+    ring = build_ring(kind, N, r)
+    K = euler_matrix(ring).tolist()
+    n = ring.rank
+    S = _int_mat_mul(_unitriangular_inverse(K), [list(c) for c in zip(*K)])
+    nil = [[S[i][j] - (-1) ** ring.dim * (i == j) for j in range(n)] for i in range(n)]
+    L = [[0] * n for _ in range(n)]
+    for j in range(n):
+        for k, c in ring.cup_table[(ring.index[(1,)], j)]:
+            L[k][j] = c
+
+    def ranks_of_powers(A):
+        out, power = [], A
+        for _ in range(ring.dim + 1):
+            out.append(_rank(power))
+            power = _int_mat_mul(power, A)
+        return out
+    ranks = ranks_of_powers(L)
+    assert ranks_of_powers(nil) == ranks and ranks[-1] == 0
+
+
+@pytest.mark.parametrize("entry", [2**53 - 1, 2**53 + 1, 10**20 + 7])
+def test_integer_gram_is_exact_below_2_53_and_refuses_past_it(entry):
+    # float64 holds every integer below 2^53 only: past it the rounded Gram
+    # would be silently wrong (2^53 + 1 rounds to 2^53, 10^20 + 7 casts to
+    # -2^63), so both the rounding and the rotation raise OverflowError
+    G = np.array([[1, entry], [0, 1]], dtype=object)
+    m = MRS(vectors=list(np.eye(2, dtype=object)), markings=[2.0 + 0j, -2.0 + 0j],
+            phase=-0.05, pairing=lambda a, b: a @ G @ b)
+    if entry < 2**53:
+        ints, err = integer_gram(m)
+        assert ints.tolist() == G.tolist() and err == 0.0
+        m2, _ = mutate_phase_rotation(m, -3.3)
+        assert [list(v) for v in m2.vectors] == [[1, -entry], [0, 1]]
+        return
+    with pytest.raises(OverflowError):
+        integer_gram(m)
+    with pytest.raises(OverflowError):
+        mutate_phase_rotation(m, -3.3)
 
 
 # --- whole turns by the one-turn monodromy ----------------------------------

@@ -1,5 +1,5 @@
 """Cohomology ring layer: basis combinatorics, cup products, the Pieri cup
-table, Poincare pairing, and the Satake wedge map."""
+table, Poincare pairing, compound matrices, and the Satake wedge map."""
 
 import itertools
 import math
@@ -11,10 +11,9 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mpc, mpf
 
 from qgamma import charclasses, rings, symfunc
-from qgamma.rings import (build_ring, cup, exp_cup, poincare_pair,
+from qgamma.rings import (build_ring, compound, cup, exp_cup, poincare_pair,
                           partitions_in_box, box_complement, satake,
                           normalize_partition, wedge_exponents)
-from qgamma.mrs import WedgeVec, wedge_pairing_from
 
 
 P1 = build_ring("P", 2)
@@ -222,17 +221,20 @@ def test_satake_minors_match_ordered_tuples(r, N):
 
 
 def test_wedge_pairing_determinant():
+    # [a_1 ^ a_2, b_1 ^ b_2] = det[(a_i, b_j)] for the Poincare pairing on
+    # P^3: the compound's minor on the sorted exponents, with both sorts' signs
     P = build_ring("P", 4)
     h = [P.basis_class((k,) if k else ()) for k in range(4)]
-    pair = wedge_pairing_from(poincare_pair)
+    minors = compound([[poincare_pair(a, b) for b in h] for a in h], 2)
 
     def wedge_pairing(alpha, beta):
-        return pair(WedgeVec(((1, tuple(alpha)),)), WedgeVec(((1, tuple(beta)),)))
+        sign = (-1) ** ((alpha[0] > alpha[1]) + (beta[0] > beta[1]))
+        return sign * minors[tuple(sorted(alpha)), tuple(sorted(beta))]
 
-    assert wedge_pairing([h[3], h[0]], [h[0], h[3]]) == 1
-    assert wedge_pairing([h[3], h[0]], [h[3], h[0]]) == -1
-    assert wedge_pairing([h[3], h[2]], [h[0], h[1]]) == 1
-    assert wedge_pairing([h[3], h[2]], [h[2], h[0]]) == 0
+    assert wedge_pairing([3, 0], [0, 3]) == 1
+    assert wedge_pairing([3, 0], [3, 0]) == -1
+    assert wedge_pairing([3, 2], [0, 1]) == 1
+    assert wedge_pairing([3, 2], [2, 0]) == 0
 
 
 def test_ring_repr_is_short():
@@ -242,6 +244,55 @@ def test_ring_repr_is_short():
 
 
 _fractions = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+
+
+def _leibniz_minor(a, rows, cols):
+    """det a[rows, cols] as the signed sum over permutations: the oracle for
+    compound."""
+    total = 0
+    for perm in itertools.permutations(range(len(rows))):
+        term = symfunc.perm_sign(perm)
+        for i, j in enumerate(perm):
+            term = term * a[rows[i]][cols[j]]
+        total = total + term
+    return total
+
+
+def _draw_matrix(data, entries):
+    """(an n x m matrix, n and m in 1..6, and r in 1..min(n, m, 5))."""
+    n, m = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+    a = data.draw(st.lists(st.lists(entries, min_size=m, max_size=m), min_size=n, max_size=n))
+    return a, data.draw(st.integers(1, min(n, m, 5)))
+
+
+def _subset_pairs(a, r):
+    return [(rows, cols) for rows in itertools.combinations(range(len(a)), r)
+            for cols in itertools.combinations(range(len(a[0])), r)]
+
+
+# about half the entries are zero, so the skipped terms and empty rows show
+_sparse_ints = st.one_of(st.just(0), st.integers(-9, 9))
+_sparse_fractions = st.one_of(st.just(Fraction(0)), _fractions)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([_sparse_ints, _sparse_fractions]), st.data())
+def test_compound_is_every_leibniz_minor_exactly(entries, data):
+    a, r = _draw_matrix(data, entries)
+    minors = compound(a, r)
+    assert sorted(minors) == _subset_pairs(a, r)
+    assert all(minors[k] == _leibniz_minor(a, *k) for k in minors)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_compound_of_a_complex_matrix_matches_leibniz(data):
+    unit_box = st.floats(-1, 1)
+    entries = st.one_of(st.just(mpc(0)), st.builds(mpc, unit_box, unit_box))
+    a, r = _draw_matrix(data, entries)
+    minors = compound(a, r)
+    assert sorted(minors) == _subset_pairs(a, r)
+    assert all(abs(minors[k] - _leibniz_minor(a, *k)) < 1e-30 for k in minors)
 
 
 @settings(max_examples=30, deadline=None)

@@ -99,6 +99,20 @@ def test_mrs_wedge_fails_on_a_negated_beilinson_vector(monkeypatch):
     assert rep.max_residual >= 1
 
 
+def test_criterion_4_fails_on_a_negated_kapranov_vector(monkeypatch):
+    # a sign flip keeps the G(2,4) Gram integral and uni-uppertriangular:
+    # only its comparison with the exact Euler matrix sees it
+    honest = mrs.kapranov_gamma_mrs
+
+    def negate_one(r, N, phase=-0.05):
+        m = honest(r, N, phase)
+        m.vectors[2] = -m.vectors[2]
+        return m
+    assert verify.criterion_4()["passed"]
+    monkeypatch.setattr(mrs, "kapranov_gamma_mrs", negate_one)
+    assert not verify.criterion_4()["passed"]
+
+
 @pytest.mark.parametrize("r,N", [(2, 6), (3, 6), (3, 7)])
 def test_kapranov_gram_is_the_compound_of_the_beilinson_gram(r, N):
     # Ueda's identity past criterion 11's targets; the residual is only the
