@@ -4,7 +4,7 @@ deterministic JSON or CSV output.
 Exit codes: 0 on pass, 1 on a usage error, 2 on a check failure (reported,
 or a self-check raising ArithmeticError), 3 when the numerics are out of
 range (a float overflowed or is not finite, an exact output is too long to
-print, or a Gram is not integral or has an entry of 2^53 or more)."""
+print, or a Gram is not integral)."""
 
 from __future__ import annotations
 
@@ -25,8 +25,7 @@ from .charclasses import (gamma_class, zeta_reg_reciprocal_product,
 from .connection import spectrum, spectrum_closed_form, j_coefficients, quantum_period
 from .asympt import (limit_ratio, apery_ratios, mellin_psi, psi_residue_sum,
                      psi_gamma_pi)
-from .mrs import (MRS, euler_matrix, gamma_mrs, round_gram, stokes_matrix,
-                  mutate_phase_rotation)
+from .mrs import euler_matrix, phase_rotation, stokes_matrix
 from .wedgecheck import (check_wedge_spectrum, check_kapranov_wedge_identity,
                          check_mrs_wedge)
 from . import verify
@@ -315,21 +314,16 @@ def cmd_psi(args):
 
 def cmd_stokes(args):
     ring = parse_target(args.target)
-    S, err = round_gram(stokes_matrix(gamma_mrs(ring, args.phase)))
-    emit({"target": args.target, "phase": args.phase, "stokes_matrix": S,
-          "rounding_error": err}, args)
+    S = stokes_matrix(euler_matrix(ring), spectrum_closed_form(ring.r, ring.N), args.phase)
+    emit({"target": args.target, "phase": args.phase, "stokes_matrix": S}, args)
     return 0
 
 
 def cmd_mutate(args):
-    # the Gamma basis's integer system: unit vectors paired by its Euler matrix
+    # the Gamma basis's integer system: its Euler matrix and its markings
     ring = parse_target(args.target)
     G = euler_matrix(ring)
-    m = MRS(vectors=list(np.eye(ring.rank, dtype=object)),
-            markings=spectrum_closed_form(ring.r, ring.N), phase=args.phase,
-            pairing=lambda a, b: a @ G @ b)
-    m2, log = mutate_phase_rotation(m, args.to)
-    rows = np.array(m2.vectors, dtype=object)
+    rows, log = phase_rotation(G, spectrum_closed_form(ring.r, ring.N), args.phase, args.to)
     emit({"target": args.target, "phase_from": args.phase, "phase_to": args.to,
           "mutations": log, "final_gram": rows @ G @ rows.T}, args)
     return 0

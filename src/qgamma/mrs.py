@@ -1,11 +1,13 @@
-"""Semiorthonormal bases and marked reflection systems: Gram matrices,
-mutations, the braid action, admissibility, phase-rotation mutation
-sequences, Stokes matrices, and the exact Euler matrix of the Gamma basis.
+"""Semiorthonormal bases and marked reflection systems.
 
-Vectors are any objects supporting +, -, and scalar multiplication
-(CohClass or numpy arrays); the pairing is an explicit callable, so the same
-machinery runs on abstract integer Grams and on Gamma-basis cohomology
-classes."""
+The integer layer runs on an exact Gram G and the markings: Stokes matrices,
+the braid action and phase-rotation mutation sequences act on integer
+coefficient rows over the start vectors, through one mutation kernel, and
+never round.  The exact Gram of the Gamma basis is its Euler matrix
+(euler_matrix).  The numeric Gram of Gamma-basis classes (integer_gram, or
+gram as a complex matrix) is what the checks compare against it: a system
+(SOB, MRS) pairs its vectors by an explicit callable, such as bracket_pairing
+on CohClass vectors."""
 
 from __future__ import annotations
 
@@ -37,74 +39,46 @@ class MRS:
     pairing: object
 
 
-def gram(sob) -> np.ndarray:
-    """[v_i, v_j) for all i, j, as a complex matrix (of an SOB or an MRS).
-    Under the bracket pairing each left vector becomes its row a B once
-    (bracket_row), so n classes cost n nnz(B) + n^2 rank products instead of
-    n^2 nnz(B); any other pairing is called per entry."""
+def _pairings(sob) -> list:
+    """[v_i, v_j) for all i, j, as rows of scalars in the pairing's own
+    arithmetic (of an SOB or an MRS).  Under the bracket pairing each left
+    vector becomes its row a B once (bracket_row), so n classes cost
+    n nnz(B) + n^2 rank products instead of n^2 nnz(B); any other pairing
+    is called per entry."""
     vs = sob.vectors
     if sob.pairing is bracket_pairing:
         rows = [bracket_row(a) for a in vs]
     else:
         rows = [functools.partial(sob.pairing, a) for a in vs]
-    return np.array([[row(b) for b in vs] for row in rows], dtype=complex)
+    return [[row(b) for b in vs] for row in rows]
 
 
-def round_gram(g: np.ndarray):
-    """(the integer matrix nearest to Re g, max |g - that matrix|);
-    OverflowError for an entry of size 2^53 or more, past which float64 no
-    longer holds every integer."""
-    near = np.round(g.real)
-    if not np.all(np.abs(near) < 2.0 ** 53):
-        raise OverflowError("Gram entry of size 2^53 or more cannot be rounded exactly")
-    return near.astype(int), float(np.max(np.abs(g - near)))
+def gram(sob) -> np.ndarray:
+    """The Gram of a system as a complex matrix."""
+    return np.array(_pairings(sob), dtype=complex)
+
+
+def _nearest_ints(rows):
+    """(each entry x as the Python int nearest to Re x, taken in x's own
+    arithmetic: ints of any size as they are, and mpmath numbers at their
+    working precision, which round() would take through float64; the
+    largest distance to them, as a float)."""
+    def nearest(x):
+        return int(mpmath.nint(x.real) if isinstance(x, (mpmath.mpf, mpmath.mpc))
+                   else round(x.real))
+    ints = np.array([[nearest(x) for x in row] for row in rows], dtype=object)
+    return ints, float(max(abs(x - k) for row, near in zip(rows, ints)
+                           for x, k in zip(row, near)))
 
 
 def integer_gram(sob):
-    """(the Gram of a system rounded to Python ints, as an object array, and
-    its rounding error); OverflowError when that error exceeds 1e-9, the
-    Gram tolerance of criterion 4, or an entry reaches 2^53."""
-    near, err = round_gram(gram(sob))
-    if err > 1e-9:
-        raise OverflowError(f"Gram rounding error {err:.3g} exceeds 1e-9")
-    return np.array(near.tolist(), dtype=object), err
+    """(the Gram of a system rounded to Python ints, its rounding error)."""
+    return _nearest_ints(_pairings(sob))
 
 
-def is_uni_uppertriangular(g: np.ndarray) -> bool:
-    """Unit diagonal and vanishing lower triangle, each to 1e-9."""
-    n, tol = g.shape[0], 1e-9
-    for i in range(n):
-        if abs(g[i, i] - 1) > tol:
-            return False
-        for j in range(i):
-            if abs(g[i, j]) > tol:
-                return False
-    return True
-
-
-def right_mutation(v, u, pairing):
-    """R_u v = v - [v, u) u."""
-    return v - u * pairing(v, u)
-
-
-def left_mutation(v, u, pairing):
-    """L_u v = v - [u, v) u."""
-    return v - u * pairing(u, v)
-
-
-def braid_act(sob: SOB, word) -> SOB:
-    """word: list of signed 1-based indices; +i applies sigma_i, -i its
-    inverse.  sigma_i: (v_i, v_{i+1}) -> (v_{i+1}, R_{v_{i+1}} v_i)."""
-    vs = list(sob.vectors)
-    for g in word:
-        i = abs(g) - 1
-        if not (0 <= i < len(vs) - 1):
-            raise ValueError(f"braid generator {g} out of range")
-        if g > 0:
-            vs[i], vs[i + 1] = vs[i + 1], right_mutation(vs[i], vs[i + 1], sob.pairing)
-        else:
-            vs[i], vs[i + 1] = left_mutation(vs[i + 1], vs[i], sob.pairing), vs[i]
-    return SOB(vectors=vs, pairing=sob.pairing)
+def is_uni_uppertriangular(g) -> bool:
+    """Unit diagonal and vanishing lower triangle, exactly."""
+    return all(g[i][i] == 1 and not any(g[i][:i]) for i in range(len(g)))
 
 
 def h_phase(u: complex, phi: float) -> float:
@@ -126,82 +100,94 @@ def is_admissible(markings, phi: float) -> bool:
     return True
 
 
-def _phase_order(markings, phi: float) -> list:
-    """Indices by strictly decreasing h_phi(u); ties allowed only for equal
-    markings (kept in input order).  ValueError unless phi is admissible."""
+def stokes_matrix(G, markings, phi: float) -> np.ndarray:
+    """The integer Gram G (an array) of vectors marked by markings, in the
+    phase order of phi: indices by strictly decreasing h_phi(u), ties
+    allowed only for equal markings (kept in input order).  ValueError
+    unless phi is admissible; ArithmeticError unless it has unit diagonal,
+    vanishing lower triangle, and vanishing entries between equal distinct
+    markings, each exactly."""
     if not is_admissible(markings, phi):
         raise ValueError(f"phase {phi} is not admissible")
-    return sorted(range(len(markings)), key=lambda i: (-h_phase(markings[i], phi), i))
-
-
-def sort_by_phase(mrs: MRS) -> MRS:
-    """The system with vectors and markings in phase order."""
-    order = _phase_order(mrs.markings, mrs.phase)
-    return replace(mrs, vectors=[mrs.vectors[i] for i in order],
-                   markings=[mrs.markings[i] for i in order])
-
-
-def _check_semiorthonormal(g: np.ndarray, u: list) -> None:
-    """Raise ArithmeticError unless the Gram g of vectors marked u, both in
-    phase order, has unit diagonal, vanishing lower triangle, and vanishing
-    entries between equal distinct markings, each to 1e-9."""
-    if not is_uni_uppertriangular(g):
+    order = sorted(range(len(markings)), key=lambda i: (-h_phase(markings[i], phi), i))
+    S = G[np.ix_(order, order)]
+    if not is_uni_uppertriangular(S):
         raise ArithmeticError("phase-ordered Gram is not uni-uppertriangular")
-    for i in range(len(u)):
-        for j in range(len(u)):
-            if i != j and abs(u[i] - u[j]) < 1e-9 and abs(g[i, j]) > 1e-9:
-                raise ArithmeticError("nonzero Gram entry between equal markings")
+    u = [markings[i] for i in order]
+    if any(S[i, j] for i, j in itertools.permutations(range(len(u)), 2)
+           if abs(u[i] - u[j]) < 1e-9):
+        raise ArithmeticError("nonzero Gram entry between equal markings")
+    return S
 
 
-def stokes_matrix(mrs: MRS) -> np.ndarray:
-    """Gram matrix in phase order; asserts unit diagonal, vanishing lower
-    triangle, and vanishing entries between equal distinct markings."""
-    s = sort_by_phase(mrs)
-    g = gram(s)
-    _check_semiorthonormal(g, s.markings)
-    return g
+def _mutation(v, u, G, right: bool):
+    """R_u v = v - (v G u) u if right, else L_u v = v - (u G v) u, on rows
+    over vectors paired by the Gram G."""
+    return v - u * (v @ G @ u if right else u @ G @ v)
+
+
+def braid_act(G, word) -> np.ndarray:
+    """The rows over vectors paired by the integer Gram G after the braid
+    word: a list of signed 1-based indices; +i applies sigma_i, -i its
+    inverse.  sigma_i: (v_i, v_{i+1}) -> (v_{i+1}, R_{v_{i+1}} v_i)."""
+    G = np.array(G, dtype=object)    # Python ints: exact past 2^63
+    rows = list(np.eye(len(G), dtype=object))
+    for g in word:
+        i = abs(g) - 1
+        if not (0 <= i < len(rows) - 1):
+            raise ValueError(f"braid generator {g} out of range")
+        if g > 0:
+            rows[i], rows[i + 1] = rows[i + 1], _mutation(rows[i], rows[i + 1], G, True)
+        else:
+            rows[i], rows[i + 1] = _mutation(rows[i + 1], rows[i], G, False), rows[i]
+    return np.array(rows)
 
 
 # --- phase rotation ------------------------------------------------------
 
-def mutate_phase_rotation(mrs: MRS, phi_target: float):
-    """Continuously rotate the phase to phi_target, applying the block
-    mutation at every crossing of a non-admissible direction.
+def phase_rotation(G, markings, phi0: float, phi1: float):
+    """Continuously rotate the phase from phi0 to phi1, applying the block
+    mutation at every crossing of a non-admissible direction, to the rows
+    over vectors paired by the Gram G and marked by markings.
 
     Convention: when the phase decreases through phi_c = arg(u_j - u_i), the
     marking u_j crosses the ray u_i + R_{>=0} e^{i phi} from the side of
     smaller h_phi, and the u_i-block is right-mutated by the u_j-block.
     Increasing phase gives left mutations.
 
-    The mutations act on integer coefficient rows over the start vectors,
-    paired through the start Gram rounded once by integer_gram (so the
-    pairing must be bilinear; OverflowError past 1e-9 or 2^53), which must be
-    semiorthonormal in phase order at phi0, checked as stokes_matrix does
-    (ArithmeticError otherwise).  A full turn leaves the markings unchanged
-    and acts by one matrix M, which must preserve the Gram exactly
-    (ArithmeticError otherwise); k whole turns are M^k by squaring, then
-    come the crossings of the remainder.  Each crossing is placed by its
-    path length from phi0, in [0, 2 pi); these lengths, k and the remainder
-    are computed in mpmath 128 bits past the exponent of the larger phase,
-    so they are exact to far below float spacing for any finite phases.
+    Both phases must be admissible, phi0 checked first (ValueError).  G is
+    rounded entry by entry in its own arithmetic, so an integer Gram is used
+    as it is; a Gram more than 1e-9 from integral is out of range
+    (OverflowError).  At phi0 it must pass stokes_matrix (ArithmeticError
+    otherwise).  A full turn leaves the markings unchanged and acts by one
+    matrix M, which must preserve the Gram exactly (ArithmeticError
+    otherwise); k whole turns are M^k by squaring, then come the crossings
+    of the remainder.  Each crossing is placed by its path length from phi0,
+    in [0, 2 pi); these lengths, k and the remainder are computed in mpmath
+    128 bits past the exponent of the larger phase, so they are exact to
+    far below float spacing for any finite phases.
 
-    Returns (new MRS, log): one log entry per crossing of the first turn
-    with "count": k, then one per crossing of the remainder with "count": 1;
+    Returns (rows, log): the integer row matrix, one row per vector over
+    the start vectors; one log entry per crossing of the first turn with
+    "count": k, then one per crossing of the remainder with "count": 1;
     each "crossing_angle" is the float nearest to the exact crossing phase."""
-    phi0, phi1 = mrs.phase, phi_target
-    order = _phase_order(mrs.markings, phi0)
-    if not is_admissible(mrs.markings, phi1):
-        raise ValueError(f"phase {phi1} is not admissible")
+    for phi in (phi0, phi1):
+        if not is_admissible(markings, phi):
+            raise ValueError(f"phase {phi} is not admissible")
+    G, err = _nearest_ints(G)
+    if err > 1e-9:
+        raise OverflowError(f"Gram rounding error {err:.3g} exceeds 1e-9")
+    stokes_matrix(G, markings, phi0)
     decreasing = phi1 < phi0
     sign = -1 if decreasing else 1
-    groups = greedy_groups(mrs.markings, 1e-9)
+    groups = greedy_groups(markings, 1e-9)
     with mpmath.workprec(128 + max(0, *(math.frexp(p)[1] for p in (phi0, phi1)))):
         two_pi = 2 * mpmath.pi
         travelled = abs(mpmath.mpf(phi1) - phi0)
         turns = int(mpmath.floor(travelled / two_pi))
         paths = []    # (path length, -|d|, gi, gj) of each crossing in one turn
         for (gi, a), (gj, b) in itertools.permutations(enumerate(groups), 2):
-            d = mpmath.mpc(mrs.markings[b[0]]) - mrs.markings[a[0]]
+            d = mpmath.mpc(markings[b[0]]) - markings[a[0]]
             paths.append(((sign * (mpmath.atan2(d.imag, d.real) - phi0)) % two_pi,
                           -abs(d), gi, gj))
         paths.sort()
@@ -209,38 +195,40 @@ def mutate_phase_rotation(mrs: MRS, phi_target: float):
         turn = [(gi, gj, float(phi0 + sign * x)) for x, _, gi, gj in paths]
         tail = [(gi, gj, float(phi0 + sign * (x + turns * two_pi)))
                 for x, _, gi, gj in paths if x < travelled - turns * two_pi]
-    G, _ = integer_gram(mrs)
-    _check_semiorthonormal(np.array(G[np.ix_(order, order)], dtype=complex),
-                           [mrs.markings[i] for i in order])
 
     def cross(rows, events):
         for gi, gj, _ in events:
             for i in groups[gi]:
-                r = rows[i]
                 for k in groups[gj]:
-                    r = r - rows[k] * (r @ G @ rows[k] if decreasing else rows[k] @ G @ r)
-                rows[i] = r
+                    rows[i] = _mutation(rows[i], rows[k], G, decreasing)
         return rows
 
-    M = cross(np.eye(len(mrs.vectors), dtype=object), turn)
+    M = cross(np.eye(len(markings), dtype=object), turn)
     if not np.array_equal(M @ G @ M.T, G):
         raise ArithmeticError("one-turn monodromy does not preserve the Gram")
     rows = cross(np.linalg.matrix_power(M, turns), tail)
 
-    vectors = []
-    for row in rows:
-        # vector on the left: an mpmath scalar on the left would format repr
-        terms = [v * c for v, c in zip(mrs.vectors, row) if c != 0]
-        vectors.append(sum(terms[1:], terms[0]))
-
     def entry(gi, gj, angle, count):
         return {"crossing_angle": angle,
-                "moved_marking": complex(mrs.markings[groups[gj][0]]),
+                "moved_marking": complex(markings[groups[gj][0]]),
                 "affected_indices": list(groups[gi]),
                 "direction": "R" if decreasing else "L",
                 "count": count}
     log = [entry(*e, turns) for e in turn] if turns else []
     log += [entry(*e, 1) for e in tail]
+    return rows, log
+
+
+def mutate_phase_rotation(mrs: MRS, phi_target: float):
+    """phase_rotation of a system from its phase to phi_target, on its Gram
+    in the pairing's own arithmetic (so the pairing must be bilinear), with
+    the rows mapped back onto its vectors: (new MRS, log)."""
+    rows, log = phase_rotation(_pairings(mrs), mrs.markings, mrs.phase, phi_target)
+    vectors = []
+    for row in rows:
+        # vector on the left: an mpmath scalar on the left would format repr
+        terms = [v * c for v, c in zip(mrs.vectors, row) if c != 0]
+        vectors.append(sum(terms[1:], terms[0]))
     return replace(mrs, vectors=vectors, phase=phi_target), log
 
 

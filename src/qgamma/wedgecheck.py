@@ -59,7 +59,7 @@ def check_mrs_wedge(r: int, N: int, phi: float = -0.05) -> SatakeCheckReport:
     resid = 0.0
     for m, ring in [(mK, build_ring("G", N, r)),
                     (mrsmod.beilinson_gamma_mrs(N, phase=phi), build_ring("P", N))]:
-        ints, err = mrsmod.round_gram(mrsmod.gram(m))
+        ints, err = mrsmod.integer_gram(m)
         resid = max(resid, err, float(np.max(np.abs(ints - mrsmod.euler_matrix(ring)))))
     return SatakeCheckReport(case=f"mrs-wedge G({r},{N}) phi={phi}",
                              max_residual=resid, passed=resid < 1e-8)

@@ -12,8 +12,8 @@ from mpmath import mp, mpf, mpc
 
 from qgamma import charclasses, symfunc, verify
 from test_symfunc import poly_inv
-from qgamma.mrs import (SOB, beilinson_gamma_mrs, euler_matrix, gram, kapranov_gamma_mrs,
-                        round_gram)
+from qgamma.mrs import (SOB, beilinson_gamma_mrs, euler_matrix, gram, integer_gram,
+                        kapranov_gamma_mrs)
 from qgamma.rings import CohClass, build_ring, cup, exp_cup, poincare_pair
 from qgamma.charclasses import (ch_schur, scale_degrees, todd_class, gamma_class,
                                 gamma_G_closed_form, kapranov_ch,
@@ -429,7 +429,7 @@ def _assert_kapranov_gram_is_exact_hrr(r, N):
     # the numeric Gamma-basis Gram against the exact HRR Euler pairings
     ring = build_ring("G", N, r)
     m = kapranov_gamma_mrs(r, N)
-    ints, err = round_gram(gram(SOB(m.vectors, m.pairing)))
+    ints, err = integer_gram(m)
     exact = [[euler_pairing_hrr(ch_schur(nu, ring), ch_schur(kappa, ring))
               for kappa in ring.basis] for nu in ring.basis]
     assert ints.tolist() == exact
@@ -460,10 +460,10 @@ def test_bracket_form_follows_working_precision():
     # the cached form is keyed by precision: a 60-digit Gram is not limited
     # by a 40-digit form built first
     m = beilinson_gamma_mrs(4)
-    assert round_gram(gram(SOB(m.vectors, m.pairing)))[1] < 1e-30
+    assert integer_gram(m)[1] < 1e-30
     with mp.workdps(60):
         m = beilinson_gamma_mrs(4)
-        ints, err = round_gram(gram(SOB(m.vectors, m.pairing)))
+        ints, err = integer_gram(m)
     assert ints.tolist() == [[math.comb(3 + j - i, 3) if j >= i else 0 for j in range(4)]
                              for i in range(4)]
     assert err < 1e-50

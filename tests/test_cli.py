@@ -17,7 +17,7 @@ import pytest
 from qgamma import cli, connection
 from qgamma.charclasses import bracket_pairing
 from qgamma.mrs import (MRS, SOB, beilinson_gamma_mrs, euler_matrix, gamma_mrs, gram,
-                        mutate_phase_rotation, round_gram)
+                        integer_gram, mutate_phase_rotation)
 from qgamma.rings import build_ring
 from qgamma.cli import main, parse_target, clean
 
@@ -263,7 +263,7 @@ def test_mutate_1e10_radians_stays_within_gram_tolerance(capsys):
     assert code == 0
     # the rotation runs on the exact Euler matrix, which the numeric Gram of
     # the Gamma basis rounds to within the Gram tolerance; nothing is rounded
-    ints, err = round_gram(gram(beilinson_gamma_mrs(3, phase=-1.87)))
+    ints, err = integer_gram(beilinson_gamma_mrs(3, phase=-1.87))
     assert ints.tolist() == euler_matrix(build_ring("P", 3)).tolist() and err < 1e-9
     assert payload["final_gram"] == _integer_rotation_gram(3, *_less_than_a_turn(-1.87, -1e10))
 
@@ -315,14 +315,13 @@ def test_mutate_of_a_non_integral_gram_is_out_of_range(capsys, monkeypatch):
 
 @pytest.mark.parametrize("entry", [2**53 + 1, 10**20 + 7])
 def test_mutate_of_a_gram_past_2_53_is_out_of_range(capsys, monkeypatch, entry):
-    # the Euler entries of G(2,18) to G(2,25) reach 4.1e16 to 5.5e24; float64
-    # would round them silently (10^20 + 7 cast to -2^63), so mutate exits 3
+    # the Euler entries of G(2,18) to G(2,25) reach 4.1e16 to 5.5e24; the
+    # rotation runs on Python ints, so past 2^53 the final Gram stays exact
     monkeypatch.setattr(cli, "euler_matrix",
                         lambda ring: np.array([[1, entry], [0, 1]], dtype=object))
-    assert main(["mutate", "--target", "P(1)", "--to", "-3.3"]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("numerics out of range: Gram entry of size 2^53")
+    code, payload, _ = _mutate(capsys, "P(1)", "-0.05", "-3.3")
+    assert code == 0
+    assert payload["final_gram"] == [[1, 0], [-entry, 1]]
 
 
 @pytest.mark.parametrize("to", ["--to=-inf", "--to=nan", "--to=inf"])

@@ -15,13 +15,24 @@ from hypothesis import assume, given, settings, strategies as st
 from mpmath import mpc
 
 from qgamma.rings import CohClass, build_ring, compound, cup, wedge_exponents
-from qgamma.charclasses import bracket_row, gamma_class, kapranov_ch
+from qgamma.charclasses import gamma_class, kapranov_ch
 from qgamma.connection import spectrum_closed_form
 
-from qgamma.mrs import (SOB, MRS, gram, round_gram, integer_gram, is_uni_uppertriangular,
-                        braid_act, right_mutation, left_mutation, h_phase, is_admissible,
-                        sort_by_phase, stokes_matrix, mutate_phase_rotation, euler_matrix,
-                        gamma_mrs, beilinson_gamma_mrs, kapranov_gamma_mrs)
+from qgamma.mrs import (SOB, MRS, gram, integer_gram, is_uni_uppertriangular, braid_act,
+                        h_phase, is_admissible, stokes_matrix, phase_rotation,
+                        mutate_phase_rotation, euler_matrix, gamma_mrs,
+                        beilinson_gamma_mrs, kapranov_gamma_mrs)
+
+
+def right_mutation(v, u, pairing):
+    """R_u v = v - [v, u) u, on the vectors themselves: the oracle of the
+    integer-row kernel that braid_act and phase_rotation share."""
+    return v - u * pairing(v, u)
+
+
+def left_mutation(v, u, pairing):
+    """L_u v = v - [u, v) u."""
+    return v - u * pairing(u, v)
 
 
 def _int_sob(seed, n=4):
@@ -48,7 +59,7 @@ def test_kapranov_gram_g24():
     g = gram(SOB(m.vectors, m.pairing))
     gi = np.round(g.real).astype(int)
     assert np.max(np.abs(g - gi)) < 1e-9
-    assert is_uni_uppertriangular(g)
+    assert is_uni_uppertriangular(gi)
     assert gi[0].tolist() == [1, 4, 6, 10, 20, 20]
 
 
@@ -94,37 +105,60 @@ def test_mutation_orthogonalizes():
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10**6))
 def test_braid_relations(seed):
-    sob, _ = _int_sob(seed)
-    a = braid_act(sob, [1, 2, 1])
-    b = braid_act(sob, [2, 1, 2])
-    assert all(np.array_equal(x, y) for x, y in zip(a.vectors, b.vectors))
-    a = braid_act(sob, [1, 3])
-    b = braid_act(sob, [3, 1])
-    assert all(np.array_equal(x, y) for x, y in zip(a.vectors, b.vectors))
+    _, G = _int_sob(seed)
+    assert np.array_equal(braid_act(G, [1, 2, 1]), braid_act(G, [2, 1, 2]))
+    assert np.array_equal(braid_act(G, [1, 3]), braid_act(G, [3, 1]))
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10**6), st.integers(1, 3))
 def test_braid_inverse_and_shape(seed, i):
-    sob, _ = _int_sob(seed)
-    s = braid_act(braid_act(sob, [i]), [-i])
-    assert all(np.array_equal(a, b) for a, b in zip(s.vectors, sob.vectors))
-    assert is_uni_uppertriangular(gram(braid_act(sob, [i])))
+    _, G = _int_sob(seed)
+    R = braid_act(G, [i])
+    assert np.array_equal(braid_act(G, [i, -i]), np.eye(4, dtype=int))
+    # an action: sigma_i^{-1} on the mutated system, whose Gram is R G R^T
+    assert np.array_equal(braid_act(R @ G @ R.T, [-i]) @ R, np.eye(4, dtype=int))
+    assert is_uni_uppertriangular(R @ G @ R.T)
 
 
-def test_braid_act_on_classes_never_formats_repr(monkeypatch):
-    # mutations put the class on the left of the mpc pairing; an mpmath
-    # scalar on the left would format repr(CohClass) before falling back
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.lists(st.sampled_from([1, 2, 3, -1, -2, -3]), max_size=8))
+def test_braid_rows_are_the_vector_mutations(seed, word):
+    # the integer rows of braid_act against the mutations of the vectors, in
+    # Python ints: eight mutations can pass 2^63
+    _, G = _int_sob(seed)
+    exact = G.astype(object)
+    pairing = lambda a, b: a @ exact @ b
+    vs = list(np.eye(4, dtype=object))
+    for g in word:
+        i = abs(g) - 1
+        if g > 0:
+            vs[i], vs[i + 1] = vs[i + 1], right_mutation(vs[i], vs[i + 1], pairing)
+        else:
+            vs[i], vs[i + 1] = left_mutation(vs[i + 1], vs[i], pairing), vs[i]
+    assert braid_act(G, word).tolist() == [list(v) for v in vs]
+
+
+def test_braid_generator_out_of_range():
+    with pytest.raises(ValueError):
+        braid_act(np.eye(3, dtype=int), [3])
+
+
+def test_rotation_of_classes_is_the_integer_rows_and_never_formats_repr(monkeypatch):
+    # mutate_phase_rotation maps the integer rows back onto the classes with
+    # the class on the left of each coefficient; an mpmath scalar on the
+    # left would format repr(CohClass) before falling back
     def refuse(self):
         raise AssertionError("repr(CohClass) was formatted")
     monkeypatch.setattr(CohClass, "__repr__", refuse)
-    base = beilinson_gamma_mrs(4)
-    sob = SOB(base.vectors, base.pairing)
-    out = braid_act(sob, [1, -1, 2])
-    back = braid_act(sob, [1, -1])
-    for a, b in zip(back.vectors, base.vectors):
-        assert max(abs(mpc(x) - mpc(y)) for x, y in zip(a.coeffs, b.coeffs)) < 1e-25
-    assert is_uni_uppertriangular(gram(out))
+    base = beilinson_gamma_mrs(2)
+    out, log = mutate_phase_rotation(base, -3.3)
+    rows, want_log = phase_rotation(euler_matrix(build_ring("P", 2)), base.markings, -0.05, -3.3)
+    assert rows.tolist() == [[1, -2], [0, 1]] and log == want_log
+    for a, row in zip(out.vectors, rows):
+        want = [sum(c * mpc(x) for c, x in zip(row, xs))
+                for xs in zip(*(v.coeffs for v in base.vectors))]
+        assert max(abs(mpc(x) - y) for x, y in zip(a.coeffs, want)) < 1e-30
 
 
 def test_admissibility():
@@ -135,24 +169,31 @@ def test_admissibility():
 
 
 def test_sort_by_phase_order():
-    mk = [3 * cmath.exp(-2j * math.pi * j / 3) for j in range(3)]
-    m = MRS(vectors=[0, 1, 2], markings=mk, phase=-0.05,
-            pairing=lambda a, b: 0)
-    sob = sort_by_phase(m)
-    hs = [h_phase(mk[v], -0.05) for v in sob.vectors]
-    assert hs == sorted(hs, reverse=True)
+    # a Gram that is uni-uppertriangular in the phase order only, with each
+    # entry naming its place in that order: stokes_matrix must put it there
+    mk = [4 * cmath.exp(-2j * math.pi * j / 4) for j in range(4)]
+    order = sorted(range(4), key=lambda i: -h_phase(mk[i], -0.05))
+    assert order != sorted(order)
+    want = [[int(a == b) or (10 * a + b if a < b else 0) for b in range(4)] for a in range(4)]
+    G = np.zeros((4, 4), dtype=object)
+    G[np.ix_(order, order)] = want
+    assert stokes_matrix(G, mk, -0.05).tolist() == want
 
 
 def test_stokes_p1():
-    m = beilinson_gamma_mrs(2)
-    S = stokes_matrix(m)
-    assert np.allclose(S.real, [[1, 2], [0, 1]], atol=1e-9)
+    S = stokes_matrix(euler_matrix(build_ring("P", 2)), spectrum_closed_form(1, 2), -0.05)
+    assert S.tolist() == [[1, 2], [0, 1]]
 
 
 def test_stokes_rejects_bad_order():
-    m = beilinson_gamma_mrs(4)
     with pytest.raises((ArithmeticError, ValueError)):
-        stokes_matrix(m)
+        stokes_matrix(euler_matrix(build_ring("P", 4)), spectrum_closed_form(1, 4), -0.05)
+
+
+def test_stokes_rejects_a_nonzero_entry_between_equal_markings():
+    # unitriangular in either order of the equal pair, but they must not pair
+    with pytest.raises(ArithmeticError, match="equal markings"):
+        stokes_matrix(np.array([[1, 1], [0, 1]], dtype=object), [1j, 1j], -0.05)
 
 
 def test_phase_rotation_p1_example():
@@ -193,38 +234,33 @@ def test_left_right_rotation_inverse():
         assert np.array_equal(a, b)
 
 
-def _wedge_system(G, markings, phase, r):
-    """Lambda^r of the integer system of unit vectors paired by G: one unit
-    vector per r-subset i_1 < ... < i_r, paired by the r x r minors of G
-    and marked by the summed markings u_{i_1} + ... + u_{i_r}."""
+def _wedge_system(G, markings, r):
+    """Lambda^r of the integer system of unit vectors paired by G: its Gram,
+    the r x r minors of G on r-subsets i_1 < ... < i_r, and its markings,
+    the summed markings u_{i_1} + ... + u_{i_r}."""
     combos = list(itertools.combinations(range(len(G)), r))
     minors = compound(G, r)
     W = np.array([[minors[a, b] for b in combos] for a in combos], dtype=object)
-    return MRS(vectors=list(np.eye(len(combos), dtype=object)),
-               markings=[sum(markings[i] for i in c) for c in combos],
-               phase=phase, pairing=lambda a, b: a @ W @ b)
+    return W, [sum(markings[i] for i in c) for c in combos]
 
 
 def test_wedge_mrs_gram_is_minor_determinant():
     _, G = _int_sob(11)
-    w = _wedge_system(G.tolist(), [4.0, 1.0, -2.0, -4.0], -0.05, 2)
-    g = gram(SOB(w.vectors, w.pairing))
+    W, markings = _wedge_system(G.tolist(), [4.0, 1.0, -2.0, -4.0], 2)
     combos = list(itertools.combinations(range(4), 2))
     for a, ca in enumerate(combos):
         for b, cb in enumerate(combos):
             minor = G[np.ix_(ca, cb)]
-            assert g[a, b] == round(np.linalg.det(minor))
-    assert w.markings[0] == 5.0
+            assert W[a, b] == round(np.linalg.det(minor))
+    assert markings[0] == 5.0
 
 
 def test_wedge_of_p2_integer_system_is_semiorthonormal_in_phase_order():
     # Lambda^2 of the P^2 Beilinson system: its Stokes matrix exists (unit
     # diagonal, zero lower triangle in phase order) and is integral
     ring = build_ring("P", 3)
-    m = _wedge_system(euler_matrix(ring).tolist(), spectrum_closed_form(1, 3), -1.87, 2)
-    S = stokes_matrix(m)
-    assert np.round(S.real).astype(int).tolist() == [[1, 3, 3], [0, 1, 3], [0, 0, 1]]
-    assert np.max(np.abs(S - np.round(S.real))) == 0
+    W, markings = _wedge_system(euler_matrix(ring).tolist(), spectrum_closed_form(1, 3), 2)
+    assert stokes_matrix(W, markings, -1.87).tolist() == [[1, 3, 3], [0, 1, 3], [0, 0, 1]]
 
 
 # --- the exact Euler matrix -------------------------------------------------
@@ -237,18 +273,12 @@ SMALL_TARGETS = ([("P", N, 1) for N in range(2, 36)] +
 
 @pytest.mark.parametrize("kind,N,r", SMALL_TARGETS, ids=lambda x: str(x))
 def test_euler_matrix_is_the_rounded_numeric_gram(kind, N, r):
-    # compared in mpmath: past 2^53 (P^29 on) round_gram refuses the float Gram
+    # rounded in mpmath, so exact past 2^53 (P^29 on)
     ring = build_ring(kind, N, r)
     E = euler_matrix(ring)
-    vectors = gamma_mrs(ring).vectors
-    g = [[row(b) for b in vectors] for row in map(bracket_row, vectors)]
+    ints, err = integer_gram(gamma_mrs(ring))
     assert all(type(e) is int for e in E.flat)
-    assert max(abs(x - e) for gr, er in zip(g, E) for x, e in zip(gr, er)) < 1e-9
-    if np.max(np.abs(E)) < 2**53:
-        assert round_gram(np.array(g, dtype=complex))[0].tolist() == E.tolist()
-    else:
-        with pytest.raises(OverflowError):
-            round_gram(np.array(g, dtype=complex))
+    assert ints.tolist() == E.tolist() and err < 1e-9
 
 
 @pytest.mark.parametrize("r,N", [(N - s, N) for N in range(3, 10) for s in range(1, (N + 1) // 2)])
@@ -323,24 +353,20 @@ def test_serre_functor_has_the_jordan_type_of_sigma_1(kind, N, r):
     assert ranks_of_powers(nil) == ranks and ranks[-1] == 0
 
 
-@pytest.mark.parametrize("entry", [2**53 - 1, 2**53 + 1, 10**20 + 7])
+@pytest.mark.parametrize("entry", [2**53 - 1, 2**53 + 1, 10**20 + 7, 55 * 10**23])
 def test_integer_gram_is_exact_below_2_53_and_refuses_past_it(entry):
-    # float64 holds every integer below 2^53 only: past it the rounded Gram
-    # would be silently wrong (2^53 + 1 rounds to 2^53, 10^20 + 7 casts to
-    # -2^63), so both the rounding and the rotation raise OverflowError
+    # Python ints are rounded as they are: exact on both sides of 2^53,
+    # where a float64 cast would round 2^53 + 1 to 2^53, and up to the
+    # 5.5e24 of the G(2,25) Euler matrix
     G = np.array([[1, entry], [0, 1]], dtype=object)
     m = MRS(vectors=list(np.eye(2, dtype=object)), markings=[2.0 + 0j, -2.0 + 0j],
             phase=-0.05, pairing=lambda a, b: a @ G @ b)
-    if entry < 2**53:
-        ints, err = integer_gram(m)
-        assert ints.tolist() == G.tolist() and err == 0.0
-        m2, _ = mutate_phase_rotation(m, -3.3)
-        assert [list(v) for v in m2.vectors] == [[1, -entry], [0, 1]]
-        return
-    with pytest.raises(OverflowError):
-        integer_gram(m)
-    with pytest.raises(OverflowError):
-        mutate_phase_rotation(m, -3.3)
+    ints, err = integer_gram(m)
+    assert ints.tolist() == G.tolist() and err == 0.0
+    m2, _ = mutate_phase_rotation(m, -3.3)
+    assert [list(v) for v in m2.vectors] == [[1, -entry], [0, 1]]
+    rows, _ = phase_rotation(G, m.markings, -0.05, -3.3)
+    assert rows.tolist() == [[1, -entry], [0, 1]]
 
 
 # --- whole turns by the one-turn monodromy ----------------------------------
@@ -439,6 +465,17 @@ def _semiorthonormal_systems(draw):
     m = MRS(vectors=[np.eye(n, dtype=int)[i] for i in range(n)], markings=markings,
             phase=phase, pairing=lambda a, b: a @ G @ b)
     return m, target
+
+
+@settings(max_examples=100, deadline=None)
+@given(_semiorthonormal_systems())
+def test_phase_rotation_of_the_gram_is_the_adapter(system):
+    # the integer layer on the Gram against the adapter on the vectors
+    m, target = system
+    G, _ = integer_gram(m)
+    rows, log = phase_rotation(G, m.markings, m.phase, target)
+    m2, want_log = mutate_phase_rotation(m, target)
+    assert rows.tolist() == [list(v) for v in m2.vectors] and log == want_log
 
 
 @settings(max_examples=150, deadline=None)
