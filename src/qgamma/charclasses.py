@@ -7,18 +7,18 @@ constant and zeta(k) carry 60 digits too.
 Every class lives in the Schubert ring, and a bundle is represented by its
 Chern character.  With p_k the power sums of the Chern roots of V* (each an
 alternating sum of hook classes), ch(V*) = sum_k p_k / k!; ch(Lambda^k V*)
-follows by Newton's identities and ch(S^nu V*) by the dual Pieri rule, one
-cup per partition, all with exact Fraction coefficients.  The Gamma and Todd
+follows by Newton's identities and ch(S^nu V*) by the dual Pieri rule, one cup
+per partition, all with exact Fraction coefficients.  The Gamma and Todd
 classes are one graded ring exponential (`rings.exp_cup`) each, of the power
-sums of the roots of TF, a class with a part in every degree.  The
-bilinear [.,.) is its matrix B on the Schubert basis, built once per ring and
-precision; a left vector a becomes the row a B once, then one dot per
-pairing.  The Gamma-basis classes Gamma-hat Ch(S^nu V*) and their normalized
-Satake images are built once per ring, nu and precision.  The Grassmannian
-closed form of the Gamma class is an independent route: a truncated
-polynomial in the Chern roots x_1..x_r with mpmath scalars, the product of
-one series in each x_j and one series in x_i - x_j per pair i < j,
-re-expanded in the Schur basis.
+sums of the roots of TF.  The bilinear [.,.) is its matrix B on the Schubert
+basis, built once per ring and precision; a left vector a becomes the row a B
+once, then one dot per pairing.  The Gamma-basis classes Gamma-hat Ch(S^nu V*)
+and their normalized Satake images are built once per ring, nu and precision;
+the Satake twist e^{-(r-1) pi i sigma_1} acts as e^{-(r-1) pi i h} on each
+P^{N-1} factor.  The Grassmannian closed form of the Gamma class is an
+independent route: a truncated polynomial in the Chern roots x_1..x_r with
+mpmath scalars, the product of one series in each x_j and one series in
+x_i - x_j per pair i < j, re-expanded in the Schur basis.
 """
 
 from __future__ import annotations
@@ -125,7 +125,8 @@ def scale_degrees(a: CohClass, s) -> CohClass:
     """Multiply the degree-p part of a by s^p.  On a Chern character ch(E)
     this is the Adams operation psi^s at an integer s, ch(E^dual) at s = -1
     and Ch(E) = sum_p (2 pi i)^p ch_p(E) at s = 2 pi i."""
-    return CohClass(a.ring, [s ** sum(lam) * c for lam, c in zip(a.ring.basis, a.coeffs)])
+    powers = [s ** p for p in range(a.ring.dim + 1)]
+    return CohClass(a.ring, [powers[p] * c for p, c in zip(a.ring.degrees(), a.coeffs)])
 
 
 def ch_schur(nu, ring: RingSpec) -> CohClass:
@@ -219,10 +220,16 @@ def satake_gamma_class(nu, ring_G: RingSpec) -> CohClass:
 
 
 def _satake_gamma_class(ring_G: RingSpec, nu) -> CohClass:
+    # sigma_1 acts on the wedge as h on each factor, so e^{s sigma_1} Sat(^ f_i)
+    # = Sat(^ e^{s h} f_i): the twist goes on the factors, once per r and k
     r, ring_P = ring_G.r, build_ring("P", ring_G.N)
-    raw = satake([gamma_basis_class((k,), ring_P) for k in wedge_exponents(nu, r)], ring_G)
-    pref = (2j * mp.pi) ** (-(r * (r - 1) // 2))
-    return exp_cup(raw, ring_G.basis_class((1,)), -(r - 1) * 1j * mp.pi) * pref
+    raw = satake([_cached("twisted_gamma_basis_class", _twisted_gamma_basis_class, ring_P, r, k)
+                  for k in wedge_exponents(nu, r)], ring_G)
+    return raw * (2j * mp.pi) ** (-(r * (r - 1) // 2))
+
+
+def _twisted_gamma_basis_class(ring_P: RingSpec, r: int, k: int) -> CohClass:
+    return exp_cup(gamma_basis_class((k,), ring_P), ring_P.basis_class((1,)), -(r - 1) * 1j * mp.pi)
 
 
 def _bracket_form(ring: RingSpec) -> tuple:
@@ -239,11 +246,12 @@ def _bracket_form(ring: RingSpec) -> tuple:
     # (2 pi)^{-dim} e^{pi i mu} on sigma_k
     emu = [mp_power(2 * mp.pi, -ring.dim) * mp_exp(pi_i * (p - mpf(ring.dim) / 2))
            for p in ring.degrees()]
+    e_plus, e_minus = (exp_cup(ring.unit(), c1, s) for s in (pi_i, -pi_i))
     form = []
     for i, lam in enumerate(ring.basis):
         sigma = ring.basis_class(lam)
-        l1 = exp_cup(sigma, c1, pi_i).coeffs
-        l2 = exp_cup(sigma, c1, -pi_i).coeffs
+        l1 = cup(sigma, e_plus).coeffs
+        l2 = cup(sigma, e_minus).coeffs
         row = []
         for j, k in enumerate(ring.dual):
             v1 = emu[i] * l1[k]

@@ -9,6 +9,7 @@ print, or a Gram is not integral)."""
 from __future__ import annotations
 
 import argparse
+import csv
 import io
 import json
 import math
@@ -94,21 +95,20 @@ def emit(payload, args) -> None:
 
 def to_csv(payload) -> str:
     buf = io.StringIO()
+    out = csv.writer(buf, lineterminator="\n")
     if isinstance(payload, list) and payload and isinstance(payload[0], dict):
         keys = sorted({k for row in payload for k in row})
-        buf.write(",".join(keys) + "\n")
-        for row in payload:
-            buf.write(",".join(_csv_cell(row.get(k, "")) for k in keys) + "\n")
+        out.writerow(keys)
+        out.writerows([_csv_cell(row.get(k, "")) for k in keys] for row in payload)
     else:
-        buf.write("key,value\n")
-        for k, v in sorted(_flatten(payload)):
-            buf.write(f"{k},{_csv_cell(v)}\n")
+        out.writerow(["key", "value"])
+        out.writerows((k, _csv_cell(v)) for k, v in sorted(_flatten(payload)))
     return buf.getvalue()
 
 
 def _csv_cell(v) -> str:
     if isinstance(v, (list, dict)):
-        return '"' + json.dumps(v, sort_keys=True).replace('"', '""') + '"'
+        return json.dumps(v, sort_keys=True)
     return str(v)
 
 

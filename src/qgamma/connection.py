@@ -311,18 +311,24 @@ def j_scaled(ring: RingSpec, nmax: int) -> np.ndarray:
     return np.array([[row[0] for row in Wm] for Wm in W], dtype=float)
 
 
+_RISING: dict = {}
+
+
 def rising_inverses(ring: RingSpec, sign: int, one):
     """Yield prod_{k=1}^{n} (h + sign k)^{-N} for n = 0, 1, 2, ... on
     ring = P^{N-1}; one is the scalar 1 of the result's type (Fraction or
     mpf).  Each order makes one cup, by the class
-    (h + c)^{-N} = sum_j C(N+j-1, j) (-h)^j / c^{N+j}, c = sign n."""
+    (h + c)^{-N} = sum_j C(N+j-1, j) (-h)^j / c^{N+j}, c = sign n, once per
+    ring, sign, type of one and precision: _RISING keeps tuple coefficients."""
     N = ring.N
-    prod = ring.unit() * one
+    made = _RISING.setdefault((ring.kind, N, sign, type(one), mp.prec),
+                              [CohClass(ring, tuple((ring.unit() * one).coeffs))])
     for n in itertools.count(1):
-        yield prod
-        c = sign * n * one
-        prod = cup(prod, CohClass(ring, [(-1) ** j * math.comb(N + j - 1, j) / c ** (N + j)
-                                         for j in range(ring.rank)]))
+        yield CohClass(ring, list(made[n - 1].coeffs))
+        if n == len(made):
+            c = sign * n * one
+            inv = [(-1) ** j * math.comb(N + j - 1, j) / c ** (N + j) for j in range(ring.rank)]
+            made.append(CohClass(ring, tuple(cup(made[-1], CohClass(ring, inv)).coeffs)))
 
 
 def j_closed_form_P(N: int, nmax: int) -> list:

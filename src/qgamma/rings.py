@@ -252,8 +252,9 @@ def cup(a: CohClass, b: CohClass) -> CohClass:
         for j, cb in zip(range(ring.fits[i]), b.coeffs):
             if not cb:
                 continue
+            p = ca * cb   # 1 * ca is ca exactly, so s == 1 keeps the bits
             for k, s in ring.cup_table[(i, j)]:
-                out[k] = out[k] + s * ca * cb
+                out[k] = out[k] + (p if s == 1 else s * ca * cb)
     return CohClass(ring, out)
 
 

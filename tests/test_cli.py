@@ -1,5 +1,7 @@
 """CLI surface: subcommand behavior, output determinism, exit codes."""
 
+import csv
+import io
 import json
 import os
 import re
@@ -201,6 +203,23 @@ def test_csv_output(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "key,value"
     assert any(line.startswith("numeric,") for line in lines)
+
+
+@pytest.mark.parametrize("cmd", ["gamma", "spectrum"])
+def test_csv_rows_parse_to_the_header_width(capsys, cmd):
+    # a G(r,N) target and a partition key with two parts both hold a comma
+    code, out = run(capsys, cmd, "--target", "G(2,4)", "--format", "csv")
+    assert code == 0
+    header, *rows = list(csv.reader(io.StringIO(out)))
+    assert header == ["key", "value"]
+    assert rows and all(len(row) == 2 for row in rows)
+    code, out = run(capsys, cmd, "--target", "G(2,4)")
+    want = dict(cli._flatten(json.loads(out)))
+    assert sorted(want) == [k for k, _ in rows]
+    for k, v in rows:
+        w = want[k]
+        assert json.loads(v) == w if isinstance(w, (list, dict)) else v == str(w)
+    assert ["target", "G(2,4)"] in rows
 
 
 def test_mutate_command(capsys):

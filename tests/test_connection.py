@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from mpmath import mpf, pi as mp_pi, exp as mp_exp, mpc
+from mpmath import mp, mpf, pi as mp_pi, exp as mp_exp, mpc
 
 from qgamma.rings import CohClass, build_ring, cup, normalize_partition
 from qgamma.connection import (c1_matrix, spectrum, spectrum_closed_form,
@@ -434,8 +434,26 @@ def test_rising_inverses_cup_once_per_order(monkeypatch):
         calls.append(1)
         return cup(a, b)
     monkeypatch.setattr(connection, "cup", counted)
-    for n, _ in zip(range(10), rising_inverses(build_ring("P", 5), -1, mpf(1))):
+    monkeypatch.setattr(connection, "_RISING", {})   # make every product here
+    ring = build_ring("P", 5)
+    first = []
+    for n, prod in zip(range(10), rising_inverses(ring, -1, mpf(1))):
         assert len(calls) == n
+        first.append(prod)
+    # a second pass reads the kept products, as fresh lists
+    again = list(zip(range(10), rising_inverses(ring, -1, mpf(1))))
+    assert len(calls) == 9
+    assert [p.coeffs for _, p in again] == [p.coeffs for p in first]
+    assert all(type(p.coeffs) is list for _, p in again)
+    (kept,) = connection._RISING.values()
+    assert all(type(p.coeffs) is tuple for p in kept)
+    # 40 and 60 digits are separate entries; the order-3 product is not dyadic
+    with mp.workdps(60):
+        prod60 = list(zip(range(4), rising_inverses(ring, -1, mpf(1))))[-1][1]
+    assert len(connection._RISING) == 2
+    assert len(calls) == 12
+    assert prod60.coeffs != first[3].coeffs
+    assert all(abs(a - b) < mpf("1e-38") * abs(b) for a, b in zip(prod60.coeffs, first[3].coeffs))
 
 
 def test_j_scaled_matches_exact():

@@ -381,3 +381,46 @@ def test_exp_cup_refuses_a_class_with_a_degree_zero_part():
     x = G24.basis_class((1,)) + Fraction(1, 3) * G24.unit()
     with pytest.raises(ValueError):
         exp_cup(G24.unit(), x, Fraction(1))
+
+
+@pytest.mark.parametrize("r,N", [(2, 4), (2, 5), (3, 6), (2, 7), (3, 7), (4, 8)])
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_sigma_1_exponential_is_the_factor_exponential_on_the_wedge(r, N, data):
+    # sigma_1 acts on the wedge as the derivation h on each factor, so
+    # e^{s sigma_1} Sat(f_1 ^ ... ^ f_r) = Sat(e^{s h} f_1 ^ ... ^ e^{s h} f_r);
+    # charclasses twists the Gamma-basis factors by this law
+    ring_G, ring_P = build_ring("G", N, r), build_ring("P", N)
+    factors = [rings.CohClass(ring_P, data.draw(st.lists(_fractions, min_size=N, max_size=N)))
+               for _ in range(r)]
+    s = data.draw(_fractions)
+    lhs = exp_cup(satake(factors, ring_G), ring_G.basis_class((1,)), s)
+    rhs = satake([exp_cup(f, ring_P.basis_class((1,)), s) for f in factors], ring_G)
+    assert lhs.coeffs == rhs.coeffs
+
+
+def _cup_per_entry(a, b) -> list:
+    """The oracle: the former cup, s * ca * cb for every table entry."""
+    ring = a.ring
+    out = [0] * ring.rank
+    for i, ca in enumerate(a.coeffs):
+        if not ca:
+            continue
+        for j, cb in zip(range(ring.fits[i]), b.coeffs):
+            if not cb:
+                continue
+            for k, s in ring.cup_table[(i, j)]:
+                out[k] = out[k] + s * ca * cb
+    return out
+
+
+@pytest.mark.parametrize("N,r,lr", [(6, 3, 2), (7, 3, 2), (8, 4, 3)])
+def test_cup_is_the_per_entry_product_bit_for_bit(N, r, lr):
+    # one product per pair, reused for the entries with coefficient 1
+    ring = build_ring("G", N, r)
+    assert max(s for entries in ring.cup_table.values() for _, s in entries) == lr
+    gam = charclasses.gamma_class(ring)
+    for nu in [(1,), (2, 1), (2, 2, 1)]:
+        ch, kap = charclasses.ch_schur(nu, ring), charclasses.kapranov_ch(nu, ring)
+        for a, b in [(gam, kap), (kap, kap), (ch, ch), (ch, charclasses.ch_schur((2, 1), ring))]:
+            assert repr(cup(a, b).coeffs) == repr(_cup_per_entry(a, b))

@@ -3,10 +3,10 @@
 import math
 
 import pytest
-from mpmath import mpc, mpf
+from mpmath import mp, mpc, mpf
 
 from qgamma import charclasses, mrs, verify, wedgecheck
-from qgamma.rings import CohClass, build_ring, exp_cup
+from qgamma.rings import CohClass, build_ring, exp_cup, satake, wedge_exponents
 from qgamma.charclasses import bracket_pairing, gamma_class, satake_gamma_class
 from qgamma.wedgecheck import (check_wedge_spectrum,
                                check_kapranov_wedge_identity,
@@ -162,3 +162,18 @@ def test_scalar_products_never_format_the_class(monkeypatch):
     gam = gamma_class(G24)
     assert abs(bracket_pairing(gam, gam) - 1) < 1e-20
     assert len(satake_gamma_class((2, 1), G24).coeffs) == G24.rank
+
+
+@pytest.mark.parametrize("r,N", [(2, 4), (2, 5), (3, 6)])
+def test_satake_gamma_class_is_the_sigma_1_twist_on_the_grassmannian(r, N):
+    # the oracle twists the Satake image on G(r,N), as Kapranov's identity
+    # is written; satake_gamma_class twists the P^{N-1} factors instead
+    ring_G, ring_P = build_ring("G", N, r), build_ring("P", N)
+    pref = (2j * mp.pi) ** (-(r * (r - 1) // 2))
+    for nu in ring_G.basis:
+        raw = satake([charclasses.gamma_basis_class((k,), ring_P) for k in wedge_exponents(nu, r)],
+                     ring_G)
+        want = exp_cup(raw, ring_G.basis_class((1,)), -(r - 1) * 1j * mp.pi) * pref
+        got = satake_gamma_class(nu, ring_G)
+        scale = max(abs(c) for c in want.coeffs)
+        assert max(abs(g - w) for g, w in zip(got.coeffs, want.coeffs)) < mpf("1e-33") * scale
