@@ -9,10 +9,8 @@ Usage: python3 scripts/rotate_mrs.py [N] [start_phase]
 import math
 import sys
 
-import numpy as np
-
 from qgamma.connection import spectrum_closed_form
-from qgamma.mrs import euler_matrix, phase_rotation
+from qgamma.mrs import euler_matrix, gram_of_rows, phase_rotation
 from qgamma.rings import build_ring, compound
 
 
@@ -23,18 +21,17 @@ def main():
     # run on integer rows over the collection, paired by the Euler matrix of
     # the Beilinson collection, so the monodromy matrix is readable
     G = euler_matrix(build_ring("P", N))
-    print(f"P^{N - 1}, Gram in collection order:\n{G}\n")
+    print(f"P^{N - 1}, Gram in collection order:", *G, "", sep="\n")
 
     rows, log = phase_rotation(G, spectrum_closed_form(1, N), phase, phase - 2 * math.pi)
     for e in log:
         print(f"phase {e['crossing_angle']:+.6f}: {e['direction']}-mutation of "
               f"indices {e['affected_indices']} by marking "
               f"{e['moved_marking']:.4f}, {e['count']} time(s)")
-    M = rows.T
-    # printed as a numpy integer array while every entry fits in one
-    print(f"\nmonodromy matrix (columns = transported basis):\n{np.array(M.tolist())}")
+    M = [list(col) for col in zip(*rows)]
+    print("\nmonodromy matrix (columns = transported basis):", *M, sep="\n")
     print(f"det = {compound(M, N)[tuple(range(N)), tuple(range(N))]}")
-    print(f"Gram preserved: {np.array_equal(M.T @ G @ M, G)}")
+    print(f"Gram preserved: {gram_of_rows(rows, G) == G}")
 
 
 if __name__ == "__main__":

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 
-import numpy as np
 from mpmath import fp, mp, mpf, exp as mp_exp, log as mp_log
 
 from .rings import RingSpec, CohClass, build_ring, cup, exp_cup, poincare_pair
@@ -33,30 +33,30 @@ class LimitReport:
 
 # --- J evaluation and the Gamma Conjecture I limit -----------------------
 
-def eval_J(ring: RingSpec, t: float, nmax: int) -> np.ndarray:
-    """J(t) = e^{c1 log t} sum_n J_n t^n as a float coefficient vector.
+def eval_J(ring: RingSpec, t: float, nmax: int):
+    """J(t) = e^{c1 log t} sum_n J_n t^n as a list of float coefficients.
     Raises OverflowError at the first row n! J_n not finite in float64."""
     return _sum_J(ring, j_scaled(ring, nmax), t)
 
 
-def _sum_J(ring: RingSpec, rows: np.ndarray, t: float) -> np.ndarray:
+def _sum_J(ring: RingSpec, rows, t: float):
     """e^{c1 log t} sum_n rows[n] t^n / n! for the rows n! J_n of j_scaled."""
     if t <= 0:
         raise ValueError("t must be positive")
-    total = np.zeros(ring.rank)
+    total = 0 * rows[0]
     weight = 1.0  # t^n / n!
     biggest = last = 0.0
     for n, row in enumerate(rows):
         term = row * weight
         total += term
         if row.any():
-            last = np.max(np.abs(term))
+            last = abs(term).max()
             biggest = max(biggest, last)
         weight *= t / (n + 1)
     if last > 1e-13 * (1 + biggest):
         raise ArithmeticError(f"J series tail not converged at nmax={len(rows) - 1}")
     out = exp_cup(CohClass(ring, total.tolist()), ring.c1(), math.log(t))   # e^{rho log t}
-    return np.array(out.coeffs)
+    return out.coeffs
 
 
 def limit_ratio(ring: RingSpec, t_grid, tol: float = 1e-6) -> LimitReport:
@@ -69,7 +69,7 @@ def limit_ratio(ring: RingSpec, t_grid, tol: float = 1e-6) -> LimitReport:
         J = _sum_J(ring, rows, t)
         if J[0] == 0:
             raise ArithmeticError(f"degree-0 part of J vanished at t={t}")
-        values.append((J / J[0]).tolist())
+        values.append([x / J[0] for x in J])
     target = [float(c) for c in gamma_class(ring).coeffs]
     gap = max(abs(a - b) for a, b in zip(values[-1], target))
     return LimitReport(grid=list(t_grid), values=values, extrapolated=values[-1],
@@ -154,7 +154,7 @@ def mellin_psi(N: int, t: float, c: float = 1.0) -> float:
     if c <= 0 or t <= 0:
         raise ValueError("need c > 0 and t > 0")
     # |t^{-N s}| = t^{-N c} on the whole contour
-    if -N * c * math.log(t) > math.log(np.finfo(float).max):
+    if -N * c * math.log(t) > math.log(sys.float_info.max):
         raise OverflowError(f"t^(-N s) overflows at N = {N}, t = {t}")
     H = math.ceil(2.0 / (N * math.pi) * (46 + abs(N * c * math.log(t))) + 2)
     w = _leggauss()[1]
@@ -162,8 +162,8 @@ def mellin_psi(N: int, t: float, c: float = 1.0) -> float:
     for k in range(-H, H):
         s, gam = _gamma_nodes(c, k)
         terms = w * gam ** N * t ** (-N * s)
-        total += np.sum(terms) / 2
-        mass += np.sum(np.abs(terms)) / 2
+        total += terms.sum() / 2
+        mass += abs(terms).sum() / 2
     psi = float((total / (2 * math.pi)).real)
     mass /= 2 * math.pi
     if mass > 1e6 * abs(psi):
@@ -175,7 +175,8 @@ def mellin_psi(N: int, t: float, c: float = 1.0) -> float:
 @functools.cache
 def _leggauss():
     """The 32-node Gauss-Legendre rule on [-1, 1], built on first use so that
-    importing the package does not load numpy.polynomial."""
+    importing the package does not load numpy."""
+    import numpy as np
     return np.polynomial.legendre.leggauss(32)
 
 
@@ -183,6 +184,7 @@ def _leggauss():
 def _gamma_nodes(c: float, k: int):
     """The nodes s = c + i y of mellin_psi on the interval y in [k, k + 1],
     and Gamma(s) on them; neither depends on N or t.  Read-only arrays."""
+    import numpy as np
     s = c + 1j * (k + (_leggauss()[0] + 1) / 2)
     gam = np.array([fp.gamma(z) for z in s.tolist()])
     s.flags.writeable = gam.flags.writeable = False

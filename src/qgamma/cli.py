@@ -17,7 +17,6 @@ import re
 import sys
 from fractions import Fraction
 
-import numpy as np
 from mpmath import mpf, mpc
 
 from .rings import build_ring, CohClass
@@ -26,7 +25,7 @@ from .charclasses import (gamma_class, zeta_reg_reciprocal_product,
 from .connection import spectrum, spectrum_closed_form, j_coefficients, quantum_period
 from .asympt import (limit_ratio, apery_ratios, mellin_psi, psi_residue_sum,
                      psi_gamma_pi)
-from .mrs import euler_matrix, phase_rotation, stokes_matrix
+from .mrs import euler_matrix, gram_of_rows, phase_rotation, stokes_matrix
 from .wedgecheck import (check_wedge_spectrum, check_kapranov_wedge_identity,
                          check_mrs_wedge)
 from . import verify
@@ -58,25 +57,23 @@ def clean(obj, key: str = ""):
         return [clean(v, key) for v in obj]
     if isinstance(obj, CohClass):
         return clean(obj.serialize(), key)
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
+    if type(obj).__module__ == "numpy":   # an array or a numpy scalar
+        return clean(obj.tolist(), key)
+    if isinstance(obj, int):   # bool included
+        return obj
     if isinstance(obj, Fraction):
         try:
             return str(obj)
         except ValueError:   # past Python's limit on integer string conversion
             raise OverflowError(f"{key or 'output'} has more than "
                                 f"{sys.get_int_max_str_digits()} digits") from None
-    if isinstance(obj, (complex, np.complexfloating, mpc)):
+    if isinstance(obj, (complex, mpc)):
         z = complex(obj)
         if z.imag == 0:
             return _round12(z.real, key)
         return [_round12(z.real, key), _round12(z.imag, key)]
-    if isinstance(obj, (float, np.floating, mpf)):
+    if isinstance(obj, (float, mpf)):
         return _round12(float(obj), key)
-    if isinstance(obj, np.ndarray):
-        return clean(obj.tolist(), key)
     return obj
 
 
@@ -325,7 +322,7 @@ def cmd_mutate(args):
     G = euler_matrix(ring)
     rows, log = phase_rotation(G, spectrum_closed_form(ring.r, ring.N), args.phase, args.to)
     emit({"target": args.target, "phase_from": args.phase, "phase_to": args.to,
-          "mutations": log, "final_gram": rows @ G @ rows.T}, args)
+          "mutations": log, "final_gram": gram_of_rows(rows, G)}, args)
     return 0
 
 

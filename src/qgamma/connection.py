@@ -20,7 +20,6 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
 from mpmath import mp, mpc, mpf, exp as mp_exp, log as mp_log
 
 from .rings import (RingSpec, CohClass, build_ring, cup, exp_cup, normalize_partition,
@@ -72,14 +71,14 @@ def _c1_operator(ring: RingSpec) -> _C1:
                order, 2 * ring.dim + 1)
 
 
-def c1_matrix(ring: RingSpec) -> np.ndarray:
-    """(c_1 *) at q = 1 as a complex matrix (rho and G_N never share an
-    entry: they shift degree by 1 and by 1 - N)."""
+def c1_matrix(ring: RingSpec):
+    """(c_1 *) at q = 1 as rows of complex numbers (rho and G_N never share
+    an entry: they shift degree by 1 and by 1 - N)."""
     op = _c1_operator(ring)
-    m = np.zeros((ring.rank, ring.rank), dtype=complex)
+    m = [[0j] * ring.rank for _ in range(ring.rank)]
     for j, col in enumerate(op.rho_cols):
         for k, c in col + op.gn_cols[j]:
-            m[k, j] = c
+            m[k][j] = complex(c)
     return m
 
 
@@ -122,6 +121,7 @@ def greedy_groups(values, tol: float) -> list:
 
 
 def spectrum(ring: RingSpec) -> SpectrumReport:
+    import numpy as np
     tol = 1e-8
     eig = sorted(np.linalg.eigvals(c1_matrix(ring)),
                  key=lambda z: (round(z.real, 6), round(z.imag, 6)))
@@ -174,11 +174,8 @@ def _mat_zero(n):
     return [[0] * n for _ in range(n)]
 
 
-def _mat_id(n):
-    m = _mat_zero(n)
-    for i in range(n):
-        m[i][i] = 1
-    return m
+def identity(n: int) -> list:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def _right_mul(a, cols):
@@ -238,7 +235,7 @@ def _graded_series(M: int, N: int, op: _C1, step) -> list:
     right-hand side is scaled by d_{m-N} m^op.levels, so every division of
     the solve is exact, and each solve is checked exactly."""
     n = len(op.rho_rows)
-    out = [(_mat_id(n), 1)]
+    out = [(identity(n), 1)]
     for m in range(1, M + 1):
         if m < N or not any(map(any, out[m - N][0])):
             out.append((_mat_zero(n), 1))
@@ -292,13 +289,14 @@ def j_coefficients(ring: RingSpec, nmax: int) -> list:
     return fundamental_solution(ring, nmax).J
 
 
-def j_scaled(ring: RingSpec, nmax: int) -> np.ndarray:
+def j_scaled(ring: RingSpec, nmax: int):
     """Float path: row n holds n! * J_n (basis coefficients).  W_m = m! U_m
     solves m W_m + [rho, W_m] = m!/(m-N)! W_{m-N} G_N on the graded solver.
     Raises OverflowError at the first row not finite in float64."""
+    import numpy as np
     n, N = ring.rank, ring.N
     op = _c1_operator(ring)
-    W = [np.eye(n).tolist()]
+    W = [identity(n)]
     for m in range(1, nmax + 1):
         if m < N or not any(map(any, W[m - N])):
             W.append(_mat_zero(n))

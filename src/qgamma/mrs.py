@@ -1,13 +1,13 @@
 """Semiorthonormal bases and marked reflection systems.
 
-The integer layer runs on an exact Gram G and the markings: Stokes matrices,
-the braid action and phase-rotation mutation sequences act on integer
-coefficient rows over the start vectors, through one mutation kernel, and
-never round.  The exact Gram of the Gamma basis is its Euler matrix
-(euler_matrix).  The numeric Gram of Gamma-basis classes (integer_gram, or
-gram as a complex matrix) is what the checks compare against it: a system
-(SOB, MRS) pairs its vectors by an explicit callable, such as bracket_pairing
-on CohClass vectors."""
+The integer layer runs on an exact Gram G and the markings, as lists of
+lists of Python ints: Stokes matrices, the braid action and phase-rotation
+mutation sequences act on integer coefficient rows over the start vectors,
+through one mutation kernel, and never round.  The exact Gram of the Gamma
+basis is its Euler matrix (euler_matrix).  The numeric Gram of Gamma-basis
+classes (integer_gram, or gram as a complex array) is what the checks
+compare against it: a system (SOB, MRS) pairs its vectors by an explicit
+callable, such as bracket_pairing on CohClass vectors."""
 
 from __future__ import annotations
 
@@ -18,10 +18,9 @@ import math
 from dataclasses import dataclass, replace
 
 import mpmath
-import numpy as np
 
 from .charclasses import gamma_basis_class, bracket_pairing, bracket_row
-from .connection import greedy_groups, spectrum_closed_form
+from .connection import greedy_groups, identity, spectrum_closed_form
 from .rings import RingSpec, build_ring, compound, wedge_exponents
 
 
@@ -53,8 +52,9 @@ def _pairings(sob) -> list:
     return [[row(b) for b in vs] for row in rows]
 
 
-def gram(sob) -> np.ndarray:
-    """The Gram of a system as a complex matrix."""
+def gram(sob):
+    """The Gram of a system as a complex numpy array."""
+    import numpy as np
     return np.array(_pairings(sob), dtype=complex)
 
 
@@ -66,7 +66,7 @@ def _nearest_ints(rows):
     def nearest(x):
         return int(mpmath.nint(x.real) if isinstance(x, (mpmath.mpf, mpmath.mpc))
                    else round(x.real))
-    ints = np.array([[nearest(x) for x in row] for row in rows], dtype=object)
+    ints = [[nearest(x) for x in row] for row in rows]
     return ints, float(max(abs(x - k) for row, near in zip(rows, ints)
                            for x, k in zip(row, near)))
 
@@ -100,38 +100,58 @@ def is_admissible(markings, phi: float) -> bool:
     return True
 
 
-def stokes_matrix(G, markings, phi: float) -> np.ndarray:
-    """The integer Gram G (an array) of vectors marked by markings, in the
-    phase order of phi: indices by strictly decreasing h_phi(u), ties
-    allowed only for equal markings (kept in input order).  ValueError
-    unless phi is admissible; ArithmeticError unless it has unit diagonal,
-    vanishing lower triangle, and vanishing entries between equal distinct
-    markings, each exactly."""
+def stokes_matrix(G, markings, phi: float) -> list:
+    """The integer Gram G of vectors marked by markings, in the phase order
+    of phi: indices by strictly decreasing h_phi(u), ties allowed only for
+    equal markings (kept in input order).  ValueError unless phi is
+    admissible; ArithmeticError unless it has unit diagonal, vanishing lower
+    triangle and vanishing entries between equal distinct markings, exactly."""
     if not is_admissible(markings, phi):
         raise ValueError(f"phase {phi} is not admissible")
     order = sorted(range(len(markings)), key=lambda i: (-h_phase(markings[i], phi), i))
-    S = G[np.ix_(order, order)]
+    S = [[int(G[i][j]) for j in order] for i in order]
     if not is_uni_uppertriangular(S):
         raise ArithmeticError("phase-ordered Gram is not uni-uppertriangular")
     u = [markings[i] for i in order]
-    if any(S[i, j] for i, j in itertools.permutations(range(len(u)), 2)
+    if any(S[i][j] for i, j in itertools.permutations(range(len(u)), 2)
            if abs(u[i] - u[j]) < 1e-9):
         raise ArithmeticError("nonzero Gram entry between equal markings")
     return S
 
 
+def _matmul(a, b) -> list:
+    """The matrix product of a and b, each a 2-D sequence, as rows."""
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+
+
+def _power(M, k: int) -> list:
+    """M^k by repeated squaring, for k >= 0."""
+    out = identity(len(M))
+    while k:
+        out, M, k = (_matmul(out, M) if k & 1 else out), _matmul(M, M), k >> 1
+    return out
+
+
+def gram_of_rows(rows, G) -> list:
+    """rows G rows^T: the Gram after the change of basis rows."""
+    return _matmul(_matmul(rows, G), list(zip(*rows)))
+
+
 def _mutation(v, u, G, right: bool):
     """R_u v = v - (v G u) u if right, else L_u v = v - (u G v) u, on rows
     over vectors paired by the Gram G."""
-    return v - u * (v @ G @ u if right else u @ G @ v)
+    a, b = (v, u) if right else (u, v)
+    c = sum(x * sum(g * y for g, y in zip(row, b)) for x, row in zip(a, G) if x)
+    return [x - c * y for x, y in zip(v, u)]
 
 
-def braid_act(G, word) -> np.ndarray:
+def braid_act(G, word) -> list:
     """The rows over vectors paired by the integer Gram G after the braid
     word: a list of signed 1-based indices; +i applies sigma_i, -i its
     inverse.  sigma_i: (v_i, v_{i+1}) -> (v_{i+1}, R_{v_{i+1}} v_i)."""
-    G = np.array(G, dtype=object)    # Python ints: exact past 2^63
-    rows = list(np.eye(len(G), dtype=object))
+    G = [[int(x) for x in row] for row in G]
+    rows = identity(len(G))
     for g in word:
         i = abs(g) - 1
         if not (0 <= i < len(rows) - 1):
@@ -140,7 +160,7 @@ def braid_act(G, word) -> np.ndarray:
             rows[i], rows[i + 1] = rows[i + 1], _mutation(rows[i], rows[i + 1], G, True)
         else:
             rows[i], rows[i + 1] = _mutation(rows[i + 1], rows[i], G, False), rows[i]
-    return np.array(rows)
+    return rows
 
 
 # --- phase rotation ------------------------------------------------------
@@ -167,8 +187,8 @@ def phase_rotation(G, markings, phi0: float, phi1: float):
     128 bits past the exponent of the larger phase, so they are exact to
     far below float spacing for any finite phases.
 
-    Returns (rows, log): the integer row matrix, one row per vector over
-    the start vectors; one log entry per crossing of the first turn with
+    Returns (rows, log): the integer rows, one per vector over the start
+    vectors; one log entry per crossing of the first turn with
     "count": k, then one per crossing of the remainder with "count": 1;
     each "crossing_angle" is the float nearest to the exact crossing phase."""
     for phi in (phi0, phi1):
@@ -203,10 +223,10 @@ def phase_rotation(G, markings, phi0: float, phi1: float):
                     rows[i] = _mutation(rows[i], rows[k], G, decreasing)
         return rows
 
-    M = cross(np.eye(len(markings), dtype=object), turn)
-    if not np.array_equal(M @ G @ M.T, G):
+    M = cross(identity(len(markings)), turn)
+    if gram_of_rows(M, G) != G:
         raise ArithmeticError("one-turn monodromy does not preserve the Gram")
-    rows = cross(np.linalg.matrix_power(M, turns), tail)
+    rows = cross(_power(M, turns), tail)
 
     def entry(gi, gj, angle, count):
         return {"crossing_angle": angle,
@@ -250,7 +270,7 @@ def kapranov_gamma_mrs(r: int, N: int, phase: float = -0.05) -> MRS:
     return gamma_mrs(build_ring("G", N, r), phase)
 
 
-def euler_matrix(ring: RingSpec) -> np.ndarray:
+def euler_matrix(ring: RingSpec) -> list:
     """chi(S^nu V*, S^mu V*) for nu, mu in ring.basis, as Python ints: the
     exact Gram of gamma_mrs(ring) by Gamma Conjecture II.  On P^{N-1} it is
     the Beilinson table chi(O(i), O(j)) = C(N-1+j-i, N-1); on G(r,N) it is
@@ -262,12 +282,12 @@ def euler_matrix(ring: RingSpec) -> np.ndarray:
     if 2 * r <= N:
         minors = compound([[math.comb(N - 1 + j - i, N - 1) if j >= i else 0
                             for j in range(N)] for i in range(N)], r)
-        return np.array([[minors[a, b] for b in keys] for a in keys], dtype=object)
+        return [[minors[a, b] for b in keys] for a in keys]
     # Jacobi's complementary minors, so the compound has size N - r < r: the
     # table has determinant 1 and inverse (-1)^{j-i} C(N, j-i), so its minor
     # on (a, b) is (-1)^{sum a + sum b} times the inverse's on (b^c, a^c)
     minors = compound([[(-1) ** (j - i) * math.comb(N, j - i) if j >= i else 0
                         for j in range(N)] for i in range(N)], N - r)
     co = {a: tuple(k for k in range(N) if k not in a) for a in keys}
-    return np.array([[(-1) ** (sum(a) + sum(b)) * minors[co[b], co[a]] for b in keys]
-                     for a in keys], dtype=object)
+    return [[(-1) ** (sum(a) + sum(b)) * minors[co[b], co[a]] for b in keys]
+            for a in keys]

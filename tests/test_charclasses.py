@@ -365,7 +365,7 @@ def test_euler_pairing_p3_binomial():
     for ring in [P2, P3, G24]:
         hrr = [[euler_pairing_hrr(ch_schur(nu, ring), ch_schur(mu, ring)) for mu in ring.basis]
                for nu in ring.basis]
-        assert euler_matrix(ring).tolist() == hrr
+        assert euler_matrix(ring) == hrr
 
 
 @pytest.mark.parametrize("N,r", [(25, 2), (10, 4)])
@@ -432,7 +432,7 @@ def _assert_kapranov_gram_is_exact_hrr(r, N):
     ints, err = integer_gram(m)
     exact = [[euler_pairing_hrr(ch_schur(nu, ring), ch_schur(kappa, ring))
               for kappa in ring.basis] for nu in ring.basis]
-    assert ints.tolist() == exact
+    assert ints == exact
     assert err < 1e-30
 
 
@@ -464,8 +464,8 @@ def test_bracket_form_follows_working_precision():
     with mp.workdps(60):
         m = beilinson_gamma_mrs(4)
         ints, err = integer_gram(m)
-    assert ints.tolist() == [[math.comb(3 + j - i, 3) if j >= i else 0 for j in range(4)]
-                             for i in range(4)]
+    assert ints == [[math.comb(3 + j - i, 3) if j >= i else 0 for j in range(4)]
+                    for i in range(4)]
     assert err < 1e-50
 
 

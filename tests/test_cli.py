@@ -283,7 +283,7 @@ def test_mutate_1e10_radians_stays_within_gram_tolerance(capsys):
     # the rotation runs on the exact Euler matrix, which the numeric Gram of
     # the Gamma basis rounds to within the Gram tolerance; nothing is rounded
     ints, err = integer_gram(beilinson_gamma_mrs(3, phase=-1.87))
-    assert ints.tolist() == euler_matrix(build_ring("P", 3)).tolist() and err < 1e-9
+    assert ints == euler_matrix(build_ring("P", 3)) and err < 1e-9
     assert payload["final_gram"] == _integer_rotation_gram(3, *_less_than_a_turn(-1.87, -1e10))
 
 
@@ -325,7 +325,8 @@ def test_mutate_of_a_non_integral_gram_is_out_of_range(capsys, monkeypatch):
         return replace(m, pairing=lambda a, b: 1.5 * bracket_pairing(a, b))
     with pytest.raises(OverflowError):
         mutate_phase_rotation(scaled(build_ring("P", 2), -0.05), -3.3)
-    monkeypatch.setattr(cli, "euler_matrix", lambda ring: 1.5 * euler_matrix(ring))
+    monkeypatch.setattr(cli, "euler_matrix",
+                        lambda ring: 1.5 * np.array(euler_matrix(ring), dtype=object))
     assert main(["mutate", "--target", "P(1)", "--to", "-3.3"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -398,6 +399,26 @@ def test_cli_import_leaves_scipy_out():
     out = _run_python("-c", "import sys, qgamma.cli; print('scipy' in sys.modules)")
     assert out.returncode == 0
     assert out.stdout.strip() == "False"
+
+
+# the integer and mpmath subcommands: numpy serves only eigenvalues, the
+# float J and the quadrature
+NUMPY_FREE_COMMANDS = [
+    ["gamma", "--target", "G(2,4)"],
+    ["jfun", "--target", "G(2,4)", "--nmax", "6"],
+    ["period", "--target", "P(2)", "--nmax", "6"],
+    ["stokes", "--target", "P(2)", "--phase", "-1.87"],
+    ["mutate", "--target", "P(2)", "--phase", "-1.87", "--to", "-20"],
+    ["zetareg", "--delta", "1", "--z", "1"]]
+
+
+@pytest.mark.parametrize("argv", [None, *NUMPY_FREE_COMMANDS],
+                         ids=lambda argv: argv[0] if argv else "import")
+def test_cli_import_and_numpy_free_commands_leave_numpy_out(argv):
+    command = f"assert qgamma.cli.main({argv!r}) == 0\n" if argv else ""
+    out = _run_python("-c", f"import sys, qgamma.cli\n{command}"
+                      "assert 'numpy' not in sys.modules, 'numpy was loaded'")
+    assert out.returncode == 0, out.stderr
 
 
 def test_cli_import_leaves_quadrature_setup_out():

@@ -17,7 +17,7 @@ from qgamma.connection import (c1_matrix, spectrum, spectrum_closed_form,
                                fundamental_solution, j_coefficients, j_scaled,
                                j_closed_form_P, rising_inverses, quantum_period,
                                central_charge, multiset_distance,
-                               _c1_operator, _mat_id, _mat_zero, _solve_graded)
+                               _c1_operator, _mat_zero, _solve_graded, identity)
 from qgamma import connection
 from qgamma.wedgecheck import check_wedge_spectrum
 
@@ -246,7 +246,7 @@ def _neumann_series(ring, M):
     G0, GN = graded_pieces(ring)
     rho = [[Fraction(x) for x in row] for row in G0]
     GNf = [[Fraction(x) for x in row] for row in GN]
-    T, U = [_mat_id(n)], [_mat_id(n)]
+    T, U = [identity(n)], [identity(n)]
     for m in range(1, M + 1):
         if m < N:
             T.append(_mat_zero(n))

@@ -1,6 +1,7 @@
 """Lint: no module of the package imports a name it never uses or a
 private name of another module of the package, the
-package imports exactly the third-party packages it declares, every
+package imports exactly the third-party packages it declares, numpy only
+inside the float routines that need it (never at module level), every
 top-level function and class of the package is reachable through a chain
 of reads from ``cli.main``, the package's module-level statements or its
 scripts (the names only the benchmark reaches are listed explicitly),
@@ -123,6 +124,45 @@ def test_imports_match_declared_dependencies():
     declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group(0) for dep in project["dependencies"]}
     imported = set().union(*(_third_party_imports(p.read_text()) for p in MODULES))
     assert imported == declared == {"numpy", "mpmath"}
+
+
+# the float routines, the only functions that import numpy: LAPACK
+# eigenvalues, the float J recursion, the Mellin quadrature nodes, the
+# benchmark's complex Gram and criterion 9's seeded random Grams
+NUMPY_FUNCTIONS = {"spectrum", "j_scaled", "_leggauss", "_gamma_nodes", "gram",
+                   "criterion_9"}
+
+
+def numpy_imports(source: str) -> list:
+    """(the enclosing top-level function, or None outside one; line) for each
+    absolute import of numpy or of a numpy submodule."""
+    out = []
+    for top in ast.parse(source).body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if any(name.split(".")[0] == "numpy" for name in names):
+                out.append((owner, node.lineno))
+    return out
+
+
+def test_numpy_import_checker():
+    src = ("import numpy as np\nimport os\ndef f():\n    import numpy.linalg\n"
+           "class C:\n    def g(self):\n        from numpy import eye\n"
+           "def h():\n    from .numpy import x\n    import numpyro\n")
+    assert numpy_imports(src) == [(None, 1), ("f", 4), (None, 7)]
+
+
+def test_numpy_is_imported_only_by_the_float_routines():
+    found = [(path.name, owner, line) for path in MODULES
+             for owner, line in numpy_imports(path.read_text())]
+    assert [f for f in found if f[1] not in NUMPY_FUNCTIONS] == []
+    assert {owner for _, owner, _ in found} == NUMPY_FUNCTIONS
 
 
 def _reads(node) -> set:
