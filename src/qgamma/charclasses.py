@@ -18,7 +18,9 @@ the Satake twist e^{-(r-1) pi i sigma_1} acts as e^{-(r-1) pi i h} on each
 P^{N-1} factor.  The Grassmannian closed form of the Gamma class is an
 independent route: a truncated polynomial in the Chern roots x_1..x_r with
 mpmath scalars, the product of one series in each x_j and one series in
-x_i - x_j per pair i < j, re-expanded in the Schur basis.
+x_i - x_j per pair i < j, re-expanded in the Schur basis.  The
+zeta-regularized product takes zeta(0, a) and its exact s-derivative from one
+Euler-Maclaurin pass of the Hurwitz zeta.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from mpmath import (mp, mpc, mpf, gamma as mp_gamma, bernoulli, bernfrac, exp as mp_exp,
-                    sqrt as mp_sqrt, power as mp_power, zeta)
+                    fprod, log as mp_log, sqrt as mp_sqrt, power as mp_power, zeta)
 
 from . import symfunc
 from .rings import (RingSpec, CohClass, build_ring, cup, exp_cup, normalize_partition,
@@ -298,38 +300,62 @@ def euler_pairing_hrr(ch1: CohClass, ch2: CohClass) -> int:
 
 # --- Appendix-A zeta regularization -------------------------------------
 
-def hurwitz_zeta_em(s, a):
-    """Hurwitz zeta(s, a) by Euler-Maclaurin (valid for Re(s) > -2K+1, s != 1)."""
+def hurwitz_zeta_em(s, a) -> tuple:
+    """(zeta(s, a), d/ds zeta(s, a)) for the Hurwitz zeta, from one
+    Euler-Maclaurin pass (valid for Re(s) > -2K+1, s != 1): every term is
+    differentiated exactly, (a+n)^{-s} to -(a+n)^{-s} log(a+n), the tail
+    q^{1-s}/(s-1) + q^{-s}/2 likewise, and the j-th Bernoulli term through
+    its rising product s(s+1)...(s+2j-2) and that product's derivative.  At
+    s = 0 every power is 1, so the pass takes two logs and no exp."""
     M, K = 30, 12   # direct terms, Bernoulli corrections
-    s, a = mpf(s) if not isinstance(s, (mpf, mpc)) else s, mpf(a)
-    total = sum(mp_power(a + n, -s) for n in range(M))
+    # an int s stays exact, and so do the rising products
+    s, a = s if isinstance(s, (int, mpf, mpc)) else mpf(s), mpf(a)
+    if s:
+        value = deriv = 0
+        for n in range(M):
+            log_x = mp_log(a + n)
+            x_s = mp_exp(-s * log_x)   # (a+n)^{-s}
+            value += x_s
+            deriv -= x_s * log_x
+    else:   # the M logs sum to the log of one product
+        value, deriv = M, -mp_log(fprod(a + n for n in range(M)))
     q = a + M
-    total += mp_power(q, 1 - s) / (s - 1)
-    total += mp_power(q, -s) / 2
-    poch = s
+    log_q = mp_log(q)
+    q_s = mp_exp(-s * log_q) if s else 1   # q^{-s}
+    tail = q * q_s / (s - 1)   # q^{1-s}/(s-1)
+    value += tail + q_s / 2
+    # d/ds of the tail is -tail (log q + 1/(s-1)) - q^{-s} log q / 2
+    deriv -= tail * log_q + tail / (s - 1) + q_s * log_q / 2
+    poch, dpoch = s, 1   # s(s+1)...(s+2j-2) and its derivative
+    q_j, q2 = q_s / q, q * q   # q^{-s-2j+1}
     for j in range(1, K + 1):
-        total += bernoulli(2 * j) / factorial(2 * j) * poch * mp_power(q, -s - 2 * j + 1)
-        poch = poch * (s + 2 * j - 1) * (s + 2 * j)
-    return total
+        c = bernoulli(2 * j) / factorial(2 * j) * q_j
+        value += c * poch
+        deriv += c * (dpoch - poch * log_q)
+        for k in (2 * j - 1, 2 * j):
+            poch, dpoch = poch * (s + k), dpoch * (s + k) + poch
+        q_j /= q2
+    return value, deriv
+
+
+def _zeta_reg_args(delta, z) -> tuple:
+    delta, z = mpf(delta), mpf(z)
+    # a NaN fails every comparison
+    if not (0 <= delta < mp.inf and 0 < z < mp.inf):
+        raise ValueError(f"need finite delta >= 0 and z > 0, got delta = {delta}, z = {z}")
+    return delta, z
 
 
 def zeta_reg_reciprocal_product(delta, z):
     """exp(-f'(0)) for f(s) = z^s zeta(-s; delta/z + 1): the regularized
-    product prod_{n>=1} 1/(delta + n z), by central difference at step 1e-5."""
-    delta, z = mpf(delta), mpf(z)
-    if delta < 0 or z <= 0:
-        raise ValueError("need delta >= 0 and z > 0")
-    a = delta / z + 1
-    h = mpf("1e-5")
-
-    def f(s):
-        return mp_power(z, s) * hurwitz_zeta_em(-s, a)
-
-    fprime = (f(h) - f(-h)) / (2 * h)
-    return mp_exp(-fprime)
+    product prod_{n>=1} 1/(delta + n z).  f'(0) = log z zeta(0, a) -
+    zeta'(0, a), a = delta/z + 1, from one Euler-Maclaurin pass."""
+    delta, z = _zeta_reg_args(delta, z)
+    value, deriv = hurwitz_zeta_em(0, delta / z + 1)
+    return mp_exp(deriv - mp_log(z) * value)
 
 
 def zeta_reg_closed_form(delta, z):
     """sqrt(z / 2 pi) z^{delta/z} Gamma(1 + delta/z)."""
-    delta, z = mpf(delta), mpf(z)
+    delta, z = _zeta_reg_args(delta, z)
     return mp_sqrt(z / (2 * mp.pi)) * mp_power(z, delta / z) * mp_gamma(1 + delta / z)

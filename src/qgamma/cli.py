@@ -3,8 +3,8 @@ deterministic JSON or CSV output.
 
 Exit codes: 0 on pass, 1 on a usage error, 2 on a check failure (reported,
 or a self-check raising ArithmeticError), 3 when the numerics are out of
-range (a float overflowed or is not finite, an exact output is too long to
-print, or a Gram is not integral)."""
+range (a float overflowed, underflowed to 0.0 or is not finite, an exact
+output is too long to print, or a Gram is not integral)."""
 
 from __future__ import annotations
 
@@ -49,8 +49,8 @@ def _round12(x: float, key: str) -> float:
 def clean(obj, key: str = ""):
     """Normalize a result tree for serialization: 12-significant-digit
     floats, complex as [re, im], exact rationals as strings.  A float that
-    is not finite, or a rational too long to print, raises OverflowError
-    naming its key."""
+    is not finite, a nonzero mpmath value that a float cast makes 0.0, or a
+    rational too long to print raises OverflowError naming its key."""
     if isinstance(obj, dict):
         return {str(k): clean(v, str(k)) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -67,6 +67,8 @@ def clean(obj, key: str = ""):
         except ValueError:   # past Python's limit on integer string conversion
             raise OverflowError(f"{key or 'output'} has more than "
                                 f"{sys.get_int_max_str_digits()} digits") from None
+    if isinstance(obj, (mpf, mpc)) and obj and not complex(obj):
+        raise OverflowError(f"{key or 'output'} is nonzero but underflows to 0.0")
     if isinstance(obj, (complex, mpc)):
         z = complex(obj)
         if z.imag == 0:
@@ -344,8 +346,8 @@ def cmd_zetareg(args):
     num = zeta_reg_reciprocal_product(mpf(args.delta), mpf(args.z))
     cf = zeta_reg_closed_form(mpf(args.delta), mpf(args.z))
     rel = float(abs(num - cf) / abs(cf))
-    emit({"delta": args.delta, "z": args.z, "numeric": float(num),
-          "closed_form": float(cf), "rel_err": rel,
+    emit({"delta": args.delta, "z": args.z, "numeric": num,
+          "closed_form": cf, "rel_err": rel,
           "agree": rel < args.tol}, args)
     return 0 if rel < args.tol else 2
 

@@ -17,7 +17,8 @@ from __future__ import annotations
 import bisect
 import itertools
 from dataclasses import dataclass, field
-from math import comb
+from fractions import Fraction
+from math import comb, lcm
 
 DESK_SCALE_CAP = 300
 
@@ -241,21 +242,53 @@ def _pieri_cup_table(basis, index, r: int, cols: int) -> dict:
             for i, lam in enumerate(basis) for j in range(len(basis))}
 
 
+class _Unreached(int):
+    """The 0 an exact cup starts each coefficient from: a sum with it is a
+    plain int, so after the loop an entry is still it only if no product
+    reached it."""
+
+
+_UNREACHED = _Unreached()
+
+
+def _over_one_denominator(coeffs) -> tuple:
+    """(integers n_i, d) with coeffs[i] = n_i / d, d the lcm of the
+    denominators of ints and Fractions."""
+    d = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (d // c.denominator) for c in coeffs], d
+
+
 def cup(a: CohClass, b: CohClass) -> CohClass:
+    """a cup b by the cup table.  When both classes hold only ints and
+    Fractions and at least one Fraction, the products run on integers over
+    one denominator per class, divided once per output entry: every entry a
+    product reached is a Fraction, and the others stay int 0, as in the
+    loop on the classes' own scalars."""
     same_ring(a, b)
     ring = a.ring
-    out = [0] * ring.rank
+    types = set(map(type, a.coeffs))
+    types.update(map(type, b.coeffs))
+    if Fraction in types and types <= {int, Fraction}:
+        (ac, da), (bc, db) = _over_one_denominator(a.coeffs), _over_one_denominator(b.coeffs)
+        d = da * db
+        return CohClass(ring, [0 if n is _UNREACHED else Fraction(n, d)
+                               for n in _cup_loop(ring, ac, bc, _UNREACHED)])
+    return CohClass(ring, _cup_loop(ring, a.coeffs, b.coeffs, 0))
+
+
+def _cup_loop(ring: RingSpec, ac, bc, zero) -> list:
+    out = [zero] * ring.rank
     # `not x` rather than x == 0: mpmath converts the 0 on every comparison
-    for i, ca in enumerate(a.coeffs):
+    for i, ca in enumerate(ac):
         if not ca:
             continue
-        for j, cb in zip(range(ring.fits[i]), b.coeffs):
+        for j, cb in zip(range(ring.fits[i]), bc):
             if not cb:
                 continue
             p = ca * cb   # 1 * ca is ca exactly, so s == 1 keeps the bits
             for k, s in ring.cup_table[(i, j)]:
                 out[k] = out[k] + (p if s == 1 else s * ca * cb)
-    return CohClass(ring, out)
+    return out
 
 
 def exp_cup(a: CohClass, x: CohClass, s) -> CohClass:

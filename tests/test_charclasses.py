@@ -481,9 +481,45 @@ def test_kapranov_euler_pairing_not_orthogonal():
 def test_hurwitz_zeta_against_mpmath():
     for s in [mpf("-0.5"), mpf("0.7"), mpf(2), mpf("3.3")]:
         for a in [mpf("0.5"), mpf(1), mpf("2.25")]:
-            ours = hurwitz_zeta_em(s, a)
+            ours, _ = hurwitz_zeta_em(s, a)
             ref = mpmath.zeta(s, a)
             assert abs(ours - ref) < 1e-25 * (1 + abs(ref))
+
+
+@pytest.mark.parametrize("s", [mpf("-0.5"), mpf(0), 0, mpf("0.7"), mpf(2), mpf("3.3")])
+@pytest.mark.parametrize("a", [mpf("0.5"), mpf(1), mpf("2.25")])
+def test_hurwitz_zeta_and_its_s_derivative_against_mpmath(s, a):
+    value, deriv = hurwitz_zeta_em(s, a)
+    for ours, ref in [(value, mpmath.zeta(s, a)), (deriv, mpmath.zeta(s, a, 1))]:
+        assert abs(ours - ref) < 1e-25 * (1 + abs(ref))
+
+
+ZETA_REG_DELTAS = ["0", "1e-3", "0.5", "1", "2", "1e3", "1e6"]
+ZETA_REG_ZS = ["1e-5", "1e-3", "0.5", "1", "2", "1e3", "1e6"]
+
+
+@pytest.mark.parametrize("delta", ZETA_REG_DELTAS)
+@pytest.mark.parametrize("z", ZETA_REG_ZS)
+def test_zeta_reg_product_against_the_closed_form_at_80_digits(delta, z):
+    delta, z = mpf(delta), mpf(z)
+    num = zeta_reg_reciprocal_product(delta, z)
+    with mp.workdps(80):
+        cf = zeta_reg_closed_form(delta, z)
+        rel = abs(num - cf) / abs(cf)
+    # past delta/z = 1e6, log of the product reaches 2.5e12, and 40 digits
+    # of it leave fewer digits of the product
+    assert rel < (1e-30 if delta / z <= 1e6 else 1e-26)
+
+
+@pytest.mark.parametrize("f", [zeta_reg_reciprocal_product, zeta_reg_closed_form])
+@pytest.mark.parametrize("delta, z", [
+    ("nan", "1"), ("1", "nan"), ("inf", "1"), ("1", "inf"), ("1", "-inf"),
+    ("-inf", "1"), ("-1", "1"), ("1", "0"), ("1", "-1")])
+def test_zeta_reg_refuses_non_finite_and_out_of_range_arguments(f, delta, z):
+    with pytest.raises(ValueError):
+        f(mpf(delta), mpf(z))
+    with pytest.raises(ValueError):
+        f(float(delta), float(z))
 
 
 def test_zeta_reg_grid():

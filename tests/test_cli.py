@@ -1,5 +1,6 @@
 """CLI surface: subcommand behavior, output determinism, exit codes."""
 
+import contextlib
 import csv
 import io
 import json
@@ -15,6 +16,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qgamma import cli, connection
 from qgamma.charclasses import bracket_pairing
@@ -47,6 +49,16 @@ def test_clean_formats_floats():
         clean({"ok": 1.0, "spread": [0.5, float("nan")]})
 
 
+def test_clean_refuses_an_mpmath_value_that_underflows_to_zero():
+    with pytest.raises(OverflowError, match="numeric"):
+        clean({"numeric": mpmath.mpf("1e-400")})
+    with pytest.raises(OverflowError, match="value"):
+        clean({"value": mpmath.mpc("1e-400", "-1e-500")})
+    assert clean({"zero": mpmath.mpf(0), "small": mpmath.mpf("1e-300")}) == {
+        "zero": 0.0, "small": 1e-300}
+    assert clean(mpmath.mpc(1, "1e-400")) == 1.0
+
+
 def test_clean_refuses_a_rational_too_long_to_print():
     # Python refuses str() of an integer past sys.get_int_max_str_digits()
     with pytest.raises(OverflowError, match="value"):
@@ -67,6 +79,33 @@ def test_zetareg_command(capsys):
     payload = json.loads(out)
     assert abs(payload["numeric"] - 0.3989422804) < 1e-9
     assert payload["rel_err"] < 1e-8
+
+
+@pytest.mark.parametrize("delta, z, code", [
+    ("1", "1e6", 0), ("0", "1e-5", 0),
+    # the product is about e^{-1000}: nonzero, but 0.0 as a float
+    ("1", "1e-3", 3)])
+def test_zetareg_far_arguments(capsys, delta, z, code):
+    assert main(["zetareg", "--delta", delta, "--z", z]) == code
+    captured = capsys.readouterr()
+    if code == 0:
+        assert json.loads(captured.out)["rel_err"] < 1e-30
+    else:
+        assert captured.out == ""
+        assert "numeric" in captured.err
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(0, 1e6), st.floats(1e-5, 1e6))
+def test_zetareg_answers_or_refuses_the_float_range(delta, z):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["zetareg", "--delta", repr(delta), "--z", repr(z)])
+    assert code in (0, 3), err.getvalue()
+    if code == 0:
+        assert json.loads(out.getvalue())["rel_err"] < 1e-30
+    else:
+        assert out.getvalue() == ""
 
 
 def test_limit_command(capsys):

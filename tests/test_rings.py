@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mpc, mpf
 
-from qgamma import charclasses, rings, symfunc
+from qgamma import charclasses, connection, rings, symfunc
 from qgamma.rings import (build_ring, compound, cup, exp_cup, poincare_pair,
                           partitions_in_box, box_complement, satake,
                           normalize_partition, wedge_exponents)
@@ -424,3 +424,18 @@ def test_cup_is_the_per_entry_product_bit_for_bit(N, r, lr):
         ch, kap = charclasses.ch_schur(nu, ring), charclasses.kapranov_ch(nu, ring)
         for a, b in [(gam, kap), (kap, kap), (ch, ch), (ch, charclasses.ch_schur((2, 1), ring))]:
             assert repr(cup(a, b).coeffs) == repr(_cup_per_entry(a, b))
+
+
+@pytest.mark.parametrize("kind,N,r", [("G", 6, 3), ("G", 7, 2), ("P", 6, 1)])
+def test_exact_cup_over_one_denominator_is_the_fraction_loop(kind, N, r):
+    # the Fraction classes the exact layer cups: Chern characters, their
+    # duals, Todd, the unit, and the P^{N-1} factors of j_closed_form_P
+    ring = build_ring(kind, N, r)
+    chs = [charclasses.ch_schur(nu, ring) for nu in ring.basis]
+    classes = chs + [charclasses.scale_degrees(chs[-1], -1), charclasses.todd_class(ring),
+                     ring.unit()]
+    if kind == "P":
+        inverses = connection.rising_inverses(ring, 1, Fraction(1))
+        classes += [next(inverses) for _ in range(4)]
+    for a, b in itertools.product(classes, repeat=2):
+        assert repr(cup(a, b).coeffs) == repr(_cup_per_entry(a, b))
