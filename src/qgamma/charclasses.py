@@ -16,9 +16,10 @@ once, then one dot per pairing.  The Gamma-basis classes Gamma-hat Ch(S^nu V*)
 and their normalized Satake images are built once per ring, nu and precision;
 the Satake twist e^{-(r-1) pi i sigma_1} acts as e^{-(r-1) pi i h} on each
 P^{N-1} factor.  The Grassmannian closed form of the Gamma class is an
-independent route: a truncated polynomial in the Chern roots x_1..x_r with
-mpmath scalars, the product of one series in each x_j and one series in
-x_i - x_j per pair i < j, re-expanded in the Schur basis.  The
+independent route through the bialternant: its product over the Chern roots
+times the Vandermonde is an alternant, det[F_{r-j}(x_i)] of one-variable
+series, so each Schur coefficient is one r x r minor of their coefficient
+rows (`rings.compound`), with no polynomial in r variables.  The
 zeta-regularized product takes zeta(0, a) and its exact s-derivative from one
 Euler-Maclaurin pass of the Hurwitz zeta.
 """
@@ -32,9 +33,8 @@ from math import comb, factorial
 from mpmath import (mp, mpc, mpf, gamma as mp_gamma, bernoulli, bernfrac, exp as mp_exp,
                     fprod, log as mp_log, sqrt as mp_sqrt, power as mp_power, zeta)
 
-from . import symfunc
-from .rings import (RingSpec, CohClass, build_ring, cup, exp_cup, normalize_partition,
-                    same_ring, satake, wedge_exponents)
+from .rings import (RingSpec, CohClass, build_ring, compound, cup, exp_cup,
+                    normalize_partition, same_ring, satake, wedge_exponents)
 
 mp.dps = 40
 
@@ -46,14 +46,6 @@ def log_gamma_coeffs(order: int) -> list:
     for k in range(2, order + 1):
         coeffs.append((-1) ** k * zeta(k) / k)
     return coeffs
-
-
-def _to_cohclass(ring: RingSpec, poly) -> CohClass:
-    expansion = symfunc.schur_expand(poly, ring.r, ring.cols, ring.dim)
-    out = [mpf(0)] * ring.rank
-    for lam, c in expansion.items():
-        out[ring.index[lam]] = c
-    return CohClass(ring, out)
 
 
 _CLASS_CACHE: dict = {}
@@ -172,31 +164,36 @@ def _ch_schur(ring: RingSpec, nu: tuple) -> CohClass:
 def gamma_G_closed_form(r: int, N: int) -> CohClass:
     """(2 pi i)^{-C(r,2)} e^{-(r-1) pi i sigma_1}
     prod_{i<j} (e^{2 pi i x_i} - e^{2 pi i x_j})/(x_i - x_j)
-    prod_i Gamma(1 + x_i)^N, reduced to the Schur basis.  An independent
-    route to gamma_class on G(r,N); the two share no cache entry."""
+    prod_i Gamma(1 + x_i)^N, reduced to the Schur basis by the bialternant:
+    each coefficient is an r x r determinant of Taylor coefficients of
+    one-variable series.  An independent route to gamma_class on G(r,N);
+    the two share no cache entry."""
     return _cached("gamma_G_closed_form", _gamma_G_closed_form, build_ring("G", N, r))
 
 
 def _gamma_G_closed_form(ring: RingSpec) -> CohClass:
-    """The product in factors of one and two variables.  A pair i < j gives
-    2 pi i e^{2 pi i x_j} (e^u - 1)/u, u = 2 pi i (x_i - x_j); the C(r,2)
-    factors 2 pi i cancel (2 pi i)^{-C(r,2)}, and the j factors e^{2 pi i x_j}
-    (j from 0) join e^{-(r-1) pi i x_j} and Gamma(1 + x_j)^N in one series."""
-    r, N, cap = ring.r, ring.N, ring.dim
-    two_pi_i = 2j * mp.pi
-    # e^u = sum u^k/k! and (e^u - 1)/u = sum u^k/(k+1)!
-    exp_coeffs = [mpf(1) / factorial(k) for k in range(cap + 2)]
-    lg = log_gamma_coeffs(cap)
-    total = symfunc.poly_const(r, mpc(1))
-    for j in range(r):
-        x_j = tuple(int(k == j) for k in range(r))
-        log_f = {tuple(n * e for e in x_j): N * lg[n] for n in range(1, cap + 1)}
-        log_f[x_j] += (2 * j - (r - 1)) * 1j * mp.pi
-        total = symfunc.poly_mul(total, symfunc.poly_series_of(log_f, r, exp_coeffs, cap), cap)
-        for i in range(j):
-            u = symfunc.poly_linear(r, [(k == i) - (k == j) for k in range(r)], two_pi_i)
-            total = symfunc.poly_mul(total, symfunc.poly_series_of(u, r, exp_coeffs[1:], cap), cap)
-    return _to_cohclass(ring, total)
+    """The pair factors are the Vandermonde of the e^{2 pi i x_i}, so times
+    the Vandermonde prod_{i<j} (x_i - x_j) the product is the alternant
+    (2 pi i)^{-C(r,2)} det[F_{r-j}(x_i)], F_k(x) = e^{(2k-r+1) pi i x}
+    Gamma(1 + x)^N.  By the bialternant the coefficient of s_lam is that of
+    x^{lam + delta} in it: (2 pi i)^{-C(r,2)} times the minor of the
+    coefficient rows of F_0..F_{r-1} at the increasing exponents
+    wedge_exponents(lam, r) (rows and columns both reversed), all below N."""
+    r, N = ring.r, ring.N
+    lg = log_gamma_coeffs(N - 1)
+    rows = []
+    for k in range(r):
+        # g = e^f, f = N log Gamma(1 + x) + (2k-r+1) pi i x: n g_n = sum_m m f_m g_{n-m}
+        f = [N * c for c in lg]
+        f[1] += (2 * k - r + 1) * 1j * mp.pi
+        g = [mpf(1)]
+        for n in range(1, N):
+            g.append(sum(m * f[m] * g[n - m] for m in range(1, n + 1)) / n)
+        rows.append(g)
+    minors = compound(rows, r)
+    top, scale = tuple(range(r)), (2j * mp.pi) ** (-(r * (r - 1) // 2))
+    return CohClass(ring, [minors[top, wedge_exponents(lam, r)[::-1]] * scale
+                           for lam in ring.basis])
 
 
 def kapranov_ch(nu, ring: RingSpec) -> CohClass:

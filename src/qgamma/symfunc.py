@@ -7,9 +7,11 @@ numbers.  A product sorts one factor's terms by degree, so only the pairs
 that fit under the cap are visited.  Symmetric polynomials are expanded in
 the Schur basis by the bialternant: the coefficient of s_lam is that of the
 staircase monomial x^(lam + delta) in p times the Vandermonde, read from r!
-coefficients of p.  They serve one route kept as an independent check of
-the ring arithmetic, the Grassmannian closed-form Gamma class, built from
-series in one or two of the variables through poly_series_of.
+coefficients of p.  No route of the package multiplies polynomials in r
+variables any more; this module serves the tests' oracles (Schur products,
+products over the Chern roots, tableau weights, the product form of the
+Grassmannian closed-form Gamma class) and the benchmark's probe, which
+replays the Schur products of the cup table.
 """
 
 from __future__ import annotations
@@ -20,23 +22,6 @@ from operator import add, sub
 
 Expt = tuple[int, ...]
 Poly = dict[Expt, object]
-
-
-def poly_const(r: int, c) -> Poly:
-    return {(0,) * r: c}
-
-
-def poly_add(p: Poly, q: Poly) -> Poly:
-    out = dict(p)
-    for e, c in q.items():
-        out[e] = out.get(e, 0) + c
-    return {e: c for e, c in out.items() if c != 0}
-
-
-def poly_scale(p: Poly, c) -> Poly:
-    if c == 0:
-        return {}
-    return {e: v * c for e, v in p.items()}
 
 
 def poly_mul(p: Poly, q: Poly, degree_cap: int) -> Poly:
@@ -50,37 +35,6 @@ def poly_mul(p: Poly, q: Poly, degree_cap: int) -> Poly:
             e = tuple(map(add, e1, e2))
             out[e] = out.get(e, 0) + c1 * c2
     return {e: c for e, c in out.items() if c != 0}
-
-
-def poly_linear(r: int, coeffs, scalar=1) -> Poly:
-    """scalar * (c_1 x_1 + ... + c_r x_r) as a Poly."""
-    out: Poly = {}
-    for i, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        e = [0] * r
-        e[i] = 1
-        out[tuple(e)] = out.get(tuple(e), 0) + c * scalar
-    return {e: c for e, c in out.items() if c != 0}
-
-
-def poly_series_of(p: Poly, r: int, series_coeffs, degree_cap: int) -> Poly:
-    """Compose a univariate power series sum_k a_k u^k with u = p (no
-    constant term)."""
-    if p.get((0,) * r, 0) != 0:
-        raise ValueError("composition needs a polynomial without constant term")
-    out: Poly = {}
-    power = poly_const(r, 1)
-    for k, a in enumerate(series_coeffs):
-        if k > degree_cap:
-            break
-        if k > 0:
-            power = poly_mul(power, p, degree_cap)
-            if not power:
-                break
-        if a != 0:
-            out = poly_add(out, poly_scale(power, a))
-    return out
 
 
 def vandermonde(r: int) -> Poly:

@@ -185,7 +185,7 @@ def criterion_10():
             cf = zeta_reg_closed_form(delta, z)
             worst = max(worst, float(abs(num - cf) / abs(cf)))
     return {"id": 10, "name": "Zeta-regularized product",
-            "passed": worst < 1e-8, "details": {"max_rel_err": worst}}
+            "passed": worst < 1e-30, "details": {"max_rel_err": worst}}
 
 
 def criterion_11():

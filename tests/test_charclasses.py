@@ -11,7 +11,8 @@ import pytest
 from mpmath import mp, mpf, mpc
 
 from qgamma import charclasses, symfunc, verify
-from test_symfunc import poly_inv
+from test_symfunc import (_to_cohclass, poly_add, poly_const, poly_inv, poly_linear,
+                         poly_scale, poly_series_of)
 from qgamma.mrs import (SOB, beilinson_gamma_mrs, euler_matrix, gram, integer_gram,
                         kapranov_gamma_mrs)
 from qgamma.rings import CohClass, build_ring, cup, exp_cup, poincare_pair
@@ -83,11 +84,10 @@ def _gamma_over_roots(ring, roots):
     for v, mult in roots:
         if all(c == 0 for c in v):
             continue
-        lin = symfunc.poly_linear(ring.r, v, mpf(1))
-        total = symfunc.poly_add(total, symfunc.poly_scale(
-            symfunc.poly_series_of(lin, ring.r, lg, cap), mult))
+        lin = poly_linear(ring.r, v, mpf(1))
+        total = poly_add(total, poly_scale(poly_series_of(lin, ring.r, lg, cap), mult))
     exp_coeffs = [mpf(1) / math.factorial(k) for k in range(cap + 1)]
-    return charclasses._to_cohclass(ring, symfunc.poly_series_of(total, ring.r, exp_coeffs, cap))
+    return _to_cohclass(ring, poly_series_of(total, ring.r, exp_coeffs, cap))
 
 
 @pytest.mark.parametrize("kind,N,r", [("P", N, 1) for N in range(2, 6)]
@@ -107,11 +107,11 @@ def _todd_over_roots(ring, roots):
     r, cap = ring.r, ring.dim
     # (1 - e^{-u}) / u = sum_k (-u)^k / (k+1)!
     d_coeffs = [Fraction((-1) ** k, math.factorial(k + 1)) for k in range(cap + 1)]
-    total = symfunc.poly_const(r, Fraction(1))
+    total = poly_const(r, Fraction(1))
     for v, mult in roots:
         if not any(v):
             continue
-        d = symfunc.poly_series_of(symfunc.poly_linear(r, v, Fraction(1)), r, d_coeffs, cap)
+        d = poly_series_of(poly_linear(r, v, Fraction(1)), r, d_coeffs, cap)
         factor = poly_inv(d, r, cap) if mult > 0 else d
         for _ in range(abs(mult)):
             total = symfunc.poly_mul(total, factor, cap)
@@ -136,8 +136,7 @@ def _ch_over_ssyt_weights(shape, ring):
     exp_coeffs = [Fraction(1, math.factorial(k)) for k in range(cap + 1)]
     total = {}
     for w in symfunc.ssyt_monomials(shape, r):
-        total = symfunc.poly_add(total, symfunc.poly_series_of(
-            symfunc.poly_linear(r, w, Fraction(1)), r, exp_coeffs, cap))
+        total = poly_add(total, poly_series_of(poly_linear(r, w, Fraction(1)), r, exp_coeffs, cap))
     return symfunc.schur_expand(total, r, ring.cols, cap)
 
 
@@ -327,16 +326,49 @@ def test_criterion_5_builds_each_closed_form_once(monkeypatch):
 def test_gamma_g_closed_form_matches_generic():
     for r, N in [(1, 4), (2, 4), (2, 5), (3, 4), (4, 5), (3, 6), (3, 7)]:
         assert _max_gap(gamma_class(build_ring("G", N, r)), gamma_G_closed_form(r, N)) < 1e-30
+    # up to the top of the range, binom(N, r) <= 300, relative to the class
+    for r, N in [(4, 8), (3, 9), (2, 12), (4, 10), (5, 10), (3, 13), (2, 25)]:
+        gam = gamma_class(build_ring("G", N, r))
+        scale = max(abs(c) for c in gam.coeffs)
+        assert _max_gap(gam, gamma_G_closed_form(r, N)) < mpf("1e-35") * scale
 
 
-def test_gamma_g_closed_form_composes_series_in_at_most_two_variables(monkeypatch):
-    compose = symfunc.poly_series_of
+def _gamma_G_by_products(ring):
+    """The closed form as a truncated polynomial in x_1..x_r: one series
+    Gamma(1 + x_j)^N e^{(2j-(r-1)) pi i x_j} per j from 0 and one (e^u - 1)/u,
+    u = 2 pi i (x_i - x_j), per pair i < j (their factors 2 pi i cancel
+    (2 pi i)^{-C(r,2)}, and the e^{2 pi i x_j} join the j-th series),
+    re-expanded in the Schur basis by the bialternant."""
+    r, N, cap = ring.r, ring.N, ring.dim
+    # e^u = sum u^k/k! and (e^u - 1)/u = sum u^k/(k+1)!
+    exp_coeffs = [mpf(1) / math.factorial(k) for k in range(cap + 2)]
+    lg = log_gamma_coeffs(cap)
+    total = poly_const(r, mpc(1))
+    for j in range(r):
+        x_j = tuple(int(k == j) for k in range(r))
+        log_f = {tuple(n * e for e in x_j): N * lg[n] for n in range(1, cap + 1)}
+        log_f[x_j] += (2 * j - (r - 1)) * 1j * mp.pi
+        total = symfunc.poly_mul(total, poly_series_of(log_f, r, exp_coeffs, cap), cap)
+        for i in range(j):
+            u = poly_linear(r, [(k == i) - (k == j) for k in range(r)], 2j * mp.pi)
+            total = symfunc.poly_mul(total, poly_series_of(u, r, exp_coeffs[1:], cap), cap)
+    return _to_cohclass(ring, total)
 
-    def at_most_two(p, r, coeffs, cap):
-        used = {i for e in p for i, k in enumerate(e) if k}
-        assert len(used) <= 2, f"a series composed in the variables {sorted(used)}"
-        return compose(p, r, coeffs, cap)
-    monkeypatch.setattr(symfunc, "poly_series_of", at_most_two)
+
+@pytest.mark.parametrize("r,N", [(2, 4), (2, 5), (3, 6), (3, 7)])
+def test_gamma_g_closed_form_matches_the_product_route(r, N):
+    ring = build_ring("G", N, r)
+    assert _max_gap(_gamma_G_by_products(ring), gamma_G_closed_form(r, N)) < 1e-33
+
+
+def test_gamma_g_closed_form_makes_no_symfunc_call(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the closed form called symfunc")
+    for name, obj in vars(symfunc).items():
+        if callable(obj) and getattr(obj, "__module__", None) == symfunc.__name__:
+            monkeypatch.setattr(symfunc, name, refuse)
+    assert not [name for name, obj in vars(charclasses).items()
+                if getattr(obj, "__module__", None) == symfunc.__name__]
     ring = build_ring("G", 6, 3)
     assert _max_gap(charclasses._gamma_G_closed_form(ring), gamma_class(ring)) < 1e-30
 
@@ -529,7 +561,20 @@ def test_zeta_reg_grid():
             num = zeta_reg_reciprocal_product(delta, z)
             cf = zeta_reg_closed_form(delta, z)
             worst = max(worst, float(abs(num - cf) / abs(cf)))
-    assert worst < 1e-8
+    assert worst < 1e-30
+
+
+def test_criterion_10_fails_a_central_difference_derivative(monkeypatch):
+    # f'(0) by a central difference with step 1e-5, f(s) = z^s zeta(-s, a):
+    # an error near 1e-10 that the exact derivative does not make
+    def central_difference(delta, z):
+        a, h = delta / z + 1, mpf("1e-5")
+        f = [mpmath.power(z, s) * hurwitz_zeta_em(-s, a)[0] for s in (h, -h)]
+        return mpmath.exp(-(f[0] - f[1]) / (2 * h))
+    monkeypatch.setattr(verify, "zeta_reg_reciprocal_product", central_difference)
+    result = verify.criterion_10()
+    assert not result["passed"]
+    assert 1e-14 < result["details"]["max_rel_err"] < 1e-6
 
 
 def test_zeta_reg_value():

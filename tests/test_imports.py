@@ -32,9 +32,13 @@ CALLERS = [*MODULES, *SCRIPTS, *BENCHMARK]
 # over its whole grid)
 TEST_ONLY_PAPER_CONTENT = {"central_charge", "euler_pairing_hrr", "eval_J"}
 # code that only the benchmark reaches: its probe replays the Schur products
-# that build_ring no longer makes, and its rotate and p2_gram bodies call the
-# pairing-callable systems that the integer layer no longer needs
-BENCHMARK_ONLY = {"schur_poly", "ssyt_monomials", "SOB", "gram", "mutate_phase_rotation"}
+# that build_ring no longer makes (Schur polynomials, their products and
+# bialternant expansions; the Grassmannian closed-form Gamma class reads
+# determinants of one-variable series instead), and its rotate and p2_gram
+# bodies call the pairing-callable systems that the integer layer no longer
+# needs
+BENCHMARK_ONLY = {"schur_poly", "ssyt_monomials", "poly_mul", "schur_expand", "vandermonde",
+                  "perm_sign", "SOB", "gram", "mutate_phase_rotation"}
 
 
 def _imported_names(tree):

@@ -4,9 +4,71 @@ import math
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
+from mpmath import mpf
 
-from qgamma.symfunc import (poly_mul, poly_add, poly_const, poly_scale, poly_series_of,
-                            schur_poly, schur_expand, ssyt_monomials, perm_sign, vandermonde)
+from qgamma.rings import CohClass
+from qgamma.symfunc import (poly_mul, schur_poly, schur_expand, ssyt_monomials, perm_sign,
+                            vandermonde)
+
+
+# The helpers below build the tests' polynomial oracles: products over the
+# Chern roots, tableau-weight sums and the product form of the Grassmannian
+# closed-form Gamma class.
+
+def poly_const(r: int, c):
+    return {(0,) * r: c}
+
+
+def poly_add(p, q):
+    out = dict(p)
+    for e, c in q.items():
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c != 0}
+
+
+def poly_scale(p, c):
+    if c == 0:
+        return {}
+    return {e: v * c for e, v in p.items()}
+
+
+def poly_linear(r: int, coeffs, scalar):
+    """scalar * (c_1 x_1 + ... + c_r x_r) as a Poly."""
+    out = {}
+    for i, c in enumerate(coeffs):
+        if c != 0:
+            e = [0] * r
+            e[i] = 1
+            out[tuple(e)] = c * scalar
+    return out
+
+
+def poly_series_of(p, r: int, series_coeffs, degree_cap: int):
+    """Compose a univariate power series sum_k a_k u^k with u = p (no
+    constant term)."""
+    if p.get((0,) * r, 0) != 0:
+        raise ValueError("composition needs a polynomial without constant term")
+    out = {}
+    power = poly_const(r, 1)
+    for k, a in enumerate(series_coeffs):
+        if k > degree_cap:
+            break
+        if k > 0:
+            power = poly_mul(power, p, degree_cap)
+            if not power:
+                break
+        if a != 0:
+            out = poly_add(out, poly_scale(power, a))
+    return out
+
+
+def _to_cohclass(ring, poly):
+    """The symmetric polynomial poly as a class of the Grassmannian ring,
+    through its Schur expansion."""
+    out = [mpf(0)] * ring.rank
+    for lam, c in schur_expand(poly, ring.r, ring.cols, ring.dim).items():
+        out[ring.index[lam]] = c
+    return CohClass(ring, out)
 
 
 def poly_inv(p, r: int, degree_cap: int):
