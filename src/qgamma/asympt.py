@@ -18,7 +18,7 @@ from mpmath import fp, mp, mpf, exp as mp_exp, log as mp_log
 
 from .rings import RingSpec, CohClass, build_ring, cup, exp_cup, poincare_pair
 from .charclasses import gamma_class
-from .connection import j_scaled, rising_inverses
+from .connection import j_scaled, pairing_rows, rising_inverses
 
 
 @dataclass
@@ -89,22 +89,24 @@ def apery_ratios(ring: RingSpec, g: CohClass, n_grid, tol: float = 1e-6) -> Limi
     """<gamma, J_{r_F n}> / <[pt], J_{r_F n}> along n_grid, against the
     Gamma-class target <gamma, Gamma> / <[pt], Gamma>.  g is the Poincare
     dual of gamma (a cohomology class with exact integer coefficients).
-    Raises OverflowError at the first row n! J_n not finite in float64."""
-    if not apery_precondition(ring, g):
-        raise ValueError("c1 cap gamma != 0; Apery limit needs a primitive class")
+    Each ratio is the correctly rounded float of the exact ratio of the
+    g-row and the point-row of `connection.pairing_rows`.  Raises ValueError
+    unless c1 cup g = 0, and OverflowError once an exact row has more than
+    sys.get_int_max_str_digits() digits (the limit on printing it)."""
     rf = ring.fano_index
-    rows = j_scaled(ring, rf * max(n_grid))
-    pair_idx = [(j, poincare_pair(g, ring.basis_class(lam))) for j, lam in enumerate(ring.basis)]
-    pair_idx = [(j, c) for j, c in pair_idx if c != 0]
-    values, skipped = [], []
-    for n in n_grid:
-        row = rows[rf * n]
-        denom = row[0]
-        if denom == 0:
-            skipped.append(n)
-            continue
-        num = sum(float(c) * row[j] for j, c in pair_idx)
-        values.append(num / denom)
+    wanted = {rf * n for n in n_grid}
+    rows = zip(pairing_rows(ring, g), pairing_rows(ring, ring.basis_class(ring.top())))
+    limit = sys.get_int_max_str_digits()
+    too_long = 10 ** limit if limit else None
+    ratios = {}
+    for m, ((Yg, dg), (Yp, dp)) in zip(range(max(wanted) + 1), rows):
+        if too_long and any(abs(x) >= too_long for x in (dg, dp, *Yg, *Yp)):
+            raise OverflowError(f"exact rows <g, U_n> pass {limit} digits, "
+                                f"the first at n = {m} (of {max(wanted)})")
+        if m in wanted and Yp[0]:
+            ratios[m] = Yg[0] * dp / (dg * Yp[0])   # int / int rounds correctly
+    values = [ratios[rf * n] for n in n_grid if rf * n in ratios]
+    skipped = [n for n in n_grid if rf * n not in ratios]
     gam = gamma_class(ring)
     target = float(sum(c * poincare_pair(g, ring.basis_class(lam))
                        for lam, c in zip(ring.basis, gam.coeffs) if c != 0) / gam.coeffs[0])

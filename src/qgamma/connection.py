@@ -8,12 +8,17 @@ Bertram's quantum Pieri rule for sigma_1.  The matrix, the spectrum and
 every solve read that record.  One graded solver serves two arithmetic
 paths: the exact recursion runs on integers over one denominator per order
 and checks each order exactly, and a scaled float path (carrying n! J_n
-instead of J_n) serves the long runs used by radius and Apery estimates.
+instead of J_n) serves only the sums of eval_J and limit_ratio.  For a
+class g with c1 cup g = 0 (the point class, or an Apery class) the
+pairings <g, J_n> need only one row of the fundamental solution, which
+`pairing_rows` solves exactly in O(nnz rho) per order; the quantum period
+and the Apery ratios read it.
 """
 
 from __future__ import annotations
 
 import cmath
+import collections
 import itertools
 import math
 import operator
@@ -282,6 +287,76 @@ def fundamental_solution(ring: RingSpec, M: int) -> FundamentalSolution:
     return FundamentalSolution(ring=ring, order=M, U=U, J=J)
 
 
+# --- one exact row: <g, J_n> for c_1 cup g = 0 --------------------------
+
+def _solve_row(m: int, rhs, op: _C1, columns, div=operator.truediv):
+    """Solve v (m - rho) = rhs (m >= 1) for the row v: rho raises degree by
+    one, so v_j = (rhs_j + sum_k v_k rho_kj) / m reads only entries of higher
+    degree, solved before j when columns lists j by decreasing degree.
+    Exact for integers with div = floordiv when m^(dim + 1) divides rhs."""
+    v = [0] * len(rhs)
+    for j in columns:
+        s = rhs[j]
+        for k, c in op.rho_cols[j]:
+            x = v[k]
+            if x:
+                s += x * c
+        if s:
+            v[j] = div(s, m)
+    return v
+
+
+def _check_row(m: int, v, rhs, op: _C1):
+    """Raise ArithmeticError unless v (m - rho) == rhs exactly."""
+    for j, col in enumerate(op.rho_cols):
+        s = m * v[j] - sum(v[k] * c for k, c in col) - rhs[j]
+        if s:
+            raise ArithmeticError(f"row solve at order {m}: residual {s} at column {j}")
+
+
+def pairing_rows(ring: RingSpec, g: CohClass):
+    """Yield (Y_n, d_n) for n = 0, 1, 2, ...: the row w U_n = Y_n / d_n of
+    the inverse series, with w = ((g, sigma_j))_j, Y_n an integer list over
+    one d_n in lowest terms; <g, J_n> = Y_n[0] / d_n.  g has int or Fraction
+    coefficients.
+
+    When c_1 cup g = 0, w rho = 0, so multiplying m U_m + [rho, U_m] =
+    U_{m-N} G_N by w on the left closes it on the row:
+    w U_m (m - rho) = w U_{m-N} G_N.  The right-hand side is scaled by
+    d_{m-N} m^(dim + 1), so every division of the back-substitution is exact,
+    and each order is checked exactly.  Raises ValueError unless c_1 cup g = 0."""
+    op = _c1_operator(ring)
+    w = [g.coeffs[j] for j in ring.dual]
+    d = math.lcm(*(c.denominator for c in w))
+    w = [int(c * d) for c in w]
+    if any(sum(w[k] * c for k, c in col) for col in op.rho_cols):
+        raise ValueError("c1 cup g != 0: <g, J_n> closes on one row only for "
+                         "a class with c1 cap gamma = 0")
+    degs = ring.degrees()
+    columns = sorted(range(ring.rank), key=lambda j: -degs[j])
+    q = math.gcd(d, *w)
+    return _rows(ring.N, ring.dim + 1, op, columns, ([x // q for x in w], d // q))
+
+
+def _rows(N: int, levels: int, op: _C1, columns, first):
+    """The generator behind pairing_rows, from its first row (Y_0, d_0)."""
+    last = collections.deque([first], maxlen=N)   # orders m - N .. m - 1
+    yield first
+    for m in itertools.count(1):
+        if m < N or not any(last[0][0]):
+            row = ([0] * len(op.rho_cols), 1)
+        else:
+            Y, d = last[0]
+            scale = m ** levels
+            rhs = [scale * sum(Y[k] * c for k, c in col) for col in op.gn_cols]
+            X = _solve_row(m, rhs, op, columns, operator.floordiv)
+            _check_row(m, X, rhs, op)
+            q = math.gcd(d * scale, *X)
+            row = ([x // q for x in X], d * scale // q)
+        last.append(row)
+        yield row
+
+
 # --- J-function ----------------------------------------------------------
 
 def j_coefficients(ring: RingSpec, nmax: int) -> list:
@@ -337,10 +412,25 @@ def j_closed_form_P(N: int, nmax: int) -> list:
 
 
 def quantum_period(ring: RingSpec, nmax: int, exact: bool = True):
-    """G_n = <[pt], J_n> = degree-0 component of J_n."""
+    """G_n = <[pt], J_n>, the degree-0 component of J_n, for n = 0..nmax,
+    read off the exact row of the point class (`pairing_rows`).  exact:
+    Fractions; otherwise the scaled terms n! G_n, each the correctly rounded
+    float64 of the exact term.  Raises OverflowError at the first n whose
+    n! G_n is not finite in float64, before solving any later order."""
+    if nmax < 0:
+        raise ValueError(f"order must be >= 0, got {nmax}")
+    rows = itertools.islice(pairing_rows(ring, ring.basis_class(ring.top())), nmax + 1)
     if exact:
-        return [J.coeffs[0] for J in j_coefficients(ring, nmax)]
-    return [row[0] for row in j_scaled(ring, nmax)]   # scaled: n! G_n
+        return [Fraction(Y[0], d) for Y, d in rows]
+    out, fact = [], 1
+    for n, (Y, d) in enumerate(rows):
+        fact *= max(n, 1)
+        try:
+            out.append(Y[0] * fact / d)   # int / int rounds correctly
+        except OverflowError:
+            raise OverflowError("non-finite float64 terms n! G_n, "
+                                f"the first at n = {n}") from None
+    return out
 
 
 def central_charge(ch: CohClass, t, nmax: int):

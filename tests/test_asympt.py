@@ -2,6 +2,7 @@
 and the Mellin-Barnes solution Psi."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -68,9 +69,10 @@ def test_radius_g25():
 
 
 def test_radius_refuses_non_finite_terms():
-    # the float rows n! J_n of P^3 overflow from n = 500 on, so the period
-    # to order 600 is refused before the radius sees it
-    with pytest.raises(OverflowError, match="the first at n = 500"):
+    # n! G_n = (4k)! / (k!)^4 at n = 4k on P^3 overflows float64 from
+    # n = 520 on, so the period to order 600 is refused before the radius
+    # sees it
+    with pytest.raises(OverflowError, match="the first at n = 520"):
         quantum_period(build_ring("P", 4), 600, exact=False)
     with pytest.raises(OverflowError):
         radius_estimate([1.0] * 150 + [math.nan] + [1.0] * 49)
@@ -83,11 +85,14 @@ def test_eval_j_and_apery_refuse_overflowing_rows():
         eval_J(P3, 40.0, 600)
     with pytest.raises(OverflowError, match="the first at n = 500"):
         limit_ratio(P3, [40, 60])
-    # G(2,5): rows r_F n = 100 and 400; j_scaled stops at the first
-    # non-finite row between them
+    # the Apery ratios read exact rows: at r_F n = 100 and 400 they
+    # converge, and they are refused once the rows pass the printable digits
+    # (near order 1865 on G(2,5))
     g = G25.basis_class((3, 1)) - G25.basis_class((2, 2))
-    with pytest.raises(OverflowError, match="the first at n = 330"):
-        apery_ratios(G25, g, [20, 80])
+    rep = apery_ratios(G25, g, [20, 80])
+    assert rep.converged and rep.notes["gap"] == 0.0
+    with pytest.raises(OverflowError, match=f"pass {sys.get_int_max_str_digits()} digits"):
+        apery_ratios(G25, g, [20, 400])
 
 
 def test_psi_n1_exponential():

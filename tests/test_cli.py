@@ -163,7 +163,8 @@ def test_negative_nmax_exit_1(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["limit", "--target", "P(3)", "--t", "40,60"],
-    ["apery", "--target", "G(2,5)", "--n-grid", "20,80"],
+    # the exact Apery rows pass the printable digits near order 1865
+    ["apery", "--target", "G(2,5)", "--n-grid", "20,400"],
     # non-finite results: never Infinity or NaN in the JSON
     pytest.param(["zetareg", "--delta", "1e300", "--z", "1"], id="zetareg-inf"),
     pytest.param(["psi", "--N", "3", "--t", "1e5"], id="psi-inf"),
@@ -178,6 +179,13 @@ def test_float_overflow_exit_3(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("numerics out of range:")
+
+
+def test_apery_converges_where_the_float_j_overflowed(capsys):
+    # orders 100 and 400: the float rows n! J_n overflowed from n = 330
+    assert main(["apery", "--target", "G(2,5)", "--n-grid", "20,80"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["converged"] is True and out["gap"] == 0.0
 
 
 def test_exact_output_too_long_to_print_exit_3(capsys):
@@ -446,6 +454,7 @@ NUMPY_FREE_COMMANDS = [
     ["gamma", "--target", "G(2,4)"],
     ["jfun", "--target", "G(2,4)", "--nmax", "6"],
     ["period", "--target", "P(2)", "--nmax", "6"],
+    ["apery", "--target", "G(2,5)"],
     ["stokes", "--target", "P(2)", "--phase", "-1.87"],
     ["mutate", "--target", "P(2)", "--phase", "-1.87", "--to", "-20"],
     ["zetareg", "--delta", "1", "--z", "1"]]

@@ -12,11 +12,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf, pi as mp_pi, exp as mp_exp, mpc
 
-from qgamma.rings import CohClass, build_ring, cup, normalize_partition
+from qgamma.rings import CohClass, build_ring, cup, normalize_partition, poincare_pair
 from qgamma.connection import (c1_matrix, spectrum, spectrum_closed_form,
                                fundamental_solution, j_coefficients, j_scaled,
                                j_closed_form_P, rising_inverses, quantum_period,
-                               central_charge, multiset_distance,
+                               central_charge, multiset_distance, pairing_rows,
                                _c1_operator, _mat_zero, _solve_graded, identity)
 from qgamma import connection
 from qgamma.wedgecheck import check_wedge_spectrum
@@ -481,6 +481,114 @@ def test_quantum_period_g24():
     gs = quantum_period(G24, 8)
     assert gs[0] == 1 and gs[4] == 2 and gs[8] == Fraction(3, 8)
     assert all(gs[n] == 0 for n in range(9) if n % 4)
+
+
+# --- the exact row of a class g with c1 cup g = 0 ---------------------------
+
+SMALL_TARGETS = ([("P", N, 1) for N in range(2, 36)]
+                 + [("G", N, r) for N in range(4, 9) for r in range(2, N - 1)
+                    if math.comb(N, r) <= 35])
+
+
+def _rows(ring, g, M):
+    return list(itertools.islice(pairing_rows(ring, g), M + 1))
+
+
+@pytest.mark.parametrize("kind,N,r", SMALL_TARGETS,
+                         ids=[f"{k}{r},{N}" for k, N, r in SMALL_TARGETS])
+def test_point_row_matches_the_column_recursion(kind, N, r):
+    ring = build_ring(kind, N, r)
+    J = j_coefficients(ring, 3 * N)
+    assert quantum_period(ring, 3 * N) == [Jn.coeffs[0] for Jn in J]
+    for Y, d in _rows(ring, ring.basis_class(ring.top()), 3 * N):
+        assert type(d) is int and d >= 1 and all(type(y) is int for y in Y)
+        assert math.gcd(d, *Y) == 1
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5])
+def test_point_row_matches_the_column_recursion_to_order_600(N):
+    ring = build_ring("P", N)
+    assert quantum_period(ring, 600) == [Jn.coeffs[0] for Jn in j_coefficients(ring, 600)]
+
+
+def test_apery_row_matches_the_column_recursion():
+    g = G25.basis_class((3, 1)) - G25.basis_class((2, 2))
+    J = j_coefficients(G25, 200)
+    rows = _rows(G25, g, 200)
+    assert [Fraction(Y[0], d) for Y, d in rows] == [poincare_pair(g, Jn) for Jn in J]
+    # Fraction coefficients: the row of g / 2 is half the row of g
+    halves = _rows(G25, Fraction(1, 2) * g, 200)
+    assert [[Fraction(y, 2 * d) for y in Y] for Y, d in rows] == \
+        [[Fraction(y, d) for y in Y] for Y, d in halves]
+
+
+def _kernel_of_c1(ring) -> list:
+    """An integer basis of the classes g with c1 cup g = 0, by Fraction
+    row reduction of the matrix of c1 cup."""
+    n = ring.rank
+    cols = [cup(ring.c1(), ring.basis_class(lam)).coeffs for lam in ring.basis]
+    rows = [[Fraction(cols[j][i]) for j in range(n)] for i in range(n)]
+    pivots, k = [], 0
+    for j in range(n):
+        p = next((i for i in range(k, n) if rows[i][j]), None)
+        if p is None:
+            continue
+        rows[k], rows[p] = rows[p], rows[k]
+        rows[k] = [x / rows[k][j] for x in rows[k]]
+        for i in range(n):
+            if i != k and rows[i][j]:
+                rows[i] = [a - rows[i][j] * b for a, b in zip(rows[i], rows[k])]
+        pivots.append(j)
+        k += 1
+    basis = []
+    for f in (j for j in range(n) if j not in pivots):
+        v = [Fraction(0)] * n
+        v[f] = Fraction(1)
+        for i, j in enumerate(pivots):
+            v[j] = -rows[i][f]
+        scale = math.lcm(*(x.denominator for x in v))
+        basis.append([int(x * scale) for x in v])
+    return basis
+
+
+KERNEL_RINGS = [G25, build_ring("G", 6, 2), G36]
+_KERNELS = {id(ring): _kernel_of_c1(ring) for ring in KERNEL_RINGS}
+_U = {id(ring): fundamental_solution(ring, 3 * ring.N).U for ring in KERNEL_RINGS}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(KERNEL_RINGS), st.data())
+def test_random_kernel_class_rows_match_the_column_recursion(ring, data):
+    kernel = _KERNELS[id(ring)]
+    assert len(kernel) >= 2 and all(cup(ring.c1(), CohClass(ring, v)).coeffs == [0] * ring.rank
+                                    for v in kernel)
+    a = data.draw(st.lists(st.integers(-20, 20), min_size=len(kernel), max_size=len(kernel)))
+    g = CohClass(ring, [sum(x * v[i] for x, v in zip(a, kernel)) for i in range(ring.rank)])
+    w = [g.coeffs[j] for j in ring.dual]   # w_j = (g, sigma_j)
+    for (Y, d), (U, e) in zip(_rows(ring, g, 3 * ring.N), _U[id(ring)]):
+        want = [Fraction(sum(w[i] * U[i][j] for i in range(ring.rank)), e)
+                for j in range(ring.rank)]
+        assert [Fraction(y, d) for y in Y] == want
+
+
+def test_pairing_rows_need_c1_cup_g_zero():
+    for g in [G25.basis_class((2,)), G25.unit(), P2.basis_class((1,))]:
+        with pytest.raises(ValueError, match="c1 cup g != 0"):
+            pairing_rows(g.ring, g)
+
+
+def test_corrupted_row_solve_raises(monkeypatch):
+    solve = connection._solve_row
+
+    def corrupted(m, rhs, op, columns, div):
+        v = solve(m, rhs, op, columns, div)
+        v[-1] += 1
+        return v
+
+    monkeypatch.setattr(connection, "_solve_row", corrupted)
+    for exact in [True, False]:
+        with pytest.raises(ArithmeticError, match="row solve at order 3"):
+            quantum_period(P2, 9, exact=exact)
 
 
 def test_central_charge_p1():
