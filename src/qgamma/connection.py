@@ -289,11 +289,11 @@ def fundamental_solution(ring: RingSpec, M: int) -> FundamentalSolution:
 
 # --- one exact row: <g, J_n> for c_1 cup g = 0 --------------------------
 
-def _solve_row(m: int, rhs, op: _C1, columns, div=operator.truediv):
-    """Solve v (m - rho) = rhs (m >= 1) for the row v: rho raises degree by
-    one, so v_j = (rhs_j + sum_k v_k rho_kj) / m reads only entries of higher
-    degree, solved before j when columns lists j by decreasing degree.
-    Exact for integers with div = floordiv when m^(dim + 1) divides rhs."""
+def _solve_row(m: int, rhs, op: _C1, columns):
+    """Solve v (m - rho) = rhs (m >= 1) for the integer row v: rho raises
+    degree by one, so v_j = (rhs_j + sum_k v_k rho_kj) / m reads only entries
+    of higher degree, solved before j when columns lists j by decreasing
+    degree.  Exact when m^(dim + 1) divides rhs."""
     v = [0] * len(rhs)
     for j in columns:
         s = rhs[j]
@@ -302,7 +302,7 @@ def _solve_row(m: int, rhs, op: _C1, columns, div=operator.truediv):
             if x:
                 s += x * c
         if s:
-            v[j] = div(s, m)
+            v[j] = s // m
     return v
 
 
@@ -349,7 +349,7 @@ def _rows(N: int, levels: int, op: _C1, columns, first):
             Y, d = last[0]
             scale = m ** levels
             rhs = [scale * sum(Y[k] * c for k, c in col) for col in op.gn_cols]
-            X = _solve_row(m, rhs, op, columns, operator.floordiv)
+            X = _solve_row(m, rhs, op, columns)
             _check_row(m, X, rhs, op)
             q = math.gcd(d * scale, *X)
             row = ([x // q for x in X], d * scale // q)

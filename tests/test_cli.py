@@ -181,8 +181,7 @@ def test_float_overflow_exit_3(capsys, argv):
     assert captured.err.startswith("numerics out of range:")
 
 
-def test_apery_converges_where_the_float_j_overflowed(capsys):
-    # orders 100 and 400: the float rows n! J_n overflowed from n = 330
+def test_apery_exact_rows_converge_on_g25(capsys):
     assert main(["apery", "--target", "G(2,5)", "--n-grid", "20,80"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["converged"] is True and out["gap"] == 0.0

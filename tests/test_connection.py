@@ -580,8 +580,8 @@ def test_pairing_rows_need_c1_cup_g_zero():
 def test_corrupted_row_solve_raises(monkeypatch):
     solve = connection._solve_row
 
-    def corrupted(m, rhs, op, columns, div):
-        v = solve(m, rhs, op, columns, div)
+    def corrupted(m, rhs, op, columns):
+        v = solve(m, rhs, op, columns)
         v[-1] += 1
         return v
 
