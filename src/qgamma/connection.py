@@ -5,23 +5,24 @@ coefficients, quantum periods, and central charges.
 (c_1 *) = rho + q G_N is built in one place, `_c1_operator`, as a sparse
 record: rho = N (sigma_1 cup .) read off the ring's cup table, G_N from
 Bertram's quantum Pieri rule for sigma_1.  The matrix, the spectrum and
-every solve read that record.  One graded solver serves two arithmetic
-paths: the exact recursion runs on integers over one denominator per order
-and checks each order exactly, and a scaled float path (carrying n! J_n
-instead of J_n) serves only the sums of eval_J and limit_ratio.  For a
-class g with c1 cup g = 0 (the point class, or an Apery class) the
-pairings <g, J_n> need only one row of the fundamental solution, which
-`pairing_rows` solves exactly in O(nnz rho) per order; the quantum period
-and the Apery ratios read it.
+every solve read that record.  One back-substitution, `_solve`, solves
+m X + L X - X rho = rhs, and one generator, `_series`, runs the exact
+recursion on it: integers over one denominator per order, each order
+checked exactly.  From the identity (L = rho) it gives U and T; from the
+1 x n start [w] of a class g with c1 cup g = 0 (L = 0, as w rho = 0) it
+gives the row w U_n in O(nnz rho) per order, which `pairing_rows` yields
+for the quantum period and the Apery ratios, refused once a row passes
+the digits Python prints.  A scaled float path (n! J_n instead of J_n) on
+the same `_solve` serves only the sums of eval_J and limit_ratio.
 """
 
 from __future__ import annotations
 
 import cmath
-import collections
 import itertools
 import math
 import operator
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -175,28 +176,24 @@ def multiset_distance(a, b) -> float:
 
 # --- exact fundamental solution -----------------------------------------
 
-def _mat_zero(n):
-    return [[0] * n for _ in range(n)]
-
-
 def identity(n: int) -> list:
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
-def _right_mul(a, cols):
-    """a @ B, with B given by its sparse columns."""
-    return [[sum(row[k] * c for k, c in col) for col in cols] for row in a]
+def _right_mul(a, cols, s):
+    """s a @ B for the scalar s, with B given by its sparse columns."""
+    return [[s * sum(row[k] * c for k, c in col) for col in cols] for row in a]
 
 
-def _left_mul(rows, a):
-    """B @ a, with B given by its sparse rows."""
+def _left_mul(rows, a, s):
+    """s B @ a for the scalar s, with B given by its sparse rows."""
     n = len(a)
-    return [[sum(c * a[k][j] for k, c in row) for j in range(n)] for row in rows]
+    return [[s * sum(c * a[k][j] for k, c in row) for j in range(n)] for row in rows]
 
 
-def _minus_commutator(s, op: _C1, X, i: int, j: int):
-    """s - [rho, X][i][j], skipping zero entries of X."""
-    for k, c in op.rho_rows[i]:
+def _reduce(s, X, left, op: _C1, i: int, j: int):
+    """s - (L X - X rho)[i][j], L given by its sparse rows; skips zeros of X."""
+    for k, c in left[i]:
         x = X[k][j]
         if x:
             s -= c * x
@@ -208,57 +205,53 @@ def _minus_commutator(s, op: _C1, X, i: int, j: int):
     return s
 
 
-def _solve_graded(m: int, rhs, op: _C1, div=operator.truediv):
-    """Solve m X + [rho, X] = rhs (m >= 1); exact for Fractions, and for
-    integers with div = floordiv when m^op.levels divides rhs.
+def _solve(m: int, rhs, left, op: _C1, order, div):
+    """Solve m X + L X - X rho = rhs (m >= 1), L = rho (left = op.rho_rows)
+    or L = 0 (left = [[]], a 1 x n row); exact for Fractions with truediv,
+    and for integers with floordiv when m^levels divides rhs.
 
-    rho raises degree by exactly one, so [rho, X][i][j] reads only entries of
-    X whose deg_i - deg_j is one less.  Visiting (i, j) in op.order finds them
-    already solved: one back-substitution pass, O(n^2 nnz(rho)).  The solution
-    is sum_{l < op.levels} (-ad_rho)^l rhs / m^(l+1), hence integral."""
-    X = _mat_zero(len(rhs))
-    for i, j in op.order:
-        s = _minus_commutator(rhs[i][j], op, X, i, j)
+    rho raises degree by exactly one, so entry (i, j) reads only entries of
+    X whose deg_i - deg_j is one less, solved before it when order lists
+    (i, j) by increasing deg_i - deg_j: one pass, O(nnz(rho)) per row of X.
+    The solution is sum_{l < levels} (-ad)^l rhs / m^(l+1), ad X = L X - X rho."""
+    X = [[0] * len(row) for row in rhs]
+    for i, j in order:
+        s = _reduce(rhs[i][j], X, left, op, i, j)
         if s:
             X[i][j] = div(s, m)
     return X
 
 
-def _check_graded(m: int, X, rhs, op: _C1):
-    """Raise ArithmeticError unless m X + [rho, X] == rhs exactly."""
-    for i, j in op.order:
-        s = _minus_commutator(rhs[i][j] - m * X[i][j], op, X, i, j)
-        if s:
-            raise ArithmeticError(
-                f"graded solve at order {m}: residual {s} at ({i}, {j})")
-
-
-def _graded_series(M: int, N: int, op: _C1, step) -> list:
-    """X_0 = id and m X_m + [rho, X_m] = step(X_{m-N}) for m = 1..M, with
-    X_{m-N} = 0 for m < N.  X_m = Y_m / d_m is kept as the pair (Y_m, d_m)
-    in lowest terms, Y_m an integer matrix; step is linear on integers.  The
-    right-hand side is scaled by d_{m-N} m^op.levels, so every division of
-    the solve is exact, and each solve is checked exactly."""
-    n = len(op.rho_rows)
-    out = [(identity(n), 1)]
-    for m in range(1, M + 1):
-        if m < N or not any(map(any, out[m - N][0])):
-            out.append((_mat_zero(n), 1))
-            continue
-        Y, d = out[m - N]
-        scale = m ** op.levels
-        rhs = [[scale * x for x in row] for row in step(Y)]
-        X = _solve_graded(m, rhs, op, operator.floordiv)
-        _check_graded(m, X, rhs, op)
-        g = math.gcd(d * scale, *(x for row in X for x in row))
-        out.append(([[x // g for x in row] for row in X], d * scale // g))
-    return out
+def _series(first, N: int, op: _C1, step, left, order, levels: int):
+    """Yield X_0 = first, then X_m solving m X_m + L X_m - X_m rho =
+    step(X_{m-N}) (X_{m-N} = 0 for m < N, so X_m = 0 unless N divides m)
+    as (Y_m, d_m), X_m = Y_m / d_m in lowest terms, Y_m an integer matrix;
+    step(Y, s) = s step(Y) is linear on integers.  Scaling the right-hand
+    side by d_{m-N} m^levels makes every division exact; each order is checked."""
+    Y, d = first
+    yield first
+    for m in itertools.count(N, N):
+        for _ in range(N - 1):
+            yield [[0] * len(row) for row in Y], 1
+        if not any(map(any, Y)):
+            Y, d = [[0] * len(row) for row in Y], 1
+        else:
+            scale = m ** levels
+            rhs = step(Y, scale)
+            X = _solve(m, rhs, left, op, order, operator.floordiv)
+            for i, j in order:
+                s = _reduce(rhs[i][j] - m * X[i][j], X, left, op, i, j)
+                if s:
+                    raise ArithmeticError(f"exact solve at order {m}: residual {s} at ({i}, {j})")
+            g = math.gcd(d * scale, *itertools.starmap(math.gcd, X))
+            Y, d = [[x // g for x in row] for row in X], d * scale // g
+        yield Y, d
 
 
 @dataclass
 class FundamentalSolution:
     """The canonical fundamental solution up to `order`.  U and J are
-    computed with it; T is computed by the same graded solver on first
+    computed with it; T is computed by the same exact solver on first
     access, so callers that need only J never build it."""
     ring: RingSpec
     order: int
@@ -272,9 +265,15 @@ class FundamentalSolution:
         m T_m + [rho, T_m] + G_N T_{m-N} = 0."""
         if self._T is None:
             op = _c1_operator(self.ring)
-            self._T = _graded_series(self.order, self.ring.N, op, lambda A: [
-                [-x for x in row] for row in _left_mul(op.gn_rows, A)])
+            self._T = _matrix_series(self.ring, self.order, op,
+                                     lambda A, s: _left_mul(op.gn_rows, A, -s))
         return self._T
+
+
+def _matrix_series(ring: RingSpec, M: int, op: _C1, step) -> list:
+    """Orders 0..M of the series from the identity, with L = rho."""
+    return list(itertools.islice(_series((identity(ring.rank), 1), ring.N, op, step,
+                                         op.rho_rows, op.order, op.levels), M + 1))
 
 
 def fundamental_solution(ring: RingSpec, M: int) -> FundamentalSolution:
@@ -282,49 +281,23 @@ def fundamental_solution(ring: RingSpec, M: int) -> FundamentalSolution:
         raise ValueError(f"order must be >= 0, got {M}")
     op = _c1_operator(ring)
     # inverse series: m U_m + [rho, U_m] = U_{m-N} G_N
-    U = _graded_series(M, ring.N, op, lambda A: _right_mul(A, op.gn_cols))
+    U = _matrix_series(ring, M, op, lambda A, s: _right_mul(A, op.gn_cols, s))
     J = [CohClass(ring, [Fraction(row[0], d) for row in Y]) for Y, d in U]
     return FundamentalSolution(ring=ring, order=M, U=U, J=J)
 
 
 # --- one exact row: <g, J_n> for c_1 cup g = 0 --------------------------
 
-def _solve_row(m: int, rhs, op: _C1, columns):
-    """Solve v (m - rho) = rhs (m >= 1) for the integer row v: rho raises
-    degree by one, so v_j = (rhs_j + sum_k v_k rho_kj) / m reads only entries
-    of higher degree, solved before j when columns lists j by decreasing
-    degree.  Exact when m^(dim + 1) divides rhs."""
-    v = [0] * len(rhs)
-    for j in columns:
-        s = rhs[j]
-        for k, c in op.rho_cols[j]:
-            x = v[k]
-            if x:
-                s += x * c
-        if s:
-            v[j] = s // m
-    return v
-
-
-def _check_row(m: int, v, rhs, op: _C1):
-    """Raise ArithmeticError unless v (m - rho) == rhs exactly."""
-    for j, col in enumerate(op.rho_cols):
-        s = m * v[j] - sum(v[k] * c for k, c in col) - rhs[j]
-        if s:
-            raise ArithmeticError(f"row solve at order {m}: residual {s} at column {j}")
-
-
 def pairing_rows(ring: RingSpec, g: CohClass):
     """Yield (Y_n, d_n) for n = 0, 1, 2, ...: the row w U_n = Y_n / d_n of
-    the inverse series, with w = ((g, sigma_j))_j, Y_n an integer list over
-    one d_n in lowest terms; <g, J_n> = Y_n[0] / d_n.  g has int or Fraction
-    coefficients.
-
-    When c_1 cup g = 0, w rho = 0, so multiplying m U_m + [rho, U_m] =
-    U_{m-N} G_N by w on the left closes it on the row:
-    w U_m (m - rho) = w U_{m-N} G_N.  The right-hand side is scaled by
-    d_{m-N} m^(dim + 1), so every division of the back-substitution is exact,
-    and each order is checked exactly.  Raises ValueError unless c_1 cup g = 0."""
+    the inverse series, w = ((g, sigma_j))_j for g with int or Fraction
+    coefficients, Y_n an integer list over one d_n in lowest terms, so
+    <g, J_n> = Y_n[0] / d_n.  As c_1 cup g = 0 gives w rho = 0, w times the
+    recursion is w U_m (m - rho) = w U_{m-N} G_N: the series from the 1 x n
+    start [w] with L = 0 and levels dim + 1, columns by decreasing degree.
+    Raises ValueError unless c_1 cup g = 0, and OverflowError at the first
+    order with d_n or an entry past sys.get_int_max_str_digits() digits (the
+    limit on printing it), before solving any later order."""
     op = _c1_operator(ring)
     w = [g.coeffs[j] for j in ring.dual]
     d = math.lcm(*(c.denominator for c in w))
@@ -332,29 +305,23 @@ def pairing_rows(ring: RingSpec, g: CohClass):
     if any(sum(w[k] * c for k, c in col) for col in op.rho_cols):
         raise ValueError("c1 cup g != 0: <g, J_n> closes on one row only for "
                          "a class with c1 cap gamma = 0")
-    degs = ring.degrees()
-    columns = sorted(range(ring.rank), key=lambda j: -degs[j])
     q = math.gcd(d, *w)
-    return _rows(ring.N, ring.dim + 1, op, columns, ([x // q for x in w], d // q))
+    series = _series(([[x // q for x in w]], d // q), ring.N, op,
+                     lambda A, s: _right_mul(A, op.gn_cols, s), [[]],
+                     [(i, j) for i, j in op.order if i == 0], ring.dim + 1)
+    return _printable(series, ring.N)
 
 
-def _rows(N: int, levels: int, op: _C1, columns, first):
-    """The generator behind pairing_rows, from its first row (Y_0, d_0)."""
-    last = collections.deque([first], maxlen=N)   # orders m - N .. m - 1
-    yield first
-    for m in itertools.count(1):
-        if m < N or not any(last[0][0]):
-            row = ([0] * len(op.rho_cols), 1)
-        else:
-            Y, d = last[0]
-            scale = m ** levels
-            rhs = [scale * sum(Y[k] * c for k, c in col) for col in op.gn_cols]
-            X = _solve_row(m, rhs, op, columns)
-            _check_row(m, X, rhs, op)
-            q = math.gcd(d * scale, *X)
-            row = ([x // q for x in X], d * scale // q)
-        last.append(row)
-        yield row
+def _printable(series, N: int):
+    """Row 0 of each order, refused once d or an entry reaches 10^limit; only
+    the orders N divides can be nonzero."""
+    limit = sys.get_int_max_str_digits()   # 0: no limit
+    too_long = 10 ** limit
+    for n, ((row,), d) in enumerate(series):
+        if limit and not n % N and max(d, max(row), -min(row)) >= too_long:
+            raise OverflowError(f"exact rows <g, U_n> pass {limit} digits, "
+                                f"the first at n = {n}")
+        yield row, d
 
 
 # --- J-function ----------------------------------------------------------
@@ -366,7 +333,7 @@ def j_coefficients(ring: RingSpec, nmax: int) -> list:
 
 def j_scaled(ring: RingSpec, nmax: int):
     """Float path: row n holds n! * J_n (basis coefficients).  W_m = m! U_m
-    solves m W_m + [rho, W_m] = m!/(m-N)! W_{m-N} G_N on the graded solver.
+    solves m W_m + [rho, W_m] = m!/(m-N)! W_{m-N} G_N by `_solve`.
     Raises OverflowError at the first row not finite in float64."""
     import numpy as np
     n, N = ring.rank, ring.N
@@ -374,11 +341,10 @@ def j_scaled(ring: RingSpec, nmax: int):
     W = [identity(n)]
     for m in range(1, nmax + 1):
         if m < N or not any(map(any, W[m - N])):
-            W.append(_mat_zero(n))
+            W.append([[0] * n for _ in range(n)])
             continue
-        rising = float(math.perm(m, N))
-        rhs = [[rising * x for x in row] for row in _right_mul(W[m - N], op.gn_cols)]
-        W.append(_solve_graded(m, rhs, op))
+        rhs = _right_mul(W[m - N], op.gn_cols, float(math.perm(m, N)))
+        W.append(_solve(m, rhs, op.rho_rows, op, op.order, operator.truediv))
         if not all(math.isfinite(row[0]) for row in W[m]):
             raise OverflowError(f"non-finite float64 rows n! J_n, the first at n = {m}")
     return np.array([[row[0] for row in Wm] for Wm in W], dtype=float)

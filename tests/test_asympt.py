@@ -3,6 +3,7 @@ and the Mellin-Barnes solution Psi."""
 
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -93,6 +94,15 @@ def test_eval_j_and_apery_refuse_overflowing_rows():
     assert rep.converged and rep.notes["gap"] == 0.0
     with pytest.raises(OverflowError, match=f"pass {sys.get_int_max_str_digits()} digits"):
         apery_ratios(G25, g, [20, 400])
+
+
+def test_quantum_period_refuses_rows_too_long_to_print():
+    # G_{3k} = 1 / (k!)^3 on P^2: the point row passes the printable digits
+    # at order 1830, and the period is refused there, not after order 3000
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(OverflowError, match=f"pass {limit} digits, the first at n = 1830"):
+        quantum_period(P2, 3000)
+    assert quantum_period(P2, 1829)[1827] == Fraction(1, math.factorial(609) ** 3)
 
 
 def test_psi_n1_exponential():

@@ -163,8 +163,6 @@ def test_negative_nmax_exit_1(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["limit", "--target", "P(3)", "--t", "40,60"],
-    # the exact Apery rows pass the printable digits near order 1865
-    ["apery", "--target", "G(2,5)", "--n-grid", "20,400"],
     # non-finite results: never Infinity or NaN in the JSON
     pytest.param(["zetareg", "--delta", "1e300", "--z", "1"], id="zetareg-inf"),
     pytest.param(["psi", "--N", "3", "--t", "1e5"], id="psi-inf"),
@@ -188,16 +186,16 @@ def test_apery_exact_rows_converge_on_g25(capsys):
 
 
 def test_exact_output_too_long_to_print_exit_3(capsys):
+    # the point row is refused at its first order past the printable digits
     assert main(["period", "--target", "P(2)", "--nmax", "3000"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == ("numerics out of range: value has more than "
-                            f"{sys.get_int_max_str_digits()} digits\n")
+    assert captured.err == (f"numerics out of range: exact rows <g, U_n> pass "
+                            f"{sys.get_int_max_str_digits()} digits, the first at n = 1830\n")
 
 
 @pytest.mark.parametrize("argv", [
     ["limit", "--target", "P(2)", "--t", "1e5"],             # order 1.8M
-    ["apery", "--target", "G(2,5)", "--n-grid", "100000"],   # order 500k
 ], ids=lambda argv: argv[0])
 def test_float_j_stops_at_its_first_non_finite_row(capsys, argv):
     start = time.perf_counter()
@@ -208,14 +206,42 @@ def test_float_j_stops_at_its_first_non_finite_row(capsys, argv):
     assert "the first at n = " in captured.err
 
 
-def test_failed_self_check_exit_2(capsys, monkeypatch):
-    def fail(*args):
-        raise ArithmeticError("graded solve residual")
-    monkeypatch.setattr(connection, "_check_graded", fail)
-    assert main(["jfun", "--target", "P(2)", "--nmax", "4"]) == 2
+@pytest.mark.parametrize("argv", [
+    ["apery", "--target", "G(2,5)", "--n-grid", "20,400"],     # order 2000
+    ["apery", "--target", "G(2,5)", "--n-grid", "100000"],     # order 500k
+], ids=["order-2000", "order-500k"])
+def test_apery_rows_stop_at_the_printable_digits_exit_3(capsys, argv):
+    # the exact g-row and point row of G(2,5) pass the digits Python prints
+    # at order 1865, which pairing_rows refuses before solving further
+    start = time.perf_counter()
+    assert main(argv) == 3
+    assert time.perf_counter() - start < 5
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("check failed: graded solve residual")
+    assert captured.err.startswith("numerics out of range:")
+    assert (f"pass {sys.get_int_max_str_digits()} digits, the first at n = 1865"
+            in captured.err)
+
+
+def test_failed_self_check_exit_2(capsys, monkeypatch):
+    solve = connection._solve
+
+    def corrupted(m, rhs, left, op, order, div):
+        X = solve(m, rhs, left, op, order, div)
+        X[0][-1] += 1
+        return X
+
+    argvs = [["jfun", "--target", "P(2)", "--nmax", "4"],     # the matrix series U
+             ["period", "--target", "P(2)", "--nmax", "4"]]   # the point row
+    for argv in argvs:
+        assert main(argv) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(connection, "_solve", corrupted)
+    for argv in argvs:
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("check failed: exact solve at order 3: residual")
 
 
 def test_stokes_failure_exit_2(capsys):

@@ -17,7 +17,7 @@ from qgamma.connection import (c1_matrix, spectrum, spectrum_closed_form,
                                fundamental_solution, j_coefficients, j_scaled,
                                j_closed_form_P, rising_inverses, quantum_period,
                                central_charge, multiset_distance, pairing_rows,
-                               _c1_operator, _mat_zero, _solve_graded, identity)
+                               _c1_operator, _solve, identity)
 from qgamma import connection
 from qgamma.wedgecheck import check_wedge_spectrum
 
@@ -26,6 +26,10 @@ P2 = build_ring("P", 3)
 G24 = build_ring("G", 4, 2)
 G25 = build_ring("G", 5, 2)
 G36 = build_ring("G", 6, 3)
+
+
+def _mat_zero(n):
+    return [[0] * n for _ in range(n)]
 
 
 # --- the quantum Pieri oracle ------------------------------------------------
@@ -353,28 +357,41 @@ def test_solve_graded_random_rhs(ring, m, data):
     G0, _ = graded_pieces(ring)
     rho = [[Fraction(x) for x in row] for row in G0]
     want = _neumann_solve(m, rhs, rho)
-    assert _solve_graded(m, rhs, _c1_operator(ring)) == want
+    op = _c1_operator(ring)
+    assert _solve(m, rhs, op.rho_rows, op, op.order, operator.truediv) == want
     # integer path: clear denominators, scale by m^(2 dim + 1), divide exactly
     scale = math.lcm(*(x.denominator for x in entries)) * m ** (2 * ring.dim + 1)
-    Y = _solve_graded(m, [[int(x * scale) for x in row] for row in rhs],
-                      _c1_operator(ring), operator.floordiv)
+    Y = _solve(m, [[int(x * scale) for x in row] for row in rhs],
+               op.rho_rows, op, op.order, operator.floordiv)
     assert all(type(y) is int for row in Y for y in row)
     assert [[Fraction(y, scale) for y in row] for row in Y] == want
+    # a 1 x n row with L = 0: v (m - rho) = r has v = sum_l r rho^l / m^(l+1)
+    r = entries[:n]
+    want_row, term = [Fraction(0)] * n, r
+    for l in range(ring.dim + 1):
+        want_row = [a + b / m ** (l + 1) for a, b in zip(want_row, term)]
+        term = [sum(term[k] * rho[k][j] for k in range(n)) for j in range(n)]
+    assert not any(term)
+    row_order = [(i, j) for i, j in op.order if i == 0]
+    assert _solve(m, [r], [[]], op, row_order, operator.truediv) == [want_row]
+    scale = math.lcm(*(x.denominator for x in r)) * m ** (ring.dim + 1)
+    v = _solve(m, [[int(x * scale) for x in r]], [[]], op, row_order, operator.floordiv)
+    assert [Fraction(y, scale) for y in v[0]] == want_row
 
 
 def test_corrupted_solve_raises(monkeypatch):
-    solve = connection._solve_graded
+    solve = connection._solve
 
-    def corrupted(m, rhs, rho, div):
-        X = solve(m, rhs, rho, div)
+    def corrupted(m, rhs, left, op, order, div):
+        X = solve(m, rhs, left, op, order, div)
         X[-1][0] += 1
         return X
 
     fs = fundamental_solution(P2, 9)
-    monkeypatch.setattr(connection, "_solve_graded", corrupted)
-    with pytest.raises(ArithmeticError):
+    monkeypatch.setattr(connection, "_solve", corrupted)
+    with pytest.raises(ArithmeticError, match="solve at order 3: residual"):
         fundamental_solution(P2, 9)
-    with pytest.raises(ArithmeticError):
+    with pytest.raises(ArithmeticError, match="solve at order 3: residual"):
         fs.T
 
 
@@ -578,16 +595,18 @@ def test_pairing_rows_need_c1_cup_g_zero():
 
 
 def test_corrupted_row_solve_raises(monkeypatch):
-    solve = connection._solve_row
+    solve = connection._solve
 
-    def corrupted(m, rhs, op, columns):
-        v = solve(m, rhs, op, columns)
-        v[-1] += 1
-        return v
+    def corrupted(m, rhs, left, op, order, div):
+        X = solve(m, rhs, left, op, order, div)
+        X[0][-1] += 1
+        return X
 
-    monkeypatch.setattr(connection, "_solve_row", corrupted)
+    # G_{3k} = 1 / (k!)^3 on P^2
+    assert quantum_period(P2, 9) == [1, 0, 0, 1, 0, 0, Fraction(1, 8), 0, 0, Fraction(1, 216)]
+    monkeypatch.setattr(connection, "_solve", corrupted)
     for exact in [True, False]:
-        with pytest.raises(ArithmeticError, match="row solve at order 3"):
+        with pytest.raises(ArithmeticError, match="solve at order 3: residual"):
             quantum_period(P2, 9, exact=exact)
 
 
