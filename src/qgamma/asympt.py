@@ -1,24 +1,29 @@
-"""Limit-taking machinery: the Gamma Conjecture I limit ratio, Apery ratios,
-quantum-period radius estimation, and the Mellin-Barnes solution Psi(t) with
-its three evaluation routes and asymptotic constant.  The Psi series are
-classes of H*(P^{N-1}) = C[h]/(h^N) built from connection.rising_inverses;
-the float quadrature shares none of their arithmetic.  The series keep the
-class left of every mpmath scalar (see CohClass.__mul__).  The quadrature
-computes its Gauss-Legendre nodes and Gamma(s) on them once per (abscissa,
-interval), on first use rather than at import."""
+"""Limit-taking machinery: the Gamma Conjecture I limit ratio, Gamma
+Conjecture II central charges, Apery ratios, quantum-period radius
+estimation, and the Mellin-Barnes solution Psi(t) with its three evaluation
+routes and asymptotic constant.  J(t) has one sum, `_sum_J`, over terms in
+any scalar type: the float rows n! J_n of connection.j_scaled (eval_J,
+limit_ratio) or the exact J_n in mpmath (central_charge).  The Psi series
+are classes of H*(P^{N-1}) = C[h]/(h^N) built from
+connection.rising_inverses; the float quadrature shares none of their
+arithmetic.  The series keep the class left of every mpmath scalar (see
+CohClass.__mul__).  The quadrature computes its Gauss-Legendre nodes and
+Gamma(s) on them once per (abscissa, interval), on first use rather than at
+import."""
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import sys
 from dataclasses import dataclass, field
 
-from mpmath import fp, mp, mpf, exp as mp_exp, log as mp_log
+from mpmath import fp, mp, mpc, mpf, exp as mp_exp, log as mp_log
 
-from .rings import RingSpec, CohClass, build_ring, exp_cup, poincare_pair
-from .charclasses import gamma_class
-from .connection import j_scaled, pairing_rows, rising_inverses
+from .rings import RingSpec, CohClass, build_ring, cup, exp_cup, poincare_pair
+from .charclasses import bracket_pairing, gamma_class, scale_degrees
+from .connection import j_coefficients, j_scaled, pairing_rows, rising_inverses
 
 
 @dataclass
@@ -31,32 +36,37 @@ class LimitReport:
     notes: dict = field(default_factory=dict)
 
 
-# --- J evaluation and the Gamma Conjecture I limit -----------------------
+# --- J(t), the Gamma Conjecture I limit and the central charges ---------
+
+def _sum_J(ring: RingSpec, terms, logt, tol) -> CohClass:
+    """J(t) = e^{c1 log t} sum_n J_n t^n from the terms J_n t^n, n = 0..nmax,
+    as coefficient lists of any scalar type.  Raises ArithmeticError unless
+    the last nonzero term is at most tol (1 + the largest)."""
+    total = [0] * ring.rank
+    biggest = last = 0
+    for n, term in enumerate(terms):
+        if any(term):
+            total = [a + b for a, b in zip(total, term)]
+            last = max(map(abs, term))
+            biggest = max(biggest, last)
+    if last > tol * (1 + biggest):
+        raise ArithmeticError(f"J series tail not converged at nmax={n}")
+    return exp_cup(CohClass(ring, total), ring.c1(), logt)
+
+
+def _float_J(ring: RingSpec, rows, t: float) -> list:
+    """J(t) in float64 from the rows n! J_n of j_scaled, weighted by t^n / n!."""
+    if t <= 0:
+        raise ValueError("t must be positive")
+    weights = itertools.accumulate(range(1, len(rows)), lambda w, n: w * (t / n), initial=1.0)
+    terms = ([x * w for x in row] for row, w in zip(rows, weights))
+    return _sum_J(ring, terms, math.log(t), 1e-13).coeffs
+
 
 def eval_J(ring: RingSpec, t: float, nmax: int):
     """J(t) = e^{c1 log t} sum_n J_n t^n as a list of float coefficients.
     Raises OverflowError at the first row n! J_n not finite in float64."""
-    return _sum_J(ring, j_scaled(ring, nmax), t)
-
-
-def _sum_J(ring: RingSpec, rows, t: float):
-    """e^{c1 log t} sum_n rows[n] t^n / n! for the rows n! J_n of j_scaled."""
-    if t <= 0:
-        raise ValueError("t must be positive")
-    total = 0 * rows[0]
-    weight = 1.0  # t^n / n!
-    biggest = last = 0.0
-    for n, row in enumerate(rows):
-        term = row * weight
-        total += term
-        if row.any():
-            last = abs(term).max()
-            biggest = max(biggest, last)
-        weight *= t / (n + 1)
-    if last > 1e-13 * (1 + biggest):
-        raise ArithmeticError(f"J series tail not converged at nmax={len(rows) - 1}")
-    out = exp_cup(CohClass(ring, total.tolist()), ring.c1(), math.log(t))   # e^{rho log t}
-    return out.coeffs
+    return _float_J(ring, j_scaled(ring, nmax), t)
 
 
 def limit_ratio(ring: RingSpec, t_grid, tol: float = 1e-6) -> LimitReport:
@@ -66,7 +76,7 @@ def limit_ratio(ring: RingSpec, t_grid, tol: float = 1e-6) -> LimitReport:
     rows = j_scaled(ring, nmax)
     values = []
     for t in t_grid:
-        J = _sum_J(ring, rows, t)
+        J = _float_J(ring, rows, t)
         if J[0] == 0:
             raise ArithmeticError(f"degree-0 part of J vanished at t={t}")
         values.append([x / J[0] for x in J])
@@ -75,6 +85,19 @@ def limit_ratio(ring: RingSpec, t_grid, tol: float = 1e-6) -> LimitReport:
     return LimitReport(grid=list(t_grid), values=values, extrapolated=values[-1],
                        target=target, converged=gap < tol,
                        notes={"gap_to_gamma": gap})
+
+
+def central_charge(ch: CohClass, t, nmax: int):
+    """Z(V) = (2 pi i)^{dim} [J(e^{pi i} t), Gamma Ch(V)) for the Chern
+    character ch = ch(V), with log(e^{pi i} t) = log t + pi i, from the exact
+    J_0..J_nmax weighted by e^{n log(e^{pi i} t)} in mpmath."""
+    ring = ch.ring
+    logt = mp_log(mpf(t)) + mpc(0, 1) * mp.pi
+    terms = ([mp_exp(n * logt) * mpf(c.numerator) / mpf(c.denominator) for c in Jn.coeffs]
+             for n, Jn in enumerate(j_coefficients(ring, nmax)))
+    J = _sum_J(ring, terms, logt, mpf("1e-30"))
+    gv = cup(gamma_class(ring), scale_degrees(ch, 2j * mp.pi))   # Ch(V)
+    return mpc(0, 2 * mp.pi) ** ring.dim * bracket_pairing(J, gv)
 
 
 # --- Apery ratios --------------------------------------------------------

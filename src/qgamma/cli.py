@@ -217,7 +217,6 @@ def build_parser() -> Parser:
 
     sp = add("satake", help="wedge spectrum, Kapranov identity, MRS wedge")
     sp.add_argument("--target", required=True, help="G(r,N)")
-    sp.add_argument("--phase", type=_finite_float, default=-0.05)
 
     sp = add("zetareg", help="zeta-regularized product, both routes")
     sp.add_argument("--delta", type=_finite_float, required=True)
@@ -335,7 +334,7 @@ def cmd_satake(args):
     r, N = ring.r, ring.N
     reports = [check_wedge_spectrum(r, N)]
     reports += [check_kapranov_wedge_identity(r, N, nu) for nu in ring.basis]
-    reports.append(check_mrs_wedge(r, N, args.phase))
+    reports.append(check_mrs_wedge(r, N))
     emit({"target": args.target,
           "checks": [{"case": rep.case, "max_residual": rep.max_residual,
                       "pass": rep.passed} for rep in reports]}, args)

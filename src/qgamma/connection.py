@@ -1,6 +1,6 @@
 """The quantum connection at tau = 0: matrix of (c_1 *), spectrum and
 Property O, the recursive canonical fundamental solution, J-function
-coefficients, quantum periods, and central charges.
+coefficients and quantum periods.
 
 (c_1 *) = rho + q G_N is built in one place, `_c1_operator`, as a sparse
 record: rho = N (sigma_1 cup .) read off the ring's cup table, G_N from
@@ -8,12 +8,13 @@ Bertram's quantum Pieri rule for sigma_1.  The matrix, the spectrum and
 every solve read that record.  One back-substitution, `_solve`, solves
 m X + L X - X rho = rhs, and one generator, `_series`, runs the exact
 recursion on it: integers over one denominator per order, each order
-checked exactly.  From the identity (L = rho) it gives U and T; from the
-1 x n start [w] of a class g with c1 cup g = 0 (L = 0, as w rho = 0) it
-gives the row w U_n in O(nnz rho) per order, which `pairing_rows` yields
-for the quantum period and the Apery ratios, refused once a row passes
-the digits Python prints.  A scaled float path (n! J_n instead of J_n) on
-the same `_solve` serves only the sums of eval_J and limit_ratio.
+checked exactly.  From the identity (L = rho) it gives U, T and the J_n of
+`j_coefficients`; from the 1 x n start [w] of a class g with c1 cup g = 0
+(L = 0, as w rho = 0) it gives the row w U_n in O(nnz rho) per order, which
+`pairing_rows` yields for the quantum period and the Apery ratios.  Both J
+and the rows are refused at the first order past the digits Python prints.
+A scaled float path (n! J_n instead of J_n, as Python lists) on the same
+`_solve` gives the rows that `asympt` sums into J(t).
 """
 
 from __future__ import annotations
@@ -26,11 +27,10 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from mpmath import mp, mpc, mpf, exp as mp_exp, log as mp_log
+from mpmath import mp
 
-from .rings import (RingSpec, CohClass, build_ring, cup, exp_cup, normalize_partition,
+from .rings import (RingSpec, CohClass, build_ring, cup, normalize_partition,
                     partitions_in_box, wedge_exponents)
-from .charclasses import gamma_class, scale_degrees, bracket_pairing
 
 
 # --- (c_1 *) on the Schubert basis ----------------------------------------
@@ -265,23 +265,27 @@ class FundamentalSolution:
         m T_m + [rho, T_m] + G_N T_{m-N} = 0."""
         if self._T is None:
             op = _c1_operator(self.ring)
-            self._T = _matrix_series(self.ring, self.order, op,
-                                     lambda A, s: _left_mul(op.gn_rows, A, -s))
+            self._T = list(_matrix_series(self.ring, self.order, op,
+                                          lambda A, s: _left_mul(op.gn_rows, A, -s)))
         return self._T
 
 
-def _matrix_series(ring: RingSpec, M: int, op: _C1, step) -> list:
-    """Orders 0..M of the series from the identity, with L = rho."""
-    return list(itertools.islice(_series((identity(ring.rank), 1), ring.N, op, step,
-                                         op.rho_rows, op.order, op.levels), M + 1))
+def _matrix_series(ring: RingSpec, M: int, op: _C1, step):
+    """Orders 0..M of the series from the identity, with L = rho, lazily."""
+    return itertools.islice(_series((identity(ring.rank), 1), ring.N, op, step,
+                                    op.rho_rows, op.order, op.levels), M + 1)
 
 
 def fundamental_solution(ring: RingSpec, M: int) -> FundamentalSolution:
+    """U and J to order M.  Raises OverflowError at the first J_n with d_n or
+    a numerator past sys.get_int_max_str_digits() digits (the limit on
+    printing it), before solving any later order."""
     if M < 0:
         raise ValueError(f"order must be >= 0, got {M}")
     op = _c1_operator(ring)
     # inverse series: m U_m + [rho, U_m] = U_{m-N} G_N
     U = _matrix_series(ring, M, op, lambda A, s: _right_mul(A, op.gn_cols, s))
+    U = list(_printable(U, ring.N, "J_n", lambda Y: [row[0] for row in Y]))
     J = [CohClass(ring, [Fraction(row[0], d) for row in Y]) for Y, d in U]
     return FundamentalSolution(ring=ring, order=M, U=U, J=J)
 
@@ -309,33 +313,32 @@ def pairing_rows(ring: RingSpec, g: CohClass):
     series = _series(([[x // q for x in w]], d // q), ring.N, op,
                      lambda A, s: _right_mul(A, op.gn_cols, s), [[]],
                      [(i, j) for i, j in op.order if i == 0], ring.dim + 1)
-    return _printable(series, ring.N)
+    return ((row, d) for (row,), d in _printable(series, ring.N, "rows <g, U_n>", lambda Y: Y[0]))
 
 
-def _printable(series, N: int):
-    """Row 0 of each order, refused once d or an entry reaches 10^limit; only
-    the orders N divides can be nonzero."""
+def _printable(series, N: int, name: str, part):
+    """The orders (Y, d) of series, refused once d or an entry of part(Y)
+    reaches 10^limit; only the orders N divides can be nonzero."""
     limit = sys.get_int_max_str_digits()   # 0: no limit
     too_long = 10 ** limit
-    for n, ((row,), d) in enumerate(series):
-        if limit and not n % N and max(d, max(row), -min(row)) >= too_long:
-            raise OverflowError(f"exact rows <g, U_n> pass {limit} digits, "
-                                f"the first at n = {n}")
-        yield row, d
+    for n, (Y, d) in enumerate(series):
+        if limit and not n % N and max(d, *map(abs, part(Y))) >= too_long:
+            raise OverflowError(f"exact {name} pass {limit} digits, the first at n = {n}")
+        yield Y, d
 
 
 # --- J-function ----------------------------------------------------------
 
 def j_coefficients(ring: RingSpec, nmax: int) -> list:
-    """Exact J_0..J_nmax as CohClass with Fraction coefficients."""
+    """Exact J_0..J_nmax as CohClass with Fraction coefficients, refused at
+    the first J_n too long to print (see fundamental_solution)."""
     return fundamental_solution(ring, nmax).J
 
 
-def j_scaled(ring: RingSpec, nmax: int):
-    """Float path: row n holds n! * J_n (basis coefficients).  W_m = m! U_m
-    solves m W_m + [rho, W_m] = m!/(m-N)! W_{m-N} G_N by `_solve`.
-    Raises OverflowError at the first row not finite in float64."""
-    import numpy as np
+def j_scaled(ring: RingSpec, nmax: int) -> list:
+    """Float path: row n holds n! * J_n (basis coefficients, a list of
+    floats).  W_m = m! U_m solves m W_m + [rho, W_m] = m!/(m-N)! W_{m-N} G_N
+    by `_solve`.  Raises OverflowError at the first row not finite in float64."""
     n, N = ring.rank, ring.N
     op = _c1_operator(ring)
     W = [identity(n)]
@@ -347,7 +350,7 @@ def j_scaled(ring: RingSpec, nmax: int):
         W.append(_solve(m, rhs, op.rho_rows, op, op.order, operator.truediv))
         if not all(math.isfinite(row[0]) for row in W[m]):
             raise OverflowError(f"non-finite float64 rows n! J_n, the first at n = {m}")
-    return np.array([[row[0] for row in Wm] for Wm in W], dtype=float)
+    return [[float(row[0]) for row in Wm] for Wm in W]
 
 
 _RISING: dict = {}
@@ -398,28 +401,3 @@ def quantum_period(ring: RingSpec, nmax: int, exact: bool = True):
                                 f"the first at n = {n}") from None
     return out
 
-
-def central_charge(ch: CohClass, t, nmax: int):
-    """Z(V) = (2 pi i)^{dim} [J(e^{pi i} t), Gamma Ch(V)) for the Chern
-    character ch = ch(V), with log(e^{pi i} t) = log t + pi i."""
-    ring = ch.ring
-    J = j_coefficients(ring, nmax)
-    logt = mp_log(mpf(t)) + mpc(0, 1) * mp.pi
-    # sum J_n e^{n log t}
-    total = ring.zero()
-    last = mpf(0)
-    biggest = mpf(0)
-    for n, Jn in enumerate(J):
-        if all(c == 0 for c in Jn.coeffs):
-            continue
-        coeffs = [mp_exp(n * logt) * mpf(c.numerator) / mpf(c.denominator)
-                  for c in Jn.coeffs]
-        term = CohClass(ring, coeffs)
-        total = total + term
-        last = max(abs(c) for c in coeffs)
-        biggest = max(biggest, last)
-    if last > mpf("1e-30") * (1 + biggest):
-        raise ArithmeticError("J series tail not converged at nmax")
-    total = exp_cup(total, ring.c1(), logt)   # e^{rho log t}
-    gv = cup(gamma_class(ring), scale_degrees(ch, 2j * mp.pi))   # Ch(V)
-    return mpc(0, 2 * mp.pi) ** ring.dim * bracket_pairing(total, gv)

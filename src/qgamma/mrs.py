@@ -266,8 +266,8 @@ def beilinson_gamma_mrs(N: int, phase: float = -0.05) -> MRS:
     return gamma_mrs(build_ring("P", N), phase)
 
 
-def kapranov_gamma_mrs(r: int, N: int, phase: float = -0.05) -> MRS:
-    return gamma_mrs(build_ring("G", N, r), phase)
+def kapranov_gamma_mrs(r: int, N: int) -> MRS:
+    return gamma_mrs(build_ring("G", N, r))
 
 
 def euler_matrix(ring: RingSpec) -> list:

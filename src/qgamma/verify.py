@@ -190,8 +190,8 @@ def criterion_10():
 
 def criterion_11():
     """MRS wedge comparison for (2,4) and (2,5)."""
-    r24 = check_mrs_wedge(2, 4, -0.05)
-    r25 = check_mrs_wedge(2, 5, -0.03)
+    r24 = check_mrs_wedge(2, 4)
+    r25 = check_mrs_wedge(2, 5)
     return {"id": 11, "name": "MRS wedge", "passed": r24.passed and r25.passed,
             "details": {"G24_residual": r24.max_residual,
                         "G25_residual": r25.max_residual}}

@@ -46,21 +46,19 @@ def check_kapranov_wedge_identity(r: int, N: int, nu) -> SatakeCheckReport:
                              max_residual=resid, passed=resid < 1e-10)
 
 
-def check_mrs_wedge(r: int, N: int, phi: float = -0.05) -> SatakeCheckReport:
+def check_mrs_wedge(r: int, N: int) -> SatakeCheckReport:
     """The Gram of the Kapranov-Gamma MRS of G(r,N) against the r-th compound
     of the Gram of the Beilinson-Gamma MRS of P^{N-1}: both Grams rounded to
     integers, each must equal the exact euler_matrix of its ring, the former
     being the compound of the latter read at wedge_exponents.  The residual
-    is the larger rounding error, or the largest integer mismatch."""
-    mK = mrsmod.kapranov_gamma_mrs(r, N, phase=phi)
-    if not mrsmod.is_admissible(mK.markings, phi):
-        raise ValueError(f"phase {phi} not admissible for the summed markings")
+    is the larger rounding error, or the largest integer mismatch.  Both
+    Grams are compared in basis order, so no phase enters."""
     resid = 0.0
-    for m, ring in [(mK, build_ring("G", N, r)),
-                    (mrsmod.beilinson_gamma_mrs(N, phase=phi), build_ring("P", N))]:
+    for m, ring in [(mrsmod.kapranov_gamma_mrs(r, N), build_ring("G", N, r)),
+                    (mrsmod.beilinson_gamma_mrs(N), build_ring("P", N))]:
         ints, err = mrsmod.integer_gram(m)
         mismatch = max(abs(a - b) for row, want in zip(ints, mrsmod.euler_matrix(ring))
                        for a, b in zip(row, want))
         resid = max(resid, err, float(mismatch))
-    return SatakeCheckReport(case=f"mrs-wedge G({r},{N}) phi={phi}",
+    return SatakeCheckReport(case=f"mrs-wedge G({r},{N})",
                              max_residual=resid, passed=resid < 1e-8)

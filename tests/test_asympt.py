@@ -13,7 +13,7 @@ from qgamma import asympt, charclasses
 from qgamma.rings import CohClass, build_ring, cup, poincare_pair
 from qgamma.charclasses import gamma_class
 from qgamma.connection import spectrum, quantum_period, j_scaled
-from qgamma.asympt import (eval_J, limit_ratio, apery_precondition,
+from qgamma.asympt import (eval_J, limit_ratio, central_charge, apery_precondition,
                            apery_ratios, radius_estimate, mellin_psi,
                            psi_residue_sum, psi_gamma_pi, frobenius_Pi,
                            psi_asymptotic_constant)
@@ -198,7 +198,7 @@ def test_psi_asymptotic_constant_constants_follow_precision():
 
 def _eval_J_dense(ring, t, nmax):
     """eval_J with e^{rho log t} applied through the dense matrix of c1 cup."""
-    rows = j_scaled(ring, nmax)
+    rows = np.array(j_scaled(ring, nmax))
     total = sum(rows[n] * t ** n / math.factorial(n) for n in range(nmax + 1))
     c1m = np.zeros((ring.rank, ring.rank))
     for j in range(ring.rank):
@@ -216,6 +216,20 @@ def _eval_J_dense(ring, t, nmax):
 def test_eval_j_matches_dense_c1_matrix(ring, t):
     got, want = eval_J(ring, t, 80), _eval_J_dense(ring, t, 80)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_eval_j_limit_ratio_and_central_charge_share_one_j_sum(monkeypatch):
+    calls = []
+
+    def refuse(ring, terms, logt, tol):
+        calls.append(tol)
+        raise ArithmeticError("shared J sum reached")
+    monkeypatch.setattr(asympt, "_sum_J", refuse)
+    for run in [lambda: eval_J(P2, 2.0, 30), lambda: limit_ratio(P2, [1.0]),
+                lambda: central_charge(P2.unit(), mpf(2), 30)]:
+        with pytest.raises(ArithmeticError, match="shared J sum reached"):
+            run()
+    assert calls == [1e-13, 1e-13, mpf("1e-30")]
 
 
 def test_eval_j_positive_t_only():

@@ -194,6 +194,25 @@ def test_exact_output_too_long_to_print_exit_3(capsys):
                             f"{sys.get_int_max_str_digits()} digits, the first at n = 1830\n")
 
 
+@pytest.mark.parametrize("target, first", [("G(2,4)", 1688), ("P(2)", 1659)])
+def test_jfun_refuses_its_first_j_too_long_to_print(capsys, monkeypatch, target, first):
+    # J_n is refused at its first order past the printable digits, before
+    # any later order is solved
+    solve = connection._solve
+    orders = []
+
+    def counted(m, *args):
+        orders.append(m)
+        return solve(m, *args)
+    monkeypatch.setattr(connection, "_solve", counted)
+    assert main(["jfun", "--target", target, "--nmax", "3000"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"numerics out of range: exact J_n pass "
+                            f"{sys.get_int_max_str_digits()} digits, the first at n = {first}\n")
+    assert max(orders) == first
+
+
 @pytest.mark.parametrize("argv", [
     ["limit", "--target", "P(2)", "--t", "1e5"],             # order 1.8M
 ], ids=lambda argv: argv[0])
@@ -473,13 +492,14 @@ def test_cli_import_leaves_scipy_out():
     assert out.stdout.strip() == "False"
 
 
-# the integer and mpmath subcommands: numpy serves only eigenvalues, the
-# float J and the quadrature
+# the integer, mpmath and float-J subcommands: numpy serves only
+# eigenvalues and the quadrature
 NUMPY_FREE_COMMANDS = [
     ["gamma", "--target", "G(2,4)"],
     ["jfun", "--target", "G(2,4)", "--nmax", "6"],
     ["period", "--target", "P(2)", "--nmax", "6"],
     ["apery", "--target", "G(2,5)"],
+    ["limit", "--target", "P(2)", "--t", "8,10,12"],
     ["stokes", "--target", "P(2)", "--phase", "-1.87"],
     ["mutate", "--target", "P(2)", "--phase", "-1.87", "--to", "-20"],
     ["zetareg", "--delta", "1", "--z", "1"]]

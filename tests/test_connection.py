@@ -16,9 +16,10 @@ from qgamma.rings import CohClass, build_ring, cup, normalize_partition, poincar
 from qgamma.connection import (c1_matrix, spectrum, spectrum_closed_form,
                                fundamental_solution, j_coefficients, j_scaled,
                                j_closed_form_P, rising_inverses, quantum_period,
-                               central_charge, multiset_distance, pairing_rows,
+                               multiset_distance, pairing_rows,
                                _c1_operator, _solve, identity)
 from qgamma import connection
+from qgamma.asympt import central_charge
 from qgamma.wedgecheck import check_wedge_spectrum
 
 P1 = build_ring("P", 2)
@@ -570,7 +571,15 @@ def _kernel_of_c1(ring) -> list:
 
 KERNEL_RINGS = [G25, build_ring("G", 6, 2), G36]
 _KERNELS = {id(ring): _kernel_of_c1(ring) for ring in KERNEL_RINGS}
-_U = {id(ring): fundamental_solution(ring, 3 * ring.N).U for ring in KERNEL_RINGS}
+_U: dict = {}
+
+
+def _inverse_series(ring) -> list:
+    """U_0..U_{3N}, solved on first use: a solver defect then fails the tests
+    that read it, one by one, rather than the collection of this module."""
+    if id(ring) not in _U:
+        _U[id(ring)] = fundamental_solution(ring, 3 * ring.N).U
+    return _U[id(ring)]
 
 
 @settings(max_examples=30, deadline=None)
@@ -582,7 +591,7 @@ def test_random_kernel_class_rows_match_the_column_recursion(ring, data):
     a = data.draw(st.lists(st.integers(-20, 20), min_size=len(kernel), max_size=len(kernel)))
     g = CohClass(ring, [sum(x * v[i] for x, v in zip(a, kernel)) for i in range(ring.rank)])
     w = [g.coeffs[j] for j in ring.dual]   # w_j = (g, sigma_j)
-    for (Y, d), (U, e) in zip(_rows(ring, g, 3 * ring.N), _U[id(ring)]):
+    for (Y, d), (U, e) in zip(_rows(ring, g, 3 * ring.N), _inverse_series(ring)):
         want = [Fraction(sum(w[i] * U[i][j] for i in range(ring.rank)), e)
                 for j in range(ring.rank)]
         assert [Fraction(y, d) for y in Y] == want

@@ -60,13 +60,13 @@ def test_kapranov_identity_fails_on_a_perturbed_closed_form(monkeypatch):
 
 
 def test_mrs_wedge_g24():
-    rep = check_mrs_wedge(2, 4, -0.05)
+    rep = check_mrs_wedge(2, 4)
     # passed requires the Kapranov Gram to be the compound of the Beilinson one
     assert rep.passed and rep.max_residual < 1e-8
 
 
 def test_mrs_wedge_g25():
-    rep = check_mrs_wedge(2, 5, -0.03)
+    rep = check_mrs_wedge(2, 5)
     assert rep.passed
 
 
@@ -74,12 +74,12 @@ def test_mrs_wedge_fails_on_a_negated_kapranov_vector(monkeypatch):
     # the Kapranov identity fixes every sign to +1, so a sign flip is a failure
     honest = mrs.kapranov_gamma_mrs
 
-    def negate_one(r, N, phase=-0.05):
-        m = honest(r, N, phase)
+    def negate_one(r, N):
+        m = honest(r, N)
         m.vectors[2] = -m.vectors[2]
         return m
     monkeypatch.setattr(mrs, "kapranov_gamma_mrs", negate_one)
-    rep = check_mrs_wedge(2, 4, -0.05)
+    rep = check_mrs_wedge(2, 4)
     assert not rep.passed
     assert rep.max_residual > 1
 
@@ -89,12 +89,12 @@ def test_mrs_wedge_fails_on_a_negated_beilinson_vector(monkeypatch):
     # a sign flip on P^3 changes every minor with that row or column once
     honest = mrs.beilinson_gamma_mrs
 
-    def negate_one(N, phase=-0.05):
-        m = honest(N, phase)
+    def negate_one(N):
+        m = honest(N)
         m.vectors[1] = -m.vectors[1]
         return m
     monkeypatch.setattr(mrs, "beilinson_gamma_mrs", negate_one)
-    rep = check_mrs_wedge(2, 4, -0.05)
+    rep = check_mrs_wedge(2, 4)
     assert not rep.passed
     assert rep.max_residual >= 1
 
@@ -104,8 +104,8 @@ def test_criterion_4_fails_on_a_negated_kapranov_vector(monkeypatch):
     # only its comparison with the exact Euler matrix sees it
     honest = mrs.kapranov_gamma_mrs
 
-    def negate_one(r, N, phase=-0.05):
-        m = honest(r, N, phase)
+    def negate_one(r, N):
+        m = honest(r, N)
         m.vectors[2] = -m.vectors[2]
         return m
     assert verify.criterion_4()["passed"]
@@ -117,7 +117,7 @@ def test_criterion_4_fails_on_a_negated_kapranov_vector(monkeypatch):
 def test_kapranov_gram_is_the_compound_of_the_beilinson_gram(r, N):
     # Ueda's identity past criterion 11's targets; the residual is only the
     # Grams' rounding error
-    rep = check_mrs_wedge(r, N, -0.03)
+    rep = check_mrs_wedge(r, N)
     assert rep.passed and rep.max_residual < 1e-25
 
 
@@ -139,11 +139,6 @@ def test_criteria_5_and_11_take_each_satake_image_once(monkeypatch):
     assert len(calls) == 6 + 10 + 20   # the boxes of G(2,4), G(2,5), G(3,6)
     assert verify.criterion_11()["passed"]
     assert len(calls) == 36
-
-
-def test_mrs_wedge_rejects_inadmissible_phase():
-    with pytest.raises(ValueError):
-        check_mrs_wedge(2, 4, 0.0)
 
 
 def test_scalar_products_never_format_the_class(monkeypatch):
