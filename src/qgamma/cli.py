@@ -235,8 +235,7 @@ def cmd_spectrum(args):
           "T": rep.T, "T_prime": rep.T_prime,
           "T_multiplicity": rep.T_multiplicity,
           "property_o": rep.property_o_holds,
-          "violated_clause": rep.violated_clause,
-          "closed_form_match": rep.closed_form_match}, args)
+          "violated_clause": rep.violated_clause}, args)
     return 0 if rep.property_o_holds else 2
 
 

@@ -1,11 +1,12 @@
-"""The quantum connection at tau = 0: matrix of (c_1 *), spectrum and
-Property O, the recursive canonical fundamental solution, J-function
-coefficients and quantum periods.
+"""The quantum connection at tau = 0: (c_1 *), its spectrum and Property O,
+the recursive canonical fundamental solution, J-function coefficients and
+quantum periods.
 
 (c_1 *) = rho + q G_N is built in one place, `_c1_operator`, as a sparse
 record: rho = N (sigma_1 cup .) read off the ring's cup table, G_N from
-Bertram's quantum Pieri rule for sigma_1.  The matrix, the spectrum and
-every solve read that record.  One back-substitution, `_solve`, solves
+Bertram's quantum Pieri rule for sigma_1.  Every solve reads that record,
+and so does the spectrum: the closed form, certified in F_p by one exact
+left eigen-row per point of Spec QH.  One back-substitution, `_solve`, solves
 m X + L X - X rho = rhs, and one generator, `_series`, runs the exact
 recursion on it: integers over one denominator per order, each order
 checked exactly.  From the identity (L = rho) it gives U, T and the J_n of
@@ -20,17 +21,20 @@ A scaled float path (n! J_n instead of J_n, as Python lists) on the same
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 import operator
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from mpmath import mp
+from mpmath.libmp import isprime
 
-from .rings import (RingSpec, CohClass, build_ring, cup, normalize_partition,
-                    partitions_in_box, wedge_exponents)
+from .rings import (RingSpec, CohClass, build_ring, compound, cup, normalize_partition,
+                    partitions_in_box, transpose_partition, wedge_exponents)
 
 
 # --- (c_1 *) on the Schubert basis ----------------------------------------
@@ -77,17 +81,6 @@ def _c1_operator(ring: RingSpec) -> _C1:
                order, 2 * ring.dim + 1)
 
 
-def c1_matrix(ring: RingSpec):
-    """(c_1 *) at q = 1 as rows of complex numbers (rho and G_N never share
-    an entry: they shift degree by 1 and by 1 - N)."""
-    op = _c1_operator(ring)
-    m = [[0j] * ring.rank for _ in range(ring.rank)]
-    for j, col in enumerate(op.rho_cols):
-        for k, c in col + op.gn_cols[j]:
-            m[k][j] = complex(c)
-    return m
-
-
 # --- spectrum and Property O --------------------------------------------
 
 @dataclass
@@ -98,8 +91,6 @@ class SpectrumReport:
     T_multiplicity: int
     property_o_holds: bool
     violated_clause: int | None
-    closed_form_match: bool
-    closed_form_residual: float   # multiset distance to spectrum_closed_form
 
 
 def spectrum_closed_form(r: int, N: int) -> list:
@@ -126,52 +117,78 @@ def greedy_groups(values, tol: float) -> list:
     return groups
 
 
+@functools.cache
+def _field(N: int) -> tuple:
+    """(p, [z^e for e < 2N]): p the first prime = 1 mod 2N above 2^61 and z
+    of order exactly 2N in F_p, so that z^a stands for e^{pi i a / N}."""
+    p = next(p for p in itertools.count(2 ** 61 // (2 * N) * 2 * N + 1, 2 * N)
+             if p > 2 ** 61 and isprime(p))
+    for g in itertools.count(2):
+        z = pow(g, (p - 1) // (2 * N), p)
+        zs = [pow(z, e, p) for e in range(2 * N)]
+        if len(set(zs)) == 2 * N:
+            return p, tuple(zs)
+
+
+def _exact_spectrum(ring: RingSpec) -> list:
+    """Each nu's closed-form eigenvalue N sum_i x_i in F_p, x_i = z^(r - 1 -
+    2 k_i) the roots of x^N = (-1)^(r-1) at k = wedge_exponents(nu, r), once
+    checked to be Spec(c1 *) (ArithmeticError if not).  Each such point x of
+    Spec QH (Siebert-Tian) gives the left eigenvector w_mu = s_mu(x) V(x),
+    the r x r minor of (x_i^e)_{e<N} at wedge_exponents(mu, r), eigenvalue
+    N sum x.  Rows sharing an eigenvalue must be Poincare-orthogonal with
+    nonzero squares, so all n rows are independent.  For 2r > N they are the
+    rows of G(N - r, N) at transposed partitions (sigma_mu -> sigma_mu^T is a
+    ring isomorphism fixing c1), as the compound costs about 2^N."""
+    N, name = ring.N, f"spectrum {ring.kind}({ring.r},{ring.N})"
+    p, zs = _field(N)
+    r, label = (N - ring.r, transpose_partition) if 2 * ring.r > N else (ring.r, tuple)
+    # row k: the powers x^e, e < N, of the root x = z^(r - 1 - 2k)
+    minors = compound([[zs[(r - 1 - 2 * k) * e % (2 * N)] for e in range(N)]
+                       for k in range(N)], r)
+    keys = [wedge_exponents(label(mu), r)[::-1] for mu in ring.basis]
+    op = _c1_operator(ring)
+    cols = [rc + gc for rc, gc in zip(op.rho_cols, op.gn_cols)]
+    groups: dict = {}
+    for nu, ks in zip(ring.basis, keys):
+        w = [minors[ks, key] % p for key in keys]
+        lam = N * sum(zs[(r - 1 - 2 * k) % (2 * N)] for k in ks) % p
+        if any((sum(w[k] * c for k, c in col) - lam * w[j]) % p for j, col in enumerate(cols)):
+            raise ArithmeticError(f"{name}: the row of {list(nu)} is not an eigenvector mod {p}")
+        groups.setdefault(lam, []).append(w)
+    if any(bool(sum(u[i] * v[j] for i, j in enumerate(ring.dual)) % p) != (u is v)
+           for rows in groups.values() for k, u in enumerate(rows) for v in rows[:k + 1]):
+        raise ArithmeticError(f"{name}: the eigen-rows mod {p} are not independent")
+    exact = [N * sum(zs[(ring.r - 1 - 2 * k) % (2 * N)] for k in wedge_exponents(nu, ring.r)) % p
+             for nu in ring.basis]
+    if Counter(exact) != {lam: len(rows) for lam, rows in groups.items()}:
+        raise ArithmeticError(f"{name}: the eigenvalues mod {p} are not the closed form")
+    return exact
+
+
 def spectrum(ring: RingSpec) -> SpectrumReport:
-    import numpy as np
+    """Spec(c1 *) as `spectrum_closed_form`, certified exactly by
+    `_exact_spectrum` (ArithmeticError when a check fails).  Multiplicities
+    are those of the exact values; the clusters, in order of their rounded
+    values, T, T' and the Property O clauses read the complex values."""
     tol = 1e-8
-    eig = sorted(np.linalg.eigvals(c1_matrix(ring)),
-                 key=lambda z: (round(z.real, 6), round(z.imag, 6)))
-    clusters = [(complex(np.mean([eig[i] for i in g])), len(g))
-                for g in greedy_groups(eig, tol)]
+    exact = _exact_spectrum(ring)
+    vals = spectrum_closed_form(ring.r, ring.N)
+    groups: dict = {}
+    for i in sorted(range(ring.rank), key=lambda i: (round(vals[i].real, 6), round(vals[i].imag, 6))):
+        groups.setdefault(exact[i], []).append(vals[i])
+    clusters = [(vs[0], len(vs)) for vs in groups.values()]
     T = max(abs(v) for v, _ in clusters)
-    t_cluster = [(v, m) for v, m in clusters if abs(v - T) < tol]
-    holds, clause = True, None
-    if not t_cluster:
-        holds, clause = False, 1
-        T_mult = 0
-    else:
-        T_mult = t_cluster[0][1]
-    rf = ring.fano_index
-    if holds:
-        for v, _ in clusters:
-            if abs(abs(v) - T) < tol:
-                ratio = v / T
-                if min(abs(ratio - np.exp(2j * np.pi * k / rf)) for k in range(rf)) > 1e-6:
-                    holds, clause = False, 2
-                    break
-    if holds and T_mult != 1:
-        holds, clause = False, 3
+    T_mult = next((m for v, m in clusters if abs(v - T) < tol), 0)
+    roots = [cmath.exp(2j * math.pi * k / ring.fano_index) for k in range(ring.fano_index)]
+    clause = (1 if not T_mult else
+              2 if any(min(abs(v / T - u) for u in roots) > 1e-6
+                       for v, _ in clusters if abs(abs(v) - T) < tol) else
+              3 if T_mult != 1 else None)
     T_prime = max((v.real for v, _ in clusters if abs(v - T) >= tol), default=float("-inf"))
-
-    closed = multiset_distance(eig, spectrum_closed_form(ring.r, ring.N))
     return SpectrumReport(eigenvalues=clusters, T=float(T), T_prime=float(T_prime),
-                          T_multiplicity=T_mult, property_o_holds=holds,
-                          violated_clause=clause, closed_form_match=closed <= tol,
-                          closed_form_residual=closed)
-
-
-def multiset_distance(a, b) -> float:
-    """Largest distance in a greedy nearest-neighbour matching of the
-    multisets a and b; inf when their sizes differ."""
-    left = list(b)
-    if len(a) != len(left):
-        return float("inf")
-    worst = 0.0
-    for z in a:
-        j = min(range(len(left)), key=lambda i: abs(left[i] - z))
-        worst = max(worst, abs(left[j] - z))
-        left.pop(j)
-    return worst
+                          T_multiplicity=T_mult, property_o_holds=clause is None,
+                          violated_clause=clause)
 
 
 # --- exact fundamental solution -----------------------------------------

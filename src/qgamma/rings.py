@@ -44,6 +44,11 @@ def partitions_in_box(rows: int, cols: int):
     return sorted(gen(cols, rows), key=lambda p: (sum(p), p))
 
 
+def transpose_partition(lam) -> tuple:
+    """The conjugate partition: its i-th part counts the parts of lam above i."""
+    return tuple(sum(p > i for p in lam) for i in range(lam[0] if lam else 0))
+
+
 def box_complement(lam: tuple, rows: int, cols: int) -> tuple:
     padded = list(lam) + [0] * (rows - len(lam))
     return normalize_partition(tuple(cols - padded[rows - 1 - i] for i in range(rows)))

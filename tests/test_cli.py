@@ -492,9 +492,11 @@ def test_cli_import_leaves_scipy_out():
     assert out.stdout.strip() == "False"
 
 
-# the integer, mpmath and float-J subcommands: numpy serves only
-# eigenvalues and the quadrature
+# the integer, mpmath and float-J subcommands: numpy serves only the
+# quadrature and verify-all's seeded random Grams
 NUMPY_FREE_COMMANDS = [
+    ["spectrum", "--target", "G(2,5)"],
+    ["satake", "--target", "G(2,4)"],
     ["gamma", "--target", "G(2,4)"],
     ["jfun", "--target", "G(2,4)", "--nmax", "6"],
     ["period", "--target", "P(2)", "--nmax", "6"],

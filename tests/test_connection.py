@@ -13,13 +13,13 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf, pi as mp_pi, exp as mp_exp, mpc
 
 from qgamma.rings import CohClass, build_ring, cup, normalize_partition, poincare_pair
-from qgamma.connection import (c1_matrix, spectrum, spectrum_closed_form,
+from qgamma.connection import (spectrum, spectrum_closed_form, greedy_groups,
                                fundamental_solution, j_coefficients, j_scaled,
                                j_closed_form_P, rising_inverses, quantum_period,
-                               multiset_distance, pairing_rows,
-                               _c1_operator, _solve, identity)
+                               pairing_rows, _c1_operator, _field, _solve, identity)
 from qgamma import connection
 from qgamma.asympt import central_charge
+from qgamma.cli import main
 from qgamma.wedgecheck import check_wedge_spectrum
 
 P1 = build_ring("P", 2)
@@ -262,6 +262,17 @@ def _neumann_series(ring, M):
     return T, U
 
 
+def c1_matrix(ring):
+    """(c_1 *) at q = 1 as a dense complex matrix, the oracle for LAPACK
+    (rho and G_N never share an entry: they shift degree by 1 and by 1 - N)."""
+    op = _c1_operator(ring)
+    m = np.zeros((ring.rank, ring.rank), dtype=complex)
+    for j, col in enumerate(op.rho_cols):
+        for k, c in col + op.gn_cols[j]:
+            m[k][j] = c
+    return m
+
+
 def test_c1_matrix_p1():
     m = c1_matrix(P1)
     assert np.allclose(m, [[0, 2], [2, 0]])
@@ -270,14 +281,14 @@ def test_c1_matrix_p1():
 def test_spectrum_projective():
     for N in range(2, 7):
         rep = spectrum(build_ring("P", N))
-        assert rep.property_o_holds and rep.closed_form_match
+        assert rep.property_o_holds
         assert abs(rep.T - N) < 1e-8
 
 
 def test_spectrum_g24():
     rep = spectrum(G24)
     assert abs(rep.T - 4 * math.sqrt(2)) < 1e-8
-    assert rep.property_o_holds and rep.closed_form_match
+    assert rep.property_o_holds
     zero = [m for v, m in rep.eigenvalues if abs(v) < 1e-8]
     assert zero == [2]
 
@@ -295,20 +306,139 @@ def test_spectrum_closed_form_count():
     assert len(spectrum_closed_form(3, 6)) == 20
 
 
-def test_multiset_distance_size_mismatch_is_inf():
-    assert multiset_distance([1], [1, 2]) == math.inf
-    assert multiset_distance([1, 2], [1]) == math.inf
-    assert multiset_distance([], []) == 0.0
-    assert multiset_distance([2, 1j], [1j, 2.5]) == 0.5
-
-
 @pytest.mark.parametrize("kind,N,r", [("P", N, 1) for N in range(2, 7)]
                          + [("G", 4, 2), ("G", 5, 2)])
 def test_spectrum_matches_closed_form(kind, N, r):
     rep = spectrum(build_ring(kind, N, r))
-    assert rep.closed_form_match and rep.closed_form_residual < 1e-8
-    # the Satake spectrum check reads this eigen-solve and matching
-    assert check_wedge_spectrum(r, N).max_residual == rep.closed_form_residual
+    closed = spectrum_closed_form(r, N)
+    assert sum(m for _, m in rep.eigenvalues) == len(closed)
+    for v, m in rep.eigenvalues:
+        assert v in closed and sum(abs(z - v) < 1e-12 for z in closed) == m
+    # the Satake spectrum check reads the same certified spectrum
+    assert check_wedge_spectrum(r, N).max_residual == 0.0
+
+
+# --- the old spectrum route: LAPACK eigenvalues clustered at 1e-8 ------------
+
+def lapack_spectrum(ring):
+    """(clusters, T, T', T multiplicity, Property O verdict, clause) from
+    numpy's eigenvalues of the dense c1_matrix, clustered at 1e-8 with the
+    mean of each cluster, in order of the rounded values."""
+    tol = 1e-8
+    eig = sorted(np.linalg.eigvals(c1_matrix(ring)),
+                 key=lambda z: (round(z.real, 6), round(z.imag, 6)))
+    clusters = [(complex(np.mean([eig[i] for i in g])), len(g))
+                for g in greedy_groups(eig, tol)]
+    T = max(abs(v) for v, _ in clusters)
+    t_cluster = [(v, m) for v, m in clusters if abs(v - T) < tol]
+    T_mult = t_cluster[0][1] if t_cluster else 0
+    clause = None if t_cluster else 1
+    rf = ring.fano_index
+    if clause is None and any(
+            min(abs(v / T - np.exp(2j * np.pi * k / rf)) for k in range(rf)) > 1e-6
+            for v, _ in clusters if abs(abs(v) - T) < tol):
+        clause = 2
+    if clause is None and T_mult != 1:
+        clause = 3
+    T_prime = max((v.real for v, _ in clusters if abs(v - T) >= tol), default=float("-inf"))
+    return clusters, T, T_prime, T_mult, clause is None, clause
+
+
+SMALL_TARGETS = ([("P", N, 1) for N in range(2, 36)]
+                 + [("G", N, r) for N in range(3, 36) for r in range(1, N)
+                    if math.comb(N, r) <= 35] + [("G", 9, 2), ("G", 9, 7)])
+
+
+@pytest.mark.parametrize("kind,N,r", SMALL_TARGETS)
+def test_spectrum_matches_the_lapack_route(kind, N, r):
+    ring = build_ring(kind, N, r)
+    rep = spectrum(ring)
+    clusters, T, T_prime, T_mult, holds, clause = lapack_spectrum(ring)
+    assert [m for _, m in rep.eigenvalues] == [m for _, m in clusters]
+    assert max(abs(v - w) for (v, _), (w, _) in zip(rep.eigenvalues, clusters)) < 1e-9
+    assert abs(rep.T - T) < 1e-9
+    assert rep.T_prime == T_prime or abs(rep.T_prime - T_prime) < 1e-9
+    assert (rep.T_multiplicity, rep.property_o_holds, rep.violated_clause) == \
+        (T_mult, holds, clause)
+
+
+@pytest.mark.parametrize("kind,N,r", [("G", 25, 2), ("G", 13, 3), ("G", 10, 5),
+                                      ("G", 25, 23), ("P", 300, 1)])
+def test_spectrum_certifies_the_top_of_the_cap(kind, N, r):
+    ring = build_ring(kind, N, r)
+    rep = spectrum(ring)
+    # T is the sum of r consecutive roots: N sin(r pi / N) / sin(pi / N)
+    assert abs(rep.T - N * math.sin(r * math.pi / N) / math.sin(math.pi / N)) < 1e-9 * N
+    assert rep.property_o_holds and rep.T_multiplicity == 1
+    assert sum(m for _, m in rep.eigenvalues) == ring.rank
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin on the twelve prime bases 2..37: exact below 3.3e24."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2 or any(n % b == 0 for b in bases):
+        return n in bases
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in bases:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_is_prime_oracle_matches_a_sieve():
+    sieve = [False, False] + [True] * (10 ** 5 - 2)
+    for d in range(2, math.isqrt(10 ** 5) + 1):
+        sieve[d * d::d] = [False] * len(sieve[d * d::d])
+    assert [n for n in range(10 ** 5) if _is_prime(n)] == [n for n in range(10 ** 5) if sieve[n]]
+    assert not _is_prime(3215031751)   # a strong pseudoprime to the bases 2, 3, 5, 7
+
+
+def test_field_prime_and_root_of_unity():
+    """p is the first prime = 1 mod 2N above 2^61 and z = zs[1] has order
+    exactly 2N, for every N of the desk-scale cap."""
+    for N in range(2, 301):
+        p, zs = _field(N)
+        assert p > 2 ** 61 and p % (2 * N) == 1 and _is_prime(p)
+        assert not any(_is_prime(q) for q in range(p - 2 * N, 2 ** 61, -2 * N))
+        z = zs[1]
+        assert zs == tuple(pow(z, e, p) for e in range(2 * N)) and pow(z, 2 * N, p) == 1
+        primes = [q for q in range(2, 2 * N + 1) if (2 * N) % q == 0 and _is_prime(q)]
+        assert all(pow(z, 2 * N // q, p) != 1 for q in primes)
+
+
+def _corrupt(monkeypatch, field):
+    """Add 1 to the first entry of the first nonempty column of rho or G_N."""
+    build = connection._c1_operator
+
+    def corrupted(ring):
+        op = build(ring)
+        cols = getattr(op, field)
+        j = next(j for j, col in enumerate(cols) if col)
+        (k, c), *rest = cols[j]
+        cols[j] = [(k, c + 1), *rest]
+        return op
+    monkeypatch.setattr(connection, "_c1_operator", corrupted)
+
+
+@pytest.mark.parametrize("field,target", [("rho_cols", "G(3,6)"), ("gn_cols", "G(2,5)")])
+def test_a_corrupted_operator_fails_the_spectrum_check(monkeypatch, capsys, field, target):
+    _corrupt(monkeypatch, field)
+    r, N = map(int, target[2:-1].split(","))
+    with pytest.raises(ArithmeticError, match=r"^spectrum G"):
+        spectrum(build_ring("G", N, r))
+    for cmd in ["spectrum", "satake"]:
+        assert main([cmd, "--target", target]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("check failed: spectrum")
 
 
 def test_fundamental_solution_p1():

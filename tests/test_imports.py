@@ -130,11 +130,10 @@ def test_imports_match_declared_dependencies():
     assert imported == declared == {"numpy", "mpmath"}
 
 
-# the float routines, the only functions that import numpy: LAPACK
-# eigenvalues, the Mellin quadrature nodes, the benchmark's complex Gram and
-# criterion 9's seeded random Grams (the float J recursion and its sum run on
-# Python lists)
-NUMPY_FUNCTIONS = {"spectrum", "_leggauss", "_gamma_nodes", "gram", "criterion_9"}
+# the float routines, the only functions that import numpy: the Mellin
+# quadrature nodes, the benchmark's complex Gram and criterion 9's seeded
+# random Grams (the float J recursion and its sum run on Python lists)
+NUMPY_FUNCTIONS = {"_leggauss", "_gamma_nodes", "gram", "criterion_9"}
 
 
 def numpy_imports(source: str) -> list:
