@@ -2,11 +2,10 @@
 Conjecture II central charges, Apery ratios, quantum-period radius
 estimation, and the Mellin-Barnes solution Psi(t) with its three evaluation
 routes and asymptotic constant.  J(t) has one sum, `_sum_J`, over terms in
-any scalar type: the float rows n! J_n of connection.j_scaled (eval_J,
-limit_ratio) or the exact J_n in mpmath (central_charge).  The Psi series
-are classes of H*(P^{N-1}) = C[h]/(h^N) built from
-connection.rising_inverses; the float quadrature shares none of their
-arithmetic.  The series keep the class left of every mpmath scalar (see
+any scalar type: the float rows n! J_n of connection.j_scaled (limit_ratio)
+or the exact J_n in mpmath (central_charge).  The Psi series are classes
+of H*(P^{N-1}) = C[h]/(h^N) built from connection.rising_inverses; the
+float quadrature shares none of their arithmetic.  The series keep the class left of every mpmath scalar (see
 CohClass.__mul__).  The quadrature computes its Gauss-Legendre nodes and
 Gamma(s) on them once per (abscissa, interval), on first use rather than at
 import."""
@@ -40,15 +39,17 @@ class LimitReport:
 
 def _sum_J(ring: RingSpec, terms, logt, tol) -> CohClass:
     """J(t) = e^{c1 log t} sum_n J_n t^n from the terms J_n t^n, n = 0..nmax,
-    as coefficient lists of any scalar type.  Raises ArithmeticError unless
-    the last nonzero term is at most tol (1 + the largest)."""
+    as coefficient lists of any scalar type.  J_n = 0 unless N divides n, so
+    the tail is the term at the last such n, which may underflow to zero.
+    Raises ArithmeticError unless it is at most tol (1 + the largest term)."""
     total = [0] * ring.rank
     biggest = last = 0
     for n, term in enumerate(terms):
         if any(term):
             total = [a + b for a, b in zip(total, term)]
+            biggest = max(biggest, *map(abs, term))
+        if not n % ring.N:
             last = max(map(abs, term))
-            biggest = max(biggest, last)
     if last > tol * (1 + biggest):
         raise ArithmeticError(f"J series tail not converged at nmax={n}")
     return exp_cup(CohClass(ring, total), ring.c1(), logt)
@@ -61,12 +62,6 @@ def _float_J(ring: RingSpec, rows, t: float) -> list:
     weights = itertools.accumulate(range(1, len(rows)), lambda w, n: w * (t / n), initial=1.0)
     terms = ([x * w for x in row] for row, w in zip(rows, weights))
     return _sum_J(ring, terms, math.log(t), 1e-13).coeffs
-
-
-def eval_J(ring: RingSpec, t: float, nmax: int):
-    """J(t) = e^{c1 log t} sum_n J_n t^n as a list of float coefficients.
-    Raises OverflowError at the first row n! J_n not finite in float64."""
-    return _float_J(ring, j_scaled(ring, nmax), t)
 
 
 def limit_ratio(ring: RingSpec, t_grid, tol: float = 1e-6) -> LimitReport:

@@ -57,8 +57,6 @@ def clean(obj, key: str = ""):
         return [clean(v, key) for v in obj]
     if isinstance(obj, CohClass):
         return clean(obj.serialize(), key)
-    if type(obj).__module__ == "numpy":   # an array or a numpy scalar
-        return clean(obj.tolist(), key)
     if isinstance(obj, int):   # bool included
         return obj
     if isinstance(obj, Fraction):

@@ -1,6 +1,6 @@
 """The quantum connection at tau = 0: (c_1 *), its spectrum and Property O,
-the recursive canonical fundamental solution, J-function coefficients and
-quantum periods.
+the recursive inverse series of the canonical fundamental solution,
+J-function coefficients and quantum periods.
 
 (c_1 *) = rho + q G_N is built in one place, `_c1_operator`, as a sparse
 record: rho = N (sigma_1 cup .) read off the ring's cup table, G_N from
@@ -9,8 +9,9 @@ and so does the spectrum: the closed form, certified in F_p by one exact
 left eigen-row per point of Spec QH.  One back-substitution, `_solve`, solves
 m X + L X - X rho = rhs, and one generator, `_series`, runs the exact
 recursion on it: integers over one denominator per order, each order
-checked exactly.  From the identity (L = rho) it gives U, T and the J_n of
-`j_coefficients`; from the 1 x n start [w] of a class g with c1 cup g = 0
+checked exactly.  From the identity (L = rho) it gives the inverse series
+U_n, whose column 0 is the J_n of `j_coefficients`, the one exact J entry
+point; from the 1 x n start [w] of a class g with c1 cup g = 0
 (L = 0, as w rho = 0) it gives the row w U_n in O(nnz rho) per order, which
 `pairing_rows` yields for the quantum period and the Apery ratios.  Both J
 and the rows are refused at the first order past the digits Python prints.
@@ -27,7 +28,7 @@ import math
 import operator
 import sys
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import mp
@@ -45,7 +46,6 @@ class _C1:
     and cols[j] list the nonzero entries (k, value) of row i and column j."""
     rho_rows: list
     rho_cols: list
-    gn_rows: list
     gn_cols: list
     order: list    # every (i, j), by increasing deg_i - deg_j
     levels: int    # 2 dim + 1 values of deg_i - deg_j: ad_rho^levels = 0
@@ -77,8 +77,7 @@ def _c1_operator(ring: RingSpec) -> _C1:
         by_degree.setdefault(d, []).append(j)
     order = [(i, j) for shift in range(-ring.dim, ring.dim + 1)
              for i, d in enumerate(degs) for j in by_degree.get(d - shift, ())]
-    return _C1(_transpose(rho_cols, n), rho_cols, _transpose(gn_cols, n), gn_cols,
-               order, 2 * ring.dim + 1)
+    return _C1(_transpose(rho_cols, n), rho_cols, gn_cols, order, 2 * ring.dim + 1)
 
 
 # --- spectrum and Property O --------------------------------------------
@@ -101,20 +100,6 @@ def spectrum_closed_form(r: int, N: int) -> list:
     rot = cmath.exp(1j * math.pi * (r - 1) / N)
     return [sum(N * rot * cmath.exp(-2j * math.pi * k / N) for k in wedge_exponents(nu, r))
             for nu in partitions_in_box(r, N - r)]
-
-
-def greedy_groups(values, tol: float) -> list:
-    """Index groups of values in input order: each value joins the first
-    group whose first member lies within tol, else opens a new group."""
-    groups: list[list] = []
-    for i, v in enumerate(values):
-        for g in groups:
-            if abs(values[g[0]] - v) < tol:
-                g.append(i)
-                break
-        else:
-            groups.append([i])
-    return groups
 
 
 @functools.cache
@@ -191,7 +176,7 @@ def spectrum(ring: RingSpec) -> SpectrumReport:
                           violated_clause=clause)
 
 
-# --- exact fundamental solution -----------------------------------------
+# --- exact inverse series ------------------------------------------------
 
 def identity(n: int) -> list:
     return [[int(i == j) for j in range(n)] for i in range(n)]
@@ -200,12 +185,6 @@ def identity(n: int) -> list:
 def _right_mul(a, cols, s):
     """s a @ B for the scalar s, with B given by its sparse columns."""
     return [[s * sum(row[k] * c for k, c in col) for col in cols] for row in a]
-
-
-def _left_mul(rows, a, s):
-    """s B @ a for the scalar s, with B given by its sparse rows."""
-    n = len(a)
-    return [[s * sum(c * a[k][j] for k, c in row) for j in range(n)] for row in rows]
 
 
 def _reduce(s, X, left, op: _C1, i: int, j: int):
@@ -239,12 +218,12 @@ def _solve(m: int, rhs, left, op: _C1, order, div):
     return X
 
 
-def _series(first, N: int, op: _C1, step, left, order, levels: int):
+def _series(first, N: int, op: _C1, left, order, levels: int):
     """Yield X_0 = first, then X_m solving m X_m + L X_m - X_m rho =
-    step(X_{m-N}) (X_{m-N} = 0 for m < N, so X_m = 0 unless N divides m)
-    as (Y_m, d_m), X_m = Y_m / d_m in lowest terms, Y_m an integer matrix;
-    step(Y, s) = s step(Y) is linear on integers.  Scaling the right-hand
-    side by d_{m-N} m^levels makes every division exact; each order is checked."""
+    X_{m-N} G_N (X_{m-N} = 0 for m < N, so X_m = 0 unless N divides m) as
+    (Y_m, d_m), X_m = Y_m / d_m in lowest terms, Y_m an integer matrix.
+    Scaling the right-hand side by d_{m-N} m^levels makes every division
+    exact; each order is checked."""
     Y, d = first
     yield first
     for m in itertools.count(N, N):
@@ -254,7 +233,7 @@ def _series(first, N: int, op: _C1, step, left, order, levels: int):
             Y, d = [[0] * len(row) for row in Y], 1
         else:
             scale = m ** levels
-            rhs = step(Y, scale)
+            rhs = _right_mul(Y, op.gn_cols, scale)
             X = _solve(m, rhs, left, op, order, operator.floordiv)
             for i, j in order:
                 s = _reduce(rhs[i][j] - m * X[i][j], X, left, op, i, j)
@@ -263,48 +242,6 @@ def _series(first, N: int, op: _C1, step, left, order, levels: int):
             g = math.gcd(d * scale, *itertools.starmap(math.gcd, X))
             Y, d = [[x // g for x in row] for row in X], d * scale // g
         yield Y, d
-
-
-@dataclass
-class FundamentalSolution:
-    """The canonical fundamental solution up to `order`.  U and J are
-    computed with it; T is computed by the same exact solver on first
-    access, so callers that need only J never build it."""
-    ring: RingSpec
-    order: int
-    U: list        # inverse series, U[m] = (Y, d): U_m = Y / d, int Y in lowest terms
-    J: list        # J[m] = U_m[.][0] as CohClass with Fraction coefficients
-    _T: list | None = field(default=None, repr=False, compare=False)
-
-    @property
-    def T(self) -> list:
-        """T[0] = (id, 1), T[m] = (Y, d) as U[m]:
-        m T_m + [rho, T_m] + G_N T_{m-N} = 0."""
-        if self._T is None:
-            op = _c1_operator(self.ring)
-            self._T = list(_matrix_series(self.ring, self.order, op,
-                                          lambda A, s: _left_mul(op.gn_rows, A, -s)))
-        return self._T
-
-
-def _matrix_series(ring: RingSpec, M: int, op: _C1, step):
-    """Orders 0..M of the series from the identity, with L = rho, lazily."""
-    return itertools.islice(_series((identity(ring.rank), 1), ring.N, op, step,
-                                    op.rho_rows, op.order, op.levels), M + 1)
-
-
-def fundamental_solution(ring: RingSpec, M: int) -> FundamentalSolution:
-    """U and J to order M.  Raises OverflowError at the first J_n with d_n or
-    a numerator past sys.get_int_max_str_digits() digits (the limit on
-    printing it), before solving any later order."""
-    if M < 0:
-        raise ValueError(f"order must be >= 0, got {M}")
-    op = _c1_operator(ring)
-    # inverse series: m U_m + [rho, U_m] = U_{m-N} G_N
-    U = _matrix_series(ring, M, op, lambda A, s: _right_mul(A, op.gn_cols, s))
-    U = list(_printable(U, ring.N, "J_n", lambda Y: [row[0] for row in Y]))
-    J = [CohClass(ring, [Fraction(row[0], d) for row in Y]) for Y, d in U]
-    return FundamentalSolution(ring=ring, order=M, U=U, J=J)
 
 
 # --- one exact row: <g, J_n> for c_1 cup g = 0 --------------------------
@@ -327,8 +264,7 @@ def pairing_rows(ring: RingSpec, g: CohClass):
         raise ValueError("c1 cup g != 0: <g, J_n> closes on one row only for "
                          "a class with c1 cap gamma = 0")
     q = math.gcd(d, *w)
-    series = _series(([[x // q for x in w]], d // q), ring.N, op,
-                     lambda A, s: _right_mul(A, op.gn_cols, s), [[]],
+    series = _series(([[x // q for x in w]], d // q), ring.N, op, [[]],
                      [(i, j) for i, j in op.order if i == 0], ring.dim + 1)
     return ((row, d) for (row,), d in _printable(series, ring.N, "rows <g, U_n>", lambda Y: Y[0]))
 
@@ -347,9 +283,17 @@ def _printable(series, N: int, name: str, part):
 # --- J-function ----------------------------------------------------------
 
 def j_coefficients(ring: RingSpec, nmax: int) -> list:
-    """Exact J_0..J_nmax as CohClass with Fraction coefficients, refused at
-    the first J_n too long to print (see fundamental_solution)."""
-    return fundamental_solution(ring, nmax).J
+    """Exact J_0..J_nmax as CohClass with Fraction coefficients: J_n is
+    column 0 of U_n, the inverse series m U_m + [rho, U_m] = U_{m-N} G_N
+    from U_0 = id.  Raises OverflowError at the first J_n with d_n or a
+    numerator past sys.get_int_max_str_digits() digits (the limit on
+    printing it), before solving any later order."""
+    if nmax < 0:
+        raise ValueError(f"order must be >= 0, got {nmax}")
+    op = _c1_operator(ring)
+    U = _series((identity(ring.rank), 1), ring.N, op, op.rho_rows, op.order, op.levels)
+    U = _printable(itertools.islice(U, nmax + 1), ring.N, "J_n", lambda Y: [row[0] for row in Y])
+    return [CohClass(ring, [Fraction(row[0], d) for row in Y]) for Y, d in U]
 
 
 def j_scaled(ring: RingSpec, nmax: int) -> list:

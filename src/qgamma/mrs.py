@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import mpmath
 
 from .charclasses import gamma_basis_class, bracket_pairing, bracket_row
-from .connection import greedy_groups, identity, spectrum_closed_form
+from .connection import identity, spectrum_closed_form
 from .rings import RingSpec, build_ring, compound, wedge_exponents
 
 
@@ -85,16 +85,30 @@ def h_phase(u: complex, phi: float) -> float:
     return (cmath.exp(-1j * phi) * u).imag
 
 
+def greedy_groups(values, tol: float) -> list:
+    """Index groups of values in input order: each value joins the first
+    group whose first member lies within tol, else opens a new group.  At
+    tol = 1e-9 on markings this is the one rule for equal markings."""
+    groups: list[list] = []
+    for i, v in enumerate(values):
+        for g in groups:
+            if abs(values[g[0]] - v) < tol:
+                g.append(i)
+                break
+        else:
+            groups.append([i])
+    return groups
+
+
 def is_admissible(markings, phi: float) -> bool:
-    """True iff e^{i phi} is not parallel to any difference of distinct
-    markings (checked on the sine of the angle, to 1e-10); False for a
-    non-finite phi."""
+    """True iff e^{i phi} is not parallel to any difference of the first
+    members of two groups of equal markings (checked on the sine of the
+    angle, to 1e-10); False for a non-finite phi."""
     if not math.isfinite(phi):
         return False
-    for u, v in itertools.combinations(markings, 2):
+    firsts = [markings[g[0]] for g in greedy_groups(markings, 1e-9)]
+    for u, v in itertools.combinations(firsts, 2):
         d = u - v
-        if abs(d) < 1e-10:
-            continue
         if abs((d * cmath.exp(-1j * phi)).imag) / abs(d) < 1e-10:
             return False
     return True
@@ -105,16 +119,16 @@ def stokes_matrix(G, markings, phi: float) -> list:
     of phi: indices by strictly decreasing h_phi(u), ties allowed only for
     equal markings (kept in input order).  ValueError unless phi is
     admissible; ArithmeticError unless it has unit diagonal, vanishing lower
-    triangle and vanishing entries between equal distinct markings, exactly."""
+    triangle and vanishing entries between distinct vectors of one group of
+    equal markings (greedy_groups at 1e-9), exactly."""
     if not is_admissible(markings, phi):
         raise ValueError(f"phase {phi} is not admissible")
     order = sorted(range(len(markings)), key=lambda i: (-h_phase(markings[i], phi), i))
     S = [[int(G[i][j]) for j in order] for i in order]
     if not is_uni_uppertriangular(S):
         raise ArithmeticError("phase-ordered Gram is not uni-uppertriangular")
-    u = [markings[i] for i in order]
-    if any(S[i][j] for i, j in itertools.permutations(range(len(u)), 2)
-           if abs(u[i] - u[j]) < 1e-9):
+    if any(int(G[i][j]) for g in greedy_groups(markings, 1e-9)
+           for i, j in itertools.permutations(g, 2)):
         raise ArithmeticError("nonzero Gram entry between equal markings")
     return S
 

@@ -13,7 +13,7 @@ from qgamma import asympt, charclasses
 from qgamma.rings import CohClass, build_ring, cup, poincare_pair
 from qgamma.charclasses import gamma_class
 from qgamma.connection import spectrum, quantum_period, j_scaled
-from qgamma.asympt import (eval_J, limit_ratio, central_charge, apery_precondition,
+from qgamma.asympt import (limit_ratio, central_charge, apery_precondition,
                            apery_ratios, radius_estimate, mellin_psi,
                            psi_residue_sum, psi_gamma_pi, frobenius_Pi,
                            psi_asymptotic_constant)
@@ -83,7 +83,7 @@ def test_eval_j_and_apery_refuse_overflowing_rows():
     # n! J_n of P^3 overflows float64 from n = 500 on (every 4th row is nonzero)
     P3 = build_ring("P", 4)
     with pytest.raises(OverflowError, match="the first at n = 500"):
-        eval_J(P3, 40.0, 600)
+        asympt._float_J(P3, j_scaled(P3, 600), 40.0)
     with pytest.raises(OverflowError, match="the first at n = 500"):
         limit_ratio(P3, [40, 60])
     # the Apery ratios read exact rows: at r_F n = 100 and 400 they
@@ -196,8 +196,8 @@ def test_psi_asymptotic_constant_constants_follow_precision():
     assert mp.dps == 40
 
 
-def _eval_J_dense(ring, t, nmax):
-    """eval_J with e^{rho log t} applied through the dense matrix of c1 cup."""
+def _dense_J(ring, t, nmax):
+    """J(t) with e^{rho log t} applied through the dense matrix of c1 cup."""
     rows = np.array(j_scaled(ring, nmax))
     total = sum(rows[n] * t ** n / math.factorial(n) for n in range(nmax + 1))
     c1m = np.zeros((ring.rank, ring.rank))
@@ -214,7 +214,7 @@ def _eval_J_dense(ring, t, nmax):
 @pytest.mark.parametrize("ring", [P2, G24], ids=["P2", "G24"])
 @pytest.mark.parametrize("t", [0.7, 3.0])
 def test_eval_j_matches_dense_c1_matrix(ring, t):
-    got, want = eval_J(ring, t, 80), _eval_J_dense(ring, t, 80)
+    got, want = asympt._float_J(ring, j_scaled(ring, 80), t), _dense_J(ring, t, 80)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
@@ -225,7 +225,7 @@ def test_eval_j_limit_ratio_and_central_charge_share_one_j_sum(monkeypatch):
         calls.append(tol)
         raise ArithmeticError("shared J sum reached")
     monkeypatch.setattr(asympt, "_sum_J", refuse)
-    for run in [lambda: eval_J(P2, 2.0, 30), lambda: limit_ratio(P2, [1.0]),
+    for run in [lambda: asympt._float_J(P2, j_scaled(P2, 30), 2.0), lambda: limit_ratio(P2, [1.0]),
                 lambda: central_charge(P2.unit(), mpf(2), 30)]:
         with pytest.raises(ArithmeticError, match="shared J sum reached"):
             run()
@@ -234,4 +234,19 @@ def test_eval_j_limit_ratio_and_central_charge_share_one_j_sum(monkeypatch):
 
 def test_eval_j_positive_t_only():
     with pytest.raises(ValueError):
-        eval_J(P2, -1.0, 50)
+        asympt._float_J(P2, j_scaled(P2, 50), -1.0)
+
+
+def test_limit_ratio_where_every_term_past_j0_underflows():
+    # on P^1 at t = 1e-170 every term J_n t^n with n >= 2 underflows to 0.0:
+    # the tail is the term at n = 80, the last order N = 2 divides, not J_0's
+    t = 1e-170
+    rep = limit_ratio(build_ring("P", 2), [t])
+    assert rep.values == [[1.0, pytest.approx(2 * math.log(t), rel=1e-15)]]
+    assert not rep.converged
+
+
+def test_j_sum_refuses_a_tail_that_has_not_converged():
+    # on P^2 at t = 5 the terms J_n t^n still grow at n = 9: J_9 t^9 is the largest
+    with pytest.raises(ArithmeticError, match="J series tail not converged at nmax=9"):
+        central_charge(P2.unit(), mpf(5), 9)

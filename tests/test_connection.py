@@ -1,6 +1,7 @@
 """Quantum connection: the sparse (c1 *) against the general quantum Pieri
-oracle, c1 spectra and Property O, the canonical fundamental solution and
-its exact identities, J-function oracles, central charges."""
+oracle, c1 spectra and Property O, the exact inverse series U of the
+canonical fundamental solution and the identities of T = U^{-1}, J-function
+oracles, central charges."""
 
 import itertools
 import math
@@ -13,13 +14,13 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf, pi as mp_pi, exp as mp_exp, mpc
 
 from qgamma.rings import CohClass, build_ring, cup, normalize_partition, poincare_pair
-from qgamma.connection import (spectrum, spectrum_closed_form, greedy_groups,
-                               fundamental_solution, j_coefficients, j_scaled,
+from qgamma.connection import (spectrum, spectrum_closed_form, j_coefficients, j_scaled,
                                j_closed_form_P, rising_inverses, quantum_period,
-                               pairing_rows, _c1_operator, _field, _solve, identity)
+                               pairing_rows, _c1_operator, _field, _series, _solve, identity)
 from qgamma import connection
 from qgamma.asympt import central_charge
 from qgamma.cli import main
+from qgamma.mrs import greedy_groups
 from qgamma.wedgecheck import check_wedge_spectrum
 
 P1 = build_ring("P", 2)
@@ -124,9 +125,8 @@ def test_c1_operator_matches_the_quantum_pieri_oracle(kind, N, r):
     op, n = _c1_operator(ring), ring.rank
     G0, GN = graded_pieces(ring)
     assert _dense(op.rho_cols, n) == _dense(op.rho_rows, n, transpose=True) == G0
-    assert _dense(op.gn_cols, n) == _dense(op.gn_rows, n, transpose=True) == GN
-    assert all(type(c) is int and c for lines in (op.rho_cols, op.gn_cols, op.rho_rows,
-                                                  op.gn_rows)
+    assert _dense(op.gn_cols, n) == GN
+    assert all(type(c) is int and c for lines in (op.rho_cols, op.gn_cols, op.rho_rows)
                for line in lines for _, c in line)
     assert np.array_equal(c1_matrix(ring), np.array(G0) + np.array(GN))
     # the degree buckets give the stable sort of every (i, j) by deg_i - deg_j
@@ -167,40 +167,62 @@ def _fractions(series):
     return [[[Fraction(x, d) for x in row] for row in Y] for Y, d in series]
 
 
-def recursion_residual(fs):
+def _u_series(ring, M):
+    """U_0..U_M as the solver's integer pairs (Y, d): the exact series that
+    j_coefficients runs, from the identity with L = rho."""
+    op = _c1_operator(ring)
+    return list(itertools.islice(_series((identity(ring.rank), 1), ring.N, op, op.rho_rows,
+                                         op.order, op.levels), M + 1))
+
+
+def _t_series(ring, M):
+    """T = U^{-1} to order M as Fraction matrices, by exact power-series
+    inversion of the solver's U: T_0 = id, T_m = -sum_{b=1}^m U_b T_{m-b}.
+    This is the T of m T_m + [rho, T_m] + G_N T_{m-N} = 0: t d/dt + ad rho
+    is a derivation, so the two recursions make TU solve m X_m + [rho, X_m]
+    = [X_{m-N}, G_N] from X_0 = id, whose only solution is id."""
+    U = _fractions(_u_series(ring, M))
+    T = [U[0]]
+    for m in range(1, M + 1):
+        acc = _mat_zero(ring.rank)
+        for b in range(ring.N, m + 1, ring.N):
+            acc = _mat_add(acc, _mat_mul(U[b], T[m - b]), sb=-1)
+        T.append(acc)
+    return T
+
+
+def recursion_residual(ring, T):
     """Max |m T_m + sum_k G_k T_{m-k} + [rho, T_m]| over m (exact zero)."""
-    G0, GN = graded_pieces(fs.ring)
+    G0, GN = graded_pieces(ring)
     rho = [[Fraction(x) for x in row] for row in G0]
     GNf = [[Fraction(x) for x in row] for row in GN]
-    T = _fractions(fs.T)
     worst = Fraction(0)
-    for m in range(1, fs.order + 1):
+    for m in range(1, len(T)):
         acc = _mat_scale(T[m], Fraction(m))
         acc = _mat_add(acc, _mat_add(_mat_mul(rho, T[m]), _mat_mul(T[m], rho), sb=-1))
-        if m >= fs.ring.N:
-            acc = _mat_add(acc, _mat_mul(GNf, T[m - fs.ring.N]))
+        if m >= ring.N:
+            acc = _mat_add(acc, _mat_mul(GNf, T[m - ring.N]))
         worst = max(worst, max(abs(x) for row in acc for x in row))
     return worst
 
 
-def pairing_identity_residual(fs):
+def pairing_identity_residual(ring, T):
     """Prop-2.1 pairing: with S_m[i,j] = T_{m + deg_j - deg_i}[i,j],
     sum_{a+b=m} (-1)^a S_a^t P S_b = delta_{m,0} P, exactly.
 
     S_m draws on T up to order m + dim, so only m <= order - dim is checked."""
-    ring = fs.ring
     n = ring.rank
     degs = ring.degrees()
-    mmax = fs.order - ring.dim
+    order = len(T) - 1
+    mmax = order - ring.dim
     P = [[Fraction(int(j == ring.dual[i])) for j in range(n)] for i in range(n)]
-    T = _fractions(fs.T)
 
     def S(m):
         out = _mat_zero(n)
         for i in range(n):
             for j in range(n):
                 k = m + degs[j] - degs[i]
-                if 0 <= k <= fs.order:
+                if 0 <= k <= order:
                     out[i][j] = T[k][i][j]
         return out
 
@@ -218,13 +240,12 @@ def pairing_identity_residual(fs):
     return worst
 
 
-def degree_shift_ok(fs) -> bool:
+def degree_shift_ok(ring, T) -> bool:
     """T_k[i,j] = 0 unless deg_i - deg_j >= 1 - k (endomorphism degree bound)."""
-    degs = fs.ring.degrees()
-    T = _fractions(fs.T)
-    for k in range(1, fs.order + 1):
-        for i in range(fs.ring.rank):
-            for j in range(fs.ring.rank):
+    degs = ring.degrees()
+    for k in range(1, len(T)):
+        for i in range(ring.rank):
+            for j in range(ring.rank):
                 if T[k][i][j] != 0 and degs[i] - degs[j] < 1 - k:
                     return False
     return True
@@ -442,19 +463,18 @@ def test_a_corrupted_operator_fails_the_spectrum_check(monkeypatch, capsys, fiel
 
 
 def test_fundamental_solution_p1():
-    fs = fundamental_solution(P1, 6)
-    T = _fractions(fs.T)
+    T = _t_series(P1, 6)
     assert T[2][0][0] == Fraction(-1) and T[2][0][1] == Fraction(-1)
     assert T[2][1][0] == Fraction(2) and T[2][1][1] == Fraction(1)
-    assert recursion_residual(fs) == 0
+    assert recursion_residual(P1, T) == 0
 
 
 def test_fundamental_solution_integer_pairs():
-    """Every order is an int matrix over one int d >= 1, in lowest terms;
-    a zero order is (0, 1)."""
-    fs = fundamental_solution(G36, 18)
-    assert fs.U[1] == (_mat_zero(G36.rank), 1)
-    for Y, d in fs.U + fs.T:
+    """Every order of U is an int matrix over one int d >= 1, in lowest
+    terms; a zero order is (0, 1)."""
+    U = _u_series(G36, 18)
+    assert U[1] == (_mat_zero(G36.rank), 1)
+    for Y, d in U:
         assert type(d) is int and d >= 1
         assert all(type(x) is int for row in Y for x in row)
         assert math.gcd(d, *(x for row in Y for x in row)) == 1
@@ -462,20 +482,19 @@ def test_fundamental_solution_integer_pairs():
 
 def test_fundamental_solution_identities():
     for ring in [P1, P2, G24]:
-        fs = fundamental_solution(ring, ring.dim + 6)
-        assert recursion_residual(fs) == 0
-        assert pairing_identity_residual(fs) == 0
-        assert degree_shift_ok(fs)
+        T = _t_series(ring, ring.dim + 6)
+        assert recursion_residual(ring, T) == 0
+        assert pairing_identity_residual(ring, T) == 0
+        assert degree_shift_ok(ring, T)
 
 
 def test_graded_solver_matches_neumann_oracle():
     for ring in [P1, P2, G24, G25, G36]:
         M = 2 * ring.N + 1
-        fs = fundamental_solution(ring, M)
         T, U = _neumann_series(ring, M)
-        assert _fractions(fs.U) == U
-        assert _fractions(fs.T) == T
-        assert [J.coeffs for J in fs.J] == [[row[0] for row in Um] for Um in U]
+        assert _fractions(_u_series(ring, M)) == U
+        assert _t_series(ring, M) == T
+        assert [J.coeffs for J in j_coefficients(ring, M)] == [[row[0] for row in Um] for Um in U]
 
 
 @settings(max_examples=40, deadline=None)
@@ -518,18 +537,15 @@ def test_corrupted_solve_raises(monkeypatch):
         X[-1][0] += 1
         return X
 
-    fs = fundamental_solution(P2, 9)
     monkeypatch.setattr(connection, "_solve", corrupted)
     with pytest.raises(ArithmeticError, match="solve at order 3: residual"):
-        fundamental_solution(P2, 9)
-    with pytest.raises(ArithmeticError, match="solve at order 3: residual"):
-        fs.T
+        j_coefficients(P2, 9)
 
 
 def test_fundamental_solution_rejects_negative_order():
     with pytest.raises(ValueError):
-        fundamental_solution(P1, -1)
-    assert len(fundamental_solution(P1, 0).J) == 1
+        j_coefficients(P1, -1)
+    assert len(j_coefficients(P1, 0)) == 1
 
 
 def test_j_oracle_projective():
@@ -708,7 +724,7 @@ def _inverse_series(ring) -> list:
     """U_0..U_{3N}, solved on first use: a solver defect then fails the tests
     that read it, one by one, rather than the collection of this module."""
     if id(ring) not in _U:
-        _U[id(ring)] = fundamental_solution(ring, 3 * ring.N).U
+        _U[id(ring)] = _u_series(ring, 3 * ring.N)
     return _U[id(ring)]
 
 

@@ -27,10 +27,9 @@ MODULES = sorted(SRC.glob("*.py"))
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 BENCHMARK = sorted((ROOT / "perfbench").glob("*.py"))
 CALLERS = [*MODULES, *SCRIPTS, *BENCHMARK]
-# paper content that only the tests call: Gamma II central charges, the
-# HRR Euler pairing and J(t) at a single t (limit_ratio sums one set of rows
-# over its whole grid)
-TEST_ONLY_PAPER_CONTENT = {"central_charge", "euler_pairing_hrr", "eval_J"}
+# paper content that only the tests call: Gamma II central charges and the
+# HRR Euler pairing
+TEST_ONLY_PAPER_CONTENT = {"central_charge", "euler_pairing_hrr"}
 # code that only the benchmark reaches: its probe replays the Schur products
 # that build_ring no longer makes (Schur polynomials, their products and
 # bialternant expansions; the Grassmannian closed-form Gamma class reads
@@ -231,11 +230,6 @@ def test_every_definition_is_referenced():
                   for name in _unreachable(package, scripts + benchmark, roots)) == []
 
 
-# paper content kept in a report although no caller reads it: the inverse
-# series U of the fundamental solution
-UNREAD_PAPER_FIELDS = {"FundamentalSolution.U"}
-
-
 def _is_dataclass(decorator) -> bool:
     target = decorator.func if isinstance(decorator, ast.Call) else decorator
     return isinstance(target, ast.Name) and target.id == "dataclass"
@@ -266,10 +260,7 @@ def test_field_checker():
 def test_every_dataclass_field_is_read():
     reads = set().union(*(_attribute_reads(ast.parse(p.read_text())) for p in CALLERS))
     fields = [f for p in MODULES for f in _dataclass_fields(ast.parse(p.read_text()))]
-    assert UNREAD_PAPER_FIELDS <= set(fields)
-    unread = sorted(f for f in fields
-                    if f.split(".")[1] not in reads and f not in UNREAD_PAPER_FIELDS)
-    assert unread == []
+    assert sorted(f for f in fields if f.split(".")[1] not in reads) == []
 
 
 # a knob that only the tests turn: the abscissa of the Mellin contour, which

@@ -19,7 +19,7 @@ from qgamma.charclasses import gamma_class, kapranov_ch
 from qgamma.connection import spectrum_closed_form
 
 from qgamma.mrs import (SOB, MRS, gram, integer_gram, is_uni_uppertriangular, braid_act,
-                        h_phase, is_admissible, stokes_matrix, phase_rotation,
+                        h_phase, greedy_groups, is_admissible, stokes_matrix, phase_rotation,
                         mutate_phase_rotation, euler_matrix, gamma_mrs,
                         beilinson_gamma_mrs, kapranov_gamma_mrs)
 
@@ -194,6 +194,20 @@ def test_stokes_rejects_a_nonzero_entry_between_equal_markings():
     # unitriangular in either order of the equal pair, but they must not pair
     with pytest.raises(ArithmeticError, match="equal markings"):
         stokes_matrix(np.array([[1, 1], [0, 1]], dtype=object), [1j, 1j], -0.05)
+
+
+def test_one_rule_for_equal_markings():
+    # markings 5e-10 apart are one group at 1e-9 for the admissibility test,
+    # the Stokes check and phase_rotation alike: e^{i pi / 2} is parallel to
+    # their difference, yet the phase is admissible
+    mk = [1 + 0j, 1 + 5e-10j, -1 + 0j]
+    assert greedy_groups(mk, 1e-9) == [[0, 1], [2]]
+    assert is_admissible(mk, math.pi / 2) and not is_admissible(mk, 0.0)
+    G = [[1, 0, 0], [0, 1, 0], [2, 2, 1]]
+    assert stokes_matrix(G, mk, math.pi / 2) == [[1, 2, 2], [0, 1, 0], [0, 0, 1]]
+    G[0][1] = 3   # still unitriangular in the phase order
+    with pytest.raises(ArithmeticError, match="equal markings"):
+        stokes_matrix(G, mk, math.pi / 2)
 
 
 def test_phase_rotation_p1_example():
