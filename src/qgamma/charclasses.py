@@ -19,9 +19,10 @@ P^{N-1} factor.  The Grassmannian closed form of the Gamma class is an
 independent route through the bialternant: its product over the Chern roots
 times the Vandermonde is an alternant, det[F_{r-j}(x_i)] of one-variable
 series, so each Schur coefficient is one r x r minor of their coefficient
-rows (`rings.compound`), with no polynomial in r variables.  The
-zeta-regularized product takes zeta(0, a) and its exact s-derivative from one
-Euler-Maclaurin pass of the Hurwitz zeta.
+rows, read by `rings.satake` with the F_k as classes of P^{N-1}, with no
+polynomial in r variables.  The zeta-regularized product takes zeta(0, a) and
+its exact s-derivative at s = 0 from one Euler-Maclaurin pass of the Hurwitz
+zeta.
 """
 
 from __future__ import annotations
@@ -30,10 +31,10 @@ import itertools
 from fractions import Fraction
 from math import comb, factorial
 
-from mpmath import (mp, mpc, mpf, gamma as mp_gamma, bernoulli, bernfrac, exp as mp_exp,
+from mpmath import (mp, mpf, gamma as mp_gamma, bernoulli, bernfrac, exp as mp_exp,
                     fprod, log as mp_log, sqrt as mp_sqrt, power as mp_power, zeta)
 
-from .rings import (RingSpec, CohClass, build_ring, compound, cup, exp_cup,
+from .rings import (RingSpec, CohClass, build_ring, cup, exp_cup,
                     normalize_partition, same_ring, satake, wedge_exponents)
 
 mp.dps = 40
@@ -177,9 +178,9 @@ def _gamma_G_closed_form(ring: RingSpec) -> CohClass:
     (2 pi i)^{-C(r,2)} det[F_{r-j}(x_i)], F_k(x) = e^{(2k-r+1) pi i x}
     Gamma(1 + x)^N.  By the bialternant the coefficient of s_lam is that of
     x^{lam + delta} in it: (2 pi i)^{-C(r,2)} times the minor of the
-    coefficient rows of F_0..F_{r-1} at the increasing exponents
-    wedge_exponents(lam, r) (rows and columns both reversed), all below N."""
-    r, N = ring.r, ring.N
+    coefficient rows of F_{r-1}..F_0 at the exponents wedge_exponents(lam,
+    r), all below N, which is satake of the F_k as classes of P^{N-1}."""
+    r, N, ring_P = ring.r, ring.N, build_ring("P", ring.N)
     lg = log_gamma_coeffs(N - 1)
     rows = []
     for k in range(r):
@@ -189,11 +190,8 @@ def _gamma_G_closed_form(ring: RingSpec) -> CohClass:
         g = [mpf(1)]
         for n in range(1, N):
             g.append(sum(m * f[m] * g[n - m] for m in range(1, n + 1)) / n)
-        rows.append(g)
-    minors = compound(rows, r)
-    top, scale = tuple(range(r)), (2j * mp.pi) ** (-(r * (r - 1) // 2))
-    return CohClass(ring, [minors[top, wedge_exponents(lam, r)[::-1]] * scale
-                           for lam in ring.basis])
+        rows.append(CohClass(ring_P, g))
+    return satake(rows[::-1], ring) * (2j * mp.pi) ** (-(r * (r - 1) // 2))
 
 
 def kapranov_ch(nu, ring: RingSpec) -> CohClass:
@@ -297,42 +295,24 @@ def euler_pairing_hrr(ch1: CohClass, ch2: CohClass) -> int:
 
 # --- Appendix-A zeta regularization -------------------------------------
 
-def hurwitz_zeta_em(s, a) -> tuple:
-    """(zeta(s, a), d/ds zeta(s, a)) for the Hurwitz zeta, from one
-    Euler-Maclaurin pass (valid for Re(s) > -2K+1, s != 1): every term is
-    differentiated exactly, (a+n)^{-s} to -(a+n)^{-s} log(a+n), the tail
-    q^{1-s}/(s-1) + q^{-s}/2 likewise, and the j-th Bernoulli term through
-    its rising product s(s+1)...(s+2j-2) and that product's derivative.  At
-    s = 0 every power is 1, so the pass takes two logs and no exp."""
+def hurwitz_zeta_em(a) -> tuple:
+    """(zeta(0, a), d/ds zeta(s, a) at s = 0) for the Hurwitz zeta, from one
+    Euler-Maclaurin pass at s = 0, each term differentiated exactly: the M
+    direct terms (a+n)^{-s} give M and minus the log of their product, the
+    tail q^{1-s}/(s-1) + q^{-s}/2 gives 1/2 - q and q log q - q - log q / 2,
+    and the j-th Bernoulli term, whose rising product s(s+1)...(s+2j-2)
+    vanishes at s = 0 with derivative (2j-2)!, adds to the derivative only:
+    Stirling's series."""
     M, K = 30, 12   # direct terms, Bernoulli corrections
-    # an int s stays exact, and so do the rising products
-    s, a = s if isinstance(s, (int, mpf, mpc)) else mpf(s), mpf(a)
-    if s:
-        value = deriv = 0
-        for n in range(M):
-            log_x = mp_log(a + n)
-            x_s = mp_exp(-s * log_x)   # (a+n)^{-s}
-            value += x_s
-            deriv -= x_s * log_x
-    else:   # the M logs sum to the log of one product
-        value, deriv = M, -mp_log(fprod(a + n for n in range(M)))
+    a = mpf(a)
     q = a + M
     log_q = mp_log(q)
-    q_s = mp_exp(-s * log_q) if s else 1   # q^{-s}
-    tail = q * q_s / (s - 1)   # q^{1-s}/(s-1)
-    value += tail + q_s / 2
-    # d/ds of the tail is -tail (log q + 1/(s-1)) - q^{-s} log q / 2
-    deriv -= tail * log_q + tail / (s - 1) + q_s * log_q / 2
-    poch, dpoch = s, 1   # s(s+1)...(s+2j-2) and its derivative
-    q_j, q2 = q_s / q, q * q   # q^{-s-2j+1}
+    deriv = -mp_log(fprod(a + n for n in range(M))) - (q - q * log_q + log_q / 2)
+    q_j, q2 = 1 / q, q * q   # q^{1-2j}
     for j in range(1, K + 1):
-        c = bernoulli(2 * j) / factorial(2 * j) * q_j
-        value += c * poch
-        deriv += c * (dpoch - poch * log_q)
-        for k in (2 * j - 1, 2 * j):
-            poch, dpoch = poch * (s + k), dpoch * (s + k) + poch
+        deriv += bernoulli(2 * j) / factorial(2 * j) * q_j * factorial(2 * j - 2)
         q_j /= q2
-    return value, deriv
+    return M + (0.5 - q), deriv
 
 
 def _zeta_reg_args(delta, z) -> tuple:
@@ -348,7 +328,7 @@ def zeta_reg_reciprocal_product(delta, z):
     product prod_{n>=1} 1/(delta + n z).  f'(0) = log z zeta(0, a) -
     zeta'(0, a), a = delta/z + 1, from one Euler-Maclaurin pass."""
     delta, z = _zeta_reg_args(delta, z)
-    value, deriv = hurwitz_zeta_em(0, delta / z + 1)
+    value, deriv = hurwitz_zeta_em(delta / z + 1)
     return mp_exp(deriv - mp_log(z) * value)
 
 

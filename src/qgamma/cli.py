@@ -15,6 +15,7 @@ import json
 import math
 import re
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 from mpmath import mpf, mpc
@@ -134,13 +135,16 @@ def _nmax(args) -> int:
 
 
 def _finite_float(text: str) -> float:
-    """argparse type: a float that is neither infinite nor NaN."""
+    """argparse type: a float that is neither infinite nor NaN, nor a nonzero
+    literal that float64 rounds to 0.0."""
     try:
         x = float(text)
     except ValueError:
         x = math.nan
     if not math.isfinite(x):
         raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    if x == 0 and Decimal(text):
+        raise argparse.ArgumentTypeError(f"{text!r} is nonzero but underflows float64 to 0.0")
     return x
 
 

@@ -136,6 +136,9 @@ def test_usage_error_exit_1(capsys):
     ["zetareg", "--delta", "-1", "--z", "1"],
     ["limit", "--target", "P(2)", "--t", "-1"],
     ["apery", "--target", "G(2,5)", "--n-grid", "-3"],
+    pytest.param(["limit", "--target", "P(1)", "--t", "0"], id="limit-t0"),
+    pytest.param(["zetareg", "--delta", "1", "--z", "0"], id="zetareg-z0"),
+    pytest.param(["zetareg", "--delta", "1", "--z", "-1"], id="zetareg-z-1"),
 ], ids=lambda argv: argv[0])
 def test_bad_argument_values_are_usage_errors(capsys, argv):
     assert main(argv) == 1
@@ -155,6 +158,24 @@ def test_psi_non_positive_t_is_a_usage_error_naming_t(capsys, t):
     assert captured.err.startswith(f"usage error: psi needs t > 0, got --t {t}\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["limit", "--target", "P(1)", "--t", "1e-400"],
+    ["psi", "--N", "2", "--t", "1e-400"],
+    ["zetareg", "--delta", "1", "--z", "1e-400"],
+], ids=lambda argv: argv[0])
+def test_a_positive_literal_that_underflows_float64_is_a_usage_error(capsys, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        f"usage error: argument {argv[-2]}: '1e-400' is nonzero but underflows float64 to 0.0\n")
+
+
+def test_the_smallest_subnormal_t_is_a_float_whose_limit_fails(capsys):
+    assert main(["limit", "--target", "P(1)", "--t", "5e-324"]) == 2
+    assert json.loads(capsys.readouterr().out)["converged"] is False
+
+
 def test_negative_nmax_exit_1(capsys):
     assert main(["jfun", "--target", "P(2)", "--nmax", "-3"]) == 1
     assert main(["period", "--target", "G(2,4)", "--nmax", "-2"]) == 1
@@ -167,6 +188,9 @@ def test_negative_nmax_exit_1(capsys):
     pytest.param(["zetareg", "--delta", "1e300", "--z", "1"], id="zetareg-inf"),
     pytest.param(["psi", "--N", "3", "--t", "1e5"], id="psi-inf"),
     pytest.param(["psi", "--N", "2", "--t", "1e-300"], id="psi-nan"),
+    # the smallest subnormal is a float, so it reaches the numerics
+    pytest.param(["psi", "--N", "2", "--t", "5e-324"], id="psi-subnormal"),
+    pytest.param(["zetareg", "--delta", "1", "--z", "5e-324"], id="zetareg-subnormal"),
     # quadrature below its rounding floor: an answer would have few right digits
     pytest.param(["psi", "--N", "2", "--t", "20"], id="psi-floor-N2-t20"),
     pytest.param(["psi", "--N", "3", "--t", "12"], id="psi-floor-N3-t12"),

@@ -649,7 +649,7 @@ def test_quantum_period_g24():
 
 # --- the exact row of a class g with c1 cup g = 0 ---------------------------
 
-SMALL_TARGETS = ([("P", N, 1) for N in range(2, 36)]
+PERIOD_TARGETS = ([("P", N, 1) for N in range(2, 36)]
                  + [("G", N, r) for N in range(4, 9) for r in range(2, N - 1)
                     if math.comb(N, r) <= 35])
 
@@ -658,8 +658,8 @@ def _rows(ring, g, M):
     return list(itertools.islice(pairing_rows(ring, g), M + 1))
 
 
-@pytest.mark.parametrize("kind,N,r", SMALL_TARGETS,
-                         ids=[f"{k}{r},{N}" for k, N, r in SMALL_TARGETS])
+@pytest.mark.parametrize("kind,N,r", PERIOD_TARGETS,
+                         ids=[f"{k}{r},{N}" for k, N, r in PERIOD_TARGETS])
 def test_point_row_matches_the_column_recursion(kind, N, r):
     ring = build_ring(kind, N, r)
     J = j_coefficients(ring, 3 * N)

@@ -130,9 +130,9 @@ def test_imports_match_declared_dependencies():
 
 
 # the float routines, the only functions that import numpy: the Mellin
-# quadrature nodes, the benchmark's complex Gram and criterion 9's seeded
-# random Grams (the float J recursion and its sum run on Python lists)
-NUMPY_FUNCTIONS = {"_leggauss", "_gamma_nodes", "gram", "criterion_9"}
+# quadrature nodes and the benchmark's complex Gram (the float J recursion
+# and its sum run on Python lists, criterion 9's random Grams on the stdlib)
+NUMPY_FUNCTIONS = {"_leggauss", "_gamma_nodes", "gram"}
 
 
 def numpy_imports(source: str) -> list:

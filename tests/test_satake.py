@@ -136,9 +136,10 @@ def test_criteria_5_and_11_take_each_satake_image_once(monkeypatch):
     monkeypatch.setattr(charclasses, "_CLASS_CACHE", {})
     monkeypatch.setattr(charclasses, "satake", counted)
     assert verify.criterion_5()["passed"]
-    assert len(calls) == 6 + 10 + 20   # the boxes of G(2,4), G(2,5), G(3,6)
+    # the boxes of G(2,4), G(2,5), G(3,6), and one closed-form Gamma class each
+    assert len(calls) == 6 + 10 + 20 + 3
     assert verify.criterion_11()["passed"]
-    assert len(calls) == 36
+    assert len(calls) == 39
 
 
 def test_scalar_products_never_format_the_class(monkeypatch):
