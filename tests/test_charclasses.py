@@ -512,17 +512,27 @@ def test_kapranov_euler_pairing_not_orthogonal():
 
 ZETA_REG_DELTAS = ["0", "1e-3", "0.5", "1", "2", "1e3", "1e6"]
 ZETA_REG_ZS = ["1e-5", "1e-3", "0.5", "1", "2", "1e3", "1e6"]
-# a = delta/z + 1 over the product grid below, and three small a
-HURWITZ_AS = sorted({mpf(delta) / mpf(z) + 1 for delta in ZETA_REG_DELTAS for z in ZETA_REG_ZS}
-                    | {mpf("0.5"), mpf(1), mpf("2.25")})
+# a = delta/z + 1 over the product grid below
+HURWITZ_AS = sorted({mpf(delta) / mpf(z) + 1 for delta in ZETA_REG_DELTAS for z in ZETA_REG_ZS})
+
+
+def _check_hurwitz_at_0(a, s=0):
+    value, deriv = hurwitz_zeta_em(a)
+    for ours, ref in [(value, mpmath.zeta(s, a)), (deriv, mpmath.zeta(s, a, 1))]:
+        # zeta(0, 1/2) = 0; every other reference is at least 0.3 in size
+        assert abs(ours - ref) <= 1e-25 * abs(ref) if ref else ours == 0
+
+
+# the reference is taken at s = 0 given as an mpf and as an int
+@pytest.mark.parametrize("s", [mpf(0), 0], ids=["s1", "0"])
+@pytest.mark.parametrize("a", [mpf("0.5"), mpf(1), mpf("2.25")])
+def test_hurwitz_zeta_and_its_s_derivative_against_mpmath(s, a):
+    _check_hurwitz_at_0(a, s)
 
 
 @pytest.mark.parametrize("a", HURWITZ_AS, ids=lambda a: mpmath.nstr(a, 12))
-def test_hurwitz_zeta_and_its_s_derivative_against_mpmath(a):
-    value, deriv = hurwitz_zeta_em(a)
-    for ours, ref in [(value, mpmath.zeta(0, a)), (deriv, mpmath.zeta(0, a, 1))]:
-        # zeta(0, 1/2) = 0; every other reference is at least 0.3 in size
-        assert abs(ours - ref) <= 1e-25 * abs(ref) if ref else ours == 0
+def test_hurwitz_zeta_at_0_over_the_product_grid(a):
+    _check_hurwitz_at_0(a)
 
 
 @pytest.mark.parametrize("delta", ZETA_REG_DELTAS)
