@@ -125,8 +125,7 @@ def apery_ratios(ring: RingSpec, g: CohClass, n_grid, tol: float = 1e-6) -> Limi
     values = [ratios[rf * n] for n in n_grid if rf * n in ratios]
     skipped = [n for n in n_grid if rf * n not in ratios]
     gam = gamma_class(ring)
-    target = float(sum(c * poincare_pair(g, ring.basis_class(lam))
-                       for lam, c in zip(ring.basis, gam.coeffs) if c != 0) / gam.coeffs[0])
+    target = float(poincare_pair(g, gam) / gam.coeffs[0])
     gap = abs(values[-1] - target) if values else float("inf")
     return LimitReport(grid=[n for n in n_grid if n not in skipped], values=values,
                        extrapolated=values[-1] if values else None, target=target,

@@ -153,14 +153,15 @@ def _float_list(text: str) -> list:
     return [_finite_float(x) for x in text.split(",")]
 
 
-def _positive_int_list(text: str) -> list:
-    """argparse type: comma-separated positive integers."""
+def _int_list(text: str, positive: bool = False) -> list:
+    """argparse type: comma-separated integers, each >= 1 if positive."""
     try:
         values = [int(x) for x in text.split(",")]
     except ValueError:
-        values = [0]
-    if min(values) < 1:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a list of positive integers")
+        values = None
+    if values is None or positive and min(values) < 1:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a list of {'positive ' if positive else ''}integers")
     return values
 
 
@@ -196,8 +197,9 @@ def build_parser() -> Parser:
 
     sp = add("apery", help="Apery-style ratio limit")
     sp.add_argument("--target", required=True)
-    sp.add_argument("--n-grid", type=_positive_int_list, default="20,30,40")
-    sp.add_argument("--g-coeffs",
+    sp.add_argument("--n-grid", type=lambda text: _int_list(text, positive=True),
+                    default="20,30,40")
+    sp.add_argument("--g-coeffs", type=_int_list,
                     help="comma-separated coefficients of the Poincare dual "
                          "class in basis order (default: the G(2,5) class "
                          "dual to sigma_2 - sigma_{1,1})")
@@ -279,11 +281,10 @@ def cmd_limit(args):
 
 def cmd_apery(args):
     ring = parse_target(args.target)
-    if args.g_coeffs:
-        coeffs = [int(x) for x in args.g_coeffs.split(",")]
-        if len(coeffs) != ring.rank:
+    if args.g_coeffs is not None:
+        if len(args.g_coeffs) != ring.rank:
             raise UsageError(f"--g-coeffs needs {ring.rank} entries")
-        g = CohClass(ring, coeffs)
+        g = CohClass(ring, args.g_coeffs)
     elif (ring.kind, ring.r, ring.N) == ("G", 2, 5):
         g = ring.basis_class((3, 1)) - ring.basis_class((2, 2))
     else:
@@ -332,10 +333,8 @@ def cmd_satake(args):
     ring = parse_target(args.target)
     if ring.kind != "G":
         raise UsageError("satake needs a G(r,N) target")
-    r, N = ring.r, ring.N
-    reports = [check_wedge_spectrum(r, N)]
-    reports += [check_kapranov_wedge_identity(r, N, nu) for nu in ring.basis]
-    reports.append(check_mrs_wedge(r, N))
+    reports = [check(ring.r, ring.N) for check in
+               [check_wedge_spectrum, check_kapranov_wedge_identity, check_mrs_wedge]]
     emit({"target": args.target,
           "checks": [{"case": rep.case, "max_residual": rep.max_residual,
                       "pass": rep.passed} for rep in reports]}, args)

@@ -176,6 +176,26 @@ def test_the_smallest_subnormal_t_is_a_float_whose_limit_fails(capsys):
     assert json.loads(capsys.readouterr().out)["converged"] is False
 
 
+def test_g_coeffs_that_are_not_integers_are_a_usage_error_naming_the_option(capsys):
+    coeffs = "1.5" + ",0" * 9
+    assert main(["apery", "--target", "G(2,5)", "--g-coeffs", coeffs]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        f"usage error: argument --g-coeffs: '{coeffs}' is not a list of integers\n")
+
+
+def test_g_coeffs_take_negative_entries(capsys):
+    # the default class sigma_{3,1} - sigma_{2,2} of G(2,5), spelled out
+    ring = build_ring("G", 5, 2)
+    g = ring.basis_class((3, 1)) - ring.basis_class((2, 2))
+    coeffs = ",".join(str(c) for c in g.coeffs)
+    assert "-1" in coeffs
+    explicit = run(capsys, "apery", "--target", "G(2,5)", "--g-coeffs", coeffs)
+    assert explicit == run(capsys, "apery", "--target", "G(2,5)")
+    assert explicit[0] == 0
+
+
 def test_negative_nmax_exit_1(capsys):
     assert main(["jfun", "--target", "P(2)", "--nmax", "-3"]) == 1
     assert main(["period", "--target", "G(2,4)", "--nmax", "-2"]) == 1
@@ -499,8 +519,10 @@ def test_satake_command(capsys):
     code, out = run(capsys, "satake", "--target", "G(2,4)")
     assert code == 0
     payload = json.loads(out)
+    # one row per claim: spectrum, kapranov, mrs-wedge
+    assert [c["case"] for c in payload["checks"]] == [
+        "spectrum G(2,4)", "kapranov G(2,4)", "mrs-wedge G(2,4)"]
     assert all(c["pass"] for c in payload["checks"])
-    assert len(payload["checks"]) == 8
 
 
 def _run_python(*args):

@@ -5,8 +5,10 @@ inside the float routines that need it (never at module level), every
 top-level function and class of the package is reachable through a chain
 of reads from ``cli.main``, the package's module-level statements or its
 scripts (the names only the benchmark reaches are listed explicitly),
-every dataclass field is read as an attribute, and every parameter default
-is overridden by some call in the package, its scripts or the benchmark.
+every dataclass field is read as an attribute, every parameter default
+is overridden by some call in the package, its scripts or the benchmark,
+and every ``raise`` names an exception class that the CLI maps to an exit
+code.
 
 Uses only the stdlib ``ast`` module, so it runs wherever the test suite does.
 A name counts as used when it appears as a bare name anywhere in the module
@@ -319,3 +321,34 @@ def test_every_default_is_set_by_a_caller():
     package = [ast.parse(p.read_text()) for p in MODULES]
     callers = [ast.parse(p.read_text()) for p in CALLERS]
     assert set(unset_defaults(package, callers)) == TEST_ONLY_KNOBS
+
+
+# the exceptions cli.main classifies: a usage error (exit 1) is a ValueError,
+# a UsageError or an argparse.ArgumentTypeError, numerics out of range
+# (exit 3) an OverflowError, and a failed check (exit 2) an ArithmeticError
+CLASSIFIED_RAISES = {"ValueError", "OverflowError", "ArithmeticError", "UsageError",
+                     "argparse.ArgumentTypeError"}
+
+
+def unclassified_raises(source: str) -> list:
+    """(line, exception) for each raise of a class outside CLASSIFIED_RAISES,
+    called or not; a bare raise re-raises and passes."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if ast.unparse(exc) not in CLASSIFIED_RAISES:
+                out.append((node.lineno, ast.unparse(exc)))
+    return out
+
+
+def test_raise_checker():
+    src = ("raise ValueError('x')\nraise OverflowError\nraise argparse.ArgumentTypeError('y')\n"
+           "try:\n    pass\nexcept KeyError:\n    raise\n"
+           "raise RuntimeError('z')\nraise exc\nraise ArgumentTypeError('w') from None\n")
+    assert unclassified_raises(src) == [(8, "RuntimeError"), (9, "exc"), (10, "ArgumentTypeError")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_src_raises_only_classified_errors(path):
+    assert unclassified_raises(path.read_text()) == []

@@ -27,25 +27,24 @@ def test_wedge_spectrum_trivial_r1():
 
 @pytest.mark.parametrize("r,N", [(2, 4), (2, 5)])
 def test_kapranov_identity_full_box(r, N):
-    for nu in build_ring("G", N, r).basis:
-        rep = check_kapranov_wedge_identity(r, N, nu)
-        assert rep.passed, f"nu={nu}: residual {rep.max_residual}"
-        assert rep.max_residual < 1e-10
+    rep = check_kapranov_wedge_identity(r, N)
+    assert rep.case == f"kapranov G({r},{N})"
+    assert rep.passed and rep.max_residual < 1e-10
 
 
 def test_kapranov_identity_sample_g36():
-    for nu in [(), (2, 1), (3, 3, 3)]:
-        rep = check_kapranov_wedge_identity(3, 6, nu)
-        assert rep.passed and rep.max_residual < 1e-10
+    # the whole G(3,6) box, 20 partitions, in one report
+    rep = check_kapranov_wedge_identity(3, 6)
+    assert rep.passed and rep.max_residual < 1e-10
 
 
 def test_kapranov_identity_trivial_r1():
-    rep = check_kapranov_wedge_identity(1, 3, (2,))
+    rep = check_kapranov_wedge_identity(1, 3)
     assert rep.passed and rep.max_residual < 1e-25
 
 
 def test_kapranov_identity_fails_on_a_perturbed_closed_form(monkeypatch):
-    # the closed form is compared with the generic Gamma class on every nu
+    # the closed form is compared with the generic Gamma class once per ring
     honest = wedgecheck.gamma_G_closed_form
 
     def perturbed(r, N):
@@ -54,9 +53,41 @@ def test_kapranov_identity_fails_on_a_perturbed_closed_form(monkeypatch):
         coeffs[3] += mpf("1e-6")
         return CohClass(gam.ring, coeffs)
     monkeypatch.setattr(wedgecheck, "gamma_G_closed_form", perturbed)
-    rep = check_kapranov_wedge_identity(2, 4, ())
+    rep = check_kapranov_wedge_identity(2, 4)
     assert not rep.passed
     assert abs(rep.max_residual - 1e-6) < 1e-12
+
+
+@pytest.mark.parametrize("twist", [lambda r: -r, lambda r: r - 1], ids=["-r", "r-1"])
+def test_kapranov_identity_fails_on_a_mistwisted_satake_image(monkeypatch, twist):
+    # the P^{N-1} factors twisted by twist(r) pi i instead of -(r-1) pi i:
+    # only the Satake side of each partition's comparison sees it
+    def mistwisted(ring_P, r, k):
+        return exp_cup(charclasses.gamma_basis_class((k,), ring_P), ring_P.basis_class((1,)),
+                       twist(r) * 1j * mp.pi)
+    monkeypatch.setattr(charclasses, "_CLASS_CACHE", {})
+    assert check_kapranov_wedge_identity(2, 4).passed and verify.criterion_5()["passed"]
+    monkeypatch.setattr(charclasses, "_CLASS_CACHE", {})
+    monkeypatch.setattr(charclasses, "_twisted_gamma_basis_class", mistwisted)
+    rep = check_kapranov_wedge_identity(2, 4)
+    assert not rep.passed and rep.max_residual > 1
+    c5 = verify.criterion_5()
+    assert not c5["passed"] and c5["details"]["max_residual"] > 1
+
+
+def test_criterion_5_reads_each_closed_form_once(monkeypatch):
+    # one ring-level comparison per Grassmannian, not one per partition
+    honest = wedgecheck.gamma_G_closed_form
+    calls = []
+
+    def counted(r, N):
+        calls.append((r, N))
+        return honest(r, N)
+    monkeypatch.setattr(charclasses, "_CLASS_CACHE", {})
+    monkeypatch.setattr(wedgecheck, "gamma_G_closed_form", counted)
+    c5 = verify.criterion_5()
+    assert c5["passed"] and c5["details"]["cases"] == 36
+    assert calls == [(2, 4), (2, 5), (3, 6)]
 
 
 def test_mrs_wedge_g24():
