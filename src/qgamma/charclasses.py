@@ -11,9 +11,9 @@ follows by Newton's identities and ch(S^nu V*) by the dual Pieri rule, one cup
 per partition, all with exact Fraction coefficients.  The Gamma and Todd
 classes are one graded ring exponential (`rings.exp_cup`) each, of the power
 sums of the roots of TF.  The bilinear [.,.) is its matrix B on the Schubert
-basis, built once per ring and precision; a left vector a becomes the row a B
+basis, built once per ring and period point; a left vector a becomes the row a B
 once, then one dot per pairing.  The Gamma-basis classes Gamma-hat Ch(S^nu V*)
-and their normalized Satake images are built once per ring, nu and precision;
+and their normalized Satake images are built once per ring, nu and point;
 the Satake twist e^{-(r-1) pi i sigma_1} acts as e^{-(r-1) pi i h} on each
 P^{N-1} factor.  The Grassmannian closed form of the Gamma class is an
 independent route through the bialternant: its product over the Chern roots
@@ -23,16 +23,31 @@ rows, read by `rings.satake` with the F_k as classes of P^{N-1}, with no
 polynomial in r variables.  The zeta-regularized product takes zeta(0, a) and
 its exact s-derivative at s = 0 from one Euler-Maclaurin pass of the Hurwitz
 zeta.
+
+The Gamma class and everything built on it lie in the period ring
+Q[gamma, 2 pi i, zeta(3), zeta(5), ...], since zeta(2k) = -B_2k (2 pi
+i)^{2k} / (2 (2k)!).  So every builder of such a class reads Euler's
+constant, zeta(k), 2 pi i and the scalar 1 from a period point, and caches
+by it: MP_POINT, the numbers themselves in mpmath at the working precision,
+or FP_POINT, one fixed pseudo-random point over F_P (P = 2^61 + 15) with Fp
+scalars, on which cup, exp_cup, satake and compound run unchanged.  An
+identity of the ring that is false, a nonzero polynomial of degree d once
+the negative powers of 2 pi i are cleared, holds at a random point with
+probability at most d / P (Schwartz, JACM 1980); for the Kapranov, closed
+form and Gram identities d <= dim + C(r, 2), so the bound is below 2e-14
+for every ring in range (the largest d is G(299,300)'s 44,850).
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 from math import comb, factorial
 
 from mpmath import (mp, mpf, gamma as mp_gamma, bernoulli, bernfrac, exp as mp_exp,
                     fprod, log as mp_log, sqrt as mp_sqrt, power as mp_power, zeta)
+from mpmath.libmp import isprime
 
 from .rings import (RingSpec, CohClass, build_ring, cup, exp_cup,
                     normalize_partition, same_ring, satake, wedge_exponents)
@@ -40,23 +55,170 @@ from .rings import (RingSpec, CohClass, build_ring, cup, exp_cup,
 mp.dps = 40
 
 
-def log_gamma_coeffs(order: int) -> list:
+# --- the period point -----------------------------------------------------
+
+P = next(p for p in itertools.count(2 ** 61 + 1) if isprime(p))   # 2^61 + 15
+
+
+def _residue(x):
+    """x as an integer standing for it mod P: an int (an Fp included) as it
+    is, a Fraction as numerator times the inverse of its denominator; None
+    for any other type."""
+    if isinstance(x, int):
+        return x
+    if isinstance(x, Fraction):
+        return x.numerator * pow(x.denominator, -1, P)
+    return None
+
+
+class Fp(int):
+    """An element of the field with P elements, held as its representative
+    in [0, P), so == and hash are those of the representatives.  + - * / and
+    ** (an int exponent) reduce mod P, with an int, a Fraction or an Fp on
+    either side of + - * / and the result an Fp.  An int on the left
+    reaches the reflected operator first, since Fp subclasses int (cup adds
+    to an int 0, compound subtracts from one); a Fraction on the left
+    reads an Fp as its representative and gives a Fraction, which is the
+    same element mod P, so the builders keep Fp on the left of Fractions.
+    Other types are not supported."""
+    __slots__ = ()
+
+    def __new__(cls, x):
+        n = _residue(x)
+        if n is None:
+            raise ValueError(f"no F_p value for a {type(x).__name__}")
+        return int.__new__(cls, n % P)
+
+    def __add__(self, other):
+        n = _residue(other)
+        return NotImplemented if n is None else _fp(int.__add__(self, n))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        n = _residue(other)
+        return NotImplemented if n is None else _fp(int.__sub__(self, n))
+
+    def __rsub__(self, other):
+        n = _residue(other)
+        return NotImplemented if n is None else _fp(n - int(self))
+
+    def __mul__(self, other):
+        n = _residue(other)
+        return NotImplemented if n is None else _fp(int.__mul__(self, n))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        n = _residue(other)
+        return NotImplemented if n is None else _fp(int.__mul__(self, _inverse(n)))
+
+    def __rtruediv__(self, other):
+        n = _residue(other)
+        return NotImplemented if n is None else _fp(n * _inverse(self))
+
+    def __pow__(self, k: int):
+        return _fp(pow(int(self) if k >= 0 else _inverse(self), abs(k), P))
+
+    def __neg__(self):
+        return _fp(-int(self))
+
+
+def _fp(n: int) -> Fp:
+    return int.__new__(Fp, n % P)
+
+
+def _inverse(n: int) -> int:
+    n = int(n) % P
+    if n == 0:
+        raise ArithmeticError("division by 0 in F_p")
+    return pow(n, -1, P)
+
+
+class _MpPoint:
+    """The period point itself: Euler's constant, 2 pi i and zeta(k) as
+    mpmath numbers at the working precision when they are read, which is
+    also the cache key; values agree to a relative 1e-15.  mu_weight(p,
+    dim) = (2 pi)^{-dim} e^{pi i (p - dim/2)}, the bracket's weight on
+    degree p, is rounded as that product."""
+
+    @property
+    def key(self) -> tuple:
+        return ("mp", mp.prec)
+
+    @property
+    def one(self):
+        return mpf(1)
+
+    @property
+    def euler(self):
+        return +mp.euler
+
+    @property
+    def tau(self):
+        return 2j * mp.pi
+
+    @property
+    def tol(self):
+        return mpf("1e-15")
+
+    @staticmethod
+    def zeta(k: int):
+        return zeta(k)
+
+    @staticmethod
+    def mu_weight(p: int, dim: int):
+        return mp_power(2 * mp.pi, -dim) * mp_exp(1j * mp.pi * (p - mpf(dim) / 2))
+
+
+class _FpPoint:
+    """One fixed pseudo-random point of the period ring Q[gamma, 2 pi i,
+    zeta(3), zeta(5), ...] over F_P: Euler's constant, 2 pi i and each
+    odd zeta(k) drawn from a seed named after it, and zeta(2k) = -B_2k
+    (2 pi i)^2k / (2 (2k)!) from 2 pi i.  Values agree only when equal.
+    The bracket's weight on degree p is (2 pi i)^{-dim} (-1)^p."""
+    key = ("F_p", P)
+    one = Fp(1)
+    tol = 0
+
+    def __init__(self):
+        self.euler, self.tau = _draw("euler"), _draw("2 pi i")
+
+    def zeta(self, k: int) -> Fp:
+        if k % 2:
+            return _draw(f"zeta({k})")
+        return self.tau ** k * -Fraction(*bernfrac(k)) / (2 * factorial(k))
+
+    def mu_weight(self, p: int, dim: int) -> Fp:
+        return (-1) ** p * self.tau ** -dim
+
+
+def _draw(name: str) -> Fp:
+    return Fp(random.Random(f"qgamma period point: {name}").randrange(1, P))
+
+
+MP_POINT = _MpPoint()
+FP_POINT = _FpPoint()
+
+
+def log_gamma_coeffs(order: int, point=MP_POINT) -> list:
     """Taylor coefficients of log Gamma(1+x) up to x^order (index = power),
-    at the current working precision."""
-    coeffs = [mpf(0), -mp.euler]
+    at the period point."""
+    coeffs = [0 * point.one, -point.euler]
     for k in range(2, order + 1):
-        coeffs.append((-1) ** k * zeta(k) / k)
+        coeffs.append((-1) ** k * point.zeta(k) / k)
     return coeffs
 
 
 _CLASS_CACHE: dict = {}
 
 
-def _cached(name: str, build, ring: RingSpec, *args, exact: bool = False):
-    """build(ring, *args), computed once per (name, ring, args) and, unless
-    the value is exact, working precision; a class is kept with tuple
-    coefficients, so the shared value cannot be changed in place."""
-    key = (name, ring.kind, ring.r, ring.N, *args, None if exact else mp.prec)
+def _cached(name: str, build, ring: RingSpec, *args):
+    """build(ring, *args), computed once per (name, ring, args), a period
+    point among the args keyed by its key (an exact value takes no point);
+    a class is kept with tuple coefficients, so the shared value cannot be
+    changed in place."""
+    key = (name, ring.kind, ring.r, ring.N, *(getattr(a, "key", a) for a in args))
     out = _CLASS_CACHE.get(key)
     if out is None:
         out = build(ring, *args)
@@ -65,10 +227,11 @@ def _cached(name: str, build, ring: RingSpec, *args, exact: bool = False):
     return out
 
 
-def gamma_class(ring: RingSpec) -> CohClass:
+def gamma_class(ring: RingSpec, point=MP_POINT) -> CohClass:
     """Gamma class exp(-C_eu c_1 + sum_{k>=2} (-1)^k (k-1)! zeta(k) ch_k(TF)),
-    i.e. prod Gamma(1 + delta) over the (virtual) roots of TF."""
-    return _cached("gamma_class", _gamma_class, ring)
+    i.e. prod Gamma(1 + delta) over the (virtual) roots of TF, at the
+    period point."""
+    return _cached("gamma_class", _gamma_class, ring, point)
 
 
 def _power_sum(ring: RingSpec, k: int) -> CohClass:
@@ -83,9 +246,9 @@ def _power_sum(ring: RingSpec, k: int) -> CohClass:
     return out
 
 
-def _gamma_class(ring: RingSpec) -> CohClass:
-    # an mpf scalar: exp_cup divides it by k, and an int would give floats
-    return _root_exp(ring, log_gamma_coeffs(ring.dim), mpf(1))
+def _gamma_class(ring: RingSpec, point) -> CohClass:
+    # the point's 1: exp_cup divides it by k, and an int would give floats
+    return _root_exp(ring, log_gamma_coeffs(ring.dim, point), point.one)
 
 
 def todd_class(ring: RingSpec) -> CohClass:
@@ -129,7 +292,7 @@ def ch_schur(nu, ring: RingSpec) -> CohClass:
     nu = normalize_partition(nu)
     if nu not in ring.index:
         raise ValueError(f"{nu} outside the {ring.r}x{ring.cols} box")
-    return _cached("ch_schur", _ch_schur, ring, nu, exact=True)
+    return _cached("ch_schur", _ch_schur, ring, nu)
 
 
 def _ch_schur(ring: RingSpec, nu: tuple) -> CohClass:
@@ -162,17 +325,17 @@ def _ch_schur(ring: RingSpec, nu: tuple) -> CohClass:
     return out
 
 
-def gamma_G_closed_form(r: int, N: int) -> CohClass:
+def gamma_G_closed_form(r: int, N: int, point=MP_POINT) -> CohClass:
     """(2 pi i)^{-C(r,2)} e^{-(r-1) pi i sigma_1}
     prod_{i<j} (e^{2 pi i x_i} - e^{2 pi i x_j})/(x_i - x_j)
     prod_i Gamma(1 + x_i)^N, reduced to the Schur basis by the bialternant:
     each coefficient is an r x r determinant of Taylor coefficients of
     one-variable series.  An independent route to gamma_class on G(r,N);
     the two share no cache entry."""
-    return _cached("gamma_G_closed_form", _gamma_G_closed_form, build_ring("G", N, r))
+    return _cached("gamma_G_closed_form", _gamma_G_closed_form, build_ring("G", N, r), point)
 
 
-def _gamma_G_closed_form(ring: RingSpec) -> CohClass:
+def _gamma_G_closed_form(ring: RingSpec, point) -> CohClass:
     """The pair factors are the Vandermonde of the e^{2 pi i x_i}, so times
     the Vandermonde prod_{i<j} (x_i - x_j) the product is the alternant
     (2 pi i)^{-C(r,2)} det[F_{r-j}(x_i)], F_k(x) = e^{(2k-r+1) pi i x}
@@ -181,68 +344,71 @@ def _gamma_G_closed_form(ring: RingSpec) -> CohClass:
     coefficient rows of F_{r-1}..F_0 at the exponents wedge_exponents(lam,
     r), all below N, which is satake of the F_k as classes of P^{N-1}."""
     r, N, ring_P = ring.r, ring.N, build_ring("P", ring.N)
-    lg = log_gamma_coeffs(N - 1)
+    lg = log_gamma_coeffs(N - 1, point)
     rows = []
     for k in range(r):
         # g = e^f, f = N log Gamma(1 + x) + (2k-r+1) pi i x: n g_n = sum_m m f_m g_{n-m}
         f = [N * c for c in lg]
-        f[1] += (2 * k - r + 1) * 1j * mp.pi
-        g = [mpf(1)]
+        f[1] += (2 * k - r + 1) * point.tau / 2
+        g = [point.one]
         for n in range(1, N):
             g.append(sum(m * f[m] * g[n - m] for m in range(1, n + 1)) / n)
         rows.append(CohClass(ring_P, g))
-    return satake(rows[::-1], ring) * (2j * mp.pi) ** (-(r * (r - 1) // 2))
+    return satake(rows[::-1], ring) * point.tau ** (-(r * (r - 1) // 2))
 
 
-def kapranov_ch(nu, ring: RingSpec) -> CohClass:
+def kapranov_ch(nu, ring: RingSpec, point=MP_POINT) -> CohClass:
     """Ch(S^nu V*) = s_nu(e^{2 pi i x_1}, ..., e^{2 pi i x_r})."""
-    return scale_degrees(ch_schur(nu, ring), 2j * mp.pi)
+    return scale_degrees(ch_schur(nu, ring), point.tau)
 
 
-def gamma_basis_class(nu, ring: RingSpec) -> CohClass:
-    """Gamma-hat Ch(S^nu V*), once per ring, nu and working precision; on
+def gamma_basis_class(nu, ring: RingSpec, point=MP_POINT) -> CohClass:
+    """Gamma-hat Ch(S^nu V*), once per ring, nu and period point; on
     P^{N-1}, S^(k) V* = O(k)."""
-    return _cached("gamma_basis_class", _gamma_basis_class, ring, normalize_partition(nu))
+    return _cached("gamma_basis_class", _gamma_basis_class, ring, normalize_partition(nu), point)
 
 
-def _gamma_basis_class(ring: RingSpec, nu) -> CohClass:
-    return cup(gamma_class(ring), kapranov_ch(nu, ring))
+def _gamma_basis_class(ring: RingSpec, nu, point) -> CohClass:
+    return cup(gamma_class(ring, point), kapranov_ch(nu, ring, point))
 
 
-def satake_gamma_class(nu, ring_G: RingSpec) -> CohClass:
+def satake_gamma_class(nu, ring_G: RingSpec, point=MP_POINT) -> CohClass:
     """(2 pi i)^{-C(r,2)} e^{-(r-1) pi i sigma_1} Sat(f_1 ^ ... ^ f_r), f_i =
     gamma_basis_class((k_i,), P^{N-1}), k = wedge_exponents(nu, r); Kapranov's
     identity equates it with gamma_basis_class(nu, ring_G).  Cached likewise."""
-    return _cached("satake_gamma_class", _satake_gamma_class, ring_G, normalize_partition(nu))
+    return _cached("satake_gamma_class", _satake_gamma_class, ring_G, normalize_partition(nu),
+                   point)
 
 
-def _satake_gamma_class(ring_G: RingSpec, nu) -> CohClass:
+def _satake_gamma_class(ring_G: RingSpec, nu, point) -> CohClass:
     # sigma_1 acts on the wedge as h on each factor, so e^{s sigma_1} Sat(^ f_i)
     # = Sat(^ e^{s h} f_i): the twist goes on the factors, once per r and k
     r, ring_P = ring_G.r, build_ring("P", ring_G.N)
-    raw = satake([_cached("twisted_gamma_basis_class", _twisted_gamma_basis_class, ring_P, r, k)
+    raw = satake([_cached("twisted_gamma_basis_class", _twisted_gamma_basis_class,
+                          ring_P, r, k, point)
                   for k in wedge_exponents(nu, r)], ring_G)
-    return raw * (2j * mp.pi) ** (-(r * (r - 1) // 2))
+    return raw * point.tau ** (-(r * (r - 1) // 2))
 
 
-def _twisted_gamma_basis_class(ring_P: RingSpec, r: int, k: int) -> CohClass:
-    return exp_cup(gamma_basis_class((k,), ring_P), ring_P.basis_class((1,)), -(r - 1) * 1j * mp.pi)
+def _twisted_gamma_basis_class(ring_P: RingSpec, r: int, k: int, point) -> CohClass:
+    return exp_cup(gamma_basis_class((k,), ring_P, point), ring_P.basis_class((1,)),
+                   -(r - 1) * point.tau / 2)
 
 
-def _bracket_form(ring: RingSpec) -> tuple:
+def _bracket_form(ring: RingSpec, point) -> tuple:
     """B[i][j] = [sigma_i, sigma_j) on the Schubert basis, as rows of (j,
     B[i][j]) for the nonzero entries: (2 pi)^{-dim} (e^{pi i rho} e^{pi i mu}
-    sigma_i, sigma_j), where mu scales degree p by p - dim/2.
+    sigma_i, sigma_j), where mu scales degree p by p - dim/2, at the period
+    point.
 
     Each entry is also evaluated as (2 pi)^{-dim} (e^{pi i mu} e^{-pi i rho}
     sigma_i, sigma_j); the two must agree (operator identity from [mu, rho] =
-    rho), and by bilinearity agreement on the basis is agreement for every
-    pair of classes."""
-    pi_i = 1j * mp.pi
+    rho) to the point's tolerance, and by bilinearity agreement on the basis
+    is agreement for every pair of classes."""
+    pi_i = point.tau / 2
     c1 = ring.c1()
     # (2 pi)^{-dim} e^{pi i mu} on sigma_k
-    emu = [mp_power(2 * mp.pi, -ring.dim) * mp_exp(pi_i * (p - mpf(ring.dim) / 2))
-           for p in ring.degrees()]
+    emu = [point.mu_weight(p, ring.dim) for p in ring.degrees()]
     e_plus, e_minus = (exp_cup(ring.unit(), c1, s) for s in (pi_i, -pi_i))
     form = []
     for i, lam in enumerate(ring.basis):
@@ -253,7 +419,7 @@ def _bracket_form(ring: RingSpec) -> tuple:
         for j, k in enumerate(ring.dual):
             v1 = emu[i] * l1[k]
             v2 = emu[k] * l2[k]
-            if abs(v1 - v2) > mpf("1e-15") * (1 + abs(v1)):
+            if abs(v1 - v2) > point.tol * (1 + abs(v1)):
                 raise ArithmeticError(f"bracket pairing forms disagree: {v1} vs {v2}")
             if v1 != 0:
                 row.append((j, v1))
@@ -261,11 +427,11 @@ def _bracket_form(ring: RingSpec) -> tuple:
     return tuple(form)
 
 
-def bracket_row(a: CohClass):
+def bracket_row(a: CohClass, point=MP_POINT):
     """The functional b -> [a, b) = sum_j w_j b_j, with the row w = a B taken
-    once; a Gram makes one row per left vector."""
+    once at the period point; a Gram makes one row per left vector."""
     w = [0] * a.ring.rank
-    for ca, row in zip(a.coeffs, _cached("bracket_form", _bracket_form, a.ring)):
+    for ca, row in zip(a.coeffs, _cached("bracket_form", _bracket_form, a.ring, point)):
         if ca != 0:
             for j, v in row:
                 w[j] = w[j] + ca * v
@@ -277,8 +443,8 @@ def bracket_row(a: CohClass):
 
 
 def bracket_pairing(a: CohClass, b: CohClass):
-    """[a, b) = sum_ij a_i B[i][j] b_j, with the basis form B built once per
-    ring and working precision."""
+    """[a, b) = sum_ij a_i B[i][j] b_j at the working precision, with the
+    basis form B built once per ring and precision."""
     return bracket_row(a)(b)
 
 

@@ -62,11 +62,14 @@ def _nearest_ints(rows):
     """(each entry x as the Python int nearest to Re x, taken in x's own
     arithmetic: ints of any size as they are, and mpmath numbers at their
     working precision, which round() would take through float64; the
-    largest distance to them, as a float)."""
-    def nearest(x):
+    largest distance to them, as a float).  A non-finite entry is out of
+    range (OverflowError naming it)."""
+    def nearest(x, i, j):
+        if not mpmath.isfinite(x):
+            raise OverflowError(f"Gram entry ({i}, {j}) is {x}")
         return int(mpmath.nint(x.real) if isinstance(x, (mpmath.mpf, mpmath.mpc))
                    else round(x.real))
-    ints = [[nearest(x) for x in row] for row in rows]
+    ints = [[nearest(x, i, j) for j, x in enumerate(row)] for i, row in enumerate(rows)]
     return ints, float(max(abs(x - k) for row, near in zip(rows, ints)
                            for x, k in zip(row, near)))
 

@@ -7,7 +7,10 @@ from fractions import Fraction
 
 import mpmath
 import numpy as np
+import operator
+
 import pytest
+from hypothesis import given, strategies as st
 from mpmath import mp, mpf, mpc
 
 from qgamma import charclasses, symfunc, verify
@@ -16,7 +19,8 @@ from test_symfunc import (_to_cohclass, poly_add, poly_const, poly_inv, poly_lin
 from qgamma.mrs import (SOB, beilinson_gamma_mrs, euler_matrix, gram, integer_gram,
                         kapranov_gamma_mrs)
 from qgamma.rings import CohClass, build_ring, cup, exp_cup, poincare_pair
-from qgamma.charclasses import (ch_schur, scale_degrees, todd_class, gamma_class,
+from qgamma.charclasses import (FP_POINT, MP_POINT, P, Fp, bracket_row,
+                                ch_schur, scale_degrees, todd_class, gamma_class,
                                 gamma_G_closed_form, kapranov_ch,
                                 gamma_basis_class, satake_gamma_class, bracket_pairing,
                                 euler_pairing_hrr, log_gamma_coeffs,
@@ -311,16 +315,19 @@ def test_cached_classes_are_immutable():
 
 
 def test_criterion_5_builds_each_closed_form_once(monkeypatch):
+    # once per ring and period point: exactly at the F_p point, and at 40
+    # digits for the comparison with the printed Gamma class
     build = charclasses._gamma_G_closed_form
     calls = []
 
-    def counted(ring):
-        calls.append((ring.r, ring.N))
-        return build(ring)
+    def counted(ring, point):
+        calls.append((ring.r, ring.N, point.key[0]))
+        return build(ring, point)
     monkeypatch.setattr(charclasses, "_CLASS_CACHE", {})
     monkeypatch.setattr(charclasses, "_gamma_G_closed_form", counted)
     assert verify.criterion_5()["passed"]
-    assert sorted(calls) == [(2, 4), (2, 5), (3, 6)]
+    assert sorted(calls) == [(r, N, key) for r, N in [(2, 4), (2, 5), (3, 6)]
+                             for key in ["F_p", "mp"]]
 
 
 def test_gamma_g_closed_form_matches_generic():
@@ -370,7 +377,7 @@ def test_gamma_g_closed_form_makes_no_symfunc_call(monkeypatch):
     assert not [name for name, obj in vars(charclasses).items()
                 if getattr(obj, "__module__", None) == symfunc.__name__]
     ring = build_ring("G", 6, 3)
-    assert _max_gap(charclasses._gamma_G_closed_form(ring), gamma_class(ring)) < 1e-30
+    assert _max_gap(charclasses._gamma_G_closed_form(ring, MP_POINT), gamma_class(ring)) < 1e-30
 
 
 def test_euler_pairing_p1():
@@ -455,6 +462,21 @@ def test_bracket_form_rejects_disagreeing_orderings(monkeypatch):
         bracket_pairing(vs[0], vs[1])
     with pytest.raises(ArithmeticError):
         gram(SOB(vs, bracket_pairing))
+
+
+def test_bracket_form_is_exact_at_the_fp_point(monkeypatch):
+    # the two orderings must agree exactly: one off by a factor 2 raises
+    vs = [gamma_basis_class(nu, P1, FP_POINT) for nu in P1.basis]
+    assert [[bracket_row(a, FP_POINT)(b) for b in vs] for a in vs] == [[1, 2], [0, 1]]
+    honest = charclasses.exp_cup
+
+    def corrupt(a, x, s):
+        out = honest(a, x, s)
+        return 2 * out if s == -FP_POINT.tau / 2 else out
+    monkeypatch.setattr(charclasses, "_CLASS_CACHE", {})
+    monkeypatch.setattr(charclasses, "exp_cup", corrupt)
+    with pytest.raises(ArithmeticError):
+        bracket_row(vs[0], FP_POINT)
 
 
 def _assert_kapranov_gram_is_exact_hrr(r, N):
@@ -587,3 +609,93 @@ def test_zeta_reg_value():
     # 1/sqrt(2 pi)
     cf = zeta_reg_closed_form(mpf(1), mpf(1))
     assert abs(cf - 1 / mpmath.sqrt(2 * mp.pi) * mpmath.gamma(2)) < 1e-30
+
+
+# --- the F_p scalar and the period point --------------------------------
+
+_INTS = st.integers(-2 ** 130, 2 ** 130)
+_FRACTIONS = st.builds(Fraction, _INTS, st.integers(1, 2 ** 70))
+
+
+def _mod(q) -> int:
+    """An int or a Fraction mod P, by Python's own arithmetic."""
+    q = Fraction(q)
+    return q.numerator * pow(q.denominator, -1, P) % P
+
+
+@given(a=_INTS, b=st.one_of(_INTS, _FRACTIONS))
+def test_fp_arithmetic_is_python_arithmetic_mod_p(a, b):
+    x = Fp(a)
+    assert x == a % P
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        if op is operator.truediv and _mod(b) == 0:
+            continue
+        got = op(x, b)
+        assert type(got) is Fp and got == _mod(op(Fraction(a), b))
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        if op is operator.truediv and a % P == 0:
+            continue
+        got = op(b, x)
+        # an int on the left gives an Fp; a Fraction on the left reads x as
+        # its representative, which is the same element mod P
+        assert type(got) is (Fp if isinstance(b, int) else Fraction)
+        assert _mod(got) == _mod(op(b, Fraction(a)))
+    assert type(-x) is Fp and -x == -a % P
+
+
+@given(a=_INTS, k=st.integers(-40, 40))
+def test_fp_powers_are_python_powers_mod_p(a, k):
+    if a % P == 0 and k < 0:
+        with pytest.raises(ArithmeticError):
+            Fp(a) ** k
+        return
+    got = Fp(a) ** k
+    assert type(got) is Fp and got == pow(a, k, P)
+
+
+@given(a=_INTS)
+def test_fp_keeps_its_type_under_an_int_on_the_left(a):
+    # cup adds products to an int 0 and compound subtracts from one
+    x = Fp(a)
+    for got in (0 + x, 0 - x, 3 * x, x ** 0, a / Fp(7)):
+        assert type(got) is Fp
+    assert 0 + x == x and 0 - x == -x and 3 * x == 3 * a % P and x ** 0 == 1
+    assert a / Fp(7) * 7 == x
+
+
+def test_fp_refuses_division_by_zero_and_a_float():
+    with pytest.raises(ArithmeticError):
+        Fp(5) / P
+    with pytest.raises(ArithmeticError):
+        Fraction(1, 2) / Fp(P)
+    with pytest.raises(ValueError):
+        Fp(1.5)
+
+
+def test_fp_point_even_zeta_values_come_from_2_pi_i():
+    # zeta(2) = pi^2 / 6 = -(2 pi i)^2 / 24, zeta(4) = pi^4 / 90 = (2 pi i)^4 / 1440
+    tau = FP_POINT.tau
+    assert FP_POINT.zeta(2) == -tau ** 2 / 24 and FP_POINT.zeta(4) == tau ** 4 / 1440
+    for k in (2, 4, 6):
+        with mp.workdps(30):
+            want = -mpmath.bernoulli(k) * (2j * mp.pi) ** k / (2 * math.factorial(k))
+            assert abs(MP_POINT.zeta(k) - want) < mpf("1e-28")
+    odd = [FP_POINT.zeta(k) for k in (3, 5, 7)] + [FP_POINT.euler, tau]
+    assert len(set(odd)) == 5 and 0 not in odd
+
+
+@pytest.mark.parametrize("kind,N,r", [("P", 3, 1), ("G", 4, 2), ("G", 6, 3)])
+def test_fp_classes_hold_only_fp_scalars(kind, N, r):
+    # the builders take every number from the point: no mpmath value and no
+    # unreduced Fraction enters an F_p class; an entry no product reached
+    # stays the int 0
+    ring = build_ring(kind, N, r)
+    nu = ring.basis[-1]
+    classes = [gamma_class(ring, FP_POINT), gamma_basis_class(nu, ring, FP_POINT),
+               kapranov_ch(nu, ring, FP_POINT)]
+    if kind == "G":
+        classes += [satake_gamma_class(nu, ring, FP_POINT), gamma_G_closed_form(r, N, FP_POINT)]
+    for cls in classes:
+        assert all(type(c) is Fp or (type(c) is int and c == 0) for c in cls.coeffs)
+    # the degree-1 part of the Gamma class is -gamma c_1 = -gamma N sigma_1
+    assert gamma_class(ring, FP_POINT)[(1,)] == -N * FP_POINT.euler

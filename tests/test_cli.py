@@ -18,11 +18,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qgamma import cli, connection
+from qgamma import cli, connection, mrs
 from qgamma.charclasses import bracket_pairing
 from qgamma.mrs import (MRS, SOB, beilinson_gamma_mrs, euler_matrix, gamma_mrs, gram,
                         integer_gram, mutate_phase_rotation)
-from qgamma.rings import build_ring
+from qgamma.rings import CohClass, build_ring
 from qgamma.cli import main, parse_target, clean
 
 
@@ -221,6 +221,24 @@ def test_float_overflow_exit_3(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("numerics out of range:")
+
+
+def test_a_non_finite_gram_entry_exit_3(capsys, monkeypatch):
+    # criterion 4 rounds the Kapranov Gram; a NaN in one vector is numerics
+    # out of range naming the entry, not a usage error
+    honest = mrs.kapranov_gamma_mrs
+
+    def with_nan(r, N):
+        m = honest(r, N)
+        v = m.vectors[2]
+        m.vectors[2] = CohClass(v.ring, [mpmath.mpf("nan"), *v.coeffs[1:]])
+        return m
+    monkeypatch.setattr(mrs, "kapranov_gamma_mrs", with_nan)
+    assert main(["verify-all"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    # [v_0, v_2) is the first entry that reads the NaN
+    assert captured.err == "numerics out of range: Gram entry (0, 2) is (nan + nanj)\n"
 
 
 def test_apery_exact_rows_converge_on_g25(capsys):

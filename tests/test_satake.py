@@ -1,13 +1,16 @@
 """End-to-end Satake verification layer."""
 
 import math
+import random
 
 import pytest
 from mpmath import mp, mpc, mpf
 
 from qgamma import charclasses, mrs, verify, wedgecheck
+from qgamma.cli import main
+from qgamma.mrs import euler_matrix
 from qgamma.rings import CohClass, build_ring, exp_cup, satake, wedge_exponents
-from qgamma.charclasses import bracket_pairing, gamma_class, satake_gamma_class
+from qgamma.charclasses import Fp, bracket_pairing, gamma_class, satake_gamma_class
 from qgamma.wedgecheck import (check_wedge_spectrum,
                                check_kapranov_wedge_identity,
                                check_mrs_wedge)
@@ -43,51 +46,78 @@ def test_kapranov_identity_trivial_r1():
     assert rep.passed and rep.max_residual < 1e-25
 
 
-def test_kapranov_identity_fails_on_a_perturbed_closed_form(monkeypatch):
-    # the closed form is compared with the generic Gamma class once per ring
+def _perturbed_closed_form(monkeypatch, at_point, shift):
+    # coefficient 3 of the closed form at one period point moved by shift
     honest = wedgecheck.gamma_G_closed_form
 
-    def perturbed(r, N):
-        gam = honest(r, N)
+    def perturbed(r, N, point=charclasses.MP_POINT):
+        gam = honest(r, N, point)
+        if point is not at_point:
+            return gam
         coeffs = list(gam.coeffs)
-        coeffs[3] += mpf("1e-6")
+        coeffs[3] += shift
         return CohClass(gam.ring, coeffs)
     monkeypatch.setattr(wedgecheck, "gamma_G_closed_form", perturbed)
+
+
+def test_kapranov_identity_fails_on_a_perturbed_closed_form(monkeypatch):
+    # the closed form is compared with the generic Gamma class once per ring
+    _perturbed_closed_form(monkeypatch, charclasses.MP_POINT, mpf("1e-6"))
     rep = check_kapranov_wedge_identity(2, 4)
     assert not rep.passed
     assert abs(rep.max_residual - 1e-6) < 1e-12
+
+
+def test_kapranov_identity_fails_on_a_perturbed_exact_closed_form(monkeypatch):
+    # the F_p closed form is compared exactly: one coefficient off by 1
+    _perturbed_closed_form(monkeypatch, charclasses.FP_POINT, 1)
+    rep = check_kapranov_wedge_identity(2, 4)
+    assert not rep.passed and rep.max_residual == 1.0
+
+
+def test_kapranov_identity_fails_on_a_nan_closed_form(monkeypatch, capsys):
+    # max() over floats drops a NaN that follows a finite value; the check
+    # must not, and the CLI must not print it
+    _perturbed_closed_form(monkeypatch, charclasses.MP_POINT, mpf("nan"))
+    rep = check_kapranov_wedge_identity(2, 4)
+    assert not rep.passed and rep.max_residual == math.inf
+    assert main(["satake", "--target", "G(2,4)"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "nan" not in captured.err.lower()
 
 
 @pytest.mark.parametrize("twist", [lambda r: -r, lambda r: r - 1], ids=["-r", "r-1"])
 def test_kapranov_identity_fails_on_a_mistwisted_satake_image(monkeypatch, twist):
     # the P^{N-1} factors twisted by twist(r) pi i instead of -(r-1) pi i:
     # only the Satake side of each partition's comparison sees it
-    def mistwisted(ring_P, r, k):
-        return exp_cup(charclasses.gamma_basis_class((k,), ring_P), ring_P.basis_class((1,)),
-                       twist(r) * 1j * mp.pi)
+    def mistwisted(ring_P, r, k, point):
+        return exp_cup(charclasses.gamma_basis_class((k,), ring_P, point), ring_P.basis_class((1,)),
+                       twist(r) * point.tau / 2)
     monkeypatch.setattr(charclasses, "_CLASS_CACHE", {})
     assert check_kapranov_wedge_identity(2, 4).passed and verify.criterion_5()["passed"]
     monkeypatch.setattr(charclasses, "_CLASS_CACHE", {})
     monkeypatch.setattr(charclasses, "_twisted_gamma_basis_class", mistwisted)
     rep = check_kapranov_wedge_identity(2, 4)
-    assert not rep.passed and rep.max_residual > 1
+    # the residual counts the mismatched F_p coefficients
+    assert not rep.passed and rep.max_residual >= 1
     c5 = verify.criterion_5()
-    assert not c5["passed"] and c5["details"]["max_residual"] > 1
+    assert not c5["passed"] and c5["details"]["max_residual"] >= 1
 
 
 def test_criterion_5_reads_each_closed_form_once(monkeypatch):
-    # one ring-level comparison per Grassmannian, not one per partition
+    # one ring-level comparison per Grassmannian and period point, not one
+    # per partition
     honest = wedgecheck.gamma_G_closed_form
     calls = []
 
-    def counted(r, N):
-        calls.append((r, N))
-        return honest(r, N)
+    def counted(r, N, point=charclasses.MP_POINT):
+        calls.append((r, N, point.key[0]))
+        return honest(r, N, point)
     monkeypatch.setattr(charclasses, "_CLASS_CACHE", {})
     monkeypatch.setattr(wedgecheck, "gamma_G_closed_form", counted)
     c5 = verify.criterion_5()
     assert c5["passed"] and c5["details"]["cases"] == 36
-    assert calls == [(2, 4), (2, 5), (3, 6)]
+    assert calls == [(r, N, key) for r, N in [(2, 4), (2, 5), (3, 6)] for key in ["F_p", "mp"]]
 
 
 def test_mrs_wedge_g24():
@@ -101,33 +131,87 @@ def test_mrs_wedge_g25():
     assert rep.passed
 
 
-def test_mrs_wedge_fails_on_a_negated_kapranov_vector(monkeypatch):
-    # the Kapranov identity fixes every sign to +1, so a sign flip is a failure
-    honest = mrs.kapranov_gamma_mrs
+def _negate_one_basis_vector(monkeypatch, kind, nu):
+    # the F_p Gamma-basis class of nu on the rings of one kind, negated
+    honest = wedgecheck.gamma_basis_class
 
-    def negate_one(r, N):
-        m = honest(r, N)
-        m.vectors[2] = -m.vectors[2]
-        return m
-    monkeypatch.setattr(mrs, "kapranov_gamma_mrs", negate_one)
+    def negate_one(lam, ring, point=charclasses.MP_POINT):
+        v = honest(lam, ring, point)
+        return -v if (ring.kind, tuple(lam)) == (kind, nu) and point is charclasses.FP_POINT else v
+    monkeypatch.setattr(wedgecheck, "gamma_basis_class", negate_one)
+
+
+def _off_diagonal_support(ring, nu) -> int:
+    # the nonzero Euler-matrix entries in nu's row and column, off the diagonal
+    G, i = euler_matrix(ring), ring.index[nu]
+    return sum(x != 0 for x in G[i]) + sum(row[i] != 0 for row in G) - 2
+
+
+def test_mrs_wedge_fails_on_a_negated_kapranov_vector(monkeypatch):
+    # the Kapranov identity fixes every sign to +1, so a sign flip is a
+    # failure: each nonzero entry of its row and column off the diagonal
+    # changes sign
+    _negate_one_basis_vector(monkeypatch, "G", (1, 1))
     rep = check_mrs_wedge(2, 4)
     assert not rep.passed
-    assert rep.max_residual > 1
+    assert rep.max_residual == _off_diagonal_support(build_ring("G", 4, 2), (1, 1)) == 4
 
 
 def test_mrs_wedge_fails_on_a_negated_beilinson_vector(monkeypatch):
-    # the Kapranov Gram is read against the minors of the Beilinson Gram, so
-    # a sign flip on P^3 changes every minor with that row or column once
-    honest = mrs.beilinson_gamma_mrs
-
-    def negate_one(N):
-        m = honest(N)
-        m.vectors[1] = -m.vectors[1]
-        return m
-    monkeypatch.setattr(mrs, "beilinson_gamma_mrs", negate_one)
+    # the Kapranov Gram is the compound of the Beilinson Gram, and each is
+    # checked: a sign flip on P^3 shows in the P^3 Gram
+    _negate_one_basis_vector(monkeypatch, "P", (1,))
     rep = check_mrs_wedge(2, 4)
     assert not rep.passed
-    assert rep.max_residual >= 1
+    assert rep.max_residual == _off_diagonal_support(build_ring("P", 4), (1,)) == 3
+
+
+def test_mrs_wedge_fails_on_a_bracket_with_the_opposite_twist(monkeypatch):
+    # e^{-pi i c1} in place of e^{pi i c1} in both orderings of the form: a
+    # form its own self-check accepts, but not the Euler pairing
+    honest = charclasses.exp_cup
+
+    def flipped(a, x, s):
+        c1 = a.ring.c1()
+        return honest(a, x, -s if list(x.coeffs) == list(c1.coeffs) else s)
+    monkeypatch.setattr(charclasses, "_CLASS_CACHE", {})
+    monkeypatch.setattr(charclasses, "exp_cup", flipped)
+    rep = check_mrs_wedge(2, 4)
+    assert not rep.passed and rep.max_residual >= 1
+
+
+def _zeta_redrawn(monkeypatch, k):
+    # zeta(k) at the F_p point drawn afresh, apart from 2 pi i
+    honest = charclasses.FP_POINT.zeta
+
+    def redrawn(j):
+        return Fp(random.Random(f"zeta({j}), drawn afresh").randrange(1, charclasses.P)) \
+            if j == k else honest(j)
+    monkeypatch.setattr(charclasses, "_CLASS_CACHE", {})
+    monkeypatch.setattr(charclasses.FP_POINT, "zeta", redrawn)
+
+
+@pytest.mark.parametrize("r,N", [(2, 4), (3, 6)])
+def test_the_identities_need_zeta_2_from_2_pi_i(monkeypatch, r, N):
+    _zeta_redrawn(monkeypatch, 2)
+    assert not check_kapranov_wedge_identity(r, N).passed
+    assert not check_mrs_wedge(r, N).passed
+
+
+@pytest.mark.parametrize("r,N", [(2, 4), (3, 6)])
+def test_zeta_3_is_a_free_variable_of_the_identities(monkeypatch, r, N):
+    _zeta_redrawn(monkeypatch, 3)
+    assert check_kapranov_wedge_identity(r, N).passed
+    assert check_mrs_wedge(r, N).passed
+
+
+def test_satake_checks_on_g48_are_exact():
+    # rank 70: the 40-digit Gram margin shrank about a thousandfold per rank
+    # step; at the F_p point nothing is rounded
+    rep = check_kapranov_wedge_identity(4, 8)
+    assert rep.passed and rep.max_residual < 1e-30
+    rep = check_mrs_wedge(4, 8)
+    assert rep.passed and rep.max_residual == 0.0
 
 
 def test_criterion_4_fails_on_a_negated_kapranov_vector(monkeypatch):
@@ -146,15 +230,14 @@ def test_criterion_4_fails_on_a_negated_kapranov_vector(monkeypatch):
 
 @pytest.mark.parametrize("r,N", [(2, 6), (3, 6), (3, 7)])
 def test_kapranov_gram_is_the_compound_of_the_beilinson_gram(r, N):
-    # Ueda's identity past criterion 11's targets; the residual is only the
-    # Grams' rounding error
+    # Ueda's identity past criterion 11's targets, exactly
     rep = check_mrs_wedge(r, N)
-    assert rep.passed and rep.max_residual < 1e-25
+    assert rep.passed and rep.max_residual == 0.0
 
 
-def test_criterion_11_reports_the_gram_rounding_margin():
+def test_criterion_11_reports_no_mismatched_gram_entry():
     details = verify.criterion_11()["details"]
-    assert details["G24_residual"] < 1e-30 and details["G25_residual"] < 1e-30
+    assert details["G24_residual"] == 0.0 and details["G25_residual"] == 0.0
 
 
 def test_criteria_5_and_11_take_each_satake_image_once(monkeypatch):
@@ -167,10 +250,11 @@ def test_criteria_5_and_11_take_each_satake_image_once(monkeypatch):
     monkeypatch.setattr(charclasses, "_CLASS_CACHE", {})
     monkeypatch.setattr(charclasses, "satake", counted)
     assert verify.criterion_5()["passed"]
-    # the boxes of G(2,4), G(2,5), G(3,6), and one closed-form Gamma class each
-    assert len(calls) == 6 + 10 + 20 + 3
+    # the boxes of G(2,4), G(2,5), G(3,6) at the F_p point, and one
+    # closed-form Gamma class each at both points
+    assert len(calls) == 6 + 10 + 20 + 2 * 3
     assert verify.criterion_11()["passed"]
-    assert len(calls) == 39
+    assert len(calls) == 42
 
 
 def test_scalar_products_never_format_the_class(monkeypatch):
