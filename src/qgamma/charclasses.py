@@ -60,15 +60,15 @@ mp.dps = 40
 P = next(p for p in itertools.count(2 ** 61 + 1) if isprime(p))   # 2^61 + 15
 
 
-def _residue(x):
+def _residue(x) -> int:
     """x as an integer standing for it mod P: an int (an Fp included) as it
-    is, a Fraction as numerator times the inverse of its denominator; None
-    for any other type."""
+    is, a Fraction as numerator times the inverse of its denominator;
+    ValueError for any other type."""
     if isinstance(x, int):
         return x
     if isinstance(x, Fraction):
         return x.numerator * pow(x.denominator, -1, P)
-    return None
+    raise ValueError(f"no F_p value for a {type(x).__name__}")
 
 
 class Fp(int):
@@ -80,42 +80,36 @@ class Fp(int):
     to an int 0, compound subtracts from one); a Fraction on the left
     reads an Fp as its representative and gives a Fraction, which is the
     same element mod P, so the builders keep Fp on the left of Fractions.
-    Other types are not supported."""
+    Any other operand, a float or an mpmath number among them, raises the
+    ValueError of Fp(x) when the Fp is on the left.  With the Fp on the
+    right it cannot be caught: float and mpmath read an int subclass as an
+    int, so 1.5 + Fp(1) is 2.5 and mpf(1) + Fp(2) is mpf 3."""
     __slots__ = ()
 
     def __new__(cls, x):
-        n = _residue(x)
-        if n is None:
-            raise ValueError(f"no F_p value for a {type(x).__name__}")
-        return int.__new__(cls, n % P)
+        return int.__new__(cls, _residue(x) % P)
 
     def __add__(self, other):
-        n = _residue(other)
-        return NotImplemented if n is None else _fp(int.__add__(self, n))
+        return _fp(int.__add__(self, _residue(other)))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        n = _residue(other)
-        return NotImplemented if n is None else _fp(int.__sub__(self, n))
+        return _fp(int.__sub__(self, _residue(other)))
 
     def __rsub__(self, other):
-        n = _residue(other)
-        return NotImplemented if n is None else _fp(n - int(self))
+        return _fp(_residue(other) - int(self))
 
     def __mul__(self, other):
-        n = _residue(other)
-        return NotImplemented if n is None else _fp(int.__mul__(self, n))
+        return _fp(int.__mul__(self, _residue(other)))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        n = _residue(other)
-        return NotImplemented if n is None else _fp(int.__mul__(self, _inverse(n)))
+        return _fp(int.__mul__(self, _inverse(_residue(other))))
 
     def __rtruediv__(self, other):
-        n = _residue(other)
-        return NotImplemented if n is None else _fp(n * _inverse(self))
+        return _fp(_residue(other) * _inverse(self))
 
     def __pow__(self, k: int):
         return _fp(pow(int(self) if k >= 0 else _inverse(self), abs(k), P))

@@ -8,11 +8,13 @@ Bertram's quantum Pieri rule for sigma_1.  Every solve reads that record,
 and so does the spectrum: the closed form, certified in F_p by one exact
 left eigen-row per point of Spec QH.  One back-substitution, `_solve`, solves
 m X + L X - X rho = rhs, and one generator, `_series`, runs the exact
-recursion on it: integers over one denominator per order, each order
-checked exactly.  From the identity (L = rho) it gives the inverse series
-U_n, whose column 0 is the J_n of `j_coefficients`, the one exact J entry
-point; from the 1 x n start [w] of a class g with c1 cup g = 0
-(L = 0, as w rho = 0) it gives the row w U_n in O(nnz rho) per order, which
+recursion on it: integers over one denominator per order, the right-hand
+side X_{m-N} G_N summed over the nonempty columns of G_N only, and each
+order checked exactly by a residual pass of its own over the final X.
+From the identity (L = rho) it gives the inverse series U_n, whose column
+0 is the J_n of `j_coefficients`, the one exact J entry point; from the
+1 x n start [w] of a class g with c1 cup g = 0 (L = 0, as w rho = 0) it
+gives the row w U_n in O(nnz rho) per order, which
 `pairing_rows` yields for the quantum period and the Apery ratios.  Both J
 and the rows are refused at the first order past the digits Python prints.
 A scaled float path (n! J_n instead of J_n, as Python lists) on the same
@@ -183,22 +185,16 @@ def identity(n: int) -> list:
 
 
 def _right_mul(a, cols, s):
-    """s a @ B for the scalar s, with B given by its sparse columns."""
-    return [[s * sum(row[k] * c for k, c in col) for col in cols] for row in a]
-
-
-def _reduce(s, X, left, op: _C1, i: int, j: int):
-    """s - (L X - X rho)[i][j], L given by its sparse rows; skips zeros of X."""
-    for k, c in left[i]:
-        x = X[k][j]
-        if x:
-            s -= c * x
-    Xi = X[i]
-    for k, c in op.rho_cols[j]:
-        x = Xi[k]
-        if x:
-            s += c * x
-    return s
+    """s a @ B for the scalar s, with B given by its sparse columns: only the
+    nonempty columns are summed, every other entry is the zero 0 * s."""
+    zero, filled = 0 * s, [(j, col) for j, col in enumerate(cols) if col]
+    out = []
+    for row in a:
+        new = [zero] * len(cols)
+        for j, col in filled:
+            new[j] = s * sum(row[k] * c for k, c in col)
+        out.append(new)
+    return out
 
 
 def _solve(m: int, rhs, left, op: _C1, order, div):
@@ -208,13 +204,24 @@ def _solve(m: int, rhs, left, op: _C1, order, div):
 
     rho raises degree by exactly one, so entry (i, j) reads only entries of
     X whose deg_i - deg_j is one less, solved before it when order lists
-    (i, j) by increasing deg_i - deg_j: one pass, O(nnz(rho)) per row of X.
-    The solution is sum_{l < levels} (-ad)^l rhs / m^(l+1), ad X = L X - X rho."""
+    (i, j) by increasing deg_i - deg_j: one pass, O(nnz(rho)) per row of X,
+    skipping zeros of X.  The solution is sum_{l < levels} (-ad)^l rhs /
+    m^(l+1), ad X = L X - X rho."""
     X = [[0] * len(row) for row in rhs]
+    rho_cols = op.rho_cols
     for i, j in order:
-        s = _reduce(rhs[i][j], X, left, op, i, j)
+        s = rhs[i][j]
+        for k, c in left[i]:
+            x = X[k][j]
+            if x:
+                s -= c * x
+        Xi = X[i]
+        for k, c in rho_cols[j]:
+            x = Xi[k]
+            if x:
+                s += c * x
         if s:
-            X[i][j] = div(s, m)
+            Xi[j] = div(s, m)
     return X
 
 
@@ -223,7 +230,9 @@ def _series(first, N: int, op: _C1, left, order, levels: int):
     X_{m-N} G_N (X_{m-N} = 0 for m < N, so X_m = 0 unless N divides m) as
     (Y_m, d_m), X_m = Y_m / d_m in lowest terms, Y_m an integer matrix.
     Scaling the right-hand side by d_{m-N} m^levels makes every division
-    exact; each order is checked."""
+    exact.  Each order is checked on its own pass over the final X: every
+    entry of m X + L X - X rho - rhs must be 0 (ArithmeticError if not)."""
+    rho_cols = op.rho_cols
     Y, d = first
     yield first
     for m in itertools.count(N, N):
@@ -236,7 +245,12 @@ def _series(first, N: int, op: _C1, left, order, levels: int):
             rhs = _right_mul(Y, op.gn_cols, scale)
             X = _solve(m, rhs, left, op, order, operator.floordiv)
             for i, j in order:
-                s = _reduce(rhs[i][j] - m * X[i][j], X, left, op, i, j)
+                Xi = X[i]
+                s = rhs[i][j] - m * Xi[j]
+                for k, c in left[i]:
+                    s -= c * X[k][j]
+                for k, c in rho_cols[j]:
+                    s += c * Xi[k]
                 if s:
                     raise ArithmeticError(f"exact solve at order {m}: residual {s} at ({i}, {j})")
             g = math.gcd(d * scale, *itertools.starmap(math.gcd, X))
@@ -293,7 +307,8 @@ def j_coefficients(ring: RingSpec, nmax: int) -> list:
     op = _c1_operator(ring)
     U = _series((identity(ring.rank), 1), ring.N, op, op.rho_rows, op.order, op.levels)
     U = _printable(itertools.islice(U, nmax + 1), ring.N, "J_n", lambda Y: [row[0] for row in Y])
-    return [CohClass(ring, [Fraction(row[0], d) for row in Y]) for Y, d in U]
+    zero = Fraction(0)
+    return [CohClass(ring, [Fraction(row[0], d) if row[0] else zero for row in Y]) for Y, d in U]
 
 
 def j_scaled(ring: RingSpec, nmax: int) -> list:

@@ -672,6 +672,22 @@ def test_fp_refuses_division_by_zero_and_a_float():
         Fp(1.5)
 
 
+@pytest.mark.parametrize("other", [1.5, 2.0, mpf(3), mpc(1, 2), np.float64(0.5)],
+                         ids=["float", "integral float", "mpf", "mpc", "numpy float"])
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv])
+def test_fp_on_the_left_refuses_a_float_or_an_mpmath_operand(op, other):
+    # the ValueError of Fp(x): Fp(1) + 1.5 is not 2.5, Fp(2) * mpf(3) not
+    # mpf 6, Fp(2) / 2.0 not 1.0
+    with pytest.raises(ValueError, match=f"no F_p value for a {type(other).__name__}"):
+        op(Fp(2), other)
+
+
+def test_fp_on_the_right_of_a_float_or_an_mpf_reads_as_its_integer():
+    # the documented gap: float and mpmath take an int subclass as an int
+    assert 1.5 + Fp(1) == 2.5 and type(1.5 + Fp(1)) is float
+    assert mpf(1) + Fp(2) == 3 and type(mpf(1) + Fp(2)) is mpf
+
+
 def test_fp_point_even_zeta_values_come_from_2_pi_i():
     # zeta(2) = pi^2 / 6 = -(2 pi i)^2 / 24, zeta(4) = pi^4 / 90 = (2 pi i)^4 / 1440
     tau = FP_POINT.tau

@@ -529,6 +529,73 @@ def test_solve_graded_random_rhs(ring, m, data):
     assert [Fraction(y, scale) for y in v[0]] == want_row
 
 
+def _reduce(s, X, left, op, i: int, j: int):
+    """s - (L X - X rho)[i][j], L given by its sparse rows; skips zeros of X."""
+    for k, c in left[i]:
+        x = X[k][j]
+        if x:
+            s -= c * x
+    Xi = X[i]
+    for k, c in op.rho_cols[j]:
+        x = Xi[k]
+        if x:
+            s += c * x
+    return s
+
+
+def _per_entry_solve(m, rhs, left, op, order, div):
+    """Reference back-substitution: one _reduce call per entry of X."""
+    X = [[0] * len(row) for row in rhs]
+    for i, j in order:
+        s = _reduce(rhs[i][j], X, left, op, i, j)
+        if s:
+            X[i][j] = div(s, m)
+    return X
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([P2, G24, G25]), st.integers(1, 40), st.booleans(),
+       st.sampled_from(["fraction", "integer", "float"]), st.data())
+def test_solve_matches_the_per_entry_reference(ring, m, square, kind, data):
+    """_solve equals the per-entry back-substitution exactly, types and
+    float roundings included: for L = rho and for the 1 x n row with L = 0,
+    on Fractions (truediv), integers scaled by m^(2 dim + 1) (floordiv) and
+    floats (truediv)."""
+    n = ring.rank
+    op = _c1_operator(ring)
+    rows, left, order = ((n, op.rho_rows, op.order) if square else
+                         (1, [[]], [(i, j) for i, j in op.order if i == 0]))
+    entries, div = {
+        "fraction": (st.fractions(-50, 50, max_denominator=30), operator.truediv),
+        "integer": (st.integers(-50, 50).map(lambda x: x * m ** (2 * ring.dim + 1)),
+                    operator.floordiv),
+        "float": (st.floats(-50, 50), operator.truediv)}[kind]
+    flat = data.draw(st.lists(st.one_of(st.just(0), entries), min_size=rows * n,
+                              max_size=rows * n))
+    rhs = [flat[i * n:(i + 1) * n] for i in range(rows)]
+    assert repr(_solve(m, rhs, left, op, order, div)) == repr(
+        _per_entry_solve(m, rhs, left, op, order, div))
+
+
+def test_series_checks_the_final_x_whatever_the_solve_order():
+    # solved against its order, each entry reads neighbours not solved yet;
+    # the residual pass recomputes every entry from the final X and refuses it
+    op = _c1_operator(G24)
+    series = _series((identity(G24.rank), 1), G24.N, op, op.rho_rows, op.order[::-1],
+                     op.levels)
+    assert len(list(itertools.islice(series, G24.N))) == G24.N   # orders 0..N-1: no solve
+    with pytest.raises(ArithmeticError, match=f"exact solve at order {G24.N}: residual"):
+        next(series)
+
+
+def test_j_coefficients_hold_only_fractions():
+    J = j_coefficients(G36, 18)
+    assert all(type(c) is Fraction for Jn in J for c in Jn.coeffs)
+    zero_orders = [Jn for n, Jn in enumerate(J) if n % G36.N]
+    assert len(zero_orders) == 15
+    assert all(Jn.coeffs == G36.zero().coeffs for Jn in zero_orders)
+
+
 def test_corrupted_solve_raises(monkeypatch):
     solve = connection._solve
 
