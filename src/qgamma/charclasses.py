@@ -13,9 +13,9 @@ classes are one graded ring exponential (`rings.exp_cup`) each, of the power
 sums of the roots of TF.  The bilinear [.,.) is its matrix B on the Schubert
 basis, built once per ring and period point; a left vector a becomes the row a B
 once, then one dot per pairing.  The Gamma-basis classes Gamma-hat Ch(S^nu V*)
-and their normalized Satake images are built once per ring, nu and point;
-the Satake twist e^{-(r-1) pi i sigma_1} acts as e^{-(r-1) pi i h} on each
-P^{N-1} factor.  The Grassmannian closed form of the Gamma class is an
+are built once per ring, nu and point; their normalized Satake images, once per
+ring and point, are one exterior power (`rings.wedge_matrix`) of the twisted
+P^{N-1} factors.  The Grassmannian closed form of the Gamma class is an
 independent route through the bialternant: its product over the Chern roots
 times the Vandermonde is an alternant, det[F_{r-j}(x_i)] of one-variable
 series, so each Schur coefficient is one r x r minor of their coefficient
@@ -50,7 +50,7 @@ from mpmath import (mp, mpf, gamma as mp_gamma, bernoulli, bernfrac, exp as mp_e
 from mpmath.libmp import isprime
 
 from .rings import (RingSpec, CohClass, build_ring, cup, exp_cup,
-                    normalize_partition, same_ring, satake, wedge_exponents)
+                    normalize_partition, same_ring, satake, wedge_matrix)
 
 mp.dps = 40
 
@@ -210,8 +210,8 @@ _CLASS_CACHE: dict = {}
 def _cached(name: str, build, ring: RingSpec, *args):
     """build(ring, *args), computed once per (name, ring, args), a period
     point among the args keyed by its key (an exact value takes no point);
-    a class is kept with tuple coefficients, so the shared value cannot be
-    changed in place."""
+    a class is kept with tuple coefficients, as a builder of a tuple of classes
+    makes them, so the shared value cannot be changed in place."""
     key = (name, ring.kind, ring.r, ring.N, *(getattr(a, "key", a) for a in args))
     out = _CLASS_CACHE.get(key)
     if out is None:
@@ -369,19 +369,18 @@ def _gamma_basis_class(ring: RingSpec, nu, point) -> CohClass:
 def satake_gamma_class(nu, ring_G: RingSpec, point=MP_POINT) -> CohClass:
     """(2 pi i)^{-C(r,2)} e^{-(r-1) pi i sigma_1} Sat(f_1 ^ ... ^ f_r), f_i =
     gamma_basis_class((k_i,), P^{N-1}), k = wedge_exponents(nu, r); Kapranov's
-    identity equates it with gamma_basis_class(nu, ring_G).  Cached likewise."""
-    return _cached("satake_gamma_class", _satake_gamma_class, ring_G, normalize_partition(nu),
-                   point)
+    identity equates it with gamma_basis_class(nu, ring_G); the box is built at once."""
+    basis = _cached("satake_gamma_basis", _satake_gamma_basis, ring_G, point)
+    return basis[ring_G.index[normalize_partition(nu)]]
 
 
-def _satake_gamma_class(ring_G: RingSpec, nu, point) -> CohClass:
-    # sigma_1 acts on the wedge as h on each factor, so e^{s sigma_1} Sat(^ f_i)
-    # = Sat(^ e^{s h} f_i): the twist goes on the factors, once per r and k
+def _satake_gamma_basis(ring_G: RingSpec, point) -> tuple:
+    # e^{s sigma_1} Sat(^ f_i) = Sat(^ e^{s h} f_i): the twist goes on the factors
     r, ring_P = ring_G.r, build_ring("P", ring_G.N)
-    raw = satake([_cached("twisted_gamma_basis_class", _twisted_gamma_basis_class,
-                          ring_P, r, k, point)
-                  for k in wedge_exponents(nu, r)], ring_G)
-    return raw * point.tau ** (-(r * (r - 1) // 2))
+    rows = [_twisted_gamma_basis_class(ring_P, r, k, point).coeffs for k in range(ring_G.N)]
+    scale = point.tau ** (-(r * (r - 1) // 2))
+    return tuple(CohClass(ring_G, tuple(scale * m for m in row))
+                 for row in wedge_matrix(rows, r, ring_G.basis))
 
 
 def _twisted_gamma_basis_class(ring_P: RingSpec, r: int, k: int, point) -> CohClass:

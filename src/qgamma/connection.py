@@ -36,8 +36,8 @@ from fractions import Fraction
 from mpmath import mp
 from mpmath.libmp import isprime
 
-from .rings import (RingSpec, CohClass, build_ring, compound, cup, normalize_partition,
-                    partitions_in_box, transpose_partition, wedge_exponents)
+from .rings import (RingSpec, CohClass, build_ring, cup, normalize_partition,
+                    partitions_in_box, transpose_partition, wedge_exponents, wedge_matrix)
 
 
 # --- (c_1 *) on the Schubert basis ----------------------------------------
@@ -122,24 +122,23 @@ def _exact_spectrum(ring: RingSpec) -> list:
     2 k_i) the roots of x^N = (-1)^(r-1) at k = wedge_exponents(nu, r), once
     checked to be Spec(c1 *) (ArithmeticError if not).  Each such point x of
     Spec QH (Siebert-Tian) gives the left eigenvector w_mu = s_mu(x) V(x),
-    the r x r minor of (x_i^e)_{e<N} at wedge_exponents(mu, r), eigenvalue
-    N sum x.  Rows sharing an eigenvalue must be Poincare-orthogonal with
-    nonzero squares, so all n rows are independent.  For 2r > N they are the
-    rows of G(N - r, N) at transposed partitions (sigma_mu -> sigma_mu^T is a
-    ring isomorphism fixing c1), as the compound costs about 2^N."""
+    eigenvalue N sum x, as row nu of the exterior power (rings.wedge_matrix)
+    of the powers x^e, e < N, of the N roots.  Rows sharing an eigenvalue
+    must be Poincare-orthogonal with nonzero squares, so all n rows are
+    independent.  For 2r > N they are the rows of G(N - r, N) at transposed
+    partitions (sigma_mu -> sigma_mu^T is a ring isomorphism fixing c1), as
+    the compound costs about 2^N."""
     N, name = ring.N, f"spectrum {ring.kind}({ring.r},{ring.N})"
     p, zs = _field(N)
     r, label = (N - ring.r, transpose_partition) if 2 * ring.r > N else (ring.r, tuple)
-    # row k: the powers x^e, e < N, of the root x = z^(r - 1 - 2k)
-    minors = compound([[zs[(r - 1 - 2 * k) * e % (2 * N)] for e in range(N)]
-                       for k in range(N)], r)
-    keys = [wedge_exponents(label(mu), r)[::-1] for mu in ring.basis]
+    rows = wedge_matrix([[zs[(r - 1 - 2 * k) * e % (2 * N)] for e in range(N)]
+                         for k in range(N)], r, map(label, ring.basis))
     op = _c1_operator(ring)
     cols = [rc + gc for rc, gc in zip(op.rho_cols, op.gn_cols)]
     groups: dict = {}
-    for nu, ks in zip(ring.basis, keys):
-        w = [minors[ks, key] % p for key in keys]
-        lam = N * sum(zs[(r - 1 - 2 * k) % (2 * N)] for k in ks) % p
+    for nu, row in zip(ring.basis, rows):
+        w = [m % p for m in row]
+        lam = N * sum(zs[(r - 1 - 2 * k) % (2 * N)] for k in wedge_exponents(label(nu), r)) % p
         if any((sum(w[k] * c for k, c in col) - lam * w[j]) % p for j, col in enumerate(cols)):
             raise ArithmeticError(f"{name}: the row of {list(nu)} is not an eigenvector mod {p}")
         groups.setdefault(lam, []).append(w)
@@ -234,12 +233,13 @@ def _series(first, N: int, op: _C1, left, order, levels: int):
     entry of m X + L X - X rho - rhs must be 0 (ArithmeticError if not)."""
     rho_cols = op.rho_cols
     Y, d = first
+    zero = [[0] * len(row) for row in Y], 1   # every zero order: read, never changed
     yield first
     for m in itertools.count(N, N):
         for _ in range(N - 1):
-            yield [[0] * len(row) for row in Y], 1
+            yield zero
         if not any(map(any, Y)):
-            Y, d = [[0] * len(row) for row in Y], 1
+            Y, d = zero
         else:
             scale = m ** levels
             rhs = _right_mul(Y, op.gn_cols, scale)
@@ -280,7 +280,8 @@ def pairing_rows(ring: RingSpec, g: CohClass):
     q = math.gcd(d, *w)
     series = _series(([[x // q for x in w]], d // q), ring.N, op, [[]],
                      [(i, j) for i, j in op.order if i == 0], ring.dim + 1)
-    return ((row, d) for (row,), d in _printable(series, ring.N, "rows <g, U_n>", lambda Y: Y[0]))
+    return ((list(row), d)   # the zero orders share one row
+            for (row,), d in _printable(series, ring.N, "rows <g, U_n>", lambda Y: Y[0]))
 
 
 def _printable(series, N: int, name: str, part):
@@ -317,10 +318,10 @@ def j_scaled(ring: RingSpec, nmax: int) -> list:
     by `_solve`.  Raises OverflowError at the first row not finite in float64."""
     n, N = ring.rank, ring.N
     op = _c1_operator(ring)
-    W = [identity(n)]
+    W, zero = [identity(n)], [[0] * n for _ in range(n)]   # zero: read, never changed
     for m in range(1, nmax + 1):
         if m < N or not any(map(any, W[m - N])):
-            W.append([[0] * n for _ in range(n)])
+            W.append(zero)
             continue
         rhs = _right_mul(W[m - N], op.gn_cols, float(math.perm(m, N)))
         W.append(_solve(m, rhs, op.rho_rows, op, op.order, operator.truediv))

@@ -21,7 +21,7 @@ import mpmath
 
 from .charclasses import gamma_basis_class, bracket_pairing, bracket_row
 from .connection import identity, spectrum_closed_form
-from .rings import RingSpec, build_ring, compound, wedge_exponents
+from .rings import RingSpec, build_ring, transpose_partition, wedge_matrix
 
 
 @dataclass
@@ -292,19 +292,14 @@ def euler_matrix(ring: RingSpec) -> list:
     exact Gram of gamma_mrs(ring) by Gamma Conjecture II.  On P^{N-1} it is
     the Beilinson table chi(O(i), O(j)) = C(N-1+j-i, N-1); on G(r,N) it is
     the minor of that table on rows wedge_exponents(nu, r) and columns
-    wedge_exponents(mu, r) (Kapranov, Ueda), read from its r-th compound."""
+    wedge_exponents(mu, r) (Kapranov, Ueda): its r-th exterior power
+    (rings.wedge_matrix)."""
     N, r = ring.N, ring.r
-    # both index tuples reversed to increasing order: the minor is unchanged
-    keys = [wedge_exponents(nu, r)[::-1] for nu in ring.basis]
     if 2 * r <= N:
-        minors = compound([[math.comb(N - 1 + j - i, N - 1) if j >= i else 0
-                            for j in range(N)] for i in range(N)], r)
-        return [[minors[a, b] for b in keys] for a in keys]
-    # Jacobi's complementary minors, so the compound has size N - r < r: the
-    # table has determinant 1 and inverse (-1)^{j-i} C(N, j-i), so its minor
-    # on (a, b) is (-1)^{sum a + sum b} times the inverse's on (b^c, a^c)
-    minors = compound([[(-1) ** (j - i) * math.comb(N, j - i) if j >= i else 0
-                        for j in range(N)] for i in range(N)], N - r)
-    co = {a: tuple(k for k in range(N) if k not in a) for a in keys}
-    return [[(-1) ** (sum(a) + sum(b)) * minors[co[b], co[a]] for b in keys]
-            for a in keys]
+        return wedge_matrix([[math.comb(N - 1 + j - i, N - 1) if j >= i else 0
+                              for j in range(N)] for i in range(N)], r, ring.basis)
+    # 2r > N: by Jacobi, each minor is the complementary one of the inverse
+    # (-1)^{j-i} C(N, j-i), at N - 1 - wedge_exponents(nu^T, N - r); the signs
+    # cancel, and the exterior power has size N - r < r
+    return wedge_matrix([[math.comb(N, j - i) if j >= i else 0 for j in range(N)]
+                         for i in range(N)], N - r, map(transpose_partition, ring.basis))

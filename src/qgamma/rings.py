@@ -75,6 +75,13 @@ def compound(a, r: int) -> dict:
     return minors
 
 
+def wedge_matrix(a, r: int, parts) -> list:
+    """Lambda^r a on the wedges at k = wedge_exponents(nu, r), nu in parts: entry
+    (nu, mu) is the minor of a on rows k(nu), columns k(mu), from compound(a, r)."""
+    minors, keys = compound(a, r), [wedge_exponents(nu, r)[::-1] for nu in parts]
+    return [[minors[i, j] for j in keys] for i in keys]
+
+
 @dataclass(frozen=True)
 class RingSpec:
     kind: str            # "P" or "G"
@@ -365,11 +372,9 @@ def satake(factors, ring_G: RingSpec) -> CohClass:
     r = ring_G.r
     if len(factors) != r:
         raise ValueError(f"need exactly {r} wedge factors")
-    ring_P = factors[0].ring
-    if ring_P.N != ring_G.N or ring_P.r != 1:
+    if factors[0].ring.N != ring_G.N or factors[0].ring.r != 1:
         raise ValueError("wedge factors must live on P^{N-1} with matching N")
-    # factors reversed and exponents increasing: both orders reversed, so
-    # each minor is det[f_i(h^{k_j})] with k decreasing
+    # factors and exponents both reversed: each minor is det[f_i(h^{k_j})]
     minors = compound([f.coeffs for f in reversed(factors)], r)
     top = tuple(range(r))
     return CohClass(ring_G, [minors[top, wedge_exponents(nu, r)[::-1]] for nu in ring_G.basis])

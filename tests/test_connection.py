@@ -596,6 +596,18 @@ def test_j_coefficients_hold_only_fractions():
     assert all(Jn.coeffs == G36.zero().coeffs for Jn in zero_orders)
 
 
+def test_zero_orders_are_the_zero_class_and_unshared():
+    # the series yields one zero matrix for every zero order; no J_n and no
+    # pairing row handed out is that matrix
+    J = j_coefficients(G36, 18)
+    zeros = [Jn for n, Jn in enumerate(J) if n % G36.N]
+    assert len(zeros) == 15
+    assert all(Jn == G36.zero() and all(type(c) is Fraction for c in Jn.coeffs) for Jn in zeros)
+    rows = _rows(P2, P2.basis_class(P2.top()), 5)
+    rows[1][0][0] = 7
+    assert [rows[n][0] for n in (2, 4, 5)] == [[0] * P2.rank] * 3
+
+
 def test_corrupted_solve_raises(monkeypatch):
     solve = connection._solve
 

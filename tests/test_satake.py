@@ -1,5 +1,6 @@
 """End-to-end Satake verification layer."""
 
+import itertools
 import math
 import random
 
@@ -9,7 +10,8 @@ from mpmath import mp, mpc, mpf
 from qgamma import charclasses, mrs, verify, wedgecheck
 from qgamma.cli import main
 from qgamma.mrs import euler_matrix
-from qgamma.rings import CohClass, build_ring, exp_cup, satake, wedge_exponents
+from qgamma.rings import (CohClass, build_ring, exp_cup, partitions_in_box, satake,
+                          wedge_exponents, wedge_matrix)
 from qgamma.charclasses import Fp, bracket_pairing, gamma_class, satake_gamma_class
 from qgamma.wedgecheck import (check_wedge_spectrum,
                                check_kapranov_wedge_identity,
@@ -38,6 +40,13 @@ def test_kapranov_identity_full_box(r, N):
 def test_kapranov_identity_sample_g36():
     # the whole G(3,6) box, 20 partitions, in one report
     rep = check_kapranov_wedge_identity(3, 6)
+    assert rep.passed and rep.max_residual < 1e-10
+
+
+@pytest.mark.parametrize("r,N", [(3, 4), (3, 5), (4, 6), (5, 7)])
+def test_kapranov_identity_past_half_the_box(r, N):
+    # 2r > N: the exterior power has more factors than the box has columns
+    rep = check_kapranov_wedge_identity(r, N)
     assert rep.passed and rep.max_residual < 1e-10
 
 
@@ -241,20 +250,75 @@ def test_criterion_11_reports_no_mismatched_gram_entry():
 
 
 def test_criteria_5_and_11_take_each_satake_image_once(monkeypatch):
-    build = charclasses.satake
+    wedge, sat = charclasses.wedge_matrix, charclasses.satake
     calls = []
 
-    def counted(factors, ring_G):
-        calls.append((ring_G.r, ring_G.N))
-        return build(factors, ring_G)
+    def counted_wedge(a, r, parts):
+        calls.append(("wedge_matrix", r, len(a)))
+        return wedge(a, r, parts)
+
+    def counted_satake(factors, ring_G):
+        calls.append(("satake", ring_G.r, ring_G.N))
+        return sat(factors, ring_G)
     monkeypatch.setattr(charclasses, "_CLASS_CACHE", {})
-    monkeypatch.setattr(charclasses, "satake", counted)
+    monkeypatch.setattr(charclasses, "wedge_matrix", counted_wedge)
+    monkeypatch.setattr(charclasses, "satake", counted_satake)
     assert verify.criterion_5()["passed"]
-    # the boxes of G(2,4), G(2,5), G(3,6) at the F_p point, and one
-    # closed-form Gamma class each at both points
-    assert len(calls) == 6 + 10 + 20 + 2 * 3
+    # one exterior power for the whole box of G(2,4), G(2,5), G(3,6) at the
+    # F_p point, and the closed-form Gamma class at both points
+    want = [(name, r, N) for r, N in [(2, 4), (2, 5), (3, 6)]
+            for name in ["wedge_matrix", "satake", "satake"]]
+    assert calls == want
     assert verify.criterion_11()["passed"]
-    assert len(calls) == 42
+    assert calls == want
+
+
+def test_criterion_5_caches_one_satake_box_per_grassmannian(monkeypatch):
+    monkeypatch.setattr(charclasses, "_CLASS_CACHE", {})
+    assert verify.criterion_5()["passed"]
+    keys = [key for key in charclasses._CLASS_CACHE if "satake" in key[0] or "twisted" in key[0]]
+    assert sorted(keys) == [("satake_gamma_basis", "G", r, N, charclasses.FP_POINT.key)
+                            for r, N in [(2, 4), (2, 5), (3, 6)]]
+
+
+def _per_partition_satake_image(nu, ring_G, point):
+    # the route taken one partition at a time: satake of the twisted
+    # factors at wedge_exponents(nu, r), then the normalization
+    r, ring_P = ring_G.r, build_ring("P", ring_G.N)
+    raw = satake([charclasses._twisted_gamma_basis_class(ring_P, r, k, point)
+                  for k in wedge_exponents(nu, r)], ring_G)
+    return raw * point.tau ** (-(r * (r - 1) // 2))
+
+
+@pytest.mark.parametrize("point", [charclasses.FP_POINT, charclasses.MP_POINT],
+                         ids=["F_p", "mp"])
+@pytest.mark.parametrize("r,N", [(2, 4), (2, 5), (3, 6), (3, 5), (4, 6), (4, 8)])
+def test_satake_images_of_the_box_are_the_per_partition_images(r, N, point):
+    # read from one exterior power, every coefficient is the one the
+    # per-partition route computes, in the same arithmetic
+    ring = build_ring("G", N, r)
+    for nu in ring.basis:
+        got = satake_gamma_class(nu, ring, point).coeffs
+        want = _per_partition_satake_image(nu, ring, point).coeffs
+        assert list(got) == list(want)
+
+
+def _leibniz(a, rows, cols):
+    """det a[rows, cols], the signed sum over permutations."""
+    total = 0
+    for perm in itertools.permutations(range(len(rows))):
+        sign = (-1) ** sum(x > y for x, y in itertools.combinations(perm, 2))
+        total += sign * math.prod(a[rows[i]][cols[j]] for i, j in enumerate(perm))
+    return total
+
+
+@pytest.mark.parametrize("r,N", [(r, N) for N in range(1, 7) for r in range(1, min(3, N) + 1)])
+def test_wedge_matrix_is_every_leibniz_minor(r, N):
+    rng = random.Random(f"wedge_matrix {r} {N}")
+    a = [[rng.choice([0, rng.randint(-9, 9)]) for _ in range(N)] for _ in range(N)]
+    parts = partitions_in_box(r, N - r)
+    keys = [sorted(wedge_exponents(nu, r)) for nu in parts]
+    assert wedge_matrix(a, r, parts) == [[_leibniz(a, i, j) for j in keys] for i in keys]
 
 
 def test_scalar_products_never_format_the_class(monkeypatch):
