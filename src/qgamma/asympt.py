@@ -3,12 +3,12 @@ Conjecture II central charges, Apery ratios, quantum-period radius
 estimation, and the Mellin-Barnes solution Psi(t) with its three evaluation
 routes and asymptotic constant.  J(t) has one sum, `_sum_J`, over terms in
 any scalar type: the float rows n! J_n of connection.j_scaled (limit_ratio)
-or the exact J_n in mpmath (central_charge).  The Psi series are classes
-of H*(P^{N-1}) = C[h]/(h^N) built from connection.rising_inverses; the
-float quadrature shares none of their arithmetic.  The series keep the class left of every mpmath scalar (see
-CohClass.__mul__).  The quadrature computes its Gauss-Legendre nodes and
-Gamma(s) on them once per (abscissa, interval), on first use rather than at
-import."""
+or the exact J_n in mpmath (central_charge).  The Psi series sum the
+products prod_{k<=n} (h-k)^{-N} of connection.rising_inverses, kept once per
+(N, precision) as raw libmp values, by mpf_mul and mpf_add: the calls mpf's
+* and + make, so each sum rounds as its mpf expression would.  The float
+quadrature shares none of their arithmetic; its Gauss-Legendre nodes and
+Gamma(s) on them are made once per (abscissa, interval), on first use."""
 
 from __future__ import annotations
 
@@ -19,6 +19,8 @@ import sys
 from dataclasses import dataclass, field
 
 from mpmath import fp, mp, mpc, mpf, exp as mp_exp, log as mp_log
+from mpmath.libmp import (fone, from_str, fzero, mpf_abs, mpf_add, mpf_lt, mpf_mul,
+                          round_nearest as RND)
 
 from .rings import RingSpec, CohClass, build_ring, cup, exp_cup, poincare_pair
 from .charclasses import bracket_pairing, gamma_class, scale_degrees
@@ -169,8 +171,8 @@ def mellin_psi(N: int, t: float, c: float = 1.0) -> float:
     raises OverflowError rather than return a number with few right digits."""
     if not (1 <= N <= 6):
         raise ValueError("Psi is supported for 1 <= N <= 6")
-    if c <= 0 or t <= 0:
-        raise ValueError("need c > 0 and t > 0")
+    if not (c > 0 and t > 0 and math.isfinite(t)):
+        raise ValueError(f"need c > 0 and a finite t > 0, got c = {c}, t = {t}")
     # |t^{-N s}| = t^{-N c} on the whole contour
     if -N * c * math.log(t) > math.log(sys.float_info.max):
         raise OverflowError(f"t^(-N s) overflows at N = {N}, t = {t}")
@@ -209,6 +211,30 @@ def _gamma_nodes(c: float, k: int):
     return s, gam
 
 
+def _checked_t(t):
+    if not (t > 0 and math.isfinite(t)):
+        raise ValueError(f"Psi needs a finite t > 0, got t = {t}")
+    return mpf(t)
+
+
+_PRODUCTS: dict = {}   # (N, prec) -> [(coefficients of P_n, max |coefficient|)]
+_cutoff = functools.cache(lambda prec: from_str("1e-45", prec, RND))   # at prec bits
+
+
+def _frobenius_terms(N: int, t):
+    """Yield (P_n, max |P_n|, t^{Nn}), n = 0, 1, ..., as raw libmp values at the working
+    precision; each P_n = prod_{k<=n} (h-k)^{-N} is read once per (N, precision)."""
+    kept = _PRODUCTS.setdefault((N, mp.prec), [])
+    made = itertools.islice(rising_inverses(build_ring("P", N), -1, mpf(1)), len(kept), None)
+    tn, tN = fone, (t ** N)._mpf_
+    for n in itertools.count():
+        if n == len(kept):
+            prod = next(made).coeffs
+            kept.append((tuple(x._mpf_ for x in prod), max(map(abs, prod))._mpf_))
+        yield *kept[n], tn
+        tn = mpf_mul(tn, tN, mp.prec, RND)
+
+
 def frobenius_Pi(N: int, t, nmax: int = 80) -> CohClass:
     """Pi(t; h) = e^{-N h log t} sum_n prod_{k=1}^n (h-k)^{-N} t^{Nn} in
     H*(P^{N-1}) = C[h]/(h^N), with mpmath coefficients."""
@@ -217,20 +243,17 @@ def frobenius_Pi(N: int, t, nmax: int = 80) -> CohClass:
 
 def _frobenius_Pi(N: int, t, nmax: int):
     """(Pi(t; h), sizes of its largest summed and first omitted series term)."""
-    if t <= 0:
-        raise ValueError("t must be positive")
-    t = mpf(t)
-    ring = build_ring("P", N)
-    series = ring.zero()
-    tn, tN, biggest = mpf(1), t ** N, mpf(0)
-    for n, prod_inv in enumerate(rising_inverses(ring, -1, mpf(1))):
-        size = tn * max(abs(x) for x in prod_inv.coeffs)
-        if n > nmax or (n > 3 * int(t) + 6 and size < mpf("1e-45")):
+    t, prec, ring = _checked_t(t), mp.prec, build_ring("P", N)
+    stop, series, biggest = 3 * int(t) + 6, [fzero] * N, fzero
+    for n, (coeffs, top, tn) in enumerate(_frobenius_terms(N, t)):
+        size = mpf_mul(tn, top, prec, RND)
+        if n > nmax or (n > stop and mpf_lt(size, _cutoff(prec))):
             break
-        series = series + prod_inv * tn
-        biggest = max(biggest, size)
-        tn = tn * tN
-    return exp_cup(series, ring.basis_class((1,)), -N * mp_log(t)), biggest, size
+        series = [mpf_add(a, mpf_mul(c, tn, prec, RND), prec, RND) for a, c in zip(series, coeffs)]
+        biggest = size if mpf_lt(biggest, size) else biggest
+    Pi = exp_cup(CohClass(ring, [mp.make_mpf(a) for a in series]), ring.basis_class((1,)),
+                 -N * mp_log(t))
+    return Pi, mp.make_mpf(biggest), mp.make_mpf(size)
 
 
 def _above_floor(psi, biggest, tail, N: int, t) -> float:
@@ -248,26 +271,28 @@ def psi_residue_sum(N: int, t) -> float:
     """Sum of residues: sum_n int_P Gamma(1+h)^N prod_{k<=n}(h-k)^{-N}
     t^{Nn - Nh} for n <= 80; term-by-term, so it is an independent route
     from int_P Gamma-hat cup Pi."""
-    t = mpf(t)
-    ring = build_ring("P", N)
-    base = exp_cup(gamma_class(ring), ring.basis_class((1,)), -N * mp_log(t))
-    total = biggest = mpf(0)
-    tn, tN = mpf(1), t ** N
-    for n, prod_inv in zip(range(81), rising_inverses(ring, -1, mpf(1))):
-        term = poincare_pair(base, prod_inv) * tn
-        total += term
-        biggest = max(biggest, abs(term))
-        if n > 3 * int(t) + 6 and abs(term) < mpf("1e-45") * (1 + abs(total)):
+    x, prec, ring = _checked_t(t), mp.prec, build_ring("P", N)
+    base = exp_cup(gamma_class(ring), ring.basis_class((1,)), -N * mp_log(x))
+    dual = [(c._mpf_, j) for c, j in zip(base.coeffs, ring.dual)]
+    stop, total, biggest = 3 * int(x) + 6, fzero, fzero
+    for n, (coeffs, _, tn) in zip(range(81), _frobenius_terms(N, x)):
+        pair = fzero   # int_P base P_n
+        for a, j in dual:
+            pair = mpf_add(pair, mpf_mul(a, coeffs[j], prec, RND), prec, RND)
+        term = mpf_mul(pair, tn, prec, RND)
+        total = mpf_add(total, term, prec, RND)
+        size = mpf_abs(term)
+        biggest = size if mpf_lt(biggest, size) else biggest
+        if n > stop and mpf_lt(size, mpf_mul(_cutoff(prec), mpf_add(fone, mpf_abs(total), prec, RND),
+                                             prec, RND)):
             break
-        tn = tn * tN
-    return _above_floor(total, biggest, abs(term), N, t)
+    return _above_floor(mp.make_mpf(total), mp.make_mpf(biggest), mp.make_mpf(size), N, t)
 
 
 def psi_gamma_pi(N: int, t) -> float:
     """int_P Gamma-hat_P cup Pi(t; h): the connection-formula route."""
     Pi, biggest, tail = _frobenius_Pi(N, t, 80)
-    psi = poincare_pair(gamma_class(build_ring("P", N)), Pi)
-    return _above_floor(psi, biggest, tail, N, t)
+    return _above_floor(poincare_pair(gamma_class(Pi.ring), Pi), biggest, tail, N, t)
 
 
 def psi_asymptotic_constant(N: int, t_grid) -> dict:

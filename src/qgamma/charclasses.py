@@ -425,7 +425,7 @@ def bracket_row(a: CohClass, point=MP_POINT):
     once at the period point; a Gram makes one row per left vector."""
     w = [0] * a.ring.rank
     for ca, row in zip(a.coeffs, _cached("bracket_form", _bracket_form, a.ring, point)):
-        if ca != 0:
+        if ca:
             for j, v in row:
                 w[j] = w[j] + ca * v
 

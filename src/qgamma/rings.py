@@ -351,7 +351,7 @@ def poincare_pair(a: CohClass, b: CohClass):
     total = 0
     for ca, j in zip(a.coeffs, a.ring.dual):
         cb = b.coeffs[j]
-        if ca != 0 and cb != 0:
+        if ca and cb:
             total = total + ca * cb
     return total
 

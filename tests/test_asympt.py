@@ -2,17 +2,19 @@
 and the Mellin-Barnes solution Psi."""
 
 import math
+import re
 import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
-from qgamma import asympt, charclasses
-from qgamma.rings import CohClass, build_ring, cup, poincare_pair
+from qgamma import asympt, charclasses, connection
+from qgamma.rings import CohClass, build_ring, cup, exp_cup, poincare_pair
 from qgamma.charclasses import gamma_class
-from qgamma.connection import spectrum, quantum_period, j_scaled
+from qgamma.connection import spectrum, quantum_period, j_scaled, rising_inverses
 from qgamma.asympt import (limit_ratio, central_charge, apery_precondition,
                            apery_ratios, radius_estimate, mellin_psi,
                            psi_residue_sum, psi_gamma_pi, frobenius_Pi,
@@ -137,6 +139,124 @@ def test_psi_series_refuse_catastrophic_cancellation(route, N, t):
         route(N, t)
 
 
+def _frobenius_Pi_by_classes(N, t, nmax):
+    """The class-based Pi loop the raw kernel replaced: each term the class
+    P_n t^{Nn}, added to the running class in mpmath."""
+    t = mpf(t)
+    ring = build_ring("P", N)
+    series = ring.zero()
+    tn, tN, biggest = mpf(1), t ** N, mpf(0)
+    for n, prod_inv in enumerate(rising_inverses(ring, -1, mpf(1))):
+        size = tn * max(abs(x) for x in prod_inv.coeffs)
+        if n > nmax or (n > 3 * int(t) + 6 and size < mpf("1e-45")):
+            break
+        series = series + prod_inv * tn
+        biggest = max(biggest, size)
+        tn = tn * tN
+    return exp_cup(series, ring.basis_class((1,)), -N * mp.log(t)), biggest, size
+
+
+def _psi_residue_sum_by_classes(N, t):
+    """The class-based residue sum the raw kernel replaced: poincare_pair of
+    each product with Gamma cup t^{-Nh}, scaled by t^{Nn}."""
+    x = mpf(t)
+    ring = build_ring("P", N)
+    base = exp_cup(gamma_class(ring), ring.basis_class((1,)), -N * mp.log(x))
+    total = biggest = mpf(0)
+    tn, tN = mpf(1), x ** N
+    for n, prod_inv in zip(range(81), rising_inverses(ring, -1, mpf(1))):
+        term = poincare_pair(base, prod_inv) * tn
+        total += term
+        biggest = max(biggest, abs(term))
+        if n > 3 * int(x) + 6 and abs(term) < mpf("1e-45") * (1 + abs(total)):
+            break
+        tn = tn * tN
+    return asympt._above_floor(total, biggest, abs(term), N, t)
+
+
+def _psi_gamma_pi_by_classes(N, t):
+    Pi, biggest, tail = _frobenius_Pi_by_classes(N, t, 80)
+    return asympt._above_floor(poincare_pair(gamma_class(Pi.ring), Pi), biggest, tail, N, t)
+
+
+def _outcome(route, N, t):
+    """The float's hex, or the refusal's message."""
+    try:
+        return route(N, t).hex()
+    except OverflowError as e:
+        return f"OverflowError: {e}"
+
+
+def _assert_series_match_the_class_loops(N, t):
+    # psi_gamma_pi's order, and psi_asymptotic_constant's (capped for t = 1e308)
+    for nmax in (80, int(6 * min(t, 20)) + 40):
+        new, old = asympt._frobenius_Pi(N, t, nmax), _frobenius_Pi_by_classes(N, t, nmax)
+        assert [repr(c) for c in new[0].coeffs] == [repr(c) for c in old[0].coeffs]
+        assert [repr(x) for x in new[1:]] == [repr(x) for x in old[1:]]
+    assert _outcome(psi_residue_sum, N, t) == _outcome(_psi_residue_sum_by_classes, N, t)
+    assert _outcome(psi_gamma_pi, N, t) == _outcome(_psi_gamma_pi_by_classes, N, t)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 6), st.floats(0.3, 12), st.sampled_from([40, 60]))
+def test_psi_series_match_the_class_loops_bit_for_bit(N, t, dps):
+    with mp.workdps(dps):
+        _assert_series_match_the_class_loops(N, t)
+
+
+@pytest.mark.parametrize("N,t", [(3, 40), (2, 20), (2, 1e308)])
+def test_psi_series_refusals_match_the_class_loops(N, t):
+    _assert_series_match_the_class_loops(N, t)
+    # the message names t as the caller passed it, not as a 40-digit mpf
+    for route in (psi_residue_sum, psi_gamma_pi):
+        with pytest.raises(OverflowError, match=re.escape(f"t = {t} keeps fewer than 9")):
+            route(N, t)
+
+
+def test_psi_series_read_each_product_once_per_precision(monkeypatch):
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return cup(a, b)
+    monkeypatch.setattr(connection, "cup", counted)
+    monkeypatch.setattr(connection, "_RISING", {})   # make every product here
+    monkeypatch.setattr(asympt, "_PRODUCTS", {})
+    psi_residue_sum(3, 1.5)
+    (kept,) = asympt._PRODUCTS.values()
+    assert len(calls) == len(kept) - 1   # one cup per product past the unit
+    # other t and the other route read the same products; a larger t only
+    # extends them
+    for t in [1.5, 0.7, 1.1, 2.5]:
+        psi_residue_sum(3, t)
+        frobenius_Pi(3, t)
+    (again,) = asympt._PRODUCTS.values()
+    assert again is kept and len(calls) == len(kept) - 1
+    assert all(type(entry) is tuple and type(entry[0]) is tuple for entry in kept)
+    products = rising_inverses(build_ring("P", 3), -1, mpf(1))
+    for (coeffs, top), prod in zip(kept, products):
+        assert coeffs == tuple(x._mpf_ for x in prod.coeffs)
+        assert top == max(abs(x) for x in prod.coeffs)._mpf_
+    # 40 and 60 digits are separate entries, each with its own cutoff
+    with mp.workdps(60):
+        psi_residue_sum(3, 1.5)
+        assert asympt._cutoff(mp.prec) == mpf("1e-45")._mpf_
+    assert sorted(asympt._PRODUCTS) == [(3, 136), (3, 203)]
+    assert asympt._cutoff(mp.prec) == mpf("1e-45")._mpf_
+    assert asympt._PRODUCTS[3, 203][3][0] != kept[3][0]
+
+
+@pytest.mark.parametrize("t", [0, 0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_psi_routes_refuse_a_t_that_is_not_finite_and_positive(monkeypatch, t):
+    def refuse(*args):
+        raise AssertionError("work started before t was checked")
+    monkeypatch.setattr(asympt, "build_ring", refuse)
+    monkeypatch.setattr(asympt, "_leggauss", refuse)
+    for route in (psi_residue_sum, psi_gamma_pi, frobenius_Pi, mellin_psi):
+        with pytest.raises(ValueError, match="finite t > 0"):
+            route(2, t)
+
+
 def test_psi_contour_independence():
     assert abs(mellin_psi(2, 1.0, c=0.7) - mellin_psi(2, 1.0, c=1.4)) < 1e-12
 
@@ -167,9 +287,8 @@ def test_mellin_psi_node_cache_keeps_every_bit():
 
 
 def test_psi_routes_never_format_the_class(monkeypatch):
-    # the series put the class left of every mpmath scalar: an mpf on the
-    # left formats repr(CohClass) for a failed conversion before Python
-    # falls back to CohClass.__rmul__
+    # an mpf left of a class formats repr(CohClass) for a failed conversion
+    # before Python falls back to CohClass.__rmul__; the Psi routes never do
     def refuse(self):
         raise AssertionError("repr(CohClass) was formatted")
     monkeypatch.setattr(CohClass, "__repr__", refuse)

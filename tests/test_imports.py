@@ -1,7 +1,8 @@
 """Lint: no module of the package imports a name it never uses or a
 private name of another module of the package, the
 package imports exactly the third-party packages it declares, numpy only
-inside the float routines that need it (never at module level), every
+inside the float routines that need it (never at module level), mpmath's
+raw libmp arithmetic only in asympt (isprime anywhere), every
 top-level function and class of the package is reachable through a chain
 of reads from ``cli.main``, the package's module-level statements or its
 scripts (the names only the benchmark reaches are listed explicitly),
@@ -167,6 +168,37 @@ def test_numpy_is_imported_only_by_the_float_routines():
              for owner, line in numpy_imports(path.read_text())]
     assert [f for f in found if f[1] not in NUMPY_FUNCTIONS] == []
     assert {owner for _, owner, _ in found} == NUMPY_FUNCTIONS
+
+
+def libmp_imports(source: str) -> list:
+    """(line, name) for each name other than isprime imported from
+    mpmath.libmp or a submodule, and each import of mpmath.libmp itself."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 0:
+            if node.module.split(".")[:2] == ["mpmath", "libmp"]:
+                out += [(node.lineno, a.name) for a in node.names if a.name != "isprime"]
+            elif node.module == "mpmath":
+                out += [(node.lineno, a.name) for a in node.names if a.name == "libmp"]
+        elif isinstance(node, ast.Import):
+            out += [(node.lineno, a.name) for a in node.names
+                    if a.name.split(".")[:2] == ["mpmath", "libmp"]]
+    return out
+
+
+def test_libmp_import_checker():
+    src = ("from mpmath.libmp import isprime, mpf_add\nfrom mpmath import mp, libmp\n"
+           "import mpmath.libmp\nfrom mpmath.libmp.libmpf import fzero, isprime\n"
+           "import mpmath\nfrom mpmath.libmpx import y\n")
+    assert libmp_imports(src) == [(1, "mpf_add"), (2, "libmp"), (3, "mpmath.libmp"),
+                                  (4, "fzero")]
+
+
+def test_raw_mpf_arithmetic_stays_in_the_psi_kernel():
+    # the Psi series kernel of asympt sums on raw libmp values; every other
+    # module does its mpmath arithmetic on mpf and mpc objects
+    found = [path.name for path in MODULES if libmp_imports(path.read_text())]
+    assert found == ["asympt.py"]
 
 
 def _reads(node) -> set:
