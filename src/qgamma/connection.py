@@ -180,7 +180,11 @@ def spectrum(ring: RingSpec) -> SpectrumReport:
 # --- exact inverse series ------------------------------------------------
 
 def identity(n: int) -> list:
-    return [[int(i == j) for j in range(n)] for i in range(n)]
+    zero, rows = [0] * n, []
+    for i in range(n):
+        rows.append(zero.copy())
+        rows[i][i] = 1
+    return rows
 
 
 def _right_mul(a, cols, s):

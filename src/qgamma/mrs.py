@@ -3,11 +3,13 @@
 The integer layer runs on an exact Gram G and the markings, as lists of
 lists of Python ints: Stokes matrices, the braid action and phase-rotation
 mutation sequences act on integer coefficient rows over the start vectors,
-through one mutation kernel, and never round.  The exact Gram of the Gamma
-basis is its Euler matrix (euler_matrix).  The numeric Gram of Gamma-basis
-classes (integer_gram, or gram as a complex array) is what the checks
-compare against it: a system (SOB, MRS) pairs its vectors by an explicit
-callable, such as bracket_pairing on CohClass vectors."""
+through one mutation kernel on the bilinear form _pair, and never round;
+one reader (_int_rows) takes Grams and rows to Python ints and refuses an
+entry that is not an integer.  The exact Gram of the Gamma basis is its
+Euler matrix (euler_matrix).  The numeric Gram of Gamma-basis classes
+(integer_gram, or gram as a complex array) is what the checks compare
+against it: a system (SOB, MRS) pairs its vectors by an explicit callable,
+such as bracket_pairing on CohClass vectors."""
 
 from __future__ import annotations
 
@@ -15,6 +17,7 @@ import cmath
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import mpmath
@@ -74,6 +77,25 @@ def _nearest_ints(rows):
                            for x, k in zip(row, near)))
 
 
+def _int_rows(M) -> list:
+    """The 2-D sequence M as rows of Python ints, exact at any size: an int
+    or numpy int as it is, another entry as its int() if equal to it, else
+    ValueError naming (i, j).  The integer layer's one reader."""
+    try:
+        return [list(map(operator.index, row)) for row in M]
+    except TypeError:
+        return [[_int_entry(x, i, j) for j, x in enumerate(row)] for i, row in enumerate(M)]
+
+
+def _int_entry(x, i: int, j: int) -> int:
+    try:
+        if int(x) == x:
+            return int(x)
+    except (TypeError, ValueError, OverflowError):   # not a real number, or not finite
+        pass
+    raise ValueError(f"entry ({i}, {j}) = {x!r} is not an integer")
+
+
 def integer_gram(sob):
     """(the Gram of a system rounded to Python ints, its rounding error)."""
     return _nearest_ints(_pairings(sob))
@@ -121,25 +143,26 @@ def stokes_matrix(G, markings, phi: float) -> list:
     """The integer Gram G of vectors marked by markings, in the phase order
     of phi: indices by strictly decreasing h_phi(u), ties allowed only for
     equal markings (kept in input order).  ValueError unless phi is
-    admissible; ArithmeticError unless it has unit diagonal, vanishing lower
-    triangle and vanishing entries between distinct vectors of one group of
-    equal markings (greedy_groups at 1e-9), exactly."""
+    admissible and G integral (_int_rows); ArithmeticError unless it has unit
+    diagonal, vanishing lower triangle and vanishing entries between distinct
+    vectors of one group of equal markings (greedy_groups at 1e-9), exactly."""
     if not is_admissible(markings, phi):
         raise ValueError(f"phase {phi} is not admissible")
+    G = _int_rows(G)
     order = sorted(range(len(markings)), key=lambda i: (-h_phase(markings[i], phi), i))
-    S = [[int(G[i][j]) for j in order] for i in order]
+    S = [[G[i][j] for j in order] for i in order]
     if not is_uni_uppertriangular(S):
         raise ArithmeticError("phase-ordered Gram is not uni-uppertriangular")
-    if any(int(G[i][j]) for g in greedy_groups(markings, 1e-9)
+    if any(G[i][j] for g in greedy_groups(markings, 1e-9)
            for i, j in itertools.permutations(g, 2)):
         raise ArithmeticError("nonzero Gram entry between equal markings")
     return S
 
 
 def _matmul(a, b) -> list:
-    """The matrix product of a and b, each a 2-D sequence, as rows."""
+    """The matrix product of a and b, each rows of Python ints, as rows."""
     cols = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+    return [[sum(map(operator.mul, row, col)) for col in cols] for row in a]
 
 
 def _power(M, k: int) -> list:
@@ -151,23 +174,28 @@ def _power(M, k: int) -> list:
 
 
 def gram_of_rows(rows, G) -> list:
-    """rows G rows^T: the Gram after the change of basis rows."""
-    return _matmul(_matmul(rows, G), list(zip(*rows)))
+    """rows G rows^T, both read by _int_rows: the Gram after the change of basis."""
+    rows = _int_rows(rows)
+    return _matmul(_matmul(rows, _int_rows(G)), list(zip(*rows)))
+
+
+def _pair(a, G, b):
+    """a G b^T for rows a, b over the Gram G, skipping the zero entries of a."""
+    return sum([x * sum(map(operator.mul, row, b)) for x, row in zip(a, G) if x])
 
 
 def _mutation(v, u, G, right: bool):
     """R_u v = v - (v G u) u if right, else L_u v = v - (u G v) u, on rows
     over vectors paired by the Gram G."""
-    a, b = (v, u) if right else (u, v)
-    c = sum(x * sum(g * y for g, y in zip(row, b)) for x, row in zip(a, G) if x)
+    c = _pair(v, G, u) if right else _pair(u, G, v)
     return [x - c * y for x, y in zip(v, u)]
 
 
 def braid_act(G, word) -> list:
-    """The rows over vectors paired by the integer Gram G after the braid
-    word: a list of signed 1-based indices; +i applies sigma_i, -i its
-    inverse.  sigma_i: (v_i, v_{i+1}) -> (v_{i+1}, R_{v_{i+1}} v_i)."""
-    G = [[int(x) for x in row] for row in G]
+    """The rows over vectors paired by the Gram G (read by _int_rows) after
+    the braid word: a list of signed 1-based indices; +i applies sigma_i, -i
+    its inverse.  sigma_i: (v_i, v_{i+1}) -> (v_{i+1}, R_{v_{i+1}} v_i)."""
+    G = _int_rows(G)
     rows = identity(len(G))
     for g in word:
         i = abs(g) - 1

@@ -155,8 +155,9 @@ def criterion_9():
     n = 4
     for _ in range(100):
         G = [[rng.randint(-5, 5) if j > i else int(i == j) for j in range(n)] for i in range(n)]
+        unit = braid_act(G, [])
         for i in range(1, n):
-            ok &= braid_act(G, [i, -i]) == braid_act(G, [])
+            ok &= braid_act(G, [i, -i]) == unit
             ok &= is_uni_uppertriangular(gram_of_rows(braid_act(G, [i]), G))
         ok &= braid_act(G, [1, 2, 1]) == braid_act(G, [2, 1, 2])
         ok &= braid_act(G, [1, 3]) == braid_act(G, [3, 1])

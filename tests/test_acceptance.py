@@ -2,7 +2,8 @@
 
 import pytest
 
-from qgamma import verify
+from qgamma import mrs, verify
+from qgamma.cli import main
 
 
 def _check(result):
@@ -46,6 +47,25 @@ def test_criterion_08_quantum_period_radius():
 
 def test_criterion_09_mutation_suite():
     _check(verify.criterion_9())
+
+
+@pytest.mark.parametrize("kernel", [
+    # R for L and L for R
+    lambda mutation: lambda v, u, G, right: mutation(v, u, G, not right),
+    # v + (vGu) u for v - (vGu) u
+    lambda mutation: lambda v, u, G, right: [2 * x - y for x, y in
+                                             zip(v, mutation(v, u, G, right))],
+], ids=["side-swapped", "sign-flipped"])
+def test_criterion_09_fails_on_a_corrupted_mutation_kernel(monkeypatch, kernel):
+    # braid_act and phase_rotation both call mrs._mutation, so corrupting
+    # that one kernel must reach the braid checks and the P^2 turn alike
+    monkeypatch.setattr(mrs, "_mutation", kernel(mrs._mutation))
+    assert mrs.braid_act([[1, 2], [0, 1]], [1, -1]) != [[1, 0], [0, 1]]
+    try:
+        assert not verify.criterion_9()["passed"]
+    except ArithmeticError:
+        pass
+    assert main(["verify-all"]) == 2
 
 
 def test_criterion_10_zeta_regularization():

@@ -5,6 +5,7 @@ with its Serre/Lefschetz check."""
 import cmath
 import itertools
 import math
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 
@@ -20,8 +21,8 @@ from qgamma.connection import spectrum_closed_form
 
 from qgamma.mrs import (SOB, MRS, gram, integer_gram, is_uni_uppertriangular, braid_act,
                         h_phase, greedy_groups, is_admissible, stokes_matrix, phase_rotation,
-                        mutate_phase_rotation, euler_matrix, gamma_mrs,
-                        beilinson_gamma_mrs, kapranov_gamma_mrs)
+                        mutate_phase_rotation, euler_matrix, gamma_mrs, gram_of_rows,
+                        beilinson_gamma_mrs, kapranov_gamma_mrs, _power)
 
 
 def right_mutation(v, u, pairing):
@@ -142,6 +143,87 @@ def test_braid_rows_are_the_vector_mutations(seed, word):
 def test_braid_generator_out_of_range():
     with pytest.raises(ValueError):
         braid_act(np.eye(3, dtype=int), [3])
+
+
+# --- the integer kernels against their per-entry oracles --------------------
+
+def _oracle_matmul(a, b):
+    """The matrix product with one generator of tuples per entry."""
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+
+
+def _oracle_gram_of_rows(rows, G):
+    return _oracle_matmul(_oracle_matmul(rows, G), list(zip(*rows)))
+
+
+def _oracle_mutation(v, u, G, right):
+    a, b = (v, u) if right else (u, v)
+    c = sum(x * sum(g * y for g, y in zip(row, b)) for x, row in zip(a, G) if x)
+    return [x - c * y for x, y in zip(v, u)]
+
+
+def _oracle_braid_act(G, word):
+    """braid_act on a Gram of Python ints, one int() per entry."""
+    n = len(G)
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for g in word:
+        i = abs(g) - 1
+        if g > 0:
+            rows[i], rows[i + 1] = rows[i + 1], _oracle_mutation(rows[i], rows[i + 1], G, True)
+        else:
+            rows[i], rows[i + 1] = _oracle_mutation(rows[i + 1], rows[i], G, False), rows[i]
+    return rows
+
+
+def _int_matrix(draw, m, n, bound):
+    return draw(st.lists(st.lists(st.integers(-bound, bound), min_size=n, max_size=n),
+                         min_size=m, max_size=m))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_integer_kernels_are_the_per_entry_oracles(data):
+    # Python ints up to 2^70, or numpy int64 arrays, whose products a numpy
+    # kernel would wrap: the oracles run on the same entries as Python ints
+    n = data.draw(st.integers(1, 6))
+    int64 = data.draw(st.booleans())
+    bound = 2**62 if int64 else 2**70
+    G = _int_matrix(data.draw, n, n, bound)
+    rows = _int_matrix(data.draw, data.draw(st.integers(1, 6)), n, bound)
+    gens = [s * i for i in range(1, n) for s in (1, -1)]
+    word = data.draw(st.lists(st.sampled_from(gens), max_size=10)) if gens else []
+    given_G, given_rows = ((np.array(G, dtype=np.int64), np.array(rows, dtype=np.int64))
+                           if int64 else (G, rows))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # no int64 overflow warning either
+        assert braid_act(given_G, word) == _oracle_braid_act(G, word)
+        assert gram_of_rows(given_rows, given_G) == _oracle_gram_of_rows(rows, G)
+    k = data.draw(st.integers(0, 10))
+    assert _power(G, k) == _int_mat_pow(G, k)
+
+
+def test_integer_layer_refuses_an_entry_that_is_not_an_integer():
+    # the P^2 Gram with a lower entry of 0.7, which int() truncated to a
+    # uni-uppertriangular Stokes matrix, and a 2.7 that int() made 2
+    with pytest.raises(ValueError, match=r"entry \(1, 0\) = 0.7 "):
+        stokes_matrix([[1, 3, 3], [0.7, 1, 3], [0, 0, 1]], spectrum_closed_form(1, 3),
+                      -(math.pi / 2 + 0.3))
+    with pytest.raises(ValueError, match=r"entry \(0, 1\) = 2.7 "):
+        braid_act([[1, 2.7, 0], [0, 1, 3], [0, 0, 1]], [1])
+    for x in [math.nan, math.inf, -math.inf, mpmath.mpf("nan"), 1 + 0j]:
+        with pytest.raises(ValueError, match=r"entry \(1, 1\)"):
+            gram_of_rows([[1, 0], [0, 1]], [[1, 2], [0, x]])
+    # integral entries of another type are read as the ints they equal
+    assert braid_act([[1, 2.0], [0, mpmath.mpf(1)]], [1]) == braid_act([[1, 2], [0, 1]], [1])
+
+
+def test_gram_of_rows_is_exact_past_int64():
+    # int64 arithmetic gave [[1, 1], [1, 1]] here, with a RuntimeWarning
+    rows, G = np.array([[2**40, 1], [0, 1]]), np.diag([2**40, 1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert gram_of_rows(rows, G) == [[2**120 + 1, 1], [1, 1]]
 
 
 def test_rotation_of_classes_is_the_integer_rows_and_never_formats_repr(monkeypatch):
