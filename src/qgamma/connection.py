@@ -12,13 +12,19 @@ recursion on it: integers over one denominator per order, the right-hand
 side X_{m-N} G_N summed over the nonempty columns of G_N only, and each
 order checked exactly by a residual pass of its own over the final X.
 From the identity (L = rho) it gives the inverse series U_n, whose column
-0 is the J_n of `j_coefficients`, the one exact J entry point; from the
-1 x n start [w] of a class g with c1 cup g = 0 (L = 0, as w rho = 0) it
-gives the row w U_n in O(nnz rho) per order, which
-`pairing_rows` yields for the quantum period and the Apery ratios.  Both J
-and the rows are refused at the first order past the digits Python prints.
-A scaled float path (n! J_n instead of J_n, as Python lists) on the same
-`_solve` gives the rows that `asympt` sums into J(t).
+0 is the J_n of `j_coefficients`, the one exact J entry point.  J_n is read
+by one minor reader, `_minors`, from one of two series, whichever takes
+fewer steps: that of the target itself (its 1 x 1 minors on column 0), or,
+by quantum Satake QH(G(r,N)) = Lambda^r QH(P^{N-1}) at q -> (-1)^(r-1) q,
+the N x N series of the twisted P^{N-1}, whose r x r minors on its first r
+columns are U_n's column 0 once `_satake_operator` has checked (c_1 *) of
+G(r,N) to be the derivation of the twisted operator on wedges.  From the
+1 x n start [w] of a class g with c1 cup g = 0 (L = 0, as w rho = 0) the
+series gives the row w U_n in O(nnz rho) per order, which `pairing_rows`
+yields for the quantum period and the Apery ratios.  Both J and the rows
+are refused at the first order past the digits Python prints.  A scaled
+float path (n! J_n instead of J_n, as Python lists) on the same `_solve`
+gives the rows that `asympt` sums into J(t).
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ import math
 import operator
 import sys
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from mpmath import mp
@@ -49,7 +55,6 @@ class _C1:
     rho_rows: list
     rho_cols: list
     gn_cols: list
-    order: list    # every (i, j), by increasing deg_i - deg_j
     levels: int    # 2 dim + 1 values of deg_i - deg_j: ad_rho^levels = 0
 
 
@@ -72,14 +77,53 @@ def _c1_operator(ring: RingSpec) -> _C1:
     rho_cols = [[(k, N * c) for k, c in ring.cup_table[(s1, j)]] for j in range(n)]
     gn_cols = [[(ring.index[normalize_partition(p - 1 for p in lam[1:])], N)]
                if len(lam) == r and lam[0] == N - r else [] for lam in ring.basis]
-    # the stable sort by deg_i - deg_j, by bucketing j by degree
+    return _C1(_transpose(rho_cols, n), rho_cols, gn_cols, 2 * ring.dim + 1)
+
+
+def _degree_order(ring: RingSpec) -> list:
+    """Every (i, j), by increasing deg_i - deg_j: the stable sort, by
+    bucketing j by degree, that `_solve` runs the square series in."""
     degs = ring.degrees()
     by_degree: dict = {}
     for j, d in enumerate(degs):
         by_degree.setdefault(d, []).append(j)
-    order = [(i, j) for shift in range(-ring.dim, ring.dim + 1)
-             for i, d in enumerate(degs) for j in by_degree.get(d - shift, ())]
-    return _C1(_transpose(rho_cols, n), rho_cols, gn_cols, order, 2 * ring.dim + 1)
+    return [(i, j) for shift in range(-ring.dim, ring.dim + 1)
+            for i, d in enumerate(degs) for j in by_degree.get(d - shift, ())]
+
+
+def _twisted(op: _C1, r: int) -> _C1:
+    """op with G_N scaled by (-1)^(r-1): (c_1 *) of P^{N-1} at
+    q -> (-1)^(r-1) q, whose r-th exterior power quantum Satake reads."""
+    sign = (-1) ** (r - 1)
+    return replace(op, gn_cols=[[(k, sign * c) for k, c in col] for col in op.gn_cols])
+
+
+def _satake_operator(ring: RingSpec, wedges: list) -> _C1:
+    """The twisted (c_1 *) of P^{N-1} whose derivation on the wedges
+    h^{k_1} ^ ... ^ h^{k_r}, k = wedges[j] decreasing for basis class j, is
+    (c_1 *) of ring, checked on every column of rho and of G_N
+    (ArithmeticError if not).  The derivation replaces one k_i by each entry
+    of its column and sorts the wedge back, with the sign of the reordering;
+    the twist cancels the sign of moving h^0 past the other r - 1 factors."""
+    op = _c1_operator(ring)
+    wedge = _twisted(_c1_operator(build_ring("P", ring.N)), len(wedges[0]))
+    index = {k: j for j, k in enumerate(wedges)}
+    for j, k in enumerate(wedges):
+        for part, cols, want in (("rho", wedge.rho_cols, op.rho_cols[j]),
+                                 ("G_N", wedge.gn_cols, op.gn_cols[j])):
+            got: dict = {}
+            for i, ki in enumerate(k):
+                for e, c in cols[ki]:
+                    if e == ki or e not in k:
+                        w = tuple(sorted(k[:i] + (e,) + k[i + 1:], reverse=True))
+                        at = index[w]   # e moves past |w.index(e) - i| factors
+                        got[at] = got.get(at, 0) + (-c if (w.index(e) - i) % 2 else c)
+            if {at: c for at, c in got.items() if c} != dict(want):
+                raise ArithmeticError(
+                    f"Satake {ring.kind}({ring.r},{ring.N}): (c1 *) is not the wedge "
+                    f"derivation of the twisted P^{ring.N - 1} on the {part} column "
+                    f"of {list(ring.basis[j])}")
+    return wedge
 
 
 # --- spectrum and Property O --------------------------------------------
@@ -282,38 +326,122 @@ def pairing_rows(ring: RingSpec, g: CohClass):
         raise ValueError("c1 cup g != 0: <g, J_n> closes on one row only for "
                          "a class with c1 cap gamma = 0")
     q = math.gcd(d, *w)
-    series = _series(([[x // q for x in w]], d // q), ring.N, op, [[]],
-                     [(i, j) for i, j in op.order if i == 0], ring.dim + 1)
+    degs = ring.degrees()
+    order = [(0, j) for j in sorted(range(ring.rank), key=lambda j: -degs[j])]
+    rows = ((row, d) for (row,), d in _series(([[x // q for x in w]], d // q), ring.N, op,
+                                               [[]], order, ring.dim + 1))
     return ((list(row), d)   # the zero orders share one row
-            for (row,), d in _printable(series, ring.N, "rows <g, U_n>", lambda Y: Y[0]))
+            for row, d in _printable(rows, ring.N, "rows <g, U_n>"))
 
 
-def _printable(series, N: int, name: str, part):
-    """The orders (Y, d) of series, refused once d or an entry of part(Y)
-    reaches 10^limit; only the orders N divides can be nonzero."""
+def _printable(series, N: int, name: str):
+    """The orders (Y, d) of series, Y / d an integer vector in lowest terms,
+    refused once d or an entry of Y reaches 10^limit; only the orders N
+    divides can be nonzero."""
     limit = sys.get_int_max_str_digits()   # 0: no limit
     too_long = 10 ** limit
     for n, (Y, d) in enumerate(series):
-        if limit and not n % N and max(d, *map(abs, part(Y))) >= too_long:
+        if limit and not n % N and max(d, *map(abs, Y)) >= too_long:
             raise OverflowError(f"exact {name} pass {limit} digits, the first at n = {n}")
         yield Y, d
 
 
 # --- J-function ----------------------------------------------------------
 
+def _minors(series, N: int, r: int, keys):
+    """Yield (Z, D) for n = 0, 1, 2, ...: Z / D in lowest terms, Z[i] the
+    coefficient of t^n in the r x r minor on rows keys[i] (increasing) of
+    the first r columns of series, which yields (Y_n, d_n), zero unless N
+    divides n.  Level k holds the minors of columns 0..k-1 as series in t^N,
+    each order a sparse dict {bitmask of the rows: integer} over one
+    denominator: level 1 is column 0, and level k + 1 the Laplace expansion
+    along column k of level k, read as soon as the series yields an order."""
+    masks = [sum(1 << x for x in key) for key in keys]
+    zero = [0] * len(keys), 1
+    cols: list = []                       # the nonzero (x, Y[x][c]), c < r, and d per order
+    lower: list = [[] for _ in range(r)]  # lower[k][a]: level k at order a
+    for m, (Y, d) in enumerate(series):
+        if m % N:
+            yield zero
+            continue
+        if r == 1:
+            yield _lowest([Y[x][0] for x, in keys], d)
+            continue
+        cols.append(([[(x, row[c]) for x, row in enumerate(Y) if row[c]] for c in range(r)], d))
+        level = {1 << x: y for x, y in cols[-1][0][0]}, d
+        for k in range(1, r):
+            lower[k].append(level)
+            level = _expand(cols, lower[k], k)
+        yield _lowest([level[0].get(mask, 0) for mask in masks], level[1])
+
+
+def _expand(cols, low, c: int) -> tuple:
+    """Order a = len(cols) - 1 of the level after low, expanded along column
+    c: the minor on rows S is the sum over b <= a and x in S of (-1)^(c +
+    the position of x in S) col_b[x] low[a - b][S - x], over one
+    denominator with the common factor taken out."""
+    a = len(cols) - 1
+    pairs = [(cols[b][0][c], cols[b][1], *low[a - b]) for b in range(a + 1)]
+    D = math.lcm(*(d * e for _, d, _, e in pairs))
+    acc: dict = {}
+    for col, d, sub, e in pairs:
+        f = D // (d * e)
+        ys = [(1 << x, (1 << x) - 1, f * y) for x, y in col]
+        for mask, z in sub.items():
+            for bit, below, y in ys:
+                if not mask & bit:
+                    v = y * z if ((mask & below).bit_count() + c) % 2 == 0 else -y * z
+                    acc[mask | bit] = acc.get(mask | bit, 0) + v
+    g = math.gcd(D, *acc.values())
+    return {mask: v // g for mask, v in acc.items() if v}, D // g
+
+
+def _lowest(Z, D) -> tuple:
+    """Z / D with the common factor of D and every entry of Z taken out."""
+    g = math.gcd(D, *Z)
+    return ([z // g for z in Z], D // g) if g > 1 else (Z, D)
+
+
 def j_coefficients(ring: RingSpec, nmax: int) -> list:
     """Exact J_0..J_nmax as CohClass with Fraction coefficients: J_n is
     column 0 of U_n, the inverse series m U_m + [rho, U_m] = U_{m-N} G_N
-    from U_0 = id.  Raises OverflowError at the first J_n with d_n or a
-    numerator past sys.get_int_max_str_digits() digits (the limit on
-    printing it), before solving any later order."""
+    from U_0 = id, read by `_j_series` on the route with fewer steps.  With
+    r' = min(r, N - r) and K = nmax // N, the r' x r' minors of quantum
+    Satake cost about C(N, r') r' K^2 and the solve on ring itself rank^2 K,
+    so a Grassmannian takes the Satake route while r' K <= 2 rank.  Raises
+    OverflowError at the first J_n whose numerator or denominator over one
+    denominator in lowest terms has more than sys.get_int_max_str_digits()
+    digits (the limit on printing it), before solving any later order."""
     if nmax < 0:
         raise ValueError(f"order must be >= 0, got {nmax}")
-    op = _c1_operator(ring)
-    U = _series((identity(ring.rank), 1), ring.N, op, op.rho_rows, op.order, op.levels)
-    U = _printable(itertools.islice(U, nmax + 1), ring.N, "J_n", lambda Y: [row[0] for row in Y])
+    satake = ring.kind == "G" and min(ring.r, ring.N - ring.r) * (nmax // ring.N) <= 2 * ring.rank
+    return _j_series(ring, nmax, satake)
+
+
+def _j_series(ring: RingSpec, nmax: int, satake: bool) -> list:
+    """J_0..J_nmax as the minors of one exact series.  satake: by quantum
+    Satake QH(G(r,N)) = Lambda^r QH(P^{N-1}) at q -> (-1)^(r-1) q, the
+    series of the twisted P^{N-1} (an N x N solve), whose r x r minors on
+    the first r columns at the rows wedge_exponents(nu, r) are J_n of ring,
+    once `_satake_operator` has checked that (c1 *) of ring is the
+    derivation of its operator on the wedges: Lambda^r U then solves the
+    recursion of ring from U_0 = id, and so is ring's U.  For 2r > N the
+    wedges are those of G(N - r, N) at transposed partitions.  Otherwise
+    the series of ring itself, whose 1 x 1 minors on column 0 are J_n."""
+    N = ring.N
+    if satake:
+        r = min(ring.r, N - ring.r)
+        label = transpose_partition if 2 * ring.r > N else tuple
+        wedges = [wedge_exponents(label(nu), r) for nu in ring.basis]
+        series_ring, op = build_ring("P", N), _satake_operator(ring, wedges)
+        keys = [k[::-1] for k in wedges]
+    else:
+        series_ring, op, r, keys = ring, _c1_operator(ring), 1, [(i,) for i in range(ring.rank)]
+    U = _series((identity(series_ring.rank), 1), N, op, op.rho_rows,
+                _degree_order(series_ring), op.levels)
+    J = _printable(_minors(itertools.islice(U, nmax + 1), N, r, keys), N, "J_n")
     zero = Fraction(0)
-    return [CohClass(ring, [Fraction(row[0], d) if row[0] else zero for row in Y]) for Y, d in U]
+    return [CohClass(ring, [Fraction(x, d) if x else zero for x in Z]) for Z, d in J]
 
 
 def j_scaled(ring: RingSpec, nmax: int) -> list:
@@ -321,14 +449,14 @@ def j_scaled(ring: RingSpec, nmax: int) -> list:
     floats).  W_m = m! U_m solves m W_m + [rho, W_m] = m!/(m-N)! W_{m-N} G_N
     by `_solve`.  Raises OverflowError at the first row not finite in float64."""
     n, N = ring.rank, ring.N
-    op = _c1_operator(ring)
+    op, order = _c1_operator(ring), _degree_order(ring)
     W, zero = [identity(n)], [[0] * n for _ in range(n)]   # zero: read, never changed
     for m in range(1, nmax + 1):
         if m < N or not any(map(any, W[m - N])):
             W.append(zero)
             continue
         rhs = _right_mul(W[m - N], op.gn_cols, float(math.perm(m, N)))
-        W.append(_solve(m, rhs, op.rho_rows, op, op.order, operator.truediv))
+        W.append(_solve(m, rhs, op.rho_rows, op, order, operator.truediv))
         if not all(math.isfinite(row[0]) for row in W[m]):
             raise OverflowError(f"non-finite float64 rows n! J_n, the first at n = {m}")
     return [[float(row[0]) for row in Wm] for Wm in W]

@@ -6,6 +6,7 @@ oracles, central charges."""
 import itertools
 import math
 import operator
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -13,10 +14,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf, pi as mp_pi, exp as mp_exp, mpc
 
-from qgamma.rings import CohClass, build_ring, cup, normalize_partition, poincare_pair
+from qgamma.rings import (CohClass, build_ring, cup, normalize_partition, poincare_pair,
+                          transpose_partition)
 from qgamma.connection import (spectrum, spectrum_closed_form, j_coefficients, j_scaled,
                                j_closed_form_P, rising_inverses, quantum_period,
-                               pairing_rows, _c1_operator, _field, _series, _solve, identity)
+                               pairing_rows, _c1_operator, _degree_order, _field, _series,
+                               _solve, identity)
 from qgamma import connection
 from qgamma.asympt import central_charge
 from qgamma.cli import main
@@ -131,7 +134,7 @@ def test_c1_operator_matches_the_quantum_pieri_oracle(kind, N, r):
     assert np.array_equal(c1_matrix(ring), np.array(G0) + np.array(GN))
     # the degree buckets give the stable sort of every (i, j) by deg_i - deg_j
     degs = ring.degrees()
-    assert op.order == sorted(((i, j) for i in range(n) for j in range(n)),
+    assert _degree_order(ring) == sorted(((i, j) for i in range(n) for j in range(n)),
                               key=lambda ij: degs[ij[0]] - degs[ij[1]])
 
 
@@ -172,7 +175,7 @@ def _u_series(ring, M):
     j_coefficients runs, from the identity with L = rho."""
     op = _c1_operator(ring)
     return list(itertools.islice(_series((identity(ring.rank), 1), ring.N, op, op.rho_rows,
-                                         op.order, op.levels), M + 1))
+                                         _degree_order(ring), op.levels), M + 1))
 
 
 def _t_series(ring, M):
@@ -508,11 +511,12 @@ def test_solve_graded_random_rhs(ring, m, data):
     rho = [[Fraction(x) for x in row] for row in G0]
     want = _neumann_solve(m, rhs, rho)
     op = _c1_operator(ring)
-    assert _solve(m, rhs, op.rho_rows, op, op.order, operator.truediv) == want
+    order = _degree_order(ring)
+    assert _solve(m, rhs, op.rho_rows, op, order, operator.truediv) == want
     # integer path: clear denominators, scale by m^(2 dim + 1), divide exactly
     scale = math.lcm(*(x.denominator for x in entries)) * m ** (2 * ring.dim + 1)
     Y = _solve(m, [[int(x * scale) for x in row] for row in rhs],
-               op.rho_rows, op, op.order, operator.floordiv)
+               op.rho_rows, op, order, operator.floordiv)
     assert all(type(y) is int for row in Y for y in row)
     assert [[Fraction(y, scale) for y in row] for row in Y] == want
     # a 1 x n row with L = 0: v (m - rho) = r has v = sum_l r rho^l / m^(l+1)
@@ -522,7 +526,7 @@ def test_solve_graded_random_rhs(ring, m, data):
         want_row = [a + b / m ** (l + 1) for a, b in zip(want_row, term)]
         term = [sum(term[k] * rho[k][j] for k in range(n)) for j in range(n)]
     assert not any(term)
-    row_order = [(i, j) for i, j in op.order if i == 0]
+    row_order = [(i, j) for i, j in order if i == 0]
     assert _solve(m, [r], [[]], op, row_order, operator.truediv) == [want_row]
     scale = math.lcm(*(x.denominator for x in r)) * m ** (ring.dim + 1)
     v = _solve(m, [[int(x * scale) for x in r]], [[]], op, row_order, operator.floordiv)
@@ -563,8 +567,9 @@ def test_solve_matches_the_per_entry_reference(ring, m, square, kind, data):
     floats (truediv)."""
     n = ring.rank
     op = _c1_operator(ring)
-    rows, left, order = ((n, op.rho_rows, op.order) if square else
-                         (1, [[]], [(i, j) for i, j in op.order if i == 0]))
+    order = _degree_order(ring)
+    rows, left, order = ((n, op.rho_rows, order) if square else
+                         (1, [[]], [(i, j) for i, j in order if i == 0]))
     entries, div = {
         "fraction": (st.fractions(-50, 50, max_denominator=30), operator.truediv),
         "integer": (st.integers(-50, 50).map(lambda x: x * m ** (2 * ring.dim + 1)),
@@ -581,8 +586,8 @@ def test_series_checks_the_final_x_whatever_the_solve_order():
     # solved against its order, each entry reads neighbours not solved yet;
     # the residual pass recomputes every entry from the final X and refuses it
     op = _c1_operator(G24)
-    series = _series((identity(G24.rank), 1), G24.N, op, op.rho_rows, op.order[::-1],
-                     op.levels)
+    series = _series((identity(G24.rank), 1), G24.N, op, op.rho_rows,
+                     _degree_order(G24)[::-1], op.levels)
     assert len(list(itertools.islice(series, G24.N))) == G24.N   # orders 0..N-1: no solve
     with pytest.raises(ArithmeticError, match=f"exact solve at order {G24.N}: residual"):
         next(series)
@@ -619,6 +624,130 @@ def test_corrupted_solve_raises(monkeypatch):
     monkeypatch.setattr(connection, "_solve", corrupted)
     with pytest.raises(ArithmeticError, match="solve at order 3: residual"):
         j_coefficients(P2, 9)
+
+
+# --- J by quantum Satake: minors of the twisted P^{N-1} series -------------
+
+def _direct_j(ring, M):
+    """J_0..J_M as Fraction lists: column 0 of the rank x rank series of
+    ring itself."""
+    return [[Fraction(row[0], d) for row in Y] for Y, d in _u_series(ring, M)]
+
+
+def _coeffs(J):
+    return [Jn.coeffs for Jn in J]
+
+
+def _recorded_sizes(monkeypatch):
+    """The (rows, columns) of every right-hand side _solve sees."""
+    solve, sizes = connection._solve, set()
+
+    def recorded(m, rhs, *args):
+        sizes.add((len(rhs), len(rhs[0])))
+        return solve(m, rhs, *args)
+    monkeypatch.setattr(connection, "_solve", recorded)
+    return sizes
+
+
+SATAKE_TARGETS = ([("G", N, r) for N in range(2, 36) for r in range(1, N)
+                   if math.comb(N, r) <= 35]
+                  + [("G", 25, 2), ("G", 13, 3), ("G", 10, 4), ("G", 10, 5)])
+
+
+@pytest.mark.parametrize("kind,N,r", SATAKE_TARGETS,
+                         ids=[f"G{r},{N}" for _, N, r in SATAKE_TARGETS])
+def test_satake_j_equals_the_direct_solve(monkeypatch, kind, N, r):
+    ring = build_ring(kind, N, r)
+    want = _direct_j(ring, 3 * N)
+    sizes = _recorded_sizes(monkeypatch)
+    assert _coeffs(j_coefficients(ring, 3 * N)) == want
+    assert sizes == {(N, N)}   # to 3N every target of the cap takes the Satake route
+    assert _coeffs(connection._j_series(ring, 3 * N, False)) == want
+    assert sizes == {(N, N), (ring.rank, ring.rank)}
+
+
+@pytest.mark.parametrize("N,r,nmax,size", [(5, 2, 50, 5), (5, 2, 200, 10),
+                                           (6, 3, 78, 6), (6, 3, 84, 20)])
+def test_j_on_both_sides_of_the_route_rule(monkeypatch, N, r, nmax, size):
+    # the Satake route while r' (nmax // N) <= 2 rank, the direct solve after
+    ring = build_ring("G", N, r)
+    want = _direct_j(ring, nmax)
+    sizes = _recorded_sizes(monkeypatch)
+    J = j_coefficients(ring, nmax)
+    assert sizes == {(size, size)}
+    assert _coeffs(J) == want
+    assert all(type(c) is Fraction for Jn in J for c in Jn.coeffs)
+
+
+@pytest.mark.parametrize("N,r", [(N, r) for N in range(3, 9) for r in range(1, N)])
+def test_j_at_mu_is_j_of_the_dual_grassmannian_at_mu_transposed(N, r):
+    ring, dual = build_ring("G", N, r), build_ring("G", N, N - r)
+    J, J_dual = j_coefficients(ring, 3 * N), j_coefficients(dual, 3 * N)
+    for Jn, Jn_dual in zip(J, J_dual):
+        assert Jn.coeffs == [Jn_dual[transpose_partition(mu)] for mu in ring.basis]
+
+
+def test_j_solves_only_the_series_of_its_route(monkeypatch):
+    sizes = _recorded_sizes(monkeypatch)
+    j_coefficients(build_ring("G", 8, 3), 24)
+    assert sizes == {(8, 8)}
+    sizes.clear()
+    with pytest.raises(OverflowError, match="the first at n = 1688"):
+        j_coefficients(G24, 3000)
+    assert sizes == {(6, 6)}
+
+
+@pytest.mark.parametrize("N,r", [(4, 2), (5, 2), (5, 3), (6, 3)])
+def test_both_routes_refuse_the_same_first_j(N, r):
+    ring, limit = build_ring("G", N, r), sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        errors = []
+        for satake in [True, False]:
+            with pytest.raises(OverflowError, match="exact J_n pass 640 digits") as exc:
+                connection._j_series(ring, 3000, satake)
+            errors.append(str(exc.value))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert errors[0] == errors[1]
+
+
+def _flip_twist(monkeypatch):
+    twisted = connection._twisted
+    monkeypatch.setattr(connection, "_twisted", lambda op, r: twisted(op, r + 1))
+
+
+@pytest.mark.parametrize("target", ["G(3,6)", "G(2,5)", "G(3,5)"])
+@pytest.mark.parametrize("break_it", [_flip_twist,
+                                      lambda mp: _corrupt(mp, "rho_cols"),
+                                      lambda mp: _corrupt(mp, "gn_cols")],
+                         ids=["twist-sign", "rho-entry", "gn-entry"])
+def test_a_broken_satake_identity_fails_the_j_check(monkeypatch, capsys, target, break_it):
+    r, N = map(int, target[2:-1].split(","))
+    ring = build_ring("G", N, r)
+    assert main(["jfun", "--target", target, "--nmax", str(3 * N)]) == 0
+    capsys.readouterr()
+    break_it(monkeypatch)
+    with pytest.raises(ArithmeticError, match=rf"^Satake G\({r},{N}\): \(c1 \*\) is not"):
+        j_coefficients(ring, 3 * N)
+    assert main(["jfun", "--target", target, "--nmax", str(3 * N)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"check failed: Satake G({r},{N})")
+
+
+def test_corrupted_solve_of_the_satake_series_raises(monkeypatch):
+    solve = connection._solve
+
+    def corrupted(m, rhs, left, op, order, div):
+        X = solve(m, rhs, left, op, order, div)
+        X[-1][0] += 1
+        return X
+
+    sizes = _recorded_sizes(monkeypatch)
+    assert len(j_coefficients(G36, 18)) == 19 and sizes == {(6, 6)}
+    monkeypatch.setattr(connection, "_solve", corrupted)
+    with pytest.raises(ArithmeticError, match="solve at order 6: residual"):
+        j_coefficients(G36, 18)
 
 
 def test_fundamental_solution_rejects_negative_order():
