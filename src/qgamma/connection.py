@@ -408,13 +408,16 @@ def j_coefficients(ring: RingSpec, nmax: int) -> list:
     from U_0 = id, read by `_j_series` on the route with fewer steps.  With
     r' = min(r, N - r) and K = nmax // N, the r' x r' minors of quantum
     Satake cost about C(N, r') r' K^2 and the solve on ring itself rank^2 K,
-    so a Grassmannian takes the Satake route while r' K <= 2 rank.  Raises
+    so a Grassmannian takes the Satake route while r' K <= 5 rank.  The 5
+    is fitted to timings of both routes on G(2,4)..G(5,10): from rank 15
+    on the Satake route is the faster one up to r' K between about 4.5
+    and 7 rank; on G(2,4) and G(2,5) it is slower by at most 2 ms.  Raises
     OverflowError at the first J_n whose numerator or denominator over one
     denominator in lowest terms has more than sys.get_int_max_str_digits()
     digits (the limit on printing it), before solving any later order."""
     if nmax < 0:
         raise ValueError(f"order must be >= 0, got {nmax}")
-    satake = ring.kind == "G" and min(ring.r, ring.N - ring.r) * (nmax // ring.N) <= 2 * ring.rank
+    satake = ring.kind == "G" and min(ring.r, ring.N - ring.r) * (nmax // ring.N) <= 5 * ring.rank
     return _j_series(ring, nmax, satake)
 
 
