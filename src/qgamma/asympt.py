@@ -1,9 +1,10 @@
 """Limit-taking machinery: the Gamma Conjecture I limit ratio, Gamma
 Conjecture II central charges, Apery ratios, quantum-period radius
 estimation, and the Mellin-Barnes solution Psi(t) with its three evaluation
-routes and asymptotic constant.  J(t) has one sum, `_sum_J`, over terms in
-any scalar type: the float rows n! J_n of connection.j_scaled (limit_ratio)
-or the exact J_n in mpmath (central_charge).  The Psi series sum the
+routes and asymptotic constant.  J(t) has one sum, `_sum_J`, which alone
+decides where it stops, over terms in any scalar type: the float rows n! J_n
+that connection.j_scaled yields (limit_ratio) or the exact J_n in mpmath
+(central_charge).  The Psi series sum the
 products prod_{k<=n} (h-k)^{-N} of connection.rising_inverses, kept once per
 (N, precision) as raw libmp values, by mpf_mul and mpf_add: the calls mpf's
 * and + make, so each sum rounds as its mpf expression would.  The float
@@ -40,39 +41,41 @@ class LimitReport:
 # --- J(t), the Gamma Conjecture I limit and the central charges ---------
 
 def _sum_J(ring: RingSpec, terms, logt, tol) -> CohClass:
-    """J(t) = e^{c1 log t} sum_n J_n t^n from the terms J_n t^n, n = 0..nmax,
-    as coefficient lists of any scalar type.  J_n = 0 unless N divides n, so
-    the tail is the term at the last such n, which may underflow to zero.
-    Raises ArithmeticError unless it is at most tol (1 + the largest term)."""
+    """J(t) = e^{c1 log t} sum_n J_n t^n from the terms J_n t^n (coefficient
+    lists of any scalar type), through the first n that N divides whose term
+    is at most tol (1 + the largest) and no larger than the term at the
+    previous such n.  Raises OverflowError at a non-finite term, and
+    ArithmeticError if the terms run out first."""
     total = [0] * ring.rank
-    biggest = last = 0
+    biggest, last = 0, math.inf
     for n, term in enumerate(terms):
-        if any(term):
+        size = max(map(abs, term))
+        if not size < math.inf:
+            raise OverflowError(f"non-finite J series terms J_n t^n, the first at n = {n}")
+        if size:
             total = [a + b for a, b in zip(total, term)]
-            biggest = max(biggest, *map(abs, term))
+            biggest = max(biggest, size)
         if not n % ring.N:
-            last = max(map(abs, term))
-    if last > tol * (1 + biggest):
-        raise ArithmeticError(f"J series tail not converged at nmax={n}")
-    return exp_cup(CohClass(ring, total), ring.c1(), logt)
+            if size <= tol * (1 + biggest) and size <= last:
+                return exp_cup(CohClass(ring, total), ring.c1(), logt)
+            last = size
+    raise ArithmeticError(f"J series tail not converged at nmax={n}")
 
 
 def _float_J(ring: RingSpec, rows, t: float) -> list:
     """J(t) in float64 from the rows n! J_n of j_scaled, weighted by t^n / n!."""
     if t <= 0:
         raise ValueError("t must be positive")
-    weights = itertools.accumulate(range(1, len(rows)), lambda w, n: w * (t / n), initial=1.0)
+    weights = itertools.accumulate(itertools.count(1), lambda w, n: w * (t / n), initial=1.0)
     terms = ([x * w for x in row] for row, w in zip(rows, weights))
-    return _sum_J(ring, terms, math.log(t), 1e-13).coeffs
+    return _sum_J(ring, terms, math.log(t), 2.0 ** -53).coeffs
 
 
 def limit_ratio(ring: RingSpec, t_grid, tol: float = 1e-6) -> LimitReport:
     """Componentwise J(t) / <[pt], J(t)>, compared against the Gamma class;
-    J is summed to order max(80, 6 N max(t_grid)) from one set of rows."""
-    nmax = max(80, int(6 * ring.N * max(t_grid)))
-    rows = j_scaled(ring, nmax)
+    the grid shares one set of rows, made as far as the largest t reads."""
     values = []
-    for t in t_grid:
+    for t, rows in zip(t_grid, itertools.tee(j_scaled(ring), len(t_grid))):
         J = _float_J(ring, rows, t)
         if J[0] == 0:
             raise ArithmeticError(f"degree-0 part of J vanished at t={t}")
@@ -313,14 +316,8 @@ def psi_asymptotic_constant(N: int, t_grid) -> dict:
 
 
 def _richardson3(ts, vals):
-    """Fit v = C + a/t + b/t^2 through three points; return C."""
+    """Fit v = C + a/t + b/t^2 through three points; return C, the Lagrange
+    extrapolation to 1/t = 0."""
     x = [1 / t for t in ts]
-    # Lagrange extrapolation to x = 0
-    C = mpf(0)
-    for i in range(3):
-        li = mpf(1)
-        for j in range(3):
-            if j != i:
-                li *= (0 - x[j]) / (x[i] - x[j])
-        C += vals[i] * li
-    return C
+    return sum(v * math.prod((0 - x[j]) / (x[i] - x[j]) for j in range(3) if j != i)
+               for i, v in enumerate(vals))

@@ -148,6 +148,13 @@ def _finite_float(text: str) -> float:
     return x
 
 
+def _positive_float(text: str) -> float:
+    """argparse type: a finite float > 0 (_finite_float's checks first)."""
+    if (x := _finite_float(text)) <= 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive number")
+    return x
+
+
 def _float_list(text: str) -> list:
     """argparse type: comma-separated finite floats."""
     return [_finite_float(x) for x in text.split(",")]
@@ -193,7 +200,7 @@ def build_parser() -> Parser:
     sp.add_argument("--target", required=True)
     sp.add_argument("--t", type=_float_list, required=True,
                     help="comma-separated t grid")
-    sp.add_argument("--tol", type=_finite_float, default=1e-6)
+    sp.add_argument("--tol", type=_positive_float, default=1e-6)
 
     sp = add("apery", help="Apery-style ratio limit")
     sp.add_argument("--target", required=True)
@@ -203,12 +210,12 @@ def build_parser() -> Parser:
                     help="comma-separated coefficients of the Poincare dual "
                          "class in basis order (default: the G(2,5) class "
                          "dual to sigma_2 - sigma_{1,1})")
-    sp.add_argument("--tol", type=_finite_float, default=1e-6)
+    sp.add_argument("--tol", type=_positive_float, default=1e-6)
 
     sp = add("psi", help="Mellin-Barnes solution Psi(t), all three routes")
     sp.add_argument("--N", type=int, required=True)
     sp.add_argument("--t", type=_finite_float, required=True)
-    sp.add_argument("--tol", type=_finite_float, default=1e-8)
+    sp.add_argument("--tol", type=_positive_float, default=1e-8)
 
     sp = add("stokes", help="Stokes matrix of the Gamma-basis MRS")
     sp.add_argument("--target", required=True)
@@ -225,7 +232,7 @@ def build_parser() -> Parser:
     sp = add("zetareg", help="zeta-regularized product, both routes")
     sp.add_argument("--delta", type=_finite_float, required=True)
     sp.add_argument("--z", type=_finite_float, required=True)
-    sp.add_argument("--tol", type=_finite_float, default=1e-8)
+    sp.add_argument("--tol", type=_positive_float, default=1e-8)
 
     add("verify-all", help="run the full acceptance suite")
     return p

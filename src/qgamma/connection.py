@@ -24,7 +24,7 @@ series gives the row w U_n in O(nnz rho) per order, which `pairing_rows`
 yields for the quantum period and the Apery ratios.  Both J and the rows
 are refused at the first order past the digits Python prints.  A scaled
 float path (n! J_n instead of J_n, as Python lists) on the same `_solve`
-gives the rows that `asympt` sums into J(t).
+yields the rows that `asympt` sums into J(t), as far as that sum reads.
 """
 
 from __future__ import annotations
@@ -447,22 +447,20 @@ def _j_series(ring: RingSpec, nmax: int, satake: bool) -> list:
     return [CohClass(ring, [Fraction(x, d) if x else zero for x in Z]) for Z, d in J]
 
 
-def j_scaled(ring: RingSpec, nmax: int) -> list:
-    """Float path: row n holds n! * J_n (basis coefficients, a list of
-    floats).  W_m = m! U_m solves m W_m + [rho, W_m] = m!/(m-N)! W_{m-N} G_N
+def j_scaled(ring: RingSpec):
+    """Float path: yield the rows n! J_n (basis coefficients, float lists), n =
+    0, 1, ...: W_m = m! U_m solves m W_m + [rho, W_m] = m!/(m-N)! W_{m-N} G_N
     by `_solve`.  Raises OverflowError at the first row not finite in float64."""
-    n, N = ring.rank, ring.N
-    op, order = _c1_operator(ring), _degree_order(ring)
-    W, zero = [identity(n)], [[0] * n for _ in range(n)]   # zero: read, never changed
-    for m in range(1, nmax + 1):
-        if m < N or not any(map(any, W[m - N])):
-            W.append(zero)
-            continue
-        rhs = _right_mul(W[m - N], op.gn_cols, float(math.perm(m, N)))
-        W.append(_solve(m, rhs, op.rho_rows, op, order, operator.truediv))
-        if not all(math.isfinite(row[0]) for row in W[m]):
+    N, op, order = ring.N, _c1_operator(ring), _degree_order(ring)
+    W = identity(ring.rank)
+    yield [float(row[0]) for row in W]
+    for m in itertools.count(N, N):
+        yield from ([0.0] * ring.rank for _ in range(N - 1))
+        rhs = _right_mul(W, op.gn_cols, float(math.perm(m, N)))
+        W = _solve(m, rhs, op.rho_rows, op, order, operator.truediv)
+        if not all(math.isfinite(row[0]) for row in W):
             raise OverflowError(f"non-finite float64 rows n! J_n, the first at n = {m}")
-    return [[float(row[0]) for row in Wm] for Wm in W]
+        yield [float(row[0]) for row in W]
 
 
 _RISING: dict = {}

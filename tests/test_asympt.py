@@ -1,6 +1,7 @@
 """Asymptotics: Gamma Conjecture I limits, Apery ratios, radius estimates,
 and the Mellin-Barnes solution Psi."""
 
+import itertools
 import math
 import re
 import sys
@@ -82,12 +83,12 @@ def test_radius_refuses_non_finite_terms():
 
 
 def test_eval_j_and_apery_refuse_overflowing_rows():
-    # n! J_n of P^3 overflows float64 from n = 500 on (every 4th row is nonzero)
+    # n! J_n of P^3 overflows float64 from n = 500 on (every 4th row is
+    # nonzero); the limit at t = 40, 60 has converged before that row
     P3 = build_ring("P", 4)
     with pytest.raises(OverflowError, match="the first at n = 500"):
-        asympt._float_J(P3, j_scaled(P3, 600), 40.0)
-    with pytest.raises(OverflowError, match="the first at n = 500"):
-        limit_ratio(P3, [40, 60])
+        list(itertools.islice(j_scaled(P3), 600))
+    assert limit_ratio(P3, [40, 60]).converged
     # the Apery ratios read exact rows: at r_F n = 100 and 400 they
     # converge, and they are refused once the rows pass the printable digits
     # (near order 1865 on G(2,5))
@@ -317,7 +318,7 @@ def test_psi_asymptotic_constant_constants_follow_precision():
 
 def _dense_J(ring, t, nmax):
     """J(t) with e^{rho log t} applied through the dense matrix of c1 cup."""
-    rows = np.array(j_scaled(ring, nmax))
+    rows = np.array(list(itertools.islice(j_scaled(ring), nmax + 1)))
     total = sum(rows[n] * t ** n / math.factorial(n) for n in range(nmax + 1))
     c1m = np.zeros((ring.rank, ring.rank))
     for j in range(ring.rank):
@@ -333,7 +334,7 @@ def _dense_J(ring, t, nmax):
 @pytest.mark.parametrize("ring", [P2, G24], ids=["P2", "G24"])
 @pytest.mark.parametrize("t", [0.7, 3.0])
 def test_eval_j_matches_dense_c1_matrix(ring, t):
-    got, want = asympt._float_J(ring, j_scaled(ring, 80), t), _dense_J(ring, t, 80)
+    got, want = asympt._float_J(ring, j_scaled(ring), t), _dense_J(ring, t, 80)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
@@ -344,25 +345,97 @@ def test_eval_j_limit_ratio_and_central_charge_share_one_j_sum(monkeypatch):
         calls.append(tol)
         raise ArithmeticError("shared J sum reached")
     monkeypatch.setattr(asympt, "_sum_J", refuse)
-    for run in [lambda: asympt._float_J(P2, j_scaled(P2, 30), 2.0), lambda: limit_ratio(P2, [1.0]),
+    for run in [lambda: asympt._float_J(P2, j_scaled(P2), 2.0), lambda: limit_ratio(P2, [1.0]),
                 lambda: central_charge(P2.unit(), mpf(2), 30)]:
         with pytest.raises(ArithmeticError, match="shared J sum reached"):
             run()
-    assert calls == [1e-13, 1e-13, mpf("1e-30")]
+    assert calls == [2.0 ** -53, 2.0 ** -53, mpf("1e-30")]
 
 
 def test_eval_j_positive_t_only():
     with pytest.raises(ValueError):
-        asympt._float_J(P2, j_scaled(P2, 50), -1.0)
+        asympt._float_J(P2, j_scaled(P2), -1.0)
 
 
 def test_limit_ratio_where_every_term_past_j0_underflows():
     # on P^1 at t = 1e-170 every term J_n t^n with n >= 2 underflows to 0.0:
-    # the tail is the term at n = 80, the last order N = 2 divides, not J_0's
+    # the sum stops at n = 2, the first order N = 2 divides past J_0
     t = 1e-170
     rep = limit_ratio(build_ring("P", 2), [t])
     assert rep.values == [[1.0, pytest.approx(2 * math.log(t), rel=1e-15)]]
     assert not rep.converged
+
+
+RINGS = [build_ring("P", N) for N in range(2, 6)] + [G24, G25]
+
+
+def _full_sum_ratios(ring, t):
+    """J(t) / <[pt], J(t)> summed to the fixed order max(80, 6 N t), term by
+    term from the rows n! J_n weighted by t^n / n!."""
+    total, w = [0.0] * ring.rank, 1.0
+    for n, row in enumerate(itertools.islice(j_scaled(ring), max(80, int(6 * ring.N * t)) + 1)):
+        if n:
+            w *= t / n
+        total = [a + x * w for a, x in zip(total, row)]
+    J = exp_cup(CohClass(ring, total), ring.c1(), math.log(t)).coeffs
+    return [x / J[0] for x in J]
+
+
+@given(ring=st.sampled_from(RINGS), t=st.floats(0.5, 12))
+@settings(max_examples=60, deadline=None)
+def test_limit_ratio_matches_the_full_fixed_order_sum(ring, t):
+    # the sum that stops where its terms can no longer move a float64 sum
+    # agrees with the sum to the fixed order, wherever those rows are finite
+    try:
+        want = _full_sum_ratios(ring, t)
+    except OverflowError:
+        want = None
+    got = limit_ratio(ring, [t]).values[0]
+    if want is not None:
+        assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-12 * max(map(abs, want))
+
+
+def test_limit_ratio_makes_rows_only_as_far_as_the_largest_t_reads(monkeypatch):
+    made = []
+
+    def counted(ring):
+        for n, row in enumerate(j_scaled(ring)):
+            made.append(n)
+            yield row
+
+    def orders(ring, grid):
+        made.clear()
+        limit_ratio(ring, grid)
+        assert made == list(range(len(made)))   # one set of rows for the grid
+        return made[-1]
+    monkeypatch.setattr(asympt, "j_scaled", counted)
+    P3 = build_ring("P", 4)
+    assert orders(P2, [8, 10, 12]) == orders(P2, [12]) > orders(P2, [8])
+    assert orders(P2, [12, 8]) == orders(P2, [12])
+    # the rows of P^3 overflow at n = 500; t = 40, 60 reads fewer of them
+    assert orders(P3, [40, 60]) == orders(P3, [60]) < 500
+    # a sum stops at an order N divides: the largest one read
+    assert orders(P2, [1.0]) % 3 == 0
+
+
+@given(ring=st.sampled_from(RINGS), u=st.floats(-300, 6))
+@settings(max_examples=80, deadline=None)
+def test_limit_ratio_is_finite_or_a_classified_error(ring, u):
+    # log-uniform t in [1e-300, 1e6]: finite ratios, or OverflowError /
+    # ArithmeticError (numerics out of range / a failed check), never a NaN
+    try:
+        rep = limit_ratio(ring, [10.0 ** u])
+    except ArithmeticError:
+        return
+    assert all(map(math.isfinite, rep.values[0]))
+    assert math.isfinite(rep.notes["gap_to_gamma"])
+
+
+def test_j_sum_refuses_its_first_non_finite_term():
+    # on P^2 at t = 1e5 the weight t^n / n! stays finite to n = 88, but the
+    # term J_78 t^78 already exceeds float64; the rows overflow only at n = 633
+    with pytest.raises(OverflowError, match="non-finite J series terms J_n t.n, the first at n = 78$"):
+        asympt._float_J(P2, j_scaled(P2), 1e5)
 
 
 def test_j_sum_refuses_a_tail_that_has_not_converged():

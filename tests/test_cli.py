@@ -203,7 +203,6 @@ def test_negative_nmax_exit_1(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["limit", "--target", "P(3)", "--t", "40,60"],
     # non-finite results: never Infinity or NaN in the JSON
     pytest.param(["zetareg", "--delta", "1e300", "--z", "1"], id="zetareg-inf"),
     pytest.param(["psi", "--N", "3", "--t", "1e5"], id="psi-inf"),
@@ -221,6 +220,41 @@ def test_float_overflow_exit_3(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("numerics out of range:")
+
+
+@pytest.mark.parametrize("target, grid", [("G(3,6)", "4,6,8"), ("P(3)", "40,60"),
+                                          ("G(2,5)", "8,10,12")])
+def test_limit_sums_to_the_order_its_terms_need(capsys, target, grid):
+    # the float rows n! J_n overflow at n = 276, 500 and 330, past the orders
+    # where these J(t) sums have converged
+    code, out = run(capsys, "limit", "--target", target, "--t", grid)
+    assert code == 0
+    assert json.loads(out)["converged"] is True
+
+
+def test_limit_at_the_top_of_the_range_exit_3(capsys):
+    # on G(2,25) at t = 6 the float rows overflow before the J(t) sum converges
+    assert main(["limit", "--target", "G(2,25)", "--t", "6"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("numerics out of range: non-finite float64 rows n! J_n, "
+                            "the first at n = 175\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["limit", "--target", "P(2)", "--t", "8"],
+    ["apery", "--target", "G(2,5)"],
+    ["psi", "--N", "2", "--t", "1"],
+    ["zetareg", "--delta", "1", "--z", "1"],
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("tol", ["-1", "0", "-0.0", "-1e-300"])
+def test_non_positive_tol_is_a_usage_error(capsys, argv, tol):
+    # --tol=-1e-300: argparse reads a separate "-1e-300" as an option
+    assert main([*argv, f"--tol={tol}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        f"usage error: argument --tol: '{tol}' is not a positive number\n")
 
 
 def test_a_non_finite_gram_entry_exit_3(capsys, monkeypatch):

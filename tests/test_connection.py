@@ -829,7 +829,7 @@ def test_rising_inverses_cup_once_per_order(monkeypatch):
 def test_j_scaled_matches_exact():
     for ring in [P2, G24, G25, G36]:
         exact = j_coefficients(ring, 12)
-        rows = j_scaled(ring, 12)
+        rows = list(itertools.islice(j_scaled(ring), 13))
         fact = 1
         for n in range(13):
             fact *= max(n, 1)

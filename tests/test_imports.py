@@ -8,8 +8,9 @@ of reads from ``cli.main``, the package's module-level statements or its
 scripts (the names only the benchmark reaches are listed explicitly),
 every dataclass field is read as an attribute, every parameter default
 is overridden by some call in the package, its scripts or the benchmark,
-and every ``raise`` names an exception class that the CLI maps to an exit
-code.
+every ``raise`` names an exception class that the CLI maps to an exit
+code, and every package name the benchmark reads (attributes of the modules
+it imports, and the ``(module, "name")`` pairs it patches) is defined.
 
 Uses only the stdlib ``ast`` module, so it runs wherever the test suite does.
 A name counts as used when it appears as a bare name anywhere in the module
@@ -384,3 +385,70 @@ def test_raise_checker():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_src_raises_only_classified_errors(path):
     assert unclassified_raises(path.read_text()) == []
+
+
+def _bound_names(tree) -> set:
+    """Names bound at the top level of a module: definitions, assignment
+    targets and imports."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+    return names
+
+
+def benchmark_reads(source: str) -> list:
+    """(line, "module.name") for each package name a benchmark source reads:
+    each module of ``from qgamma import module`` (as "qgamma.module"), each
+    load of ``module.name`` on such a module, each ``(module, "name")``
+    tuple, the form of the ``layers()`` table the tracer patches by name,
+    and each name of ``from qgamma.module import name``."""
+    tree = ast.parse(source)
+    modules = {alias.asname or alias.name: alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level == 0
+               and node.module == "qgamma" for alias in node.names}
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            if node.module == "qgamma":
+                out += [(node.lineno, f"qgamma.{alias.name}") for alias in node.names]
+            elif node.module.startswith("qgamma."):
+                out += [(node.lineno, f"{node.module[7:]}.{alias.name}") for alias in node.names]
+        elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+              and isinstance(node.value, ast.Name) and node.value.id in modules):
+            out.append((node.lineno, f"{modules[node.value.id]}.{node.attr}"))
+        elif (isinstance(node, ast.Tuple) and len(node.elts) >= 2
+              and isinstance(node.elts[0], ast.Name) and node.elts[0].id in modules
+              and isinstance(node.elts[1], ast.Constant) and isinstance(node.elts[1].value, str)):
+            out.append((node.lineno, f"{modules[node.elts[0].id]}.{node.elts[1].value}"))
+    return sorted(out)
+
+
+def test_benchmark_reads_checker():
+    src = ("from qgamma import asympt, connection as conn\nfrom qgamma.rings import cup\n"
+           "import qgamma.cli\nx = asympt.limit_ratio(conn.j_scaled)\nasympt.y = 1\n"
+           "pairs = [(conn, 'spectrum', 'span', None), (conn, 3), (other, 'z')]\n"
+           "other.attr\n")
+    assert benchmark_reads(src) == [(1, "qgamma.asympt"), (1, "qgamma.connection"),
+                                    (2, "rings.cup"), (4, "asympt.limit_ratio"),
+                                    (4, "connection.j_scaled"), (6, "connection.spectrum")]
+    tree = ast.parse("import os\nfrom a import b as c\nx, (y, z) = 1, (2, 3)\nw: int = 0\n"
+                     "def f():\n    v = 1\nclass C:\n    u = 1\n")
+    assert _bound_names(tree) == {"os", "c", "x", "y", "z", "w", "f", "C"}
+
+
+def test_benchmark_reads_only_names_the_package_defines():
+    # the benchmark wraps package functions by name from outside
+    # (perfbench/tracer.py); a renamed or deleted one would otherwise fail
+    # only its traced run and its self-test, never this suite
+    present = {f"qgamma.{p.stem}" for p in MODULES}
+    present |= {f"{p.stem}.{name}" for p in MODULES for name in _bound_names(ast.parse(p.read_text()))}
+    reads = [(path.name, line, name) for path in BENCHMARK
+             for line, name in benchmark_reads(path.read_text())]
+    assert {"connection.j_scaled", "mrs.kapranov_gamma_mrs"} <= {name for *_, name in reads}
+    assert [r for r in reads if r[2] not in present] == []
